@@ -1,11 +1,9 @@
-"""Array-fleet engine benchmarks: fleet vs legacy, packed vs unpacked,
-sharded vs single-socket, batched vs per-image, shard drivers, serving,
-bit-plane sparsity.
+"""Array-fleet engine benchmarks: packed vs unpacked, sharded vs
+single-socket, batched vs per-image, shard drivers, serving, bit-plane
+sparsity.
 
-Nine comparisons, all bit-identical by construction:
+Seven comparisons, all bit-identical by construction:
 
-* the vectorized fleet path vs the legacy one-array-at-a-time path (the
-  PR-1 refactor; acceptance target >= 10x on the functional conv);
 * the packed uint64 plane store vs the unpacked byte-per-bit reference on
   the lockstep primitives themselves (acceptance target: >= 4x faster
   multiply/add sequences at serving-scale fleets, 8x smaller resident
@@ -20,19 +18,11 @@ Nine comparisons, all bit-identical by construction:
   store, outputs bit-exact, cycle reports identical — batching changes
   wall-clock, not modeled cycles), plus the block tap-plane load vs the
   per-plane host-pack loop it replaced;
-* the concurrent shard drivers (thread / process / persistent pool) vs
-  the serial driver — gated on every driver being bit-exact and
-  cycle-report-identical to serial, with the process driver's
-  wall-clock speedup over serial recorded, and gated >= 1.05x at 2
-  shards in full mode on hosts with >= 2 CPUs (a 1-CPU host cannot run
-  shards in parallel, so there the number is recorded, not gated);
-* the per-batch driver overhead — serial / thread / process / pool on
-  the same warm batch, isolating what each driver pays per dispatch:
-  thread and process spin a fresh futures pool and (for process)
-  re-pickle the whole image payload every batch, while the persistent
-  pool forks once and ships O(1) work units over shared-memory arenas.
-  The steady-state pool-vs-process speedup is recorded, and gated
-  >= 1.2x at batch 8 in full mode on hosts with >= 2 CPUs;
+* the persistent pool shard driver (warm) vs the serial driver — gated
+  on the pool being bit-exact and cycle-report-identical to serial,
+  with its wall-clock speedup over serial recorded, and gated >= 1.05x
+  at 2 shards in full mode on hosts with >= 2 CPUs (a 1-CPU host cannot
+  run shards in parallel, so there the number is recorded, not gated);
 * the spanning-layer cross-array reduction path — the
   ``inception-span`` zoo model (four arrays per output) end-to-end on
   the packed fleet with golden verification on, gated on the functional
@@ -56,7 +46,7 @@ Also runnable as a script so CI can smoke everything per PR::
 which runs the primitive comparison at a smaller fleet size with relaxed
 speedup gates (CI machines are noisy) plus the sharded-aggregation,
 shard-driver, serving and batched-correctness checks, and exits non-zero
-when the packed store, the sharded aggregation, a concurrent shard
+when the packed store, the sharded aggregation, the pool shard
 driver, the serving stack or the batched path regresses in speedup or
 exactness. ``--json`` additionally emits every section's measurements as
 one JSON document for the bench trajectory, and ``--trajectory``
@@ -118,36 +108,6 @@ def _best_of(fn, rounds: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def test_fleet_vs_legacy_conv(benchmark, record):
-    conv, shape, weights, image, reference, _ = _conv_case()
-
-    def run(vectorized: bool) -> FunctionalConv:
-        engine = FunctionalConv(conv, shape, weights.for_node("c"),
-                                output_params=weights.activation_params,
-                                vectorized=vectorized)
-        out = engine.run(image)
-        assert np.array_equal(out.data, reference.data)
-        return engine
-
-    legacy_s = _best_of(lambda: run(False), rounds=2)
-    fleet_s = _best_of(lambda: run(True), rounds=3)
-    speedup = legacy_s / fleet_s
-
-    fleet_engine = benchmark(lambda: run(True))
-    legacy_engine = run(False)
-    # Same physics on both paths: identical aggregate cycle accounting.
-    assert fleet_engine.report == legacy_engine.report
-
-    record(f"Fleet engine benchmark: vectorized fleet "
-           f"{fleet_s * 1e3:.1f} ms vs legacy per-array "
-           f"{legacy_s * 1e3:.1f} ms on a 3x3x8->8 conv "
-           f"({fleet_engine.report.passes} array passes) -> "
-           f"{speedup:.1f}x speedup, outputs and cycle reports identical")
-    # Soft gate: typically 15-25x; only flags a wholesale regression to
-    # per-array behaviour, not wall-clock noise on a loaded machine.
-    assert speedup >= 2.0
 
 
 # ----------------------------------------------------------------------
@@ -288,23 +248,17 @@ def test_sharded_vs_single_fleet(record):
 
 
 # ----------------------------------------------------------------------
-# Concurrent shard drivers vs the serial driver
+# Pool shard driver vs the serial driver
 # ----------------------------------------------------------------------
 def compare_shard_drivers(batch_size: int = 16, shards: int = 2,
-                          rounds: int = 2,
-                          drivers: tuple = ("thread", "process",
-                                            "pool")) -> dict:
-    """Concurrent shard drivers vs the serial reference driver.
+                          rounds: int = 2) -> dict:
+    """The persistent pool driver vs the serial reference driver.
 
-    Thread and process drivers execute the same picklable ShardWork
-    units through the same module-level ``execute_shard``; the pool
-    driver runs persistent forked workers fed O(1) work units over
-    shared-memory arenas. Results must be identical either way —
-    outputs bit-exact, aggregate and per-shard cycle reports equal. The
-    process driver is the wall-clock lever on cold dispatch; the pool
-    driver amortises fork and program broadcast across batches, so it
-    is warmed (fork + broadcast paid) before timing — its number is the
-    steady-state per-batch cost.
+    The pool runs forked workers fed O(1) work units over shared-memory
+    arenas; it is warmed (fork + program broadcast paid) before timing,
+    so its number is the steady-state per-batch cost. Results must be
+    identical either way — outputs bit-exact, aggregate and per-shard
+    cycle reports equal.
     """
     import os
 
@@ -312,137 +266,44 @@ def compare_shard_drivers(batch_size: int = 16, shards: int = 2,
     serial = ShardedBackend(shards=shards, driver="serial")
     serial_s = _best_of(lambda: serial.run(net, batch_size), rounds)
     serial_res = serial.run(net, batch_size)
+    with ShardedBackend(shards=shards, driver="pool") as pool:
+        pool.run(net, batch_size)           # fork + program broadcast
+        pool_s = _best_of(lambda: pool.run(net, batch_size), rounds)
+        res = pool.run(net, batch_size)
     out = net.output_name
-
-    stats: dict = {
+    return {
         "batch_size": batch_size,
         "shards": shards,
         "cpus": os.cpu_count() or 1,
         "serial_s": serial_s,
-        "drivers": {},
+        "pool_s": pool_s,
+        "speedup": serial_s / pool_s,
+        "bit_exact": bool(np.array_equal(res.outputs[out].data,
+                                         serial_res.outputs[out].data)),
+        "report_identical": res.report == serial_res.report,
+        "shard_reports_identical":
+            res.shard_reports == serial_res.shard_reports,
     }
-    for driver in drivers:
-        backend = ShardedBackend(shards=shards, driver=driver)
-        try:
-            if driver == "pool":
-                backend.run(net, batch_size)    # fork + program broadcast
-            driver_s = _best_of(lambda: backend.run(net, batch_size),
-                                rounds)
-            res = backend.run(net, batch_size)
-        finally:
-            backend.close()
-        stats["drivers"][driver] = {
-            "seconds": driver_s,
-            "speedup": serial_s / driver_s,
-            "bit_exact": bool(np.array_equal(res.outputs[out].data,
-                                             serial_res.outputs[out].data)),
-            "report_identical": res.report == serial_res.report,
-            "shard_reports_identical":
-                res.shard_reports == serial_res.shard_reports,
-            "verified": res.verified_images,
-        }
-    return stats
 
 
 def render_shard_driver_report(stats: dict) -> str:
-    parts = []
-    for driver, d in stats["drivers"].items():
-        parts.append(f"{driver} {d['seconds'] * 1e3:.1f} ms "
-                     f"({d['speedup']:.2f}x vs serial)")
     return (f"Shard driver benchmark: batch {stats['batch_size']} over "
             f"{stats['shards']} shards on {stats['cpus']} CPU(s) -> "
-            f"serial {stats['serial_s'] * 1e3:.1f} ms, "
-            + ", ".join(parts)
-            + "; all drivers bit-exact and report-identical="
-            + str(_shard_drivers_exact(stats)))
+            f"serial {stats['serial_s'] * 1e3:.1f} ms, warm pool "
+            f"{stats['pool_s'] * 1e3:.1f} ms ({stats['speedup']:.2f}x); "
+            f"bit-exact and report-identical="
+            f"{_shard_drivers_exact(stats)}")
 
 
 def _shard_drivers_exact(stats: dict) -> bool:
-    return all(d["bit_exact"] and d["report_identical"]
-               and d["shard_reports_identical"]
-               for d in stats["drivers"].values())
+    return (stats["bit_exact"] and stats["report_identical"]
+            and stats["shard_reports_identical"])
 
 
-def test_shard_drivers_match_serial(record):
+def test_pool_driver_matches_serial(record):
     stats = compare_shard_drivers(batch_size=8, rounds=1)
     record(render_shard_driver_report(stats))
     assert _shard_drivers_exact(stats)
-
-
-# ----------------------------------------------------------------------
-# Per-batch driver overhead: what each dispatch pays on a warm backend
-# ----------------------------------------------------------------------
-def compare_driver_overhead(batch_sizes: tuple = (8, 32), shards: int = 2,
-                            rounds: int = 2) -> dict:
-    """Steady-state per-batch cost of every shard driver, cross-checked.
-
-    Every backend gets one warmup run before timing, so what is
-    measured is the recurring dispatch cost, not one-time setup: thread
-    and process still spin a fresh futures pool per batch (process
-    additionally re-pickles the whole image payload both ways), while
-    the persistent pool already paid fork + program broadcast in the
-    warmup and each timed batch only ships O(1) work units over warm
-    workers and shared-memory arenas. The pool-vs-process ratio is the
-    zero-copy dividend this section exists to track.
-    """
-    import os
-
-    net = tiny_verification_network()
-    stats: dict = {"shards": shards, "cpus": os.cpu_count() or 1,
-                   "batches": {}}
-    out = net.output_name
-    for batch in batch_sizes:
-        drivers: dict = {}
-        reference = None
-        for driver in ("serial", "thread", "process", "pool"):
-            backend = ShardedBackend(shards=shards, driver=driver)
-            try:
-                backend.run(net, batch)         # warmup, every driver
-                driver_s = _best_of(lambda: backend.run(net, batch),
-                                    rounds)
-                res = backend.run(net, batch)
-            finally:
-                backend.close()
-            if reference is None:
-                reference = res
-            drivers[driver] = {
-                "seconds": driver_s,
-                "per_image_ms": driver_s * 1e3 / batch,
-                "bit_exact": bool(np.array_equal(
-                    res.outputs[out].data, reference.outputs[out].data)),
-                "report_identical": res.report == reference.report,
-            }
-        stats["batches"][str(batch)] = {
-            "drivers": drivers,
-            "pool_vs_process_speedup":
-                drivers["process"]["seconds"] / drivers["pool"]["seconds"],
-        }
-    return stats
-
-
-def render_driver_overhead_report(stats: dict) -> str:
-    lines = []
-    for batch, per in stats["batches"].items():
-        costs = ", ".join(
-            f"{driver} {d['seconds'] * 1e3:.1f} ms"
-            for driver, d in per["drivers"].items())
-        lines.append(f"batch {batch}: {costs} -> pool "
-                     f"{per['pool_vs_process_speedup']:.2f}x vs process")
-    return (f"Driver overhead benchmark ({stats['shards']} shards on "
-            f"{stats['cpus']} CPU(s), warm backends): "
-            + "; ".join(lines))
-
-
-def _driver_overhead_exact(stats: dict) -> bool:
-    return all(d["bit_exact"] and d["report_identical"]
-               for per in stats["batches"].values()
-               for d in per["drivers"].values())
-
-
-def test_driver_overhead_section(record):
-    stats = compare_driver_overhead(batch_sizes=(8,), rounds=1)
-    record(render_driver_overhead_report(stats))
-    assert _driver_overhead_exact(stats)
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +311,7 @@ def test_driver_overhead_section(record):
 # ----------------------------------------------------------------------
 def compare_serving(n_requests: int = 24, sockets: int = 2,
                     pool_size: int = 2, max_batch: int = 6,
-                    driver: str = "thread") -> dict:
+                    driver: str = "serial") -> dict:
     """One served request stream, with the gate verdict in the stats.
 
     The serving stack must lose nothing relative to the direct
@@ -763,8 +624,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Fleet engine smoke benchmarks: packed vs unpacked "
                     "plane store, sharded-vs-single aggregation gates, "
-                    "shard-driver equivalence + process speedup gates, "
-                    "warm per-batch driver overhead + pool-vs-process "
+                    "pool-vs-serial shard driver equivalence + speedup "
                     "gates, serving smoke gates, batched-vs-per-image "
                     "execution gates")
     parser.add_argument("--quick", action="store_true",
@@ -811,53 +671,27 @@ def main(argv=None) -> int:
                   "and verification)", file=sys.stderr)
             return finish(1)
 
-    # Shard drivers: every driver must be indistinguishable from serial
-    # in results; the process driver must additionally buy wall-clock at
-    # >= 2 shards when the host actually has parallel CPUs (full mode —
-    # CI runners and 1-CPU sandboxes record the number instead of
-    # gating it; the correctness gates never relax).
+    # Shard drivers: the pool must be indistinguishable from serial in
+    # results, and must additionally buy wall-clock at >= 2 shards when
+    # the host actually has parallel CPUs (full mode — CI runners and
+    # 1-CPU sandboxes record the number instead of gating it; the
+    # correctness gates never relax).
     driver_stats = compare_shard_drivers(
         batch_size=8 if args.quick else 16,
         rounds=1 if args.quick else 2)
     results["shard_drivers"] = driver_stats
     print(render_shard_driver_report(driver_stats))
     if not _shard_drivers_exact(driver_stats):
-        print("FAIL: a concurrent shard driver diverged from the serial "
+        print("FAIL: the pool shard driver diverged from the serial "
               "driver (need bit-exact outputs and identical aggregate + "
               "per-shard cycle reports)", file=sys.stderr)
         return finish(1)
-    process_speedup = driver_stats["drivers"]["process"]["speedup"]
     if (not args.quick and driver_stats["cpus"] >= 2
-            and process_speedup < 1.05):
-        print(f"FAIL: process shard driver shows no wall-clock speedup "
-              f"over serial ({process_speedup:.2f}x at "
+            and driver_stats["speedup"] < 1.05):
+        print(f"FAIL: pool shard driver shows no wall-clock speedup "
+              f"over serial ({driver_stats['speedup']:.2f}x at "
               f"{driver_stats['shards']} shards on "
               f"{driver_stats['cpus']} CPUs)", file=sys.stderr)
-        return finish(1)
-
-    # Per-batch driver overhead on warm backends: the persistent pool's
-    # zero-copy dispatch must stay exact everywhere, and must beat the
-    # fork-per-batch process driver by >= 1.2x at batch 8 in full mode
-    # when the host has parallel CPUs (a 1-CPU sandbox records the
-    # ratio instead of gating it; exactness gates never relax).
-    overhead_stats = compare_driver_overhead(
-        batch_sizes=(8,) if args.quick else (8, 32),
-        rounds=1 if args.quick else 2)
-    results["driver_overhead"] = overhead_stats
-    print(render_driver_overhead_report(overhead_stats))
-    if not _driver_overhead_exact(overhead_stats):
-        print("FAIL: a warm shard driver diverged from the serial "
-              "reference in the overhead section (need bit-exact "
-              "outputs and identical cycle reports)", file=sys.stderr)
-        return finish(1)
-    pool_speedup = overhead_stats["batches"]["8"]["pool_vs_process_speedup"]
-    if (not args.quick and overhead_stats["cpus"] >= 2
-            and pool_speedup < 1.2):
-        print(f"FAIL: persistent pool driver does not amortise dispatch "
-              f"vs the process driver ({pool_speedup:.2f}x at batch 8, "
-              f"{overhead_stats['shards']} shards on "
-              f"{overhead_stats['cpus']} CPUs; need >= 1.2x)",
-              file=sys.stderr)
         return finish(1)
 
     # Serving smoke (the CI serving gate): lost/duplicated responses or
@@ -943,9 +777,8 @@ def main(argv=None) -> int:
 
     print(f"OK (gates: bit/cycle exact, 8x memory, "
           f">= {min_speedup:.1f}x packed speedup; sharded aggregation "
-          f"lossless at shard counts 2 and 3; shard drivers identical to "
-          f"serial, warm-driver overhead exact; serving exact — nothing "
-          f"lost, duplicated or "
+          f"lossless at shard counts 2 and 3; pool driver identical to "
+          f"serial; serving exact — nothing lost, duplicated or "
           f"bit-inexact; batch-in-fleet bit-exact, report-identical and "
           f">= {batched_min:.1f}x at batch {batched_batch}; block load "
           f"bit-exact; spanning layer bit-exact and cycle-consistent "
@@ -966,18 +799,8 @@ def _trajectory_entry(results: dict) -> dict:
         entry["packed_speedup"] = plane["speedup"]
     drivers = results.get("shard_drivers")
     if drivers:
-        entry["driver_wall_s"] = {"serial": drivers["serial_s"]}
-        entry["driver_wall_s"].update(
-            {name: d["seconds"] for name, d in drivers["drivers"].items()})
-    overhead = results.get("driver_overhead")
-    if overhead:
-        entry["warm_driver_wall_s"] = {
-            batch: {name: d["seconds"]
-                    for name, d in per["drivers"].items()}
-            for batch, per in overhead["batches"].items()}
-        entry["pool_vs_process"] = {
-            batch: per["pool_vs_process_speedup"]
-            for batch, per in overhead["batches"].items()}
+        entry["driver_wall_s"] = {"serial": drivers["serial_s"],
+                                  "pool": drivers["pool_s"]}
     serving = results.get("serving")
     if serving:
         entry["serving_rps"] = serving["throughput_rps"]

@@ -5,7 +5,8 @@ a *request stream*: a node keeps its sockets busy by batching whatever
 arrived. This example runs that serving stack end to end:
 
 * a pool of :class:`~repro.engine.sharding.ShardedBackend` nodes, each
-  splitting its batches across socket shards on a concurrent driver;
+  splitting its batches across socket shards (serial driver here;
+  ``driver="pool"`` runs the shards in persistent worker processes);
 * a :class:`~repro.serving.Server` coalescing ``submit()`` arrivals
   into batched fleet passes under ``max_batch`` / ``max_wait_ms``;
 * per-request responses that are bit-exact the direct ``run_requests``
@@ -38,10 +39,10 @@ async def main() -> None:
     images = deterministic_images(network, weights, seed=0, batch_size=24)
     expected = template.run_requests(network, images, weights).responses
 
-    # Two serving nodes, each a dual-socket sharded backend whose shard
-    # pool runs on the thread driver.
+    # Two serving nodes, each a dual-socket sharded backend whose shards
+    # run on the serial driver.
     pool = [
-        ShardedBackend(shards=2, verify=False, driver="thread")
+        ShardedBackend(shards=2, verify=False, driver="serial")
         for _ in range(2)
     ]
 

@@ -26,7 +26,7 @@ cycles.
 Run:  python examples/fleet_backends.py
 """
 
-from repro import ShardedBackend, get_backend
+from repro import BackendOptions, ShardedBackend, get_backend
 from repro.engine import (
     ArrayFleet,
     FleetBitSerialUnit,
@@ -57,7 +57,8 @@ def main() -> None:
     print()
 
     # -- batch-in-fleet execution is invisible except in wall-clock -------
-    per_image = get_backend("fleet-packed", batched=False)
+    per_image = get_backend("fleet-packed",
+                            options=BackendOptions(batched=False))
     loop_result = per_image.run(net, batch_size=5)
     assert loop_result.report == reference.report
     out = net.output_name

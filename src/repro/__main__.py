@@ -9,12 +9,12 @@ Usage::
     python -m repro --backend fleet-packed   # same, packed plane store
     python -m repro --backend analytic --batch 16
     python -m repro --backend sharded --batch 8 --shards 4
-    python -m repro --backend sharded --shards 2 --shard-driver process
+    python -m repro --backend sharded --shards 2 --shard-driver pool
     python -m repro --backend fleet --batch 8 --no-batched   # per-image loop
     python -m repro serve-bench --requests 32 --sockets 2    # serving smoke
     python -m repro fault-sweep --images 16          # accuracy vs defects
     python -m repro verify                  # static dataflow verification
-    python -m repro verify --model lenet5 -v
+    python -m repro verify --model inception-span -v
 
 The ``--backend`` mode drives an execution engine through the unified
 :class:`~repro.engine.backend.Backend` protocol — ``analytic`` runs the
@@ -25,11 +25,11 @@ faster lockstep primitives, identical results), and ``sharded`` splits
 the batch round-robin across socket shards (``--shards``, default
 ``config.sockets``), each on its own packed fleet, with results and
 cycle totals identical to the unsharded run. ``--shard-driver`` selects
-how the shard pool executes — ``serial`` (default), ``thread``,
-``process`` (real wall-clock parallelism across OS processes) or
-``pool`` (persistent zero-copy workers: forked once, image payloads
-through shared-memory arenas); every driver is bit-exact and
-cycle-report-identical to serial.
+how the shards execute — ``serial`` (default: one after another
+in-process, runs everywhere) or ``pool`` (real wall-clock parallelism:
+persistent zero-copy workers, forked once, image payloads through
+shared-memory arenas; POSIX-only); both are bit-exact and
+cycle-report-identical.
 
 Functional backends fold the whole batch into the fleet's array axis by
 default (one fleet pass per layer computes every image);
@@ -115,9 +115,9 @@ def serve_bench_main(argv: list[str]) -> int:
                         help="longest wait for a partial batch to fill "
                              "(default 2.0)")
     parser.add_argument("--shard-driver", choices=SHARD_DRIVERS,
-                        default="thread",
+                        default="serial",
                         help="shard driver of each pool node "
-                             "(default thread)")
+                             "(default serial)")
     parser.add_argument("--arrival-gap-ms", type=float, default=0.0,
                         metavar="MS",
                         help="spacing between request arrivals "
@@ -223,11 +223,11 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: the config's socket count)")
     parser.add_argument("--shard-driver", choices=SHARD_DRIVERS,
                         default=None,
-                        help="how --backend sharded runs its shard pool: "
-                             "serial (default), thread, process "
-                             "(wall-clock parallel) or pool (persistent "
-                             "zero-copy workers; fork-based, POSIX "
-                             "only); results identical")
+                        help="how --backend sharded runs its shards: "
+                             "serial (default; runs everywhere) or pool "
+                             "(wall-clock parallel persistent zero-copy "
+                             "workers; fork-based, POSIX only); results "
+                             "identical")
     parser.add_argument("--batched", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="fold the batch into the fleet's array axis "

@@ -614,7 +614,7 @@ def serving(n_requests: int = 24,
     stream batched onto the node's sockets. This experiment runs the
     functional serving stack (:mod:`repro.serving`: an asyncio queue
     coalescing arrivals into batched fleet passes over a pool of
-    :class:`~repro.engine.sharding.ShardedBackend` nodes on the thread
+    :class:`~repro.engine.sharding.ShardedBackend` nodes on the serial
     shard driver) at each socket count and reports measured p50/p95/p99
     tail latency and throughput, next to the analytic model's Fig. 16
     socket-scaling curve at the same socket counts. The correctness
@@ -631,7 +631,7 @@ def serving(n_requests: int = 24,
     for sockets in socket_counts:
         stats = run_serving_benchmark(
             n_requests=n_requests, sockets=sockets, pool_size=2,
-            max_batch=6, max_wait_ms=2.0, driver="thread")
+            max_batch=6, max_wait_ms=2.0, driver="serial")
         data["serving"][sockets] = stats
         config = dataclasses.replace(NeuralCacheConfig(), sockets=sockets)
         analytic = AnalyticBackend(config).throughput(_network(),

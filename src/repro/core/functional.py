@@ -4,7 +4,8 @@ This module is the reproduction's equivalent of the paper's simulator
 verification ("verified by running data traces on it and matching the
 results with traces obtained from instrumenting the TensorFlow model"):
 convolution, pooling and quantization execute *bit by bit* on
-:class:`~repro.sram.bitserial.BitSerialUnit` arrays, using the real data
+SRAM array fleets driven by
+:class:`~repro.engine.bitserial.FleetBitSerialUnit`, using the real data
 layout (packing, splitting, channel padding) from the mapping engine, and
 the results must match the golden NumPy executor exactly.
 
@@ -25,19 +26,16 @@ conv). Layers without ReLU (the final FC) can have negative accumulators;
 their requantization happens on the host, as the paper also ships final
 outputs to the CPU.
 
-Since the array-fleet refactor, execution is *vectorized*: every serial
-pass of a layer maps to one member of an
-:class:`~repro.engine.fleet.PlaneStore` fleet, and the whole layer
-executes as one lockstep bit-serial sequence across all arrays — the
-paper's "thousands of arrays operating in lockstep" (Sec. III), and the
-reason functional verification is now an order of magnitude faster.
-``packed=True`` backs every fleet with the packed uint64 plane store
+Execution is *vectorized*: every serial pass of a layer maps to one
+member of an :class:`~repro.engine.fleet.PlaneStore` fleet, and the
+whole layer executes as one lockstep bit-serial sequence across all
+arrays — the paper's "thousands of arrays operating in lockstep"
+(Sec. III). Cycle reports aggregate per-array cycles
+(``sequence_cycles * n_arrays``). ``packed=True`` backs every fleet
+with the packed uint64 plane store
 (:class:`~repro.engine.packed.PackedArrayFleet`) instead of the unpacked
 byte-per-bit reference; outputs and cycle reports are identical either
-way. The legacy
-per-array path is kept behind ``vectorized=False`` on
-:class:`FunctionalConv` for regression benchmarks; cycle reports
-aggregate per-array cycles, so both paths account identically.
+way.
 
 The *batch* dimension is a fleet dimension too: every engine exposes
 ``run_batch``, which folds a whole batch of images into the fleet's
@@ -81,8 +79,7 @@ from repro.engine.packed import make_fleet
 from repro.nn.layers import AvgPool, Conv2D, MaxPool, same_padding_offsets
 from repro.nn.reference import ConvWeights
 from repro.nn.tensor import QuantizedTensor
-from repro.sram.array import SRAMArray
-from repro.sram.bitserial import BitSerialUnit, Operand
+from repro.sram.bitserial import Operand
 
 #: Two's complement working width for corrections (covers 24-bit sums).
 CORRECTION_BITS = 34
@@ -143,26 +140,6 @@ class CycleReport:
             passes=self.passes + other.passes,
             skipped=self.skipped + other.skipped)
 
-    def scaled(self, n_images: int) -> "CycleReport":
-        """The report of ``n_images`` identical per-image passes.
-
-        Bit-serial sequences are data-independent, so every image of a
-        batch costs exactly the same cycles; a batched fleet pass must
-        therefore report precisely the per-image report times the batch —
-        this is the *only* way to turn a per-image report into a batch
-        total (summing a batch total again double-counts).
-        """
-        if n_images < 0:
-            raise SimulationError(
-                f"cannot scale a cycle report by {n_images} images")
-        return CycleReport(
-            mac=self.mac * n_images,
-            reduction=self.reduction * n_images,
-            quantization=self.quantization * n_images,
-            pooling=self.pooling * n_images,
-            passes=self.passes * n_images,
-            skipped=self.skipped * n_images)
-
 
 @dataclass(frozen=True)
 class _LanePlan:
@@ -213,7 +190,6 @@ class FunctionalConv:
                  config: NeuralCacheConfig | None = None,
                  name: str = "conv",
                  output_params=None,
-                 vectorized: bool = True,
                  packed: bool = False,
                  sparsity: bool = False,
                  sanitize: bool | None = None,
@@ -224,23 +200,13 @@ class FunctionalConv:
         self.config = config if config is not None else NeuralCacheConfig()
         self.name = name
         self.output_params = output_params
-        #: Execute all serial passes at once on an array fleet (default).
-        #: ``False`` selects the legacy one-array-at-a-time path, kept for
-        #: the fleet-vs-legacy regression benchmark.
-        self.vectorized = vectorized
         #: Back the fleet with the packed uint64 plane store instead of
-        #: the unpacked byte-per-bit reference (vectorized path only).
+        #: the unpacked byte-per-bit reference.
         self.packed = packed
         #: Skip all-zero operand bit planes fleet-wide (data-dependent
         #: ``CycleReport``; outputs stay bit-exact vs the dense path).
         self.sparsity = sparsity
         self.sanitize = sanitize
-        if packed and not vectorized:
-            raise SimulationError(
-                "the packed plane store requires the vectorized path")
-        if sparsity and not vectorized:
-            raise SimulationError(
-                "sparse-skip execution requires the vectorized fleet path")
         self.mapping = map_conv(self.config, name, conv, input_shape,
                                 element_bits=element_bits)
         if self.mapping.element_bits > 8:
@@ -257,12 +223,6 @@ class FunctionalConv:
                 f"multiply")
         if self.mapping.arrays_per_conv > 1:
             cols = self.config.geometry.array_cols
-            if not vectorized:
-                raise SimulationError(
-                    f"layer {name!r} spans "
-                    f"{self.mapping.arrays_per_conv} arrays per output; "
-                    f"the legacy per-array path is single-array — use the "
-                    f"vectorized fleet path for spanning layers")
             if cols & (cols - 1):
                 raise SimulationError(
                     f"layer {name!r} spans arrays, which reduces the full "
@@ -274,21 +234,7 @@ class FunctionalConv:
     # ------------------------------------------------------------------
     def run(self, x: QuantizedTensor) -> QuantizedTensor:
         """Execute and return the quantized output tensor."""
-        if self.vectorized:
-            return self.run_batch([x])[0]
-        conv = self.conv
-        if x.shape != self.input_shape:
-            raise SimulationError(
-                f"input shape {x.shape} does not match layer "
-                f"{self.input_shape}")
-        e, f, m = conv.output_shape(self.input_shape)
-        raw, xsum = self._compute_stage_legacy(x)
-        out = self._quantize_stage(raw[None, :], xsum[None, :],
-                                   x.params.zero_point)[0]
-        params = self.output_params
-        if params is None:
-            params = self._default_output_params()
-        return QuantizedTensor(out.reshape(e, f, m).astype(np.uint8), params)
+        return self.run_batch([x])[0]
 
     def run_batch(self, xs: list[QuantizedTensor]) -> list[QuantizedTensor]:
         """Execute a whole batch as one fleet pass per stage.
@@ -303,10 +249,6 @@ class FunctionalConv:
         # The input zero point broadcasts into padding and the quantize
         # constants, so the batch must share quantization parameters.
         _check_batch(xs, self.input_shape, shared_params=True)
-        if not self.vectorized:
-            # Legacy regression path: one array at a time, one image at
-            # a time (``run`` accumulates into the same report).
-            return [self.run(x) for x in xs]
         conv = self.conv
         e, f, m = conv.output_shape(self.input_shape)
         padded = self._padded_batch(np.stack([x.data for x in xs]),
@@ -331,32 +273,6 @@ class FunctionalConv:
     # ------------------------------------------------------------------
     # Stage 1: MACs + reduction
     # ------------------------------------------------------------------
-    def _compute_stage_legacy(self, x: QuantizedTensor
-                              ) -> tuple[np.ndarray, np.ndarray]:
-        """Pre-fleet path: a Python loop over one array pass at a time."""
-        conv = self.conv
-        mapping = self.mapping
-        e, f, m = conv.output_shape(self.input_shape)
-        outputs = [(i, j, mm) for i in range(e) for j in range(f)
-                   for mm in range(m)]
-        cols = self.config.geometry.array_cols
-        lanes = mapping.channels_padded
-        groups_per_array = max(cols // lanes, 1)
-
-        padded = self._padded_input(x)
-        filters = self.weights.filters.data  # (R, S, C, M)
-
-        raw = np.zeros(len(outputs), dtype=np.int64)
-        xsum = np.zeros(len(outputs), dtype=np.int64)
-        for start in range(0, len(outputs), groups_per_array):
-            batch = outputs[start:start + groups_per_array]
-            r_vals, s_vals = self._run_array_pass(padded, filters, batch,
-                                                  cols, lanes)
-            raw[start:start + len(batch)] = r_vals
-            xsum[start:start + len(batch)] = s_vals
-            self.report.passes += 1
-        return raw, xsum
-
     def _compute_stage_fleet(self, padded: np.ndarray
                              ) -> tuple[np.ndarray, np.ndarray]:
         """All images' output batches at once: one fleet member per pass.
@@ -510,7 +426,9 @@ class FunctionalConv:
         nb = self.mapping.element_bits
         _check_narrowed(self.name, nb, filter_plane, input_plane)
 
-        # -- row regions (Fig. 10a), identical to the legacy layout --
+        # -- row regions (Fig. 10a, with the input-sum for corrections).
+        # Packed 1x1 filters have no input reuse and stream one input
+        # byte at a time into a single-byte region (Sec. IV-A).
         # Spanning groups widen the accumulators by one row: the final
         # cross-array add carries into bit 32 of the reduction width.
         acc_rows = 33 if span > 1 else 32
@@ -597,10 +515,6 @@ class FunctionalConv:
         raw[img_of[live], ol[live]] = raw_bits[:, head][live]
         xsum[img_of[live], ol[live]] = sum_bits[:, head][live]
 
-    def _padded_input(self, x: QuantizedTensor) -> np.ndarray:
-        """'same'-pad one image with the input zero point."""
-        return self._padded_batch(x.data[None], x.params.zero_point)[0]
-
     def _padded_batch(self, data: np.ndarray, zero_point: int) -> np.ndarray:
         """'same'-pad a ``(batch, H, W, C)`` stack with the input zero
         point (zero contribution)."""
@@ -615,88 +529,6 @@ class FunctionalConv:
                           ((0, 0), (top, bottom), (left, right), (0, 0)),
                           constant_values=zero_point)
         return data
-
-    def _run_array_pass(self, padded: np.ndarray, filters: np.ndarray,
-                        batch: list[tuple[int, int, int]], cols: int,
-                        lanes: int) -> tuple[np.ndarray, np.ndarray]:
-        """One array, one pass: MACs for every tap, then both reductions."""
-        plan = self.plan
-        taps = plan.taps
-        stride = self.conv.stride
-        packed = self.mapping.pack_factor > 1
-        unit = BitSerialUnit(SRAMArray(rows=256, cols=cols))
-
-        # -- row regions (Fig. 10a, with the input-sum for corrections).
-        # Packed 1x1 filters have no input reuse and stream one input byte
-        # at a time into a single-byte region (Sec. IV-A).
-        filter_rows = Operand(0, taps * 8)
-        input_rows = Operand(filter_rows.end, 8 if packed else taps * 8)
-        scratch = Operand(input_rows.end, 16)
-        partial = Operand(scratch.end, 32)      # 24 live + growth
-        segment = Operand(partial.end, 32)
-        xsum_rows = Operand(segment.end, 32)    # 24 live + growth
-        if xsum_rows.end > 256:
-            raise SimulationError(
-                f"functional layout needs {xsum_rows.end} rows")
-
-        # -- build the filter and input planes column by column --
-        filter_plane = np.zeros((taps, cols), dtype=np.int64)
-        input_plane = np.zeros((taps, cols), dtype=np.int64)
-        for g, (i, j, mm) in enumerate(batch):
-            base_col = g * lanes
-            for lane in range(lanes):
-                col = base_col + lane
-                for t, src in enumerate(plan.filter_source[lane]):
-                    if src is None:
-                        continue
-                    r, s, c = src
-                    filter_plane[t, col] = filters[r, s, c, mm]
-                    input_plane[t, col] = padded[i * stride + r,
-                                                 j * stride + s, c]
-
-        nb = self.mapping.element_bits
-        _check_narrowed(self.name, nb, filter_plane, input_plane)
-
-        # -- load filters (and, unpacked, the whole window); zero work --
-        for t in range(taps):
-            unit.write_values(Operand(filter_rows.row + 8 * t, 8),
-                              filter_plane[t])
-            if not packed:
-                unit.write_values(Operand(input_rows.row + 8 * t, 8),
-                                  input_plane[t])
-        unit.zero(Operand(partial.row, 24))
-        unit.zero(Operand(xsum_rows.row, 24))
-
-        # -- MACs: one fused multiply-accumulate per tap, all columns --
-        before = unit.cycles
-        for t in range(taps):
-            f_op = Operand(filter_rows.row + 8 * t, nb)
-            if packed:
-                x_op = Operand(input_rows.row, nb)
-                unit.write_values(x_op, input_plane[t])  # streamed byte
-            else:
-                x_op = Operand(input_rows.row + 8 * t, nb)
-            unit.mac(f_op, x_op, Operand(scratch.row, 2 * nb),
-                     Operand(partial.row, 24))
-            unit.add_into(x_op, Operand(xsum_rows.row, 24))
-        self.report.mac += unit.cycles - before
-
-        # -- reductions: raw sums, then input sums (Fig. 5 / Fig. 10b) --
-        before = unit.cycles
-        if lanes > 1:
-            unit.reduce_tree(partial, segment, lanes, 24)
-            unit.reduce_tree(xsum_rows, segment, lanes, 24)
-        self.report.reduction += unit.cycles - before
-
-        # -- read back each group's head column (output move path) --
-        # As in the batched stage: read only the written rows (24 + one
-        # growth bit per reduction step); the tail of the 32-row regions
-        # was never driven.
-        live_bits = 24 + (lanes.bit_length() - 1 if lanes > 1 else 0)
-        raw_bits = unit.read_values(Operand(partial.row, live_bits))
-        sum_bits = unit.read_values(Operand(xsum_rows.row, live_bits))
-        head = np.arange(len(batch)) * lanes
-        return raw_bits[head], sum_bits[head]
 
     # ------------------------------------------------------------------
     # Stage 2: corrections + ReLU + requantization (Sec. IV-D)
@@ -736,28 +568,16 @@ class FunctionalConv:
 
         in_cache_requant = conv.relu and requant.shift <= 39
         cols = self.config.geometry.array_cols
-        if self.vectorized:
-            return self._quantize_fleet(raw, xsum, const_per_output, zpw,
-                                        in_cache_requant, cols)
-        n_images, n_out = raw.shape
-        out = np.zeros((n_images, n_out), dtype=np.int64)
-        for b in range(n_images):
-            for start in range(0, n_out, cols):
-                end = min(start + cols, n_out)
-                width = end - start
-                out[b, start:end] = self._quantize_batch(
-                    raw[b, start:end], xsum[b, start:end],
-                    const_per_output[start:end], zpw, in_cache_requant,
-                    cols)[:width]
-        return out
+        return self._quantize_fleet(raw, xsum, const_per_output, zpw,
+                                    in_cache_requant, cols)
 
     def _quantize_fleet(self, raw: np.ndarray, xsum: np.ndarray,
                         const: np.ndarray, zpw: int,
                         in_cache_requant: bool, cols: int) -> np.ndarray:
         """All quantization passes of the whole batch at once: one fleet
-        member per pass of up-to-``cols`` outputs, same sequence as
-        :meth:`_quantize_batch`. Chunked at ``config.max_fleet_arrays``
-        arrays to bound memory."""
+        member per pass of up-to-``cols`` outputs, one output per
+        bitline. Chunked at ``config.max_fleet_arrays`` arrays to bound
+        memory."""
         from repro.common.bits import to_twos_complement
 
         n_images, n_out = raw.shape
@@ -851,79 +671,6 @@ class FunctionalConv:
             unit.selective_copy(sat8, Operand(out10.row, 8), out10.bit(high))
         self.report.quantization += (unit.cycles - before) * n_arrays
         self.report.skipped += unit.skipped_cycles * n_arrays
-        return unit.read_values(Operand(out10.row, 8))
-
-    def _quantize_batch(self, raw: np.ndarray, xsum: np.ndarray,
-                        const: np.ndarray, zpw: int,
-                        in_cache_requant: bool, cols: int) -> np.ndarray:
-        """One quantization pass: up to ``cols`` outputs, one per bitline."""
-        from repro.common.bits import to_twos_complement
-
-        requant = self.weights.requant
-        unit = BitSerialUnit(SRAMArray(rows=256, cols=cols))
-        w = CORRECTION_BITS
-
-        acc = Operand(0, w)          # 0..33
-        xs16 = Operand(w, 16)        # 34..49
-        m16 = Operand(50, 16)
-        prod = Operand(66, w)        # 32-bit product + 2 zero rows
-        kreg = Operand(100, w)
-        scr = Operand(134, w)
-
-        def staged(values: np.ndarray) -> np.ndarray:
-            padded = np.zeros(cols, dtype=np.int64)
-            padded[:len(values)] = values
-            return padded
-
-        # Host staging (the output-move path already paid for this data).
-        unit.write_values(acc, staged(raw))
-        unit.write_values(xs16, staged(xsum))
-        unit.write_values(kreg, staged(to_twos_complement(const, w)))
-
-        before = unit.cycles
-        # acc += (N*zpx*zpw - zpx*sum_w[m]);  acc -= zpw * xsum
-        unit.write_scalar(m16, zpw)
-        unit.multiply(xs16, m16, Operand(prod.row, 32))
-        unit.zero(Operand(prod.row + 32, 2))
-        unit.add_into(kreg, acc)
-        unit.sub_into(acc, prod, scr)
-
-        if not in_cache_requant:
-            # No-ReLU layers (the final FC) requantize on the host, as the
-            # paper ships final outputs to the CPU anyway.
-            self.report.quantization += unit.cycles - before
-            signed = from_twos_complement(unit.read_values(acc), w)
-            if self.conv.relu:
-                signed = np.maximum(signed, 0)
-            return requant.apply(signed).astype(np.int64)
-
-        # ReLU: MSB-enabled zero write (Sec. IV-D).
-        unit.relu(acc, sign_row=acc.bit(w - 1))
-
-        # Requantize: acc * M0 (24x24 multiply), +rounding, shift, +zp.
-        shift = requant.shift
-        m24 = Operand(34, 24)            # xs16/m16 are dead now
-        prod48 = Operand(58, 48)         # prod/kreg head are dead
-        half48 = Operand(106, 48)        # kreg tail/scr head are dead
-        zp9 = Operand(154, 9)
-        out10 = Operand(163, 10)
-        sat8 = Operand(173, 8)
-
-        unit.write_scalar(m24, requant.multiplier)
-        unit.multiply(Operand(acc.row, 24), m24, prod48)
-        if shift > 0:
-            unit.write_scalar(half48, 1 << (shift - 1))
-            unit.add_into(half48, prod48)
-        unit.write_scalar(zp9, requant.zero_point)
-        unit.add(Operand(prod48.row + shift, 9), zp9, out10)
-        # Saturate to 255 when any bit above the result window is set.
-        unit.write_scalar(sat8, 255)
-        for high in range(shift + 9, 48):
-            unit.selective_copy(sat8, Operand(out10.row, 8),
-                                prod48.row + high)
-        for high in (8, 9):
-            unit.selective_copy(sat8, Operand(out10.row, 8), out10.bit(high))
-        self.report.quantization += unit.cycles - before
         return unit.read_values(Operand(out10.row, 8))
 
 

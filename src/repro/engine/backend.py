@@ -20,8 +20,7 @@ resolves engines by name.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -60,8 +59,8 @@ class BackendOptions:
     #: Fold the whole batch into each layer's fleet pass (functional
     #: engines; the analytic model ignores it for registry uniformity).
     batched: bool = True
-    #: Shard driver for the sharded backends: ``serial``, ``thread``,
-    #: ``process`` or ``pool``. ``None`` keeps the engine default.
+    #: Shard driver for the sharded backends: ``serial`` or ``pool``.
+    #: ``None`` keeps the engine default (``serial``).
     driver: str | None = None
     #: Shard (socket) count for the sharded backends.
     shards: int | None = None
@@ -95,7 +94,7 @@ class ShardReport:
     report: CycleReport
     #: Self-healing actions the pool driver took for this shard during
     #: the batch (stringified RecoveryEvents: respawns, re-dispatches,
-    #: degrades). Empty on healthy runs and on every other driver.
+    #: degrades). Empty on healthy runs and on the serial driver.
     recoveries: tuple = ()
 
 
@@ -356,25 +355,11 @@ class FleetExecutor:
         golden = self.golden_for(network, weights)
         images = deterministic_images(network, weights, self.seed,
                                       batch_size)
-        outcome = self.run_images(network, images, weights, golden)
+        outcome = self.run_requests(network, images, weights, golden)
         return BackendResult(
             backend=self.name, network=network.name, batch_size=batch_size,
             report=outcome.report, outputs=outcome.outputs,
             verified_images=outcome.verified, verify=self.verify)
-
-    def run_images(self, network: Network, images, weights=None,
-                   golden=None) -> BatchOutcome:
-        """Drive explicit images through one persistent executor.
-
-        Thin, documented wrapper over :meth:`run_requests` kept as the
-        shard-level entry point
-        (:class:`~repro.engine.sharding.ShardedBackend` drives it per
-        shard). It returns the same :class:`BatchOutcome` as
-        ``run_requests`` — the three functional entry points (``run``,
-        ``run_images``, ``run_requests``) all speak
-        :class:`BatchOutcome`/:class:`BackendResult`, never bare tuples.
-        """
-        return self.run_requests(network, images, weights, golden)
 
     def run_requests(self, network: Network, images, weights=None,
                      golden=None) -> BatchOutcome:
@@ -564,9 +549,7 @@ def available_backends() -> tuple[str, ...]:
 
 
 def get_backend(name: str, config: NeuralCacheConfig | None = None,
-                options: BackendOptions | None = None,
-                batched: bool | None = None,
-                driver: str | None = None) -> Backend:
+                options: BackendOptions | None = None) -> Backend:
     """Resolve a backend by name; raises on unknown names.
 
     ``options`` is the construction surface: one
@@ -578,12 +561,6 @@ def get_backend(name: str, config: NeuralCacheConfig | None = None,
     workers at construction, so it is POSIX-only (requires the ``fork``
     start method) and should be resolved before the process starts any
     threads.
-
-    ``batched``/``driver`` are the pre-``BackendOptions`` keyword
-    arguments, kept for one release as a deprecated shim: passing either
-    emits a :class:`DeprecationWarning` and folds the value into
-    ``options``. They cannot override a knob an explicit ``options``
-    already set.
     """
     try:
         factory = BACKENDS[name]
@@ -591,25 +568,4 @@ def get_backend(name: str, config: NeuralCacheConfig | None = None,
         raise SimulationError(
             f"unknown backend {name!r}; available: "
             f"{', '.join(available_backends())}") from None
-    if batched is not None or driver is not None:
-        warnings.warn(
-            "get_backend(batched=..., driver=...) is deprecated; pass "
-            "get_backend(name, config, options=BackendOptions(...)) "
-            "instead", DeprecationWarning, stacklevel=2)
-        base = options if options is not None else BackendOptions()
-        legacy: dict = {}
-        if batched is not None:
-            if options is not None and options.batched != batched:
-                raise SimulationError(
-                    "conflicting 'batched': set it on BackendOptions, "
-                    "not the deprecated keyword")
-            legacy["batched"] = batched
-        if driver is not None:
-            if options is not None and options.driver is not None \
-                    and options.driver != driver:
-                raise SimulationError(
-                    "conflicting 'driver': set it on BackendOptions, "
-                    "not the deprecated keyword")
-            legacy["driver"] = driver
-        options = replace(base, **legacy)
     return factory(config, options)

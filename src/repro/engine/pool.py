@@ -1,13 +1,13 @@
 """Persistent shard workers: warm executors behind shared-memory arenas.
 
-The ``process`` shard driver pays two costs per batch that have nothing
-to do with computing: it re-forks a ``ProcessPoolExecutor`` (pool
-spin-up), and it pickles every image slice and the full weight set
-through :class:`~repro.engine.sharding.ShardWork` (serialization of the
-very bytes the fleets are about to compute on). Both costs sit on the
-serving path, where they recur per coalesced batch.
+:class:`ShardWorkerPool` is the ``pool`` shard driver, the parallel
+counterpart of the in-process ``serial`` reference. A naive process
+driver would pay two costs per batch that have nothing to do with
+computing: re-forking its workers, and pickling every image slice and
+the full weight set (the very bytes the fleets are about to compute
+on). Both would sit on the serving path, recurring per coalesced batch.
 
-:class:`ShardWorkerPool` removes both. Workers are forked **once per
+The pool removes both. Workers are forked **once per
 backend lifetime** and each holds warm program state — the network, the
 resolved weights, the golden executor when verification is on, and a
 :class:`~repro.engine.backend.FleetExecutor` whose packed uint64 bit
@@ -25,7 +25,7 @@ Arena layout: one fixed-size slot per image, ``16-byte quantization
 header + payload`` (`~repro.nn.tensor.QuantParams` as ``scale: f8,
 zero: i8``), slots aligned to 16 bytes. Image ``i`` occupies slot ``i``
 in both arenas, so shard ``k`` touches exactly the slots
-``k, k+shards, ...`` — the same round-robin assignment every other
+``k, k+shards, ...`` — the same round-robin assignment the serial
 driver uses, which is what keeps the pool bit-exact and
 shard-report-identical to the serial reference.
 
@@ -73,8 +73,9 @@ themselves) and then sweeps anyway; ``close()`` is idempotent.
 Platform: workers are forked (they inherit the program objects and the
 arena handles by address), so the pool driver needs the ``fork`` start
 method — POSIX only, and unsafe to construct after the owner process
-has started threads. Construction raises on platforms without fork and
-warns if extra threads are already running.
+has started threads. Construction raises on platforms without fork
+(pointing at ``driver='serial'``, which runs everywhere) and warns if
+extra threads are already running.
 """
 
 from __future__ import annotations
@@ -146,11 +147,9 @@ def _read_slot(buf: np.ndarray, slot: int, slot_size: int,
 class PoolShardWork:
     """One shard's lane through the arenas — O(1) bytes, no arrays.
 
-    The pool-driver counterpart of
-    :class:`~repro.engine.sharding.ShardWork`: where that unit carries
-    its image slice (and weights) by value, this one carries only the
-    arena segment names and the round-robin arithmetic
-    ``slots = range(shard, batch, stride)``. Its pickle size is
+    Instead of carrying its image slice (and weights) by value, the
+    unit carries only the arena segment names and the round-robin
+    arithmetic ``slots = range(shard, batch, stride)``. Its pickle size is
     therefore independent of batch size and image resolution — the
     regression test pins that, because any array sneaking in here
     silently reintroduces the per-batch serialization the pool exists
@@ -420,7 +419,7 @@ class ShardWorkerPool:
             raise SimulationError(
                 "the pool shard driver needs the fork start method, "
                 "which this platform does not support; use "
-                "driver='process' instead") from None
+                "driver='serial' instead") from None
         if threading.active_count() > 1:
             warnings.warn(
                 "ShardWorkerPool forks while this process already runs "

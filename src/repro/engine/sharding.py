@@ -14,23 +14,17 @@ images **round-robin** — image ``i`` goes to shard ``i % shards``, the
 arrival-order policy a serving frontend would use — and aggregates the
 per-shard cycle reports.
 
-The shard pool runs on a pluggable **driver** (``driver=``):
+The shards run on one of two **drivers** (``driver=``):
 
-* ``serial`` (default) — shards execute one after another in-process,
-  the reference the concurrent drivers must match;
-* ``thread`` — one :class:`concurrent.futures.ThreadPoolExecutor`
-  worker per shard (NumPy releases the GIL inside the hot lockstep
-  kernels, so shard passes overlap);
-* ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor`, one
-  OS process per shard: the modeled socket parallelism becomes real
-  wall-clock parallelism. Process workers require picklable work, which
-  is why a shard's slice -> ``run_batch`` call is factored into the
-  module-level :func:`execute_shard` over a frozen :class:`ShardWork`;
+* ``serial`` (default) — shards execute one after another in-process
+  on one :class:`~repro.engine.backend.FleetExecutor`: the reference
+  the parallel driver must match, and the driver that runs everywhere;
 * ``pool`` — a persistent :class:`~repro.engine.pool.ShardWorkerPool`:
   workers forked once per backend lifetime, each holding a warm
   executor on shared-memory plane stores, with image payloads moving
-  through shared arenas instead of pickles. Same results, none of the
-  per-batch fork/serialization cost the ``process`` driver pays.
+  through shared arenas instead of pickles. The modeled socket
+  parallelism becomes real wall-clock parallelism; POSIX-only (it
+  needs the ``fork`` start method).
 
 The design invariant, shared with systolic-array partitioning in
 SCALE-Sim and BrainWave's weight-stationary sharding across FPGAs: the
@@ -45,16 +39,15 @@ pin all of them for shard counts that do and do not divide the batch:
 * per-image cycle reports depend only on ``(network, weights, image)``,
   and report aggregation is a commutative sum, so any partition of the
   batch merges back to the identical total;
-* drivers differ only in *where* :func:`execute_shard` runs — every
-  driver executes the same :class:`ShardWork` units and collects their
-  outcomes in shard order, so completion order cannot leak into results;
+* drivers differ only in *where* a shard's slice runs — both execute
+  the same round-robin slices and collect their outcomes in shard
+  order, so completion order cannot leak into results;
 * the result's ``outputs`` are the globally-last image's outputs, which
   round-robin places at the tail of shard ``(batch - 1) % shards``.
 """
 
 from __future__ import annotations
 
-from concurrent import futures
 from dataclasses import dataclass
 
 from repro.common.errors import SimulationError
@@ -71,78 +64,17 @@ from repro.engine.backend import (
 from repro.nn.graph import Network
 
 #: Accepted shard drivers, in the order the CLI documents them.
-SHARD_DRIVERS: tuple[str, ...] = ("serial", "thread", "process", "pool")
-
-
-@dataclass(frozen=True)
-class ShardWork:
-    """One shard's slice of a batch, as a self-contained unit of work.
-
-    Everything :func:`execute_shard` needs travels inside — network,
-    weights, images and the executor knobs — so the unit is picklable
-    and a process-pool worker can run it without any shared state. The
-    weights are resolved *once* by the backend and shipped to every
-    shard (weight-stationary replication, BrainWave-style), so all
-    shards compute with bit-identical filters.
-    """
-
-    #: Shard index within the sharded backend (0-based).
-    shard: int
-    network: Network
-    #: The shard's round-robin slice, in stream order.
-    images: tuple
-    weights: object
-    config: NeuralCacheConfig
-    packed: bool
-    batched: bool
-    verify: bool
-    seed: int
-    #: Bit-plane sparsity skipping inside the shard's fleet (a scalar,
-    #: so the unit stays O(1) to pickle beyond its images).
-    sparsity: bool = False
-    #: Shadow-state sanitizer override (None = env default).
-    sanitize: bool | None = None
-    #: Per-layer precision table (small frozen value; picklable).
-    precision: object | None = None
+SHARD_DRIVERS: tuple[str, ...] = ("serial", "pool")
 
 
 @dataclass(frozen=True)
 class ShardOutcome:
-    """What one shard's :func:`execute_shard` call produced."""
+    """What one shard's slice of a batch produced."""
 
     shard: int
     #: Images the round-robin assignment handed this shard.
     images: int
     outcome: BatchOutcome
-
-
-def execute_shard(work: ShardWork) -> ShardOutcome:
-    """Run one shard's slice as one (batched) fleet pass.
-
-    Module-level on purpose: the process driver pickles ``work`` to a
-    worker and this function by reference, so the same code path serves
-    every driver — serial and thread call it directly, process calls it
-    in a child. A fresh :class:`~repro.engine.backend.FleetExecutor` is
-    built per call (they are stateless between batches), and with
-    ``verify`` each worker builds its own golden executor, so no state
-    is shared across concurrently-running shards.
-    """
-    if not work.images:
-        # More shards than images: this socket idles.
-        return ShardOutcome(shard=work.shard, images=0,
-                            outcome=BatchOutcome(report=CycleReport(),
-                                                 responses=(),
-                                                 outputs=None, verified=0))
-    executor = FleetExecutor(work.config, weights=work.weights,
-                             seed=work.seed, verify=work.verify,
-                             packed=work.packed, batched=work.batched,
-                             sparsity=work.sparsity,
-                             sanitize=work.sanitize,
-                             precision=work.precision)
-    outcome = executor.run_requests(work.network, list(work.images),
-                                    work.weights)
-    return ShardOutcome(shard=work.shard, images=len(work.images),
-                        outcome=outcome)
 
 
 class ShardedBackend:
@@ -154,14 +86,14 @@ class ShardedBackend:
     (``packed=False`` selects the unpacked byte-per-bit reference,
     registered as ``sharded-unpacked``).
 
-    ``driver`` selects how the shard pool executes — ``serial``,
-    ``thread``, ``process`` or ``pool`` (:data:`SHARD_DRIVERS`). The
-    first three run the same :class:`ShardWork` units through
-    :func:`execute_shard`; ``pool`` runs the equivalent round-robin
-    lanes on a persistent :class:`~repro.engine.pool.ShardWorkerPool`
-    forked eagerly here in the constructor. Every driver aggregates
-    outcomes in shard order, so results and cycle reports are identical
-    by construction; only wall-clock differs.
+    ``driver`` selects how the shards execute — ``serial`` or ``pool``
+    (:data:`SHARD_DRIVERS`). ``serial`` runs each round-robin slice in
+    turn on one in-process :class:`~repro.engine.backend.FleetExecutor`;
+    ``pool`` runs the same lanes on a persistent
+    :class:`~repro.engine.pool.ShardWorkerPool` forked eagerly here in
+    the constructor. Both aggregate outcomes in shard order, so results
+    and cycle reports are identical by construction; only wall-clock
+    differs.
 
     Sharding slices the batch into whole images — never arrays — so a
     spanning layer's cross-array reduction groups (its
@@ -177,8 +109,8 @@ class ShardedBackend:
 
     Pool-driver backends own OS resources (worker processes, shared
     arenas); :meth:`close` releases them, and the backend is a context
-    manager for scoped use. The other drivers hold nothing, so
-    ``close`` is a no-op for them.
+    manager for scoped use. The serial driver holds nothing, so
+    ``close`` is a no-op for it.
 
     The pool driver is also supervised by default: ``reply_timeout_s``,
     ``max_retries`` and ``supervise`` pass straight through to
@@ -186,7 +118,7 @@ class ShardedBackend:
     (respawn + re-dispatch, degradation) this backend surfaces via
     :meth:`recovery_events` and ``ShardReport.recoveries``.
     ``fault_plan`` arms the chaos hooks in the pool workers; it is
-    rejected on the other drivers, which have no injection points.
+    rejected on the serial driver, which has no injection points.
 
     ``run`` returns the same :class:`~repro.engine.backend.BackendResult`
     surface as the unsharded fleet backends, plus a ``shard_reports``
@@ -228,7 +160,7 @@ class ShardedBackend:
         #: round-robin slice runs as one fleet pass per layer (the
         #: per-image loop remains as ``batched=False``).
         self.batched = batched
-        #: How the shard pool executes: serial / thread / process / pool.
+        #: How the shards execute: serial or pool.
         self.driver = driver
         #: Bit-plane sparsity skipping in every shard's fleet.
         self.sparsity = sparsity
@@ -237,9 +169,10 @@ class ShardedBackend:
         #: Per-layer precision table shipped to every shard.
         self.precision = precision
         self.name = "sharded" if packed else "sharded-unpacked"
-        #: Template executor: resolves weights/golden/default network
-        #: exactly like each shard's worker will.
-        self._template = FleetExecutor(self.config, weights=weights,
+        #: The executor the serial driver runs every shard's slice on;
+        #: it also resolves weights and the default network exactly like
+        #: each pool worker's executor does.
+        self._executor = FleetExecutor(self.config, weights=weights,
                                        seed=seed, verify=verify,
                                        packed=packed, batched=batched,
                                        sparsity=sparsity,
@@ -279,55 +212,11 @@ class ShardedBackend:
         key = id(network)
         entry = self._weights_cache.pop(key, None)
         if entry is None or entry[0] is not network:
-            entry = (network, self._template.weights_for(network))
+            entry = (network, self._executor.weights_for(network))
         self._weights_cache[key] = entry    # re-insert = most recent
         while len(self._weights_cache) > self.WEIGHTS_CACHE_SIZE:
             self._weights_cache.pop(next(iter(self._weights_cache)))
         return entry[1]
-
-    # -- work construction -------------------------------------------------
-    def shard_works(self, network: Network, images,
-                    weights=None) -> list[ShardWork]:
-        """The picklable per-shard work units for an image stream.
-
-        Image ``i`` goes to shard ``i % shards`` (round-robin). Exposed
-        so tests and tools can inspect exactly what a driver would
-        execute.
-        """
-        if weights is None:
-            weights = self._weights_for(network)
-        images = list(images)
-        return [ShardWork(shard=k, network=network,
-                          images=tuple(images[k::self.shards]),
-                          weights=weights, config=self.config,
-                          packed=self.packed, batched=self.batched,
-                          verify=self.verify, seed=self.seed,
-                          sparsity=self.sparsity, sanitize=self.sanitize,
-                          precision=self.precision)
-                for k in range(self.shards)]
-
-    def _execute(self, works: list[ShardWork]) -> list[ShardOutcome]:
-        """Run the shard pool on the configured driver, in shard order.
-
-        Empty works (``shards > len(images)``) are never submitted to a
-        concurrent pool — :func:`execute_shard` synthesizes their idle
-        outcomes locally, so idle shards cost neither a worker slot nor
-        a pickle round-trip.
-        """
-        if self.driver == "serial":
-            return [execute_shard(work) for work in works]
-        busy = [work for work in works if work.images]
-        if not busy:
-            return [execute_shard(work) for work in works]
-        pool_cls = (futures.ThreadPoolExecutor if self.driver == "thread"
-                    else futures.ProcessPoolExecutor)
-        with pool_cls(max_workers=len(busy)) as pool:
-            # Executor.map preserves submission (= shard) order, so the
-            # aggregation below is independent of completion order.
-            executed = list(pool.map(execute_shard, busy))
-        done = iter(executed)
-        return [next(done) if work.images else execute_shard(work)
-                for work in works]
 
     def _run_shards(self, network: Network, images, weights
                     ) -> tuple[list[ShardOutcome], CycleReport, int,
@@ -339,7 +228,9 @@ class ShardedBackend:
         outputs — which round-robin places at the tail of shard
         ``(len(images) - 1) % shards``, so they match the unsharded
         run's — and the recovery events the pool driver took while
-        executing this batch (empty elsewhere).
+        executing this batch (empty on the serial driver). Image ``i``
+        goes to shard ``i % shards`` (round-robin); a shard whose slice
+        is empty (``shards > len(images)``) idles with an empty outcome.
         """
         events: tuple = ()
         if self._pool is not None:
@@ -347,8 +238,13 @@ class ShardedBackend:
             events = self._pool.pop_recovery_events()
             self._recoveries.extend(events)
         else:
-            outcomes = self._execute(self.shard_works(network, images,
-                                                      weights))
+            outcomes = []
+            for k in range(self.shards):
+                part = images[k::self.shards]
+                outcomes.append(ShardOutcome(
+                    shard=k, images=len(part),
+                    outcome=self._executor.run_requests(network, part,
+                                                        weights)))
         total = CycleReport()
         verified = 0
         outputs = None
@@ -365,14 +261,13 @@ class ShardedBackend:
         """Release the driver's OS resources (idempotent).
 
         Only the pool driver holds any — its persistent workers and the
-        shared arenas. The futures drivers build and drain their pools
-        per batch, and serial holds nothing.
+        shared arenas; serial holds nothing.
         """
         if self._pool is not None:
             self._pool.close()
 
     def worker_pids(self) -> tuple[int, ...]:
-        """The pool driver's worker PIDs (empty for other drivers).
+        """The pool driver's worker PIDs (empty for the serial driver).
 
         Stable PIDs across consecutive batches are the observable proof
         that the pool never re-forks — the acceptance test reads them.
@@ -388,7 +283,7 @@ class ShardedBackend:
         across all batches of this backend's lifetime — the chaos tests'
         proof that a kill was actually survived (the per-batch slice
         also lands on :meth:`run`'s ``ShardReport.recoveries``). Empty
-        on healthy runs and on every non-pool driver.
+        on healthy runs and on the serial driver.
         """
         return tuple(self._recoveries)
 
@@ -450,4 +345,4 @@ class ShardedBackend:
 
     def default_network(self) -> Network:
         """Same verification-scale default as the unsharded fleet."""
-        return self._template.default_network()
+        return self._executor.default_network()

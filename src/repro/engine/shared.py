@@ -2,11 +2,11 @@
 
 The persistent shard workers of :mod:`repro.engine.pool` only pay off if
 the data-movement glue between parent and workers is not the bottleneck:
-re-pickling image slices and weights per batch (the ``process`` driver's
-cost model) serializes exactly the bytes the fleets are about to compute
-on. This module supplies the storage side of the zero-copy answer —
-POSIX shared memory (:mod:`multiprocessing.shared_memory`) with an
-*explicit* segment lifecycle, behind two small abstractions:
+re-pickling image slices and weights per batch would serialize exactly
+the bytes the fleets are about to compute on. This module supplies the
+storage side of the zero-copy answer — POSIX shared memory
+(:mod:`multiprocessing.shared_memory`) with an *explicit* segment
+lifecycle, behind two small abstractions:
 
 * :class:`SharedSegment` — one named segment with create / attach /
   close / unlink semantics. Created segments are *owned* (closing them

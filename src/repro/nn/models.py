@@ -2,15 +2,21 @@
 
 The paper's architecture is general — "Neural Cache can accelerate the
 broader class of DNNs" — so the library ships a few classic topologies at
-verification-friendly sizes. All of them map onto the cache, run through
-the analytic simulator, and (at these sizes) execute bit-exactly on the
-functional path:
+verification-friendly sizes. All of them map onto the cache and run
+through the analytic simulator. On the functional path, ``resnet-tiny``,
+``mlp`` and ``inception-span`` execute bit-exactly; ``lenet5``
+(``conv3``, 400 taps), ``vgg-tiny`` (``block3/conv_b``, 288 taps) and
+Inception v3 (``Conv2d_2a_3x3``, 288 taps) each have a layer whose
+per-output reduction exceeds the functional path's 257-tap bound, so
+they raise :class:`~repro.common.errors.SimulationError` there:
 
 * :func:`build_lenet5` — the classic conv/pool/FC stack;
 * :func:`build_vgg_tiny` — repeated 3x3 blocks with doubling channels;
 * :func:`build_resnet_tiny` — residual blocks using the in-cache
   element-wise :class:`~repro.nn.layers.Add`;
-* :func:`build_mlp` — FC-only, the degenerate all-1x1 case.
+* :func:`build_mlp` — FC-only, the degenerate all-1x1 case;
+* :func:`build_inception_span` — one real Inception v3 layer that spans
+  arrays under :func:`spanning_config`.
 """
 
 from __future__ import annotations

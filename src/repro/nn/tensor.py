@@ -54,7 +54,10 @@ class QuantParams:
         if min_value == max_value:
             # Degenerate all-zero tensor; any positive scale works.
             return cls(scale=1.0, zero_point=0)
-        scale = (max_value - min_value) / UINT8_LEVELS
+        # A range under 255 subnormal steps wide would underflow the
+        # scale to zero; the smallest positive float still covers it.
+        scale = max((max_value - min_value) / UINT8_LEVELS,
+                    float(np.finfo(np.float64).smallest_subnormal))
         zero_point = int(round(-min_value / scale))
         zero_point = max(0, min(UINT8_LEVELS, zero_point))
         return cls(scale=scale, zero_point=zero_point)

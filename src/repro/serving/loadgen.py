@@ -131,7 +131,7 @@ def run_serving_benchmark(
     pool_size: int = 2,
     max_batch: int = 8,
     max_wait_ms: float = 2.0,
-    driver: str = "thread",
+    driver: str = "serial",
     arrival_gap_ms: float = 0.0,
     seed: int = 0,
     network: Network | None = None,

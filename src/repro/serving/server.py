@@ -110,7 +110,7 @@ class Server:
 
     Use as an async context manager::
 
-        backends = [ShardedBackend(shards=2, driver="thread")]
+        backends = [ShardedBackend(shards=2, driver="serial")]
         async with Server(backends, network, max_batch=8) as server:
             outputs = await asyncio.gather(
                 *(server.submit(image) for image in images)

@@ -61,7 +61,7 @@ class TestBitExactOnTheFleet:
                                verify=True).run(net, batch_size=1)
         assert result.verified_images == 1
 
-    @pytest.mark.parametrize("driver", ["serial", "thread", "pool"])
+    @pytest.mark.parametrize("driver", ["serial", "pool"])
     def test_shard_drivers_never_split_a_group(self, net, config, driver):
         # Shards slice whole images, never arrays, so reduction groups
         # stay intact on every driver; results must match the unsharded

@@ -106,19 +106,6 @@ def test_schedule_positive_and_finite(r, s, channels, out_channels, stride):
 
 
 class TestFunctionalGuards:
-    def test_cross_array_conv_requires_vectorized_path(self):
-        # Spanning layers execute on the fleet path now; the legacy
-        # one-array-at-a-time path stays single-array and must say so.
-        config = NeuralCacheConfig(pack_limit=1)
-        wide = Network(name="wide1x1")
-        x = wide.add_input("in", (2, 2, 257))
-        conv1 = Conv2D(2, (1, 1))
-        wide.add("c", conv1, x)
-        w = initialise_weights(wide)
-        with pytest.raises(SimulationError, match="single-array"):
-            FunctionalConv(conv1, (2, 2, 257), w.for_node("c"),
-                           config=config, vectorized=False)
-
     def test_taps_guard_message(self):
         net = Network(name="deep")
         x = net.add_input("in", (4, 4, 64))

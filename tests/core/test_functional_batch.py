@@ -74,6 +74,15 @@ def assert_batched_matches_loop(make_engine, images, run_batch, run_one):
     return batched_engine.report
 
 
+def _repeated(report: CycleReport, n_images: int) -> CycleReport:
+    """``report`` summed once per image: the batch total of ``n_images``
+    dense passes whose per-image report is ``report``."""
+    total = CycleReport()
+    for _ in range(n_images):
+        total = total.merged(report)
+    return total
+
+
 CONV_VARIANTS = [
     (Conv2D(8, (3, 3), padding="same"), (8, 8, 8)),       # plain + ReLU
     (Conv2D(6, (1, 1)), (5, 5, 24)),                      # packed 1x1
@@ -103,10 +112,10 @@ class TestConvBatched:
             lambda: make(packed), images,
             lambda e, xs: e.run_batch(xs), lambda e, x: e.run(x))
         # Data-independent sequences: the batch total is exactly the
-        # per-image report scaled by the batch.
+        # per-image report summed once per image of the batch.
         single = make(packed)
         single.run(images[0])
-        assert single.report.scaled(batch) == report
+        assert _repeated(single.report, batch) == report
 
     @pytest.mark.parametrize("packed", [False, True])
     def test_chunked_batch_matches_unchunked(self, packed):
@@ -138,26 +147,6 @@ class TestConvBatched:
                                             params.zero_point))
         with pytest.raises(SimulationError, match="share quantization"):
             make(False).run_batch([images[0], other])
-
-    def test_legacy_path_loops_per_image(self):
-        """vectorized=False run_batch falls back to the per-image loop
-        with the same outputs and report as the fleet path."""
-        conv, shape = CONV_VARIANTS[0]
-        net = Network(name="legacy")
-        x = net.add_input("in", shape)
-        net.add("c", conv, x)
-        weights = initialise_weights(net, seed=0)
-        images = images_for(shape, weights.input_params, batch=2)
-        legacy = FunctionalConv(conv, shape, weights.for_node("c"),
-                                output_params=weights.activation_params,
-                                vectorized=False)
-        fleet = FunctionalConv(conv, shape, weights.for_node("c"),
-                               output_params=weights.activation_params)
-        legacy_out = legacy.run_batch(images)
-        fleet_out = fleet.run_batch(images)
-        for got, want in zip(legacy_out, fleet_out):
-            assert np.array_equal(got.data, want.data)
-        assert legacy.report == fleet.report
 
 
 class TestPoolBatched:
@@ -319,26 +308,12 @@ class TestExecutorBatched:
 
 
 class TestCycleReportScaled:
-    def test_scaled_is_the_batch_total(self):
-        report = CycleReport(mac=5, reduction=4, quantization=3, pooling=2,
-                             passes=1)
-        assert report.scaled(3) == CycleReport(mac=15, reduction=12,
-                                               quantization=9, pooling=6,
-                                               passes=3)
-
-    def test_scaled_zero_and_identity(self):
-        report = CycleReport(mac=5, passes=2)
-        assert report.scaled(0) == CycleReport()
-        assert report.scaled(1) == report
-
-    def test_negative_rejected(self):
-        with pytest.raises(SimulationError):
-            CycleReport(mac=1).scaled(-1)
+    """A batch's cycle total is the per-image report once per image."""
 
     def test_batched_pass_never_double_counts(self):
         """Regression: a batched pass reports exactly the per-image
-        report scaled by the batch — merging per-image totals again
-        would double-count."""
+        report once per image — merging per-image totals again would
+        double-count."""
         conv, shape = CONV_VARIANTS[0]
         make, params = conv_case(conv, shape)
         images = images_for(shape, params, batch=4)
@@ -346,8 +321,8 @@ class TestCycleReportScaled:
         batched.run_batch(images)
         single = make(False)
         single.run(images[0])
-        assert batched.report == single.report.scaled(4)
-        assert batched.report != single.report.scaled(8)
+        assert batched.report == _repeated(single.report, 4)
+        assert batched.report != _repeated(single.report, 8)
 
 
 @given(st.integers(min_value=0, max_value=2**31),

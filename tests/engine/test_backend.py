@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.core.functional import CycleReport
 from repro.engine.backend import (
     AnalyticBackend,
     Backend,
@@ -66,11 +67,10 @@ class TestRegistry:
         default = get_backend(name)
         if hasattr(default, "batched"):
             assert default.batched is True
-        # The flag must reach every shard work unit of a sharded backend.
-        if hasattr(backend, "shard_works"):
-            for work in backend.shard_works(tiny_verification_network(),
-                                            []):
-                assert work.batched is False
+        # The flag must reach the executor a sharded backend's shards
+        # run on.
+        if hasattr(backend, "shards"):
+            assert backend._executor.batched is False
 
     @pytest.mark.parametrize("name", ["fleet", "fleet-packed", "sharded",
                                       "sharded-unpacked"])
@@ -78,10 +78,8 @@ class TestRegistry:
         backend = get_backend(name, options=BackendOptions(sparsity=True))
         assert backend.sparsity is True
         assert get_backend(name).sparsity is False
-        if hasattr(backend, "shard_works"):
-            for work in backend.shard_works(tiny_verification_network(),
-                                            []):
-                assert work.sparsity is True
+        if hasattr(backend, "shards"):
+            assert backend._executor.sparsity is True
 
     @pytest.mark.parametrize("name", ["fleet", "fleet-packed", "sharded",
                                       "sharded-unpacked"])
@@ -92,10 +90,8 @@ class TestRegistry:
         backend = get_backend(name,
                               options=BackendOptions(precision=table))
         assert backend.precision is table
-        if hasattr(backend, "shard_works"):
-            for work in backend.shard_works(tiny_verification_network(),
-                                            []):
-                assert work.precision is table
+        if hasattr(backend, "shards"):
+            assert backend._executor.precision is table
 
     def test_options_shards_propagates(self):
         backend = get_backend("sharded", options=BackendOptions(shards=3))
@@ -120,36 +116,6 @@ class TestRegistry:
         with pytest.raises(SimulationError, match="network.precision"):
             get_backend("analytic", options=BackendOptions(
                 precision=LayerPrecision(default_bits=4)))
-
-    def test_legacy_kwargs_deprecated_but_work(self):
-        """The pre-BackendOptions keywords still work for one release,
-        warning on every use."""
-        with pytest.warns(DeprecationWarning, match="BackendOptions"):
-            backend = get_backend("fleet", batched=False)
-        assert backend.batched is False
-        with pytest.warns(DeprecationWarning, match="BackendOptions"):
-            sharded = get_backend("sharded", driver="thread")
-        assert sharded.driver == "thread"
-
-    def test_legacy_kwargs_cannot_override_options(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SimulationError, match="conflicting"):
-                get_backend("fleet", options=BackendOptions(batched=True),
-                            batched=False)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SimulationError, match="conflicting"):
-                get_backend("sharded",
-                            options=BackendOptions(driver="serial"),
-                            driver="thread")
-
-    def test_legacy_kwargs_fold_into_options(self):
-        """A legacy keyword composes with an options object that left
-        that knob unset."""
-        with pytest.warns(DeprecationWarning):
-            backend = get_backend("sharded",
-                                  options=BackendOptions(shards=3),
-                                  driver="thread")
-        assert backend.shards == 3 and backend.driver == "thread"
 
     def test_options_are_frozen(self):
         options = BackendOptions()
@@ -286,10 +252,14 @@ class TestFleetExecutor:
 
     def test_batched_report_is_per_image_scaled(self, tiny_net):
         """Regression: a batched pass must not double-count per-image
-        cycles — its report is exactly the single-image report scaled."""
+        cycles — its report is exactly the single-image report summed
+        once per image."""
         single = FleetExecutor().run(tiny_net, batch_size=1)
         batched = FleetExecutor().run(tiny_net, batch_size=6)
-        assert batched.report == single.report.scaled(6)
+        expected = CycleReport()
+        for _ in range(6):
+            expected = expected.merged(single.report)
+        assert batched.report == expected
 
     def test_plans_each_layer_once_per_batch(self, tiny_net, monkeypatch):
         """Regression: run() used to rebuild the FunctionalExecutor (and

@@ -340,14 +340,6 @@ class TestFunctionalPacked:
         assert np.array_equal(out_u.data, out_p.data)
         assert report_u == report_p
 
-    def test_packed_requires_vectorized_path(self):
-        from repro.core.functional import FunctionalConv
-
-        conv, shape, weights, _ = self._conv_case()
-        with pytest.raises(SimulationError, match="vectorized"):
-            FunctionalConv(conv, shape, weights.for_node("c"),
-                           vectorized=False, packed=True)
-
 
 class TestPackedSRAMArrayView:
     def test_single_array_view_over_packed_store(self):

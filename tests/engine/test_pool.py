@@ -1,8 +1,7 @@
 """The persistent pool driver: zero-copy payloads, owned lifecycles.
 
 Three contracts beyond the driver-equivalence suite (which the pool
-driver already passes alongside thread/process in
-``test_shard_driver.py``):
+driver passes against the serial driver in ``test_shard_driver.py``):
 
 * **O(1) work units** — a staged :class:`PoolShardWork` pickles to a
   size independent of batch size and image resolution, because image
@@ -86,18 +85,6 @@ class TestZeroCopyPayloads:
         # A 4x larger image payload must not show up in the work unit.
         assert abs(large_size - small_size) <= 16
 
-    def test_process_driver_works_do_scale_for_contrast(self, tiny_net):
-        """The baseline the arenas remove: ShardWork embeds its images."""
-        backend = ShardedBackend(shards=2, driver="serial")
-        weights = backend._weights_for(tiny_net)
-
-        def work_bytes(batch):
-            images = deterministic_images(tiny_net, weights, 0, batch)
-            works = backend.shard_works(tiny_net, images, weights)
-            return max(len(pickle.dumps(work)) for work in works)
-
-        assert work_bytes(32) > work_bytes(2) + 4096
-
     def test_work_lane_arithmetic(self):
         work = PoolShardWork(shard=1, batch=5, stride=3,
                              input_segment="a", output_segment="b",
@@ -137,37 +124,12 @@ class TestPersistence:
         assert result.shard_reports == reference.shard_reports
 
     def test_non_pool_drivers_expose_empty_lifecycle(self):
-        backend = ShardedBackend(shards=2, driver="thread")
+        backend = ShardedBackend(shards=2, driver="serial")
         assert backend.worker_pids() == ()
         backend.close()     # no-op, must not raise
 
 
 class TestEmptyShardSkip:
-    def test_futures_pool_never_sees_empty_works(self, tiny_net,
-                                                 monkeypatch):
-        """shards > batch: idle works are synthesized, not submitted."""
-        from repro.engine import sharding
-
-        submitted = []
-        real_pool = sharding.futures.ThreadPoolExecutor
-
-        class SpyPool(real_pool):
-            def map(self, fn, iterable):
-                works = list(iterable)
-                submitted.extend(works)
-                return super().map(fn, works)
-
-        monkeypatch.setattr(sharding.futures, "ThreadPoolExecutor",
-                            SpyPool)
-        backend = ShardedBackend(shards=3, driver="thread")
-        result = backend.run(tiny_net, batch_size=1)
-        assert [work.shard for work in submitted] == [0]
-        assert [s.images for s in result.shard_reports] == [1, 0, 0]
-        reference = ShardedBackend(shards=3, driver="serial").run(
-            tiny_net, batch_size=1)
-        assert result.report == reference.report
-        assert result.shard_reports == reference.shard_reports
-
     def test_pool_driver_idle_shards_match_serial(self, tiny_net):
         with ShardedBackend(shards=3, driver="pool") as backend:
             result = backend.run(tiny_net, batch_size=1)
@@ -319,6 +281,18 @@ class TestLifecycle:
         finally:
             release.set()
             thread.join()
+
+    def test_no_fork_platform_points_at_serial(self, monkeypatch):
+        """Without the fork start method the pool fails loudly and names
+        the driver that runs everywhere."""
+        from repro.engine import pool as pool_module
+
+        def no_fork(method):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(pool_module, "get_context", no_fork)
+        with pytest.raises(SimulationError, match="driver='serial'"):
+            ShardedBackend(shards=2, driver="pool")
 
     def test_server_close_backends_releases_the_pool(self, tiny_net):
         from repro.serving.server import Server

@@ -223,4 +223,4 @@ class TestValidation:
     def test_fault_plan_needs_the_pool_driver(self):
         plan = FaultPlan(pool=(PoolFault(kind="kill", every=2),))
         with pytest.raises(SimulationError, match="no injection points"):
-            ShardedBackend(shards=2, driver="thread", fault_plan=plan)
+            ShardedBackend(shards=2, driver="serial", fault_plan=plan)

@@ -1,13 +1,11 @@
-"""Concurrent shard drivers: thread/process runs must be exactly serial.
+"""Shard drivers: the pool driver must be exactly the serial driver.
 
-The wall-clock lever of PR 5 — running shard passes concurrently — is
-only admissible because results cannot depend on the driver. These
-tests pin that for every driver: bit-exact outputs, identical aggregate
-and per-shard cycle reports, arrival-order responses, picklable process
-work units, and end-to-end CLI propagation of ``--shard-driver``.
+Running shard passes in parallel worker processes is only admissible
+because results cannot depend on the driver. These tests pin that for
+both drivers: bit-exact outputs, identical aggregate and per-shard
+cycle reports, arrival-order responses, round-robin slices, and
+end-to-end CLI propagation of ``--shard-driver``.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -21,12 +19,7 @@ from repro.engine.backend import (
     get_backend,
     tiny_verification_network,
 )
-from repro.engine.sharding import (
-    SHARD_DRIVERS,
-    ShardedBackend,
-    ShardWork,
-    execute_shard,
-)
+from repro.engine.sharding import SHARD_DRIVERS, ShardedBackend
 
 CONCURRENT = [d for d in SHARD_DRIVERS if d != "serial"]
 
@@ -126,36 +119,26 @@ class TestRunRequests:
 
 
 class TestShardWorkUnits:
-    def test_work_units_are_picklable(self, tiny_net):
-        """The process driver's contract: works round-trip pickle and
-        execute identically afterwards."""
-        backend = ShardedBackend(shards=2)
-        weights = backend._template.weights_for(tiny_net)
-        images = deterministic_images(tiny_net, weights, 0, 4)
-        for work in backend.shard_works(tiny_net, images, weights):
-            clone = pickle.loads(pickle.dumps(work))
-            assert isinstance(clone, ShardWork)
-            original = execute_shard(work)
-            again = execute_shard(clone)
-            assert again.outcome.report == original.outcome.report
-            for got, want in zip(again.outcome.responses,
-                                 original.outcome.responses):
-                assert np.array_equal(got.data, want.data)
-
     def test_round_robin_assignment(self, tiny_net):
+        """Image ``i`` runs on shard ``i % shards``: each shard's
+        outcome holds exactly its slice of the stream."""
         backend = ShardedBackend(shards=3)
-        weights = backend._template.weights_for(tiny_net)
+        weights = backend._weights_for(tiny_net)
         images = deterministic_images(tiny_net, weights, 0, 5)
-        works = backend.shard_works(tiny_net, images, weights)
-        assert [len(w.images) for w in works] == [2, 2, 1]
-        assert works[1].images[0] is images[1]
-        assert works[1].images[1] is images[4]
+        outcomes = backend._run_shards(tiny_net, images, weights)[0]
+        assert [o.images for o in outcomes] == [2, 2, 1]
+        direct = FleetExecutor(packed=True).run_requests(
+            tiny_net, [images[1], images[4]], weights)
+        for got, want in zip(outcomes[1].outcome.responses,
+                             direct.responses):
+            assert np.array_equal(got.data, want.data)
+        assert outcomes[1].outcome.report == direct.report
 
     def test_empty_shard_executes_to_idle_outcome(self, tiny_net):
         backend = ShardedBackend(shards=2)
-        weights = backend._template.weights_for(tiny_net)
-        work = backend.shard_works(tiny_net, [], weights)[1]
-        outcome = execute_shard(work)
+        weights = backend._weights_for(tiny_net)
+        images = deterministic_images(tiny_net, weights, 0, 1)
+        outcome = backend._run_shards(tiny_net, images, weights)[0][1]
         assert outcome.images == 0
         assert outcome.outcome.report.total == 0
         assert outcome.outcome.responses == ()
@@ -185,16 +168,16 @@ class TestDriverSelection:
     @pytest.mark.parametrize("name", ["analytic", "fleet", "fleet-packed"])
     def test_registry_rejects_driver_for_unsharded(self, name):
         with pytest.raises(SimulationError, match="shard driver"):
-            get_backend(name, options=BackendOptions(driver="thread"))
+            get_backend(name, options=BackendOptions(driver="pool"))
 
     def test_driver_composes_with_config_and_batched(self):
         config = NeuralCacheConfig()
-        backend = get_backend("sharded", config,
-                              BackendOptions(batched=False,
-                                             driver="thread"))
-        assert backend.config is config
-        assert backend.batched is False
-        assert backend.driver == "thread"
+        with get_backend("sharded", config,
+                         BackendOptions(batched=False,
+                                        driver="pool")) as backend:
+            assert backend.config is config
+            assert backend.batched is False
+            assert backend.driver == "pool"
 
 
 class TestCliPropagation:
@@ -221,18 +204,18 @@ class TestCliPropagation:
         backend = self._captured_backend(
             monkeypatch,
             ["--backend", "sharded", "--shards", "3", "--no-batched",
-             "--shard-driver", "thread", "--batch", "2"])
+             "--shard-driver", "pool", "--batch", "2"])
         assert backend.shards == 3
         assert backend.batched is False
-        assert backend.driver == "thread"
+        assert backend.driver == "pool"
         assert backend.packed
 
     def test_driver_survives_shards_rebuild(self, monkeypatch):
         backend = self._captured_backend(
             monkeypatch,
             ["--backend", "sharded-unpacked", "--shards", "2",
-             "--shard-driver", "process"])
-        assert backend.driver == "process"
+             "--shard-driver", "pool"])
+        assert backend.driver == "pool"
         assert not backend.packed
 
     def test_defaults_without_flags(self, monkeypatch):
@@ -241,11 +224,11 @@ class TestCliPropagation:
         assert backend.driver == "serial"
         assert backend.batched is True
 
-    def test_cli_runs_thread_driver_end_to_end(self, capsys):
+    def test_cli_runs_serial_driver_end_to_end(self, capsys):
         from repro.__main__ import main
 
         assert main(["--backend", "sharded", "--batch", "3",
-                     "--shards", "3", "--shard-driver", "thread"]) == 0
+                     "--shards", "3", "--shard-driver", "serial"]) == 0
         out = capsys.readouterr().out
         assert "backend=sharded" in out
         assert "3/3" in out
@@ -263,12 +246,12 @@ class TestCliPropagation:
         from repro.__main__ import main
 
         with pytest.raises(SystemExit):
-            main(["--backend", "fleet", "--shard-driver", "thread"])
+            main(["--backend", "fleet", "--shard-driver", "pool"])
         assert "shard driver" in capsys.readouterr().err
 
     def test_cli_rejects_driver_without_backend_mode(self, capsys):
         from repro.__main__ import main
 
         with pytest.raises(SystemExit):
-            main(["table3", "--shard-driver", "thread"])
+            main(["table3", "--shard-driver", "pool"])
         assert "--shard-driver only applies" in capsys.readouterr().err

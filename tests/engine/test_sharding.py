@@ -116,18 +116,16 @@ class TestShardAssignment:
         config = NeuralCacheConfig()
         backend = ShardedBackend(config, shards=2)
         assert backend.config is config
-        works = backend.shard_works(tiny_net, [])
-        assert len(works) == 2
-        for work in works:
-            assert work.config is config
-            assert work.packed
-            assert work.batched
+        # Every serial shard runs its slice on this one executor.
+        executor = backend._executor
+        assert executor.config is config
+        assert executor.packed
+        assert executor.batched
 
     def test_batched_flag_propagates_to_every_shard(self, tiny_net):
         backend = ShardedBackend(shards=2, batched=False)
         assert not backend.batched
-        for work in backend.shard_works(tiny_net, []):
-            assert not work.batched
+        assert not backend._executor.batched
 
     def test_bad_shard_count_rejected(self):
         with pytest.raises(SimulationError, match="shard count"):

@@ -166,12 +166,6 @@ class TestSkippedAccounting:
         assert merged.total == 35
         assert merged.dense_cycles == 42
 
-    def test_scaled_multiplies_skipped(self):
-        report = CycleReport(mac=100, skipped=25, passes=2)
-        scaled = report.scaled(3)
-        assert scaled.skipped == 75
-        assert scaled.dense_cycles == 3 * report.dense_cycles
-
     def test_dense_report_dense_cycles_is_total(self):
         report = CycleReport(mac=7, reduction=2, quantization=1)
         assert report.skipped == 0

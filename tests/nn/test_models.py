@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import ShapeError
+from repro.common.errors import ShapeError, SimulationError
 from repro.config import NeuralCacheConfig
 from repro.core.executor import NeuralCacheSimulator
+from repro.core.functional import MAX_FUNCTIONAL_TAPS
+from repro.engine.backend import get_backend
 from repro.nn import (
     Add,
     QuantizedTensor,
@@ -17,6 +19,7 @@ from repro.nn import (
     initialise_weights,
     model_zoo,
 )
+from repro.nn.models import model_zoo_configs
 from repro.nn.reference import add_quantized
 
 RNG = np.random.default_rng(31)
@@ -96,6 +99,30 @@ class TestModelShapes:
         zoo = model_zoo()
         assert set(zoo) == {"lenet5", "vgg-tiny", "resnet-tiny", "mlp",
                             "inception-v3", "inception-span"}
+
+
+#: Zoo models the functional path cannot run yet, and the first layer
+#: whose per-output reduction exceeds its tap bound.
+OVER_TAP_BOUND = {"lenet5": "conv3", "vgg-tiny": "block3/conv_b",
+                  "inception-v3": "Conv2d_2a_3x3"}
+
+
+class TestZooOnTheFleet:
+    @pytest.mark.parametrize("name", list(model_zoo()))
+    def test_fleet_packed_coverage(self, name):
+        """Which zoo models run bit-exact on ``fleet-packed`` (under
+        their companion configuration), and that the rest fail loudly,
+        naming the layer and the tap bound."""
+        network = model_zoo()[name]
+        backend = get_backend("fleet-packed", model_zoo_configs().get(name))
+        if name in OVER_TAP_BOUND:
+            with pytest.raises(SimulationError,
+                               match=f"{OVER_TAP_BOUND[name]}.*at most "
+                                     f"{MAX_FUNCTIONAL_TAPS}"):
+                backend.run(network, batch_size=1)
+        else:
+            result = backend.run(network, batch_size=1)
+            assert result.verified_images == 1
 
 
 class TestModelsRunEverywhere:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import QuantizationError
@@ -15,6 +15,13 @@ class TestQuantParams:
         # Range widened to [0, 5] so zero is representable.
         assert params.zero_point == 0
         assert params.scale == pytest.approx(5.0 / 255)
+
+    def test_subnormal_range_keeps_a_positive_scale(self):
+        # (5e-324 - 0) / 255 underflows to zero; the scale must not.
+        params = QuantParams.from_range(0.0, 5e-324)
+        assert params.scale > 0
+        assert params.zero_point == 0
+        assert params.quantize(np.array([5e-324]))[0] == 1
 
     def test_symmetric_range(self):
         params = QuantParams.from_range(-1.0, 1.0)
@@ -136,6 +143,8 @@ def test_requant_ratio_property(acc_scale, out_scale):
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1,
                 max_size=50))
+@example([5e-324])
+@example([-5e-324])
 @settings(max_examples=60, deadline=None)
 def test_quantize_round_trip_property(values):
     real = np.array(values)

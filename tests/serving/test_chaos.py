@@ -107,7 +107,7 @@ class TestChaosUnderLoad:
     def test_fault_plan_rejected_off_the_pool_driver(self):
         plan = FaultPlan(pool=(PoolFault(kind="kill", every=2),))
         with pytest.raises(SimulationError, match="pool driver"):
-            run_serving_benchmark(n_requests=4, driver="thread",
+            run_serving_benchmark(n_requests=4, driver="serial",
                                   fault_plan=plan)
 
 

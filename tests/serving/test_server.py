@@ -84,12 +84,12 @@ class TestServerResponses:
         # landed in batches is timing-dependent, correctness is not.
         assert result.report.batches >= 4
 
-    @pytest.mark.parametrize("driver", ["thread", "process"])
-    def test_concurrent_shard_drivers_under_serving(self, tiny_net,
-                                                    stream, driver):
+    @pytest.mark.parametrize("driver", ["serial", "pool"])
+    def test_shard_drivers_under_serving(self, tiny_net, stream, driver):
         images, expected = stream
-        result = run_load([make_backend(driver=driver)], tiny_net, images,
-                          expected=expected, max_batch=4)
+        with make_backend(driver=driver) as backend:
+            result = run_load([backend], tiny_net, images,
+                              expected=expected, max_batch=4)
         assert result.ok
 
     def test_spaced_arrivals_still_exact(self, tiny_net, stream):
@@ -220,7 +220,7 @@ class TestServingBenchmark:
     def test_smoke_stats_are_gate_ready(self):
         stats = run_serving_benchmark(n_requests=8, sockets=2,
                                       pool_size=2, max_batch=4,
-                                      driver="thread")
+                                      driver="serial")
         assert stats["ok"]
         assert stats["responded"] == 8
         assert stats["lost"] == 0

@@ -31,8 +31,8 @@ class TestPublicApi:
         assert backend.sparsity is True
 
     def test_functional_entry_points_speak_batch_outcome(self):
-        """run/run_images/run_requests share one return vocabulary —
-        no bare tuples."""
+        """run/run_requests share one return vocabulary — no bare
+        tuples."""
         from repro.engine.backend import tiny_verification_network
 
         backend = repro.get_backend("fleet-packed")
@@ -40,11 +40,9 @@ class TestPublicApi:
         weights = backend.weights_for(net)
         images = repro.engine.backend.deterministic_images(
             net, weights, 0, 2)
-        outcome = backend.run_images(net, images, weights)
+        outcome = backend.run_requests(net, images, weights)
         assert isinstance(outcome, repro.BatchOutcome)
-        assert outcome is not None and len(outcome.responses) == 2
-        requests = backend.run_requests(net, images, weights)
-        assert isinstance(requests, repro.BatchOutcome)
+        assert len(outcome.responses) == 2
         result = backend.run(net, batch_size=1)
         assert isinstance(result, repro.BackendResult)
 
