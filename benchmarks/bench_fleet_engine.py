@@ -173,9 +173,11 @@ def test_packed_vs_unpacked_primitives(record):
     assert stats["bit_exact"] and stats["cycle_exact"]
     # cols=256 is a whole number of uint64 words, so exactly 8x.
     assert stats["memory_ratio"] == 8.0
-    # Soft gate below the measured 4.3-4.6x (the recorded line carries
-    # the real number): only flags a wholesale regression to unpacked
-    # behaviour, not wall-clock noise on a loaded machine.
+    # Soft gate far below the measured speedup (the recorded line carries
+    # the real number): 28-41x at 8192 arrays and ~15x at the --quick
+    # 1024 on a 2-CPU host, where the packed store runs the fused
+    # word-level kernels. It only flags a wholesale regression to
+    # unpacked behaviour, not wall-clock noise on a loaded machine.
     assert stats["speedup"] >= 3.0
 
 

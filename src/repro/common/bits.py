@@ -155,6 +155,113 @@ def unpack_bit_plane(words: np.ndarray, cols: int) -> np.ndarray:
     return bits[..., :cols]
 
 
+#: Delta-swap masks of the 8x8 bit-matrix transpose, one per round.
+_TRANSPOSE_ROUNDS = tuple(
+    (np.uint64(shift), np.uint64(mask)) for shift, mask in (
+        (7, 0x00AA00AA00AA00AA),
+        (14, 0x0000CCCC0000CCCC),
+        (28, 0x00000000F0F0F0F0),
+    ))
+
+
+def transpose8x8(words: np.ndarray) -> np.ndarray:
+    """Transpose the 8x8 bit matrix held in every uint64 word.
+
+    Bit ``c`` of byte ``r`` moves to bit ``r`` of byte ``c`` (three
+    mask/shift delta-swap rounds). Read as eight one-byte lanes, the
+    result's byte ``c`` holds bit ``c`` of all eight lanes — the bridge
+    between per-lane integers and per-bit column words. The transpose is
+    its own inverse.
+    """
+    x = np.array(words, dtype=np.uint64)
+    t = np.empty_like(x)
+    for shift, mask in _TRANSPOSE_ROUNDS:
+        # t = (x ^ (x >> shift)) & mask; x ^= t ^ (t << shift), in place:
+        # the operands are whole host blocks, so temporaries would cost
+        # more than the arithmetic.
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    return x
+
+
+def _le_bytes(words: np.ndarray) -> np.ndarray:
+    """Little-endian byte view of a uint64 array (last axis grows 8x)."""
+    words = np.ascontiguousarray(words.astype("<u8", copy=False))
+    return words.view(np.uint8)
+
+
+def ints_to_packed_planes(values: np.ndarray, nbits: int,
+                          n_words: int) -> np.ndarray:
+    """Non-negative ints ``(..., cols)`` -> packed bit planes.
+
+    Returns ``(nbits, ..., n_words)`` uint64 where plane ``b`` holds bit
+    ``b`` of every element, column ``c`` at bit ``c % 64`` of word
+    ``c // 64`` — :func:`pack_bit_plane` applied to
+    :func:`int_to_bitplanes`, without the 0/1 byte-per-bit tensor in
+    between: byte ``k`` of every lane goes through :func:`transpose8x8`
+    eight lanes at a time. Values are masked to ``nbits``; columns past
+    ``cols`` (the tail of the last word) are zero.
+    """
+    values = np.asarray(values)
+    if nbits <= 0:
+        raise ValueError(f"nbits must be positive, got {nbits}")
+    *lead, cols = values.shape
+    if n_words * WORD_BITS < cols:
+        raise ValueError(f"{n_words} words cannot hold {cols} bit columns")
+    n_bytes = ceil_div(nbits, 8)
+    lanes = np.zeros((n_bytes, *lead, n_words * WORD_BITS), dtype=np.uint8)
+    if values.dtype == np.uint8:
+        lanes[0, ..., :cols] = values
+    else:
+        values = values.astype(np.int64, copy=False)
+        if np.any(values < 0):
+            raise ValueError("packed planes only hold non-negative values; "
+                             "encode signed data in two's complement first")
+        as_bytes = _le_bytes(values).reshape(*lead, cols, 8)
+        # Planes past bit 63 stay zero: the values are int64.
+        lanes[:8, ..., :cols] = np.moveaxis(as_bytes[..., :n_bytes], -1, 0)
+    # Eight lanes per word, transposed: byte i of group g = bit i of the
+    # group's lanes, i.e. byte g of word w of plane i.
+    flipped = transpose8x8(lanes.view("<u8"))
+    flipped = _le_bytes(flipped).reshape(n_bytes, *lead, n_words, 8, 8)
+    planes = np.moveaxis(flipped, -1, 1)  # (n_bytes, 8, *lead, n_words, 8)
+    planes = np.ascontiguousarray(planes).view("<u8")
+    planes = planes.reshape(n_bytes * 8, *lead, n_words)[:nbits]
+    return planes.astype(np.uint64, copy=False)
+
+
+def packed_planes_to_ints(planes: np.ndarray, cols: int) -> np.ndarray:
+    """Packed bit planes ``(nbits, ..., n_words)`` -> ints ``(..., cols)``.
+
+    Inverse of :func:`ints_to_packed_planes` for the first ``cols``
+    columns: int64, at most 64 planes (the int64 host currency).
+    """
+    planes = np.asarray(planes)
+    nbits, *lead, n_words = planes.shape
+    if nbits > 64:
+        raise ValueError(f"bit planes wider than 64 bits ({nbits}) do not "
+                         f"fit the int64 host currency")
+    if n_words * WORD_BITS < cols:
+        raise ValueError(
+            f"{n_words} words hold fewer than {cols} bit columns")
+    n_bytes = ceil_div(nbits, 8)
+    if nbits % 8:
+        pad = np.zeros((n_bytes * 8 - nbits, *lead, n_words),
+                       dtype=np.uint64)
+        planes = np.concatenate([planes, pad])
+    as_bytes = _le_bytes(planes).reshape(n_bytes, 8, *lead, n_words, 8)
+    groups = np.ascontiguousarray(np.moveaxis(as_bytes, 1, -1)).view("<u8")
+    lanes = _le_bytes(transpose8x8(groups[..., 0]))
+    lanes = lanes.reshape(n_bytes, *lead, n_words * WORD_BITS)[..., :cols]
+    out = np.zeros((*lead, cols, 8), dtype=np.uint8)
+    out[..., :n_bytes] = np.moveaxis(lanes, 0, -1)
+    return out.view("<i8")[..., 0].astype(np.int64, copy=False)
+
+
 def to_twos_complement(values: np.ndarray, nbits: int) -> np.ndarray:
     """Encode (possibly negative) ints into ``nbits``-wide two's complement."""
     values = np.asarray(values, dtype=np.int64)

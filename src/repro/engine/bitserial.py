@@ -11,6 +11,23 @@ copies, in-array tree reduction per Fig. 5) driven over any
 on *all* ``n_arrays * cols`` bitlines simultaneously — the data
 parallelism the paper's compute-cache slices actually have.
 
+Two execution paths, chosen by the store alone
+(:attr:`~repro.engine.fleet.PlaneStore.fused`). The *per-primitive*
+path runs every modeled cycle as one call into the store and the
+periphery; it is the reference, and it is what the unpacked
+:class:`~repro.engine.fleet.ArrayFleet` and the sanitizer and fault
+wrappers run, because their checks and defects act on each primitive
+access. The packed and shared-memory stores take the *fused* path for
+the hot composites (``zero``, ``write_scalar``, the copies, ``add``,
+``add_into``, ``sub``, ``sub_into``, each ``multiply`` iteration and so
+``mac``, ``move_across`` and so both reduction trees): one word-level
+kernel per composite over whole operand blocks, with the carry in a
+local word plane and the cycles charged from the closed forms of
+:class:`repro.sram.cost.CycleCosts`. Sparsity probes, ``skip_step``
+reports, both latches and both counters end exactly as on the
+per-primitive path, which the property tests check composite by
+composite.
+
 Cycle accounting is lockstep and bit-exact with the single-array unit:
 ``self.cycles`` after any operation equals the single-array value, because
 the hardware broadcasts each instruction to the whole fleet. Property
@@ -32,9 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.bits import bitplanes_to_int, int_to_bitplanes
 from repro.common.errors import ArrayStateError, LayoutError
-from repro.engine.fleet import ArrayFleet, PlaneStore
+from repro.engine.fleet import ArrayFleet, PlaneStore, mux
 
 #: Module-wide trace hook: when set (by repro.verify.recorder), every
 #: *top-level* composite operation on any FleetBitSerialUnit is reported
@@ -77,6 +93,42 @@ def _traced(fn):
             self._trace_depth -= 1
 
     return wrapper
+
+
+@functools.cache
+def _costs():
+    """The closed-form ``derived`` cycle costs the fused kernels charge
+    (imported lazily: :mod:`repro.sram` imports this module)."""
+    from repro.sram.cost import CycleCosts
+    return CycleCosts.derived()
+
+
+def _ripple_add(a, b, carry: np.ndarray, out) -> np.ndarray:
+    """Word-parallel ripple-carry add of two stacked plane blocks.
+
+    For every plane ``k`` of ``a``, ``a[k] + b[k]`` plus the running
+    carry (initially ``carry``) writes sum plane ``k`` to ``out[k]``;
+    returns the carry-out plane. This is the per-bit sum/carry step of
+    the column periphery, 64 bitlines per word op. Each step reads its
+    operands before it writes, so ``out`` may alias ``a`` or ``b`` row
+    for row.
+    """
+    for k in range(len(a)):
+        ak = a[k]
+        bk = b[k]
+        x = ak ^ bk
+        g = ak & bk
+        out[k] = x ^ carry
+        carry = g | (x & carry)
+    return carry
+
+
+def _reads_before_writes(dst: "Operand", *srcs: "Operand") -> bool:
+    """True when a row-by-row sequence that writes bit ``k`` of ``dst``
+    in the cycle reading bit ``k`` of every ``src`` never senses a row
+    it already wrote — so reading the operand blocks whole and writing
+    the result block whole give the per-cycle result."""
+    return all(dst.row <= src.row or not dst.overlaps(src) for src in srcs)
 
 
 @dataclass(frozen=True)
@@ -131,6 +183,9 @@ class FleetBitSerialUnit:
         #: Skip all-zero-plane multiply/add steps fleet-wide (BitWave-style
         #: bit-plane sparsity). Off by default: the dense reference path.
         self.sparsity = bool(sparsity)
+        #: Run the hot composites as fused word-level kernels: decided by
+        #: the store alone (see :attr:`PlaneStore.fused`).
+        self._fused = self.fleet.fused
         self._trace_depth = 0
 
     @property
@@ -168,7 +223,7 @@ class FleetBitSerialUnit:
             raise ArrayStateError(
                 f"expected ({self.n_arrays}, {self.cols}) values, got shape "
                 f"{values.shape}")
-        self.fleet.load_bits(op.row, int_to_bitplanes(values, op.nbits))
+        self.fleet.load_values(op.row, values[:, None, :], op.nbits)
 
     def write_value_block(self, base: Operand, values: np.ndarray,
                           nbits: int) -> None:
@@ -176,11 +231,11 @@ class FleetBitSerialUnit:
 
         ``values`` is ``(n_arrays, n_fields, cols)``; field ``t`` occupies
         ``nbits`` wordlines starting at ``base.row + t * nbits``. All the
-        fields' bit planes are built and loaded in a *single*
-        ``load_bits`` call — on the packed store that is one vectorized
-        host pack for the whole block instead of ``n_fields`` separate
-        packs, which is the conversion hot spot when a conv layer loads
-        its tap planes (host/TMU path, no compute cycles either way).
+        fields are loaded in a *single* ``load_values`` call — on the
+        packed store that is one int-to-word conversion for the whole
+        block instead of ``n_fields`` separate ones, which is the
+        conversion hot spot when a conv layer loads its tap planes
+        (host/TMU path, no compute cycles either way).
         """
         values = np.asarray(values)
         if values.dtype != np.uint8:
@@ -195,19 +250,16 @@ class FleetBitSerialUnit:
             raise LayoutError(
                 f"block of {n_fields} x {nbits}-bit fields needs "
                 f"{n_fields * nbits} rows, operand has {base.nbits}")
-        planes = int_to_bitplanes(values.reshape(-1, self.cols), nbits)
-        self.fleet.load_bits(
-            base.row,
-            planes.reshape(self.n_arrays, n_fields * nbits, self.cols))
+        self.fleet.load_values(base.row, values, nbits)
 
     def read_values(self, op: Operand) -> np.ndarray:
         """Read back ``(n_arrays, cols)`` integers from ``op``."""
-        return bitplanes_to_int(self.fleet.dump_bits(op.row, op.nbits))
+        return self.fleet.dump_values(op.row, op.nbits)
 
     # ==================================================================
     # Single-cycle primitives
     #
-    # These are the hot inner loop of the whole reproduction: every
+    # These are the inner loop of the per-primitive path: every
     # bit-serial op expands to thousands of calls. They therefore operate
     # on native row planes directly (the operands are internally generated
     # planes, so the public API's per-call value validation would only
@@ -329,10 +381,106 @@ class FleetBitSerialUnit:
             hook(self, "skip_step", (kind, source, dest, cycles), {})
 
     # ==================================================================
+    # Fused word-level kernels (stores with ``fused`` set: the packed and
+    # shared-memory stores). Each runs one composite, or one multiply
+    # iteration, over whole ``(nbits, n_arrays, n_words)`` operand blocks
+    # from ``fleet.word_block``: the carry lives in a local word plane,
+    # results are written back per block, and the cycles charged are the
+    # closed forms of ``CycleCosts.derived``. Latches, counters and skip
+    # reports end exactly as the per-primitive sequence leaves them; a
+    # composite whose destination would overwrite a source row before the
+    # sequence senses it takes the per-primitive path instead.
+    # ==================================================================
+    def _charge(self, cycles: int) -> None:
+        """Charge ``cycles`` lockstep compute cycles to unit and fleet."""
+        self.fleet.compute_cycles += cycles
+        self.cycles += cycles
+
+    def _block(self, op: Operand) -> np.ndarray:
+        return self.fleet.word_block(op.row, op.nbits)
+
+    def _fused_copy(self, src: Operand, dst: Operand, predicated: bool,
+                    invert: bool = False, shift: int = 0) -> None:
+        """``copy``/``complement_copy``/``shift_copy`` as one block move."""
+        plane = self._block(src)
+        if invert:
+            plane = self.fleet.plane_not(plane)
+        if shift:
+            plane = self.fleet.shift_plane(plane, shift)
+        block = self._block(dst)
+        block[...] = (mux(self.periphery.tag, plane, block) if predicated
+                      else plane)
+        self._charge(_costs().copy(src.nbits))
+
+    def _fused_add(self, a: Operand, b: Operand, dst: Operand, carry_in: int,
+                   cycles: int) -> None:
+        """``dst = a + b + carry_in`` over ``a.nbits`` full-adder steps; a
+        ``dst`` one row wider also receives the carry-out. Leaves the
+        carry-out in the carry latch."""
+        block = self._block(dst)
+        carry = _ripple_add(self._block(a), self._block(b),
+                            self.fleet.const_plane(carry_in), block)
+        if dst.nbits > a.nbits:
+            block[a.nbits] = carry
+        self.periphery.carry[...] = carry
+        self._charge(cycles)
+
+    def _fused_add_into(self, src: Operand, acc: Operand) -> None:
+        """Fused ``add_into``: full adds over ``src``, then the carry
+        ripple through the rest of ``acc``, stopped once the carry plane
+        is all-zero (every later step would rewrite ``acc`` unchanged)."""
+        block = self._block(acc)
+        carry = _ripple_add(self._block(src), block,
+                            self.fleet.const_plane(0), block)
+        for k in range(src.nbits, acc.nbits):
+            if not carry.any():
+                break
+            plane = block[k]
+            carry, block[k] = plane & carry, plane ^ carry
+        self.periphery.carry[...] = carry
+        self._charge(_costs().add_into(acc.nbits))
+
+    def _fused_multiply_step(self, a: Operand, b: Operand, product: Operand,
+                             j: int) -> None:
+        """Iteration ``j`` of Fig. 6 (tag load, then predicated copy or
+        shift-add): the carry chain runs on every lane, only the
+        write-back is tag-gated — as in the per-primitive sequence."""
+        n = a.nbits
+        tag = self._block(b)[j]
+        addend = self._block(a)
+        if j == 0:
+            window = self._block(Operand(product.row, n))
+            window[...] = mux(tag, addend, window)
+            self._charge(_costs().tag_load() + _costs().copy(n))
+            return
+        window = self._block(Operand(product.bit(j), n + 1))
+        carry = self.fleet.const_plane(0)
+        for k in range(n):
+            # sum = a ^ p ^ carry, so mux(tag, sum, p) = p ^ ((a ^ carry)
+            # & tag); the carry-out is a where a == p, else the carry-in.
+            ak = addend[k]
+            pk = window[k]
+            differ = ak ^ pk
+            a_or_carry = ak ^ carry
+            window[k] = pk ^ (a_or_carry & tag)
+            carry = ak ^ (a_or_carry & differ)
+        window[n] = mux(tag, carry, window[n])
+        self.periphery.carry[...] = carry
+        self._charge(_costs().tag_load() + _costs().add(n))
+
+    # ==================================================================
     # Composite operations (costs mirror CycleCosts.derived)
     # ==================================================================
     def zero(self, op: Operand, predicated: bool = False) -> None:
         """Bulk-zero an operand region: ``nbits`` cycles."""
+        if self._fused:
+            block = self._block(op)
+            if predicated:
+                block &= ~self.periphery.tag
+            else:
+                block[...] = 0
+            self._charge(_costs().const_write(op.nbits))
+            return
         for b in range(op.nbits):
             self._cycle_write_const(op.bit(b), 0, predicated)
 
@@ -343,12 +491,22 @@ class FleetBitSerialUnit:
             raise ArrayStateError(
                 "broadcast immediates must be non-negative; use two's "
                 "complement encoding for signed scalars")
+        if self._fused:
+            block = self._block(op)
+            ones = self.fleet.const_plane(1)
+            for b in range(op.nbits):
+                block[b] = ones if (value >> b) & 1 else 0
+            self._charge(_costs().const_write(op.nbits))
+            return
         for b in range(op.nbits):
             self._cycle_write_const(op.bit(b), (value >> b) & 1)
 
     def copy(self, src: Operand, dst: Operand, predicated: bool = False) -> None:
         """Copy ``src`` to ``dst`` (``src.nbits`` cycles)."""
         self._check_width(src, dst)
+        if self._fused and _reads_before_writes(dst, src):
+            self._fused_copy(src, dst, predicated)
+            return
         for b in range(src.nbits):
             self._cycle_copy_row(src.bit(b), dst.bit(b), predicated)
 
@@ -356,6 +514,9 @@ class FleetBitSerialUnit:
                         predicated: bool = False) -> None:
         """Copy the bitwise complement of ``src`` (via the BLB rail)."""
         self._check_width(src, dst)
+        if self._fused and _reads_before_writes(dst, src):
+            self._fused_copy(src, dst, predicated, invert=True)
+            return
         for b in range(src.nbits):
             self._cycle_copy_row(src.bit(b), dst.bit(b), predicated,
                                  invert=True)
@@ -364,6 +525,9 @@ class FleetBitSerialUnit:
         """Copy ``src`` while moving every element ``column_shift`` bitlines
         left (the inter-bitline move used by reductions)."""
         self._check_width(src, dst)
+        if self._fused and _reads_before_writes(dst, src):
+            self._fused_copy(src, dst, False, shift=column_shift)
+            return
         for b in range(src.nbits):
             self._cycle_copy_row(src.bit(b), dst.bit(b), shift=column_shift)
 
@@ -377,6 +541,9 @@ class FleetBitSerialUnit:
             raise LayoutError(
                 f"addition destination must be {a.nbits + 1} bits, got "
                 f"{dst.nbits}")
+        if self._fused and not predicated and _reads_before_writes(dst, a, b):
+            self._fused_add(a, b, dst, 0, _costs().add(a.nbits))
+            return
         self.periphery.clear_carry()
         for k in range(a.nbits):
             self._cycle_add_bit(a.bit(k), b.bit(k), dst.bit(k), predicated)
@@ -400,6 +567,9 @@ class FleetBitSerialUnit:
                                      for k in range(src.nbits)):
             self._report_skip("add-into", src, acc, acc.nbits)
             return
+        if self._fused and not predicated and _reads_before_writes(acc, src):
+            self._fused_add_into(src, acc)
+            return
         self.periphery.clear_carry()
         for k in range(src.nbits):
             self._cycle_add_bit(src.bit(k), acc.bit(k), acc.bit(k), predicated)
@@ -421,7 +591,13 @@ class FleetBitSerialUnit:
             raise LayoutError(
                 f"subtraction scratch must hold {b.nbits} bits, got "
                 f"{scratch.nbits}")
-        self.complement_copy(b, Operand(scratch.row, b.nbits))
+        comp_b = Operand(scratch.row, b.nbits)
+        self.complement_copy(b, comp_b)
+        if self._fused and _reads_before_writes(dst, a, comp_b):
+            self._fused_add(a, comp_b, dst, 1,
+                            _costs().sub(a.nbits) - _costs().complement_copy(
+                                b.nbits))
+            return
         self.periphery.set_carry()
         for k in range(a.nbits):
             self._cycle_add_bit(a.bit(k), scratch.row + k, dst.bit(k))
@@ -439,7 +615,13 @@ class FleetBitSerialUnit:
             raise LayoutError(
                 f"sub_into scratch must hold {b.nbits} bits, got "
                 f"{scratch.nbits}")
-        self.complement_copy(b, Operand(scratch.row, b.nbits))
+        comp_b = Operand(scratch.row, b.nbits)
+        self.complement_copy(b, comp_b)
+        if self._fused and _reads_before_writes(acc, comp_b):
+            self._fused_add(acc, comp_b, acc, 1,
+                            _costs().sub_into(acc.nbits)
+                            - _costs().complement_copy(b.nbits))
+            return
         self.periphery.set_carry()
         for k in range(acc.nbits):
             self._cycle_add_bit(acc.bit(k), scratch.row + k, acc.bit(k))
@@ -476,6 +658,9 @@ class FleetBitSerialUnit:
                 else:
                     self._report_skip("multiply-plane", Operand(b.bit(j), 1),
                                       Operand(product.bit(j), n + 1), n + 2)
+                continue
+            if self._fused:
+                self._fused_multiply_step(a, b, product, j)
                 continue
             self.load_tag(b.bit(j))
             if j == 0:
@@ -713,6 +898,11 @@ class FleetBitSerialUnit:
         ``group``-array reduction group into this array's ``dst``:
         ``src.nbits`` cycles (one hop per wordline)."""
         self._check_width(src, dst)
+        if self._fused and _reads_before_writes(dst, src):
+            perm = self.fleet._group_perm(stride, group)
+            self._block(dst)[...] = self._block(src)[:, perm]
+            self._charge(_costs().move(src.nbits))
+            return
         for b in range(src.nbits):
             self._cycle_move_plane(src.bit(b), dst.bit(b), stride, group)
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.bits import bitplanes_to_int, int_to_bitplanes
 from repro.common.errors import ArrayStateError
 
 #: Geometry of the 8KB array used throughout the paper.
@@ -83,6 +84,13 @@ class PlaneStore:
         bit-serial ALU slot, so the fleet exposes ``n_arrays * cols`` lanes.
     """
 
+    #: Whether :class:`~repro.engine.bitserial.FleetBitSerialUnit` may run
+    #: its hot composites as fused word-level kernels over
+    #: :meth:`word_block` views instead of one primitive call per cycle.
+    #: Only the packed stores set it; the unpacked reference and the
+    #: sanitizer/fault wrappers keep the per-primitive path.
+    fused = False
+
     def __init__(self, n_arrays: int = 1, rows: int = DEFAULT_ROWS,
                  cols: int = DEFAULT_COLS):
         if n_arrays <= 0:
@@ -109,6 +117,12 @@ class PlaneStore:
         May be a scalar or a shared read-only array; callers must not
         mutate it.
         """
+        raise NotImplementedError
+
+    def word_block(self, top_row: int, n_rows: int) -> np.ndarray:
+        """Writable native view of ``n_rows`` wordlines, stacked
+        ``(n_rows, n_arrays, ...)``: the operand block of the fused
+        kernels (stores with :attr:`fused` set)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -252,7 +266,7 @@ class PlaneStore:
         (exact, because bits past the last column are invariantly zero).
         """
         self._check_row(row)
-        return bool(np.any(self.row_plane(row)))
+        return bool(self.row_plane(row).any())
 
     def write_back(self, row: int, plane: np.ndarray,
                    mask: np.ndarray | None = None) -> None:
@@ -291,6 +305,14 @@ class PlaneStore:
         """
         self._check_row(src_row)
         self._check_row(dst_row)
+        perm = self._group_perm(stride, group)
+        src = self.row_plane(src_row)
+        dst = self.row_plane(dst_row)
+        dst[...] = src[perm]
+
+    def _group_perm(self, stride: int, group: int) -> np.ndarray:
+        """Validated fleet-axis permutation of one cross-array hop: index
+        ``i`` names the array whose plane array ``i`` receives."""
         if group < 2 or group > self.n_arrays:
             raise ArrayStateError(
                 f"cross-array group must have 2..{self.n_arrays} arrays, "
@@ -303,10 +325,7 @@ class PlaneStore:
             raise ArrayStateError(
                 f"cross-array stride must be in 1..{group - 1}, got {stride}")
         idx = np.arange(self.n_arrays)
-        perm = idx - idx % group + (idx % group + stride) % group
-        src = self.row_plane(src_row)
-        dst = self.row_plane(dst_row)
-        dst[...] = src[perm]
+        return idx - idx % group + (idx % group + stride) % group
 
     # ------------------------------------------------------------------
     # Test/host-side helpers (no cycle accounting; data arrives via TMU)
@@ -341,6 +360,29 @@ class PlaneStore:
         self._check_region(top_row, n_rows, col_offset, n_cols)
         return self._read_region(top_row, n_rows, col_offset, n_cols)
 
+    def load_values(self, top_row: int, values: np.ndarray,
+                    nbits: int) -> None:
+        """Store host integers as ``nbits``-row fields (host/TMU path).
+
+        ``values`` is ``(n_arrays, n_fields, cols)`` non-negative ints;
+        field ``t`` fills wordlines ``top_row + t * nbits`` onward, LSB
+        first, masked to ``nbits``. This reference form builds the 0/1
+        bit tensor and loads it through :meth:`load_bits`, so wrappers
+        that check or corrupt that call see every host write; the packed
+        store converts ints to words directly.
+        """
+        self._check_value_shape(values)
+        n_arrays, n_fields, cols = values.shape
+        planes = int_to_bitplanes(values.reshape(-1, cols), nbits)
+        self.load_bits(top_row,
+                       planes.reshape(n_arrays, n_fields * nbits, cols))
+
+    def dump_values(self, top_row: int, nbits: int) -> np.ndarray:
+        """Read ``(n_arrays, cols)`` int64 from the ``nbits`` rows at
+        ``top_row``, LSB first (host path; reference form over
+        :meth:`dump_bits`)."""
+        return bitplanes_to_int(self.dump_bits(top_row, nbits))
+
     def reset_counters(self) -> None:
         """Zero the lockstep access/compute cycle counters."""
         self.access_cycles = 0
@@ -365,6 +407,13 @@ class PlaneStore:
             raise ArrayStateError(
                 f"columns [{col_offset}, {col_offset + n_cols}) outside array "
                 f"of {self.cols} columns")
+
+    def _check_value_shape(self, values: np.ndarray) -> None:
+        if (values.ndim != 3 or values.shape[0] != self.n_arrays
+                or values.shape[2] != self.cols):
+            raise ArrayStateError(
+                f"expected ({self.n_arrays}, n_fields, {self.cols}) values, "
+                f"got shape {values.shape}")
 
     def _coerce_bits(self, bits: np.ndarray) -> np.ndarray:
         """Validate host 0/1 bits, broadcasting ``(cols,)`` to every array."""

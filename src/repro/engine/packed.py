@@ -3,23 +3,40 @@
 :class:`ArrayFleet` keeps one uint8 byte per bit — convenient to inspect,
 but 8x more memory and 8x less ALU work per NumPy op than the hardware
 analogy allows. :class:`PackedArrayFleet` stores the same
-``(n_arrays, rows, cols)`` bit tensor as ``(n_arrays, rows, n_words)``
-uint64 words (column ``c`` at bit ``c % 64`` of word ``c // 64``,
-LSB-first), so every lockstep primitive — two-row sensing as ``a & b`` /
-``~a & ~b`` on whole words, tag-gated write-back, column shifts — touches
-8x fewer bytes and processes 64 bit-serial lanes per machine word. That is
-exactly how bit-level SRAM-compute reproductions get their throughput, and
-it drops the resident plane memory 8x for serving-scale fleets.
+``(n_arrays, rows, cols)`` bit tensor as wordline-major
+``(rows, n_arrays, n_words)`` uint64 words (column ``c`` at bit
+``c % 64`` of word ``c // 64``, LSB-first), so every lockstep primitive —
+two-row sensing as ``a & b`` / ``~a & ~b`` on whole words, tag-gated
+write-back, column shifts — touches 8x fewer bytes and processes 64
+bit-serial lanes per machine word, and one wordline across the fleet, or
+a run of wordlines, is one contiguous block. That is exactly how
+bit-level SRAM-compute reproductions get their throughput, and it drops
+the resident plane memory 8x for serving-scale fleets.
 
-The sequencing logic is *not* duplicated here: every primitive lives once
-in :class:`~repro.engine.fleet.PlaneStore`, and this module only supplies
-the packed storage and the native plane ops (complement, column shift,
-host pack/unpack). :class:`PackedFleetPeriphery` likewise inherits the
-full-adder logic from :class:`~repro.engine.fleet.FleetPeriphery` and only
-re-homes the carry/tag latches in packed words. Property tests pin the
-packed store bit-exact and cycle-exact against the unpacked reference for
-every bit-serial sequence, including ragged ``cols % 64 != 0`` geometries
-where the tail word is only partially populated.
+Every primitive lives once in :class:`~repro.engine.fleet.PlaneStore`;
+this module supplies the packed storage, the native plane ops
+(complement, column shift, host pack/unpack) and two fast paths:
+
+* ``fused = True`` with :meth:`PackedArrayFleet.word_block`: the
+  sequencer (:class:`~repro.engine.bitserial.FleetBitSerialUnit`) runs
+  its hot composites as fused word-level kernels over whole operand
+  blocks instead of one Python call per modeled cycle;
+* :meth:`PackedArrayFleet.load_values` / :meth:`~PackedArrayFleet.dump_values`:
+  host integers convert to and from packed words through byte views and
+  an 8x8 bit-matrix transpose, never through a 0/1 byte-per-bit tensor.
+
+:class:`~repro.engine.shared.SharedPlaneStore` (and so every pool worker)
+inherits both. The unpacked reference keeps the per-primitive path, and
+so do the sanitizer and fault-injection wrappers, which declare both
+entry points themselves: a fused kernel would touch the planes without
+passing their checks and defects. :class:`PackedFleetPeriphery`
+inherits the full-adder logic from
+:class:`~repro.engine.fleet.FleetPeriphery` and only re-homes the
+carry/tag latches in packed words. Property tests pin the packed store —
+fused kernels included — bit-exact and cycle-exact against the unpacked
+reference for every bit-serial sequence, including ragged
+``cols % 64 != 0`` geometries where the tail word is only partially
+populated.
 
 Invariant: bits at column positions >= ``cols`` (the tail of the last
 word) are always zero, in the store, in sensed rails and in the periphery
@@ -36,7 +53,9 @@ import numpy as np
 
 from repro.common.bits import (
     WORD_BITS,
+    ints_to_packed_planes,
     pack_bit_plane,
+    packed_planes_to_ints,
     packed_words,
     unpack_bit_plane,
 )
@@ -97,8 +116,10 @@ class PackedArrayFleet(PlaneStore):
     currency differs — ``(n_arrays, n_words)`` uint64 words instead of
     ``(n_arrays, cols)`` uint8 bits. Host-facing methods (``read_row``,
     ``write_row``, ``load_bits``, ``dump_bits``) still speak 0/1 uint8 and
-    convert at the boundary.
+    convert at the boundary; ``load_values``/``dump_values`` speak ints.
     """
+
+    fused = True
 
     def __init__(self, n_arrays: int = 1, rows: int = DEFAULT_ROWS,
                  cols: int = DEFAULT_COLS):
@@ -107,15 +128,25 @@ class PackedArrayFleet(PlaneStore):
         self._words = self._alloc_words()
 
     def _alloc_words(self) -> np.ndarray:
-        """The backing word tensor — the allocation seam
-        :class:`~repro.engine.shared.SharedPlaneStore` re-homes in a
-        shared-memory segment."""
-        return np.zeros((self.n_arrays, self.rows, self.n_words),
+        """The backing ``(rows, n_arrays, n_words)`` word tensor —
+        wordline-major, so one wordline across the fleet and a run of
+        wordlines (an operand) are each one contiguous block. This is the
+        allocation seam :class:`~repro.engine.shared.SharedPlaneStore`
+        re-homes in a shared-memory segment."""
+        return np.zeros((self.rows, self.n_arrays, self.n_words),
                         dtype=np.uint64)
 
     # -- plane ops ------------------------------------------------------
     def row_plane(self, row: int) -> np.ndarray:
-        return self._words[:, row]
+        return self._words[row]
+
+    def word_block(self, top_row: int, n_rows: int) -> np.ndarray:
+        """Writable ``(n_rows, n_arrays, n_words)`` view of the wordlines
+        ``[top_row, top_row + n_rows)`` — the operand block the fused
+        kernels of :class:`~repro.engine.bitserial.FleetBitSerialUnit`
+        read and write whole."""
+        self._check_region(top_row, n_rows, 0, self.cols)
+        return self._words[top_row:top_row + n_rows]
 
     def const_plane(self, bit: int):
         # The mask doubles as the all-ones plane (it is read-only).
@@ -160,19 +191,34 @@ class PackedArrayFleet(PlaneStore):
 
     def _read_region(self, top_row: int, n_rows: int, col_offset: int,
                      n_cols: int) -> np.ndarray:
-        rows = self.unpack_plane(self._words[:, top_row:top_row + n_rows])
-        return rows[:, :, col_offset:col_offset + n_cols]
+        rows = self.unpack_plane(self.word_block(top_row, n_rows))
+        return rows.transpose(1, 0, 2)[:, :, col_offset:col_offset + n_cols]
 
     def _write_region(self, top_row: int, n_rows: int, col_offset: int,
                       bits: np.ndarray) -> None:
+        block = self.word_block(top_row, n_rows)
+        bits = bits.transpose(1, 0, 2)
         n_cols = bits.shape[-1]
         if col_offset == 0 and n_cols == self.cols:
-            self._words[:, top_row:top_row + n_rows] = self.pack_plane(bits)
+            block[...] = self.pack_plane(bits)
             return
         # Sub-word column range: read-modify-write the affected rows.
-        region = self.unpack_plane(self._words[:, top_row:top_row + n_rows])
+        region = self.unpack_plane(block)
         region[:, :, col_offset:col_offset + n_cols] = bits
-        self._words[:, top_row:top_row + n_rows] = self.pack_plane(region)
+        block[...] = self.pack_plane(region)
+
+    def load_values(self, top_row: int, values: np.ndarray,
+                    nbits: int) -> None:
+        """Host ints straight to packed words (byte view plus the 8x8
+        bit-matrix transpose), with no 0/1 bit tensor in between."""
+        self._check_value_shape(values)
+        block = self.word_block(top_row, values.shape[1] * nbits)
+        planes = ints_to_packed_planes(values, nbits, self.n_words)
+        block[...] = planes.transpose(2, 0, 1, 3).reshape(block.shape)
+
+    def dump_values(self, top_row: int, nbits: int) -> np.ndarray:
+        return packed_planes_to_ints(self.word_block(top_row, nbits),
+                                     self.cols)
 
     @property
     def nbytes(self) -> int:

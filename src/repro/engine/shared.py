@@ -413,7 +413,7 @@ class SharedPlaneStore(PackedArrayFleet):
         super().__init__(n_arrays, rows, cols)
 
     def _alloc_words(self) -> np.ndarray:
-        shape = (self.n_arrays, self.rows, self.n_words)
+        shape = (self.rows, self.n_arrays, self.n_words)
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8
         if self._attach_to is None:
             self._segment = SharedSegment.create(nbytes, recycle=True)
@@ -448,15 +448,9 @@ class SharedPlaneStore(PackedArrayFleet):
         self._check_open()
         return super().row_plane(row)
 
-    def _read_region(self, top_row: int, n_rows: int, col_offset: int,
-                     n_cols: int) -> np.ndarray:
+    def word_block(self, top_row: int, n_rows: int) -> np.ndarray:
         self._check_open()
-        return super()._read_region(top_row, n_rows, col_offset, n_cols)
-
-    def _write_region(self, top_row: int, n_rows: int, col_offset: int,
-                      bits: np.ndarray) -> None:
-        self._check_open()
-        super()._write_region(top_row, n_rows, col_offset, bits)
+        return super().word_block(top_row, n_rows)
 
     def close(self, unlink: bool | None = None) -> None:
         """Release the mapping (idempotent); owners recycle or unlink."""

@@ -43,7 +43,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.common.errors import SimulationError
+from repro.common.errors import ArrayStateError, SimulationError
 from repro.engine.fleet import PlaneStore
 
 __all__ = ["FaultyPlaneStore", "HardwareFaultModel"]
@@ -269,6 +269,22 @@ class FaultyPlaneStore:
                    group: int) -> None:
         self._store.move_plane(src_row, dst_row, stride, group)
         self._clamp(dst_row)
+
+    # -- fused and host-value entry points -----------------------------
+    # Declared here rather than forwarded: the inner store's fused
+    # kernels and int/word host conversion would reach its storage
+    # without passing through the wrapper. The sequencer therefore runs
+    # the per-primitive path, and host values go through the reference
+    # conversion over this wrapper's own load_bits/dump_bits.
+    fused = False
+
+    def word_block(self, top_row: int, n_rows: int) -> np.ndarray:
+        raise ArrayStateError(
+            f"{type(self).__name__} exposes no word blocks: wrapped stores "
+            f"run the per-primitive path")
+
+    load_values = PlaneStore.load_values
+    dump_values = PlaneStore.dump_values
 
     # -- everything else is the inner store's business ----------------
     def __getattr__(self, name: str) -> Any:

@@ -18,6 +18,7 @@ per-layer programs.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, NamedTuple
@@ -51,9 +52,16 @@ class _UnitTrace:
 class ProgramRecorder:
     """Collects per-unit call streams; installable as the trace hook."""
 
-    #: Unit id -> trace, in first-seen order (dicts preserve insertion).
+    #: Sequence number -> trace, numbered in first-seen order. Units are
+    #: told apart by identity, never by ``id()``: a collected unit's
+    #: address may be reused by the next one, which would merge two
+    #: programs into one.
     traces: dict[int, _UnitTrace] = field(default_factory=dict)
     _label: str = ""
+    #: Live unit -> its sequence number (weak: recording keeps no fleet
+    #: alive).
+    _seq: weakref.WeakKeyDictionary[Any, int] = field(
+        default_factory=weakref.WeakKeyDictionary)
 
     def annotate(self, label: str) -> None:
         """Label subsequently-seen *new* units (e.g. the current layer)."""
@@ -61,10 +69,11 @@ class ProgramRecorder:
 
     def __call__(self, unit: Any, method: str, args: tuple[Any, ...],
                  kwargs: dict[str, Any]) -> None:
-        trace = self.traces.get(id(unit))
-        if trace is None:
-            trace = _UnitTrace(self._label, unit.rows, unit.cols)
-            self.traces[id(unit)] = trace
+        seq = self._seq.get(unit)
+        if seq is None:
+            seq = self._seq[unit] = len(self.traces)
+            self.traces[seq] = _UnitTrace(self._label, unit.rows, unit.cols)
+        trace = self.traces[seq]
         trace.calls.append(RecordedCall(method, args, dict(kwargs)))
 
     def programs(self) -> list[ProgramFacts]:

@@ -13,8 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bits import (
+    int_to_bitplanes,
+    ints_to_packed_planes,
     pack_bit_plane,
+    packed_planes_to_ints,
     packed_words,
+    transpose8x8,
     unpack_bit_plane,
 )
 from repro.common.errors import ArrayStateError, SimulationError
@@ -26,6 +30,7 @@ from repro.engine import (
     PackedFleetPeriphery,
     make_fleet,
 )
+from repro.verify import record_programs
 
 RNG = np.random.default_rng(23)
 
@@ -38,9 +43,14 @@ GEOMETRIES = [
 ]
 
 
-def make_pair(n_arrays, cols, rows=256):
-    return (FleetBitSerialUnit(ArrayFleet(n_arrays, rows, cols)),
-            FleetBitSerialUnit(PackedArrayFleet(n_arrays, rows, cols)))
+#: The same geometries as hypothesis draws.
+GEOMETRY_VALUES = [param.values for param in GEOMETRIES]
+
+
+def make_pair(n_arrays, cols, rows=256, sparsity=False):
+    return (FleetBitSerialUnit(ArrayFleet(n_arrays, rows, cols), sparsity),
+            FleetBitSerialUnit(PackedArrayFleet(n_arrays, rows, cols),
+                               sparsity))
 
 
 def assert_stores_agree(ref, packed):
@@ -49,6 +59,7 @@ def assert_stores_agree(ref, packed):
     assert np.array_equal(ref.fleet.dump_bits(0, rows),
                           packed.fleet.dump_bits(0, rows))
     assert ref.cycles == packed.cycles
+    assert ref.skipped_cycles == packed.skipped_cycles
     assert ref.fleet.compute_cycles == packed.fleet.compute_cycles
     assert ref.fleet.access_cycles == packed.fleet.access_cycles
     cols = ref.fleet.cols
@@ -301,6 +312,235 @@ class TestSequenceEquivalence:
         assert np.array_equal(ref.dump_bits(0, rows),
                               packed.dump_bits(0, rows))
         assert ref.compute_cycles == packed.compute_cycles == 0
+
+
+def lockstep(ref, packed, step):
+    """Run one step on the reference and the packed unit; they must
+    still agree afterwards."""
+    step(ref)
+    step(packed)
+    assert_stores_agree(ref, packed)
+
+
+def draw_rng(data):
+    return np.random.default_rng(
+        data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+
+def sparse_values(data, rng, shape, nbits):
+    """``nbits``-wide ints whose bit planes are each random or all-zero:
+    the mixed multiplier planes the sparsity engine probes."""
+    live = data.draw(st.lists(st.booleans(), min_size=nbits,
+                              max_size=nbits), label="live planes")
+    keep = sum(1 << j for j, on in enumerate(live) if on)
+    return rng.integers(0, 1 << nbits, shape) & keep
+
+
+class TestFusedKernels:
+    """The packed stores run the hot composites as fused word-level
+    kernels. Each must leave exactly the per-primitive reference state:
+    every plane, ``cycles``, ``skipped_cycles``, both fleet counters,
+    both periphery latches and the recorded ``skip_step`` stream."""
+
+    def test_store_type_decides_the_path(self):
+        assert FleetBitSerialUnit(PackedArrayFleet(1, 8, 64))._fused
+        assert not FleetBitSerialUnit(ArrayFleet(1, 8, 64))._fused
+        shared = make_fleet(1, 8, 64, packed="shared", sanitize=False)
+        try:
+            assert FleetBitSerialUnit(shared)._fused
+        finally:
+            shared.close()
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_property_fused_composites(self, data):
+        n_arrays, cols = data.draw(st.sampled_from(GEOMETRY_VALUES),
+                                   label="geometry")
+        sparsity = data.draw(st.booleans(), label="sparsity")
+        n = data.draw(st.integers(1, 8), label="nbits")
+        rng = draw_rng(data)
+        shape = (n_arrays, cols)
+        av = sparse_values(data, rng, shape, n)
+        bv = sparse_values(data, rng, shape, n)
+        accv = rng.integers(0, 1 << (2 * n + 4), shape)
+        smallv = rng.integers(0, 1 << n, shape)
+        scalar = data.draw(st.integers(0, (1 << n) - 1), label="scalar")
+        shift = data.draw(st.integers(1, cols), label="shift")
+        elements = data.draw(st.sampled_from([1, 2, 4, 8, 16]),
+                             label="elements")
+        a, b, zeros = Operand(0, n), Operand(8, n), Operand(16, n)
+        prod, acc = Operand(24, 2 * n), Operand(40, 2 * n + 4)
+        diff, scratch = Operand(60, n + 1), Operand(70, n)
+        small, dst = Operand(78, n), Operand(86, n)
+        base, segment = Operand(96, n + 8), Operand(112, n + 8)
+        steps = [
+            lambda u: u.write_values(a, av),
+            lambda u: u.write_values(b, bv),
+            lambda u: u.write_values(acc, accv),
+            lambda u: u.write_values(small, smallv),
+            lambda u: u.zero(zeros),
+            lambda u: u.multiply(a, b, prod),
+            lambda u: u.mac(a, b, prod, acc),
+            lambda u: u.add_into(zeros, acc),
+            lambda u: u.add_into(a, acc),
+            lambda u: u.add(a, b, diff),
+            lambda u: u.sub(a, b, diff, scratch),
+            lambda u: u.sub_into(small, b, scratch),
+            lambda u: u.write_scalar(Operand(128, n), scalar),
+            lambda u: u.copy(a, dst),
+            lambda u: u.complement_copy(b, dst),
+            lambda u: u.shift_copy(a, dst, shift),
+            lambda u: u.selective_copy(small, dst, tag_row=b.bit(0)),
+            lambda u: u.relu(acc, sign_row=acc.bit(acc.nbits - 1)),
+            lambda u: u.write_values(Operand(base.row, n), av),
+            lambda u: u.zero(Operand(base.row + n, 8)),
+            lambda u: u.reduce_tree(base, segment, elements, n),
+        ]
+        ref, packed = make_pair(n_arrays, cols, rows=136, sparsity=sparsity)
+        assert packed._fused and not ref._fused
+        with record_programs() as recorder:
+            for step in steps:
+                lockstep(ref, packed, step)
+        ref_calls, packed_calls = (t.calls
+                                   for t in recorder.traces.values())
+        assert ([c.method for c in ref_calls]
+                == [c.method for c in packed_calls])
+
+        def skips(calls):
+            return [c.args for c in calls if c.method == "skip_step"]
+
+        assert skips(ref_calls) == skips(packed_calls)
+        if sparsity:  # the all-zero add_into source always skips
+            assert ("add-into", zeros, acc, acc.nbits) in skips(ref_calls)
+        assert np.array_equal(packed.read_values(Operand(base.row, n)),
+                              ref.read_values(Operand(base.row, n)))
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_property_cross_array_composites(self, data):
+        n_arrays, cols = data.draw(st.sampled_from(GEOMETRY_VALUES),
+                                   label="geometry")
+        group = data.draw(st.sampled_from([2, 4]), label="group")
+        width = data.draw(st.integers(1, 8), label="width")
+        stride = data.draw(st.integers(1, group - 1), label="stride")
+        rng = draw_rng(data)
+        # Every level adds at the fixed width: keep group sums in range.
+        vals = rng.integers(0, max((1 << width) // group, 1),
+                            (n_arrays * group, cols))
+        ref, packed = make_pair(n_arrays * group, cols, rows=40)
+        for step in (
+                lambda u: u.write_values(Operand(0, width), vals),
+                lambda u: u.zero(Operand(width, 1)),
+                lambda u: u.move_across(Operand(0, width),
+                                        Operand(24, width), stride, group),
+                lambda u: u.reduce_across_arrays(
+                    Operand(0, width + 1), Operand(12, width), group,
+                    width)):
+            lockstep(ref, packed, step)
+        heads = packed.read_values(Operand(0, width + 1))[::group]
+        expected = vals.reshape(n_arrays, group, cols).sum(axis=1)
+        assert np.array_equal(heads, expected)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property_overlapping_operands(self, data):
+        """Destinations overlapping sources: the fused kernels run when
+        the sequence senses every source row before overwriting it and
+        defer to the per-primitive path otherwise — either way the
+        result is the reference's."""
+        n_arrays, cols = data.draw(st.sampled_from(GEOMETRY_VALUES),
+                                   label="geometry")
+        rows = 24
+        ref, packed = make_pair(2 * n_arrays, cols, rows=rows)
+        bits = draw_rng(data).integers(0, 2, (2 * n_arrays, rows, cols),
+                                       dtype=np.uint8)
+        lockstep(ref, packed, lambda u: u.fleet.load_bits(0, bits))
+        n = data.draw(st.integers(1, 6), label="nbits")
+
+        def at(width):
+            return Operand(data.draw(st.integers(0, rows - width)), width)
+
+        kind = data.draw(st.sampled_from([
+            "copy", "complement_copy", "shift_copy", "move_across", "add",
+            "sub", "add_into", "sub_into"]), label="kind")
+        if kind in ("copy", "complement_copy"):
+            src, dst = at(n), at(n)
+            args = (src, dst)
+        elif kind == "shift_copy":
+            src, dst = at(n), at(n)
+            args = (src, dst, data.draw(st.integers(1, cols)))
+        elif kind == "move_across":
+            src, dst = at(n), at(n)
+            args = (src, dst, 1, 2)
+        elif kind == "add":
+            args = (at(n), at(n), at(n + 1))
+        elif kind == "sub":
+            args = (at(n), at(n), at(n + 1), at(n))
+        elif kind == "add_into":
+            args = (at(n), at(n + data.draw(st.integers(0, 4))))
+        else:
+            args = (at(n), at(n), at(n))
+        lockstep(ref, packed, lambda u: getattr(u, kind)(*args))
+
+
+class TestHostValues:
+    """The packed store's host boundary: ints to words and back through
+    byte views and the 8x8 bit-matrix transpose, no 0/1 bit tensor."""
+
+    def test_transpose8x8_is_the_bit_matrix_transpose(self):
+        words = RNG.integers(0, 2**63, 50, dtype=np.uint64)
+
+        def matrix(x):
+            return np.unpackbits(x.astype("<u8").view(np.uint8),
+                                 bitorder="little").reshape(-1, 8, 8)
+
+        flipped = transpose8x8(words)
+        assert np.array_equal(matrix(flipped),
+                              matrix(words).transpose(0, 2, 1))
+        assert np.array_equal(transpose8x8(flipped), words)
+
+    @pytest.mark.parametrize("cols", [1, 37, 63, 64, 65, 100, 256])
+    @pytest.mark.parametrize("nbits", [1, 3, 8, 9, 24, 33, 63])
+    def test_int_word_conversion_matches_bit_planes(self, cols, nbits):
+        # Values up to two bits wider than the field: the excess is
+        # masked, as on the bit-plane path.
+        values = RNG.integers(0, 1 << min(nbits + 2, 62), (3, 2, cols))
+        words = ints_to_packed_planes(values, nbits, packed_words(cols))
+        bits = int_to_bitplanes(values.reshape(-1, cols), nbits)
+        expected = pack_bit_plane(bits.reshape(3, 2, nbits, cols))
+        assert np.array_equal(words, np.moveaxis(expected, 2, 0))
+        assert np.array_equal(packed_planes_to_ints(words, cols),
+                              values & ((1 << nbits) - 1))
+
+    def test_uint8_values_take_the_byte_path(self):
+        values = RNG.integers(0, 256, (2, 3, 100)).astype(np.uint8)
+        words = ints_to_packed_planes(values, 8, 2)
+        assert np.array_equal(packed_planes_to_ints(words, 100), values)
+
+    def test_negative_values_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ints_to_packed_planes(np.array([[1, -1]]), 4, 1)
+
+    @pytest.mark.parametrize("n_arrays,cols", GEOMETRIES)
+    def test_unit_host_path_matches_reference(self, n_arrays, cols):
+        ref, packed = make_pair(n_arrays, cols, rows=64)
+        wide = RNG.integers(0, 1 << 40, (n_arrays, cols))
+        block = RNG.integers(0, 256, (n_arrays, 3, cols)).astype(np.uint8)
+        for step in (
+                lambda u: u.write_values(Operand(0, 12), wide),
+                lambda u: u.write_values(Operand(12, 5), 29),
+                lambda u: u.write_values(Operand(17, 9), wide[0]),
+                lambda u: u.write_value_block(Operand(26, 24), block, 8),
+                lambda u: u.write_value_block(Operand(50, 12),
+                                              block.astype(np.int64), 4)):
+            lockstep(ref, packed, step)
+        for op in (Operand(0, 12), Operand(12, 5), Operand(17, 9),
+                   Operand(26, 24), Operand(50, 12), Operand(0, 62)):
+            assert np.array_equal(packed.read_values(op),
+                                  ref.read_values(op))
+        # Bits past the last column stay zero in every loaded word.
+        tail = packed.fleet.word_block(0, 64)[..., -1]
+        assert not np.any(tail & ~packed.fleet.const_plane(1)[-1])
 
 
 class TestFunctionalPacked:

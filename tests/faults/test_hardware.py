@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import SimulationError, VerifyError
+from repro.common.errors import ArrayStateError, SimulationError, VerifyError
 from repro.engine import make_fleet
 from repro.faults import FaultyPlaneStore, HardwareFaultModel
 
@@ -193,3 +193,58 @@ class TestComposition:
         store.store_plane(2, store.pack_plane(
             np.zeros((2, 64), dtype=np.uint8)))
         assert bits(store, 2)[0, 5] == 1
+
+
+class TestPerPrimitivePath:
+    """A faulty store keeps the per-primitive path on every store kind,
+    so stuck cells clamp host values too and the flaky-amp draw stream
+    is the one the per-primitive sequence consumes."""
+
+    MODEL = HardwareFaultModel(
+        seed=7, stuck_rate=0.002,
+        stuck_cells=((0, 3, 5, 1), (1, 20, 9, 0)),
+        flaky_columns=((0, 2), (1, 33), (2, 64)), flaky_rate=0.3)
+
+    def run_program(self, packed):
+        from repro.engine import FleetBitSerialUnit, Operand
+
+        rng = np.random.default_rng(11)
+        store = make_fleet(4, 96, 100, packed=packed, sanitize=False,
+                           faults=self.MODEL)
+        assert store.fused is False
+        unit = FleetBitSerialUnit(store, sparsity=True)
+        assert not unit._fused
+        a, b, acc = Operand(0, 8), Operand(8, 8), Operand(40, 24)
+        unit.write_values(a, rng.integers(0, 256, (4, 100)))
+        unit.write_values(b, rng.integers(0, 256, (4, 100)) & 0b10110101)
+        unit.zero(acc)
+        unit.mac(a, b, Operand(16, 16), acc)
+        unit.add_into(a, acc)
+        unit.reduce_tree(Operand(40, 28), Operand(64, 28), 4, 24)
+        unit.reduce_across_arrays(Operand(40, 28), Operand(64, 27), 2, 27)
+        out = unit.read_values(Operand(40, 28))
+        return out, unit.cycles, unit.skipped_cycles, store._flaky_rng.random()
+
+    def test_packed_matches_unpacked_and_the_recorded_stream(self):
+        packed = self.run_program(packed=True)
+        unpacked = self.run_program(packed=False)
+        assert np.array_equal(packed[0], unpacked[0])
+        assert packed[1:] == unpacked[1:]
+        # Pinned from the per-primitive sequence over the packed store:
+        # output checksum, cycles, skipped cycles and the next flaky-amp
+        # draw (which pins how many draws the program consumed).
+        assert int(packed[0].sum()) == 46466455732
+        assert packed[1:] == (302, 20, 0.6486326507571981)
+
+    def test_stuck_cells_clamp_host_values(self):
+        from repro.engine import FleetBitSerialUnit, Operand
+
+        store = fresh_store(stuck_cells=((0, 2, 5, 1), (1, 3, 7, 0)))
+        unit = FleetBitSerialUnit(store)
+        unit.write_values(Operand(0, 4), 0b1000)
+        got = unit.read_values(Operand(0, 4))
+        assert got[0, 5] == 0b1100         # bit 2 stuck at 1
+        assert got[1, 7] == 0b0000         # bit 3 stuck at 0
+        assert got[0, 6] == got[1, 6] == 0b1000
+        with pytest.raises(ArrayStateError, match="per-primitive"):
+            store.word_block(0, 1)

@@ -79,6 +79,18 @@ class TestRecorder:
         assert len(inner_trace.calls) == 1
 
 
+    def test_units_are_never_merged(self):
+        # Each unit dies before the next is built, so addresses get
+        # reused; every unit must still record its own program.
+        with record_programs() as recorder:
+            for value in range(40):
+                unit = FleetBitSerialUnit(make_fleet(1, ROWS, COLS))
+                unit.write_values(Operand(0, 4), value % 16)
+                del unit
+        assert len(recorder.traces) == 40
+        assert all(len(t.calls) == 1 for t in recorder.traces.values())
+
+
 class TestLiftErrors:
     def test_unknown_method_is_a_lift_error(self):
         with pytest.raises(VerifyError) as excinfo:
@@ -110,6 +122,31 @@ class TestExtraction:
         extracted = extract_model_programs("inception-v3")
         assert extracted.skipped is not None
         assert extracted.programs == ()
+
+
+#: (programs, ops) per functionally extractable model: one program per
+#: (layer, fleet). ``repro verify`` reports their sums, 56 / 1497.
+PINNED_COUNTS = {
+    "resnet-tiny": (27, 723),
+    "mlp": (6, 240),
+    "inception-span": (20, 466),
+    "tiny-verification": (3, 68),
+}
+
+
+class TestPinnedCounts:
+    @pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+    def test_program_and_op_counts(self, name):
+        extracted = extract_model_programs(name)
+        counts = (len(extracted.programs),
+                  sum(len(program) for program in extracted.programs))
+        assert counts == PINNED_COUNTS[name]
+
+    def test_cli_totals(self, capsys):
+        argv = [arg for name in PINNED_COUNTS for arg in ("--model", name)]
+        assert verify_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "verified 56 programs / 1497 ops: 0 finding(s)" in out
 
 
 class TestCli:

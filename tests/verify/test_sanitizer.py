@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import VerifyError
+from repro.common.errors import ArrayStateError, VerifyError
 from repro.engine.bitserial import FleetBitSerialUnit, Operand
 from repro.engine.packed import PackedArrayFleet, make_fleet
 from repro.sram import BitSerialUnit, SRAMArray
@@ -173,3 +173,41 @@ class TestOptIn:
         store = make_fleet(1, ROWS, COLS, packed=True, sanitize=True)
         assert isinstance(store, ShadowPlaneStore)
         assert isinstance(store._store, PackedArrayFleet)
+
+
+class TestFusedPathStaysChecked:
+    """A sanitized packed store runs the per-primitive path: the fused
+    kernels and int/word host conversion of the inner store would
+    otherwise touch its planes without passing the shadow checks."""
+
+    def test_wrapper_declares_the_fused_entry_points(self):
+        store = make_fleet(2, ROWS, COLS, packed=True, sanitize=True)
+        assert store.fused is False
+        assert not FleetBitSerialUnit(store)._fused
+        with pytest.raises(ArrayStateError, match="per-primitive"):
+            store.word_block(0, 4)
+
+    def test_uninit_read_inside_mac_still_raises(self):
+        unit = FleetBitSerialUnit(
+            make_fleet(2, ROWS, COLS, packed=True, sanitize=True))
+        a, b = Operand(0, 8), Operand(8, 8)
+        unit.write_values(a, 7)          # b is never written
+        unit.zero(Operand(32, 24))
+        with pytest.raises(VerifyError) as excinfo:
+            unit.mac(a, b, Operand(16, 16), Operand(32, 24))
+        assert excinfo.value.check == "uninit-read"
+        assert excinfo.value.row == b.row
+
+    def test_host_values_mark_and_check_rows(self):
+        store = make_fleet(2, ROWS, COLS, packed=True, sanitize=True)
+        unit = FleetBitSerialUnit(store)
+        unit.write_value_block(Operand(4, 16),
+                               np.full((2, 2, COLS), 9, dtype=np.uint8), 8)
+        assert store.shadow_written[4:20].all()
+        assert not store.shadow_written[20]
+        assert np.array_equal(unit.read_values(Operand(12, 8)),
+                              np.full((2, COLS), 9))
+        with pytest.raises(VerifyError) as excinfo:
+            unit.read_values(Operand(16, 8))
+        assert excinfo.value.check == "uninit-read"
+        assert excinfo.value.row == 20
