@@ -87,13 +87,15 @@ CORRECTION_BITS = 34
 MAX_FUNCTIONAL_TAPS = 257
 #: Arrays per lockstep chunk of a vectorized stage: bounds the fleet bit
 #: tensor at ~16 MB per chunk. The conv compute stage additionally bounds
-#: its int64 gather temporaries (whose size scales with taps * lanes) via
-#: ``GATHER_BUDGET_ELEMENTS``; verification-scale layers still run in a
-#: single all-arrays pass. Overridable per run via
+#: its staged filter and input planes (whose size scales with taps *
+#: lanes) via ``GATHER_BUDGET_ELEMENTS``; verification-scale layers still
+#: run in a single all-arrays pass. Overridable per run via
 #: ``NeuralCacheConfig.max_fleet_arrays`` (batched passes multiply the
 #: array count by the batch size, so serving-scale batches chunk).
 MAX_FLEET_ARRAYS = 256
-#: Elements per int64 gather temporary in a conv chunk (~16 MB each).
+#: Elements per staged (array, lane, tap) plane in a conv chunk. Chunk
+#: boundaries move sparsity skip charges, so this value is part of the
+#: cycle model, not just a memory knob.
 GATHER_BUDGET_ELEMENTS = 1 << 21
 
 
@@ -144,12 +146,17 @@ class CycleReport:
 @dataclass(frozen=True)
 class _LanePlan:
     """Where each (lane, tap) of a conv group finds its filter byte and
-    input coordinate. ``None`` marks zero padding."""
+    input coordinate: ``(lanes, taps)`` tables of the window offset
+    ``(r, s)`` and channel ``c``. ``valid`` is False where the slot is
+    unused (channel padding or a split tail) and stages zero; its
+    ``r``/``s``/``c`` entries are 0."""
 
     taps: int                       # bytes per bitline (R'.S')
     lanes: int                      # channels_padded (C'')
-    # filter_source[lane][tap] -> (r, s, c) or None
-    filter_source: tuple[tuple[tuple[int, int, int] | None, ...], ...]
+    valid: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    c: np.ndarray
 
 
 def _plan_lanes(mapping: LayerMapping, kernel: tuple[int, int],
@@ -158,32 +165,150 @@ def _plan_lanes(mapping: LayerMapping, kernel: tuple[int, int],
     r_k, s_k = kernel
     taps = mapping.filter_bytes_per_bitline
     lanes = mapping.channels_padded
-    window = [(r, s) for r in range(r_k) for s in range(s_k)]
-    rows: list[tuple[tuple[int, int, int] | None, ...]] = []
-    for lane in range(lanes):
-        entries: list[tuple[int, int, int] | None] = []
-        if mapping.pack_factor > 1:
-            # Packed 1x1: lane holds pack_factor consecutive channels.
-            base = lane * mapping.pack_factor
-            for t in range(taps):
-                c = base + t
-                entries.append((0, 0, c) if c < channels else None)
-        else:
-            # Split (or plain) filters: lane = (channel, split part).
-            c = lane // mapping.split_factor
-            part = lane % mapping.split_factor
-            for t in range(taps):
-                w_idx = part * taps + t
-                if c < channels and w_idx < len(window):
-                    entries.append((*window[w_idx], c))
-                else:
-                    entries.append(None)
-        rows.append(tuple(entries))
-    return _LanePlan(taps=taps, lanes=lanes, filter_source=tuple(rows))
+    lane = np.arange(lanes)[:, None]
+    tap = np.arange(taps)[None, :]
+    if mapping.pack_factor > 1:
+        # Packed 1x1: lane holds pack_factor consecutive channels.
+        c = lane * mapping.pack_factor + tap
+        valid = c < channels
+        w_idx = np.zeros_like(c)
+    else:
+        # Split (or plain) filters: lane = (channel, split part), and
+        # part ``p`` holds window positions [p * taps, (p + 1) * taps).
+        c = np.broadcast_to(lane // mapping.split_factor, (lanes, taps))
+        w_idx = (lane % mapping.split_factor) * taps + tap
+        valid = (c < channels) & (w_idx < r_k * s_k)
+
+    def table(values: np.ndarray) -> np.ndarray:
+        out = np.where(valid, values, 0)
+        out.flags.writeable = False
+        return out
+
+    valid.flags.writeable = False
+    return _LanePlan(taps=taps, lanes=lanes, valid=valid,
+                     r=table(w_idx // s_k), s=table(w_idx % s_k),
+                     c=table(c))
+
+
+@dataclass(frozen=True)
+class ConvStaging:
+    """A conv layer's compiled host staging, built once and reused by
+    every batch (weight-stationary, Sec. IV-E).
+
+    Everything here depends only on the layer, its weights and the
+    config, never on the inputs, so one staging serves any number of
+    batches and of :class:`FunctionalConv` engines at once (its arrays
+    are read-only):
+
+    * ``windows`` — ``(E*F, lanes, taps)`` int32 index of every output
+      position's input window into one image flattened from its padded
+      ``(H_p, W_p, C)`` shape, with one zero byte appended; unused
+      slots (``valid`` False in the lane plan) point at that zero
+      sentinel. The
+      window of output ``(i, j, m)`` does not depend on ``m``, so a
+      batch gathers each window once.
+    * ``filters`` — ``(M, lanes, taps)`` uint8 filter bytes per output
+      channel, padding taps already zero.
+    * ``filter_sums`` — ``(M,)`` per-filter byte sums for the
+      quantization stage's zero-point constant.
+
+    :meth:`compile` validates the layer (element width, tap bound,
+    spanning geometry, narrowed filter range) so a staging is always
+    runnable.
+    """
+
+    mapping: LayerMapping
+    plan: _LanePlan
+    #: Padded input image shape and the (top, left) offset of the data.
+    padded_shape: tuple[int, int, int]
+    pad_origin: tuple[int, int]
+    windows: np.ndarray
+    filters: np.ndarray
+    filter_sums: np.ndarray
+
+    @classmethod
+    def compile(cls, conv: Conv2D, input_shape: tuple[int, int, int],
+                weights: ConvWeights, config: NeuralCacheConfig,
+                name: str = "conv",
+                element_bits: int | None = None) -> "ConvStaging":
+        """Map and plan the layer and build its gather tables."""
+        mapping = map_conv(config, name, conv, input_shape,
+                           element_bits=element_bits)
+        if mapping.element_bits > 8:
+            raise SimulationError(
+                f"layer {name!r}: the functional path stores byte-aligned "
+                f"8-bit elements; {mapping.element_bits}-bit elements "
+                f"are analytic-only")
+        r, s, c, m = conv.filter_shape(input_shape)
+        if r * s * c > MAX_FUNCTIONAL_TAPS:
+            raise SimulationError(
+                f"layer {name!r} reduces {r * s * c} taps per output; the "
+                f"functional path supports at most {MAX_FUNCTIONAL_TAPS} so "
+                f"the input-sum correction fits the 16-bit in-cache "
+                f"multiply")
+        if mapping.arrays_per_conv > 1:
+            cols = config.geometry.array_cols
+            if cols & (cols - 1):
+                raise SimulationError(
+                    f"layer {name!r} spans arrays, which reduces the full "
+                    f"{cols}-column array width in-array first; that tree "
+                    f"needs a power-of-two array_cols")
+        plan = _plan_lanes(mapping, conv.kernel, c)
+
+        h, w, _ = input_shape
+        top = left = 0
+        if conv.padding == "same":
+            top, bottom = same_padding_offsets(h, conv.kernel[0],
+                                               conv.stride)
+            left, right = same_padding_offsets(w, conv.kernel[1],
+                                               conv.stride)
+            h, w = h + top + bottom, w + left + right
+        e, f, _ = conv.output_shape(input_shape)
+        stride = conv.stride
+        corner = ((np.arange(e)[:, None] * stride * w
+                   + np.arange(f)[None, :] * stride) * c).reshape(-1)
+        offset = (plan.r * w + plan.s) * c + plan.c      # (lanes, taps)
+        sentinel = h * w * c
+        windows = np.where(plan.valid[None], corner[:, None, None] + offset,
+                           sentinel).astype(np.int32)
+
+        data = weights.filters.data                      # (R, S, C, M)
+        filters = np.where(plan.valid[:, :, None],
+                           data[plan.r, plan.s, plan.c], np.uint8(0))
+        filters = np.ascontiguousarray(filters.transpose(2, 0, 1))
+        _check_narrowed(name, mapping.element_bits, "filter", filters)
+        filter_sums = data.astype(np.int64).sum(axis=(0, 1, 2))
+        for table in (windows, filters, filter_sums):
+            table.flags.writeable = False
+        return cls(mapping=mapping, plan=plan, padded_shape=(h, w, c),
+                   pad_origin=(top, left), windows=windows,
+                   filters=filters, filter_sums=filter_sums)
+
+    def gather_windows(self, data: np.ndarray,
+                       zero_point: int) -> np.ndarray:
+        """Every output position's input window for a ``(batch, H, W, C)``
+        stack: pad with the input zero point into one flat row per image
+        (plus the zero sentinel), then one ``take``. Returns
+        ``(batch, E*F, lanes, taps)`` uint8."""
+        batch, h, w, _ = data.shape
+        hp, wp, c = self.padded_shape
+        flat = np.empty((batch, hp * wp * c + 1), dtype=np.uint8)
+        image = flat[:, :-1].reshape(batch, hp, wp, c)
+        top, left = self.pad_origin
+        if (hp, wp) != (h, w):
+            image[...] = zero_point
+        image[:, top:top + h, left:left + w] = data
+        flat[:, -1] = 0
+        return np.take(flat, self.windows, axis=1)
 
 
 class FunctionalConv:
-    """Executes one quantized convolution on bit-serial arrays."""
+    """Executes one quantized convolution on bit-serial arrays.
+
+    ``staging`` is the layer's compiled :class:`ConvStaging`; engines of
+    the same layer and weights may share one (the fleet backend keeps it
+    across batches). Without one, the engine compiles its own.
+    """
 
     def __init__(self, conv: Conv2D, input_shape: tuple[int, int, int],
                  weights: ConvWeights,
@@ -193,7 +318,8 @@ class FunctionalConv:
                  packed: bool = False,
                  sparsity: bool = False,
                  sanitize: bool | None = None,
-                 element_bits: int | None = None):
+                 element_bits: int | None = None,
+                 staging: ConvStaging | None = None):
         self.conv = conv
         self.input_shape = input_shape
         self.weights = weights
@@ -207,28 +333,12 @@ class FunctionalConv:
         #: ``CycleReport``; outputs stay bit-exact vs the dense path).
         self.sparsity = sparsity
         self.sanitize = sanitize
-        self.mapping = map_conv(self.config, name, conv, input_shape,
-                                element_bits=element_bits)
-        if self.mapping.element_bits > 8:
-            raise SimulationError(
-                f"layer {name!r}: the functional path stores byte-aligned "
-                f"8-bit elements; {self.mapping.element_bits}-bit elements "
-                f"are analytic-only")
-        r, s, c, _ = conv.filter_shape(input_shape)
-        if r * s * c > MAX_FUNCTIONAL_TAPS:
-            raise SimulationError(
-                f"layer {name!r} reduces {r * s * c} taps per output; the "
-                f"functional path supports at most {MAX_FUNCTIONAL_TAPS} so "
-                f"the input-sum correction fits the 16-bit in-cache "
-                f"multiply")
-        if self.mapping.arrays_per_conv > 1:
-            cols = self.config.geometry.array_cols
-            if cols & (cols - 1):
-                raise SimulationError(
-                    f"layer {name!r} spans arrays, which reduces the full "
-                    f"{cols}-column array width in-array first; that tree "
-                    f"needs a power-of-two array_cols")
-        self.plan = _plan_lanes(self.mapping, conv.kernel, c)
+        if staging is None:
+            staging = ConvStaging.compile(conv, input_shape, weights,
+                                          self.config, name, element_bits)
+        self.staging = staging
+        self.mapping = staging.mapping
+        self.plan = staging.plan
         self.report = CycleReport()
 
     # ------------------------------------------------------------------
@@ -249,11 +359,12 @@ class FunctionalConv:
         # The input zero point broadcasts into padding and the quantize
         # constants, so the batch must share quantization parameters.
         _check_batch(xs, self.input_shape, shared_params=True)
-        conv = self.conv
-        e, f, m = conv.output_shape(self.input_shape)
-        padded = self._padded_batch(np.stack([x.data for x in xs]),
-                                    xs[0].params.zero_point)
-        raw, xsum = self._compute_stage_fleet(padded)
+        e, f, m = self.conv.output_shape(self.input_shape)
+        windows = self.staging.gather_windows(
+            np.stack([x.data for x in xs]), xs[0].params.zero_point)
+        _check_narrowed(self.name, self.mapping.element_bits, "input",
+                        windows)
+        raw, xsum = self._compute_stage_fleet(windows)
         out = self._quantize_stage(raw, xsum, xs[0].params.zero_point)
         params = self.output_params
         if params is None:
@@ -273,48 +384,30 @@ class FunctionalConv:
     # ------------------------------------------------------------------
     # Stage 1: MACs + reduction
     # ------------------------------------------------------------------
-    def _compute_stage_fleet(self, padded: np.ndarray
+    def _compute_stage_fleet(self, windows: np.ndarray
                              ) -> tuple[np.ndarray, np.ndarray]:
         """All images' output batches at once: one fleet member per pass.
 
-        ``padded`` is the ``(batch, H_p, W_p, C)`` zero-point-padded input
-        stack. The filter and input bit-planes for every pass of every
-        image are gathered with vectorized indexing, then a *single*
+        ``windows`` is the batch's ``(batch, E*F, lanes, taps)`` input
+        windows (:meth:`ConvStaging.gather_windows`). Each chunk stages
+        its arrays' planes by indexing those windows and the staging's
+        filter table with the arrays' output coordinates, then a *single*
         lockstep MAC/reduction sequence executes on the whole
         ``batch * arrays_per_image`` fleet — no Python loop over arrays
         or images. Arrays never straddle image boundaries, so cycle
         reports (``sequence_cycles * n_arrays`` per chunk) match the
         per-image loop exactly. Fleets larger than
         ``config.max_fleet_arrays`` execute in bounded chunks so the
-        gather tensors never outgrow memory on output-heavy layers or
+        staged planes never outgrow memory on output-heavy layers or
         large batches.
         """
-        conv = self.conv
-        e, f, m = conv.output_shape(self.input_shape)
+        e, f, m = self.conv.output_shape(self.input_shape)
         n_out = e * f * m
-        n_images = padded.shape[0]
+        n_images = windows.shape[0]
         cols = self.config.geometry.array_cols
         lanes = self.mapping.channels_padded
+        taps = self.plan.taps
         groups = max(cols // lanes, 1)
-
-        filters = self.weights.filters.data  # (R, S, C, M)
-
-        # -- vectorized (lane, tap) -> (r, s, c) gather tables --
-        plan = self.plan
-        taps = plan.taps
-        valid = np.zeros((lanes, taps), dtype=bool)
-        rr = np.zeros((lanes, taps), dtype=np.int64)
-        ss = np.zeros((lanes, taps), dtype=np.int64)
-        cc = np.zeros((lanes, taps), dtype=np.int64)
-        for lane in range(lanes):
-            for t, entry in enumerate(plan.filter_source[lane]):
-                if entry is None:
-                    continue
-                valid[lane, t] = True
-                rr[lane, t], ss[lane, t], cc[lane, t] = entry
-        # Chunk-invariant filter gather, hoisted out of the chunk loop.
-        fgather = filters[rr, ss, cc]        # (lanes, taps, M)
-        tables = (valid, rr, ss, cc, fgather)
 
         span = self.mapping.arrays_per_conv
         if span == 1:
@@ -328,7 +421,7 @@ class FunctionalConv:
         raw = np.zeros((n_images, n_out), dtype=np.int64)
         xsum = np.zeros((n_images, n_out), dtype=np.int64)
         # Chunks are whole arrays and respect both the array cap and the
-        # gather-temporary budget.
+        # staging budget.
         arrays_by_gather = max(
             GATHER_BUDGET_ELEMENTS // (groups * lanes * taps), 1)
         per_chunk = min(_max_fleet_arrays(self.config), arrays_by_gather)
@@ -339,28 +432,23 @@ class FunctionalConv:
             # boundaries can never split one.
             per_chunk = max(per_chunk // span * span, span)
         for a0, a1 in _array_chunks(total_arrays, per_chunk):
-            self._run_fleet_chunk(padded, tables, a0, a1, arrays_per_image,
+            self._run_fleet_chunk(windows, a0, a1, arrays_per_image,
                                   cols, lanes, groups, raw, xsum)
         return raw, xsum
 
-    def _run_fleet_chunk(self, padded: np.ndarray, tables, a0: int, a1: int,
-                         arrays_per_image: int, cols: int, lanes: int,
-                         groups: int, raw: np.ndarray,
-                         xsum: np.ndarray) -> None:
-        """One bounded fleet: arrays ``[a0, a1)`` of the global
-        batch-by-arrays axis, one array per pass. Results land in the
-        ``(batch, n_out)`` ``raw``/``xsum`` accumulators."""
-        conv = self.conv
-        mapping = self.mapping
-        e, f, m = conv.output_shape(self.input_shape)
+    def _stage_chunk(self, windows: np.ndarray, a0: int, a1: int,
+                     arrays_per_image: int, cols: int, lanes: int,
+                     groups: int) -> tuple[np.ndarray, ...]:
+        """The host staging of arrays ``[a0, a1)``: ``(n_arrays, taps,
+        cols)`` uint8 filter and input planes, plus each array's image
+        ``img`` and each (array, group)'s output ``ol`` and ``live``
+        flag."""
+        e, f, m = self.conv.output_shape(self.input_shape)
         n_out = e * f * m
-        valid, rr, ss, cc, fgather = tables
+        filters = self.staging.filters
         taps = self.plan.taps
-        stride = conv.stride
-        packed = mapping.pack_factor > 1
         n_arrays = a1 - a0
-
-        span = mapping.arrays_per_conv
+        span = self.mapping.arrays_per_conv
 
         # Which image and which of its outputs each (array, group) serves.
         arr = np.arange(a0, a1)
@@ -370,6 +458,14 @@ class FunctionalConv:
             out_local = local[:, None] * groups + np.arange(groups)[None, :]
             live = out_local < n_out          # (n_arrays, groups)
             ol = np.minimum(out_local, n_out - 1)
+            # Window and filter bytes per (array, group, lane, tap): the
+            # window depends on the output position, the filter on the
+            # output channel; dead groups stage zeros.
+            ivals = windows[img[:, None], ol // m]
+            fvals = filters[ol % m]
+            ivals[~live] = 0
+            fvals[~live] = 0
+            array_lanes = groups * lanes
         else:
             # Array ``local`` holds slot ``local % span`` (channel columns
             # [slot*cols, slot*cols + cols)) of output ``local // span``.
@@ -377,39 +473,12 @@ class FunctionalConv:
             slot = local % span
             ol = (local // span)[:, None]     # (n_arrays, 1), groups == 1
             live = np.broadcast_to(slot[:, None] == 0, ol.shape)
-        out_i = ol // (f * m)
-        out_j = (ol // m) % f
-        out_m = ol % m
-
-        # Filter bytes and window bytes per (array, group, lane, tap),
-        # gathered and staged in uint8 end-to-end — the batched fleet's
-        # temporaries are the batch's actual bytes, not int64 copies.
-        if span == 1:
-            fvals = np.where(valid[:, :, None, None], fgather[:, :, out_m],
-                             np.uint8(0))
-            fvals = fvals.transpose(2, 3, 0, 1)  # (arrays, groups, lanes, taps)
-            fvals[~live] = 0
-            row_idx = out_i[:, :, None, None] * stride + rr[None, None, :, :]
-            col_idx = out_j[:, :, None, None] * stride + ss[None, None, :, :]
-            ivals = padded[img[:, None, None, None], row_idx, col_idx,
-                           cc[None, None, :, :]]
-            ivals = np.where(valid[None, None, :, :], ivals, np.uint8(0))
-            ivals[~live] = 0
-            array_lanes = groups * lanes
-        else:
             # Per-array lane window of the spanning group: slot k of the
-            # group maps the gather tables' rows [k*cols, (k+1)*cols).
+            # group maps the tables' lanes [k*cols, (k+1)*cols).
             lane_idx = slot[:, None] * cols + np.arange(cols)[None, :]
-            fvals = np.where(valid[lane_idx],
-                             fgather[lane_idx, :, out_m], np.uint8(0))
-            row_idx = out_i[:, :, None] * stride + rr[lane_idx]
-            col_idx = out_j[:, :, None] * stride + ss[lane_idx]
-            ivals = padded[img[:, None, None], row_idx, col_idx,
-                           cc[lane_idx]]
-            ivals = np.where(valid[lane_idx], ivals, np.uint8(0))
-            fvals = fvals[:, None]            # (n_arrays, 1, cols, taps)
-            ivals = ivals[:, None]
-            array_lanes = cols
+            ivals = windows[img[:, None], ol // m, lane_idx][:, None]
+            fvals = filters[ol % m, lane_idx][:, None]
+            array_lanes = cols                # (n_arrays, 1, cols, taps)
 
         def planes(vals: np.ndarray) -> np.ndarray:
             """(n_arrays, groups, lanes, taps) -> (n_arrays, taps, cols)."""
@@ -421,10 +490,23 @@ class FunctionalConv:
                 full = widened
             return full
 
-        filter_plane = planes(fvals)
-        input_plane = planes(ivals)
-        nb = self.mapping.element_bits
-        _check_narrowed(self.name, nb, filter_plane, input_plane)
+        return planes(fvals), planes(ivals), img, ol, live
+
+    def _run_fleet_chunk(self, windows: np.ndarray, a0: int, a1: int,
+                         arrays_per_image: int, cols: int, lanes: int,
+                         groups: int, raw: np.ndarray,
+                         xsum: np.ndarray) -> None:
+        """One bounded fleet: arrays ``[a0, a1)`` of the global
+        batch-by-arrays axis, one array per pass. Results land in the
+        ``(batch, n_out)`` ``raw``/``xsum`` accumulators."""
+        mapping = self.mapping
+        taps = self.plan.taps
+        packed = mapping.pack_factor > 1
+        n_arrays = a1 - a0
+        span = mapping.arrays_per_conv
+        filter_plane, input_plane, img, ol, live = self._stage_chunk(
+            windows, a0, a1, arrays_per_image, cols, lanes, groups)
+        nb = mapping.element_bits
 
         # -- row regions (Fig. 10a, with the input-sum for corrections).
         # Packed 1x1 filters have no input reuse and stream one input
@@ -515,21 +597,6 @@ class FunctionalConv:
         raw[img_of[live], ol[live]] = raw_bits[:, head][live]
         xsum[img_of[live], ol[live]] = sum_bits[:, head][live]
 
-    def _padded_batch(self, data: np.ndarray, zero_point: int) -> np.ndarray:
-        """'same'-pad a ``(batch, H, W, C)`` stack with the input zero
-        point (zero contribution)."""
-        if self.conv.padding == "same":
-            top, bottom = same_padding_offsets(data.shape[1],
-                                               self.conv.kernel[0],
-                                               self.conv.stride)
-            left, right = same_padding_offsets(data.shape[2],
-                                               self.conv.kernel[1],
-                                               self.conv.stride)
-            data = np.pad(data,
-                          ((0, 0), (top, bottom), (left, right), (0, 0)),
-                          constant_values=zero_point)
-        return data
-
     # ------------------------------------------------------------------
     # Stage 2: corrections + ReLU + requantization (Sec. IV-D)
     # ------------------------------------------------------------------
@@ -560,7 +627,7 @@ class FunctionalConv:
             raise SimulationError(
                 "input sums exceed the 16-bit correction multiply")
 
-        sum_w = weights.filters.data.astype(np.int64).sum(axis=(0, 1, 2))
+        sum_w = self.staging.filter_sums
         # Net constant per output: N*zpx*zpw - zpx*sum_w[m] (may be < 0).
         e, f, _ = conv.output_shape(self.input_shape)
         const = n_taps * zpx * zpw - zpx * sum_w  # per filter m
@@ -1080,11 +1147,15 @@ class FunctionalExecutor:
     adjacent regions of the reserved way) and happens on the host, exactly
     as the architecture leaves it to the output-management machinery.
 
-    Layer engines (and therefore every layer's mapping plan) are built on
-    first use and reused across :meth:`run`/:meth:`run_batch` calls — the
-    filters stay resident across a batch, exactly as the architecture
-    amortises filter loading (Sec. IV-E). Per-run state (the cycle
-    reports) is reset at the start of each run, so
+    Layer engines are built on first use and reused across
+    :meth:`run`/:meth:`run_batch` calls. Each conv compiles its
+    :class:`ConvStaging` (mapping, lane plan, window and filter tables)
+    once into ``stagings``, node name -> staging; pass the same dict to
+    every executor of one network and weights and the filters stay
+    resident across batches, exactly as the architecture amortises
+    filter loading (Sec. IV-E). A batch then only pads its inputs and
+    gathers their windows with one ``take`` per layer. Per-run state
+    (the cycle reports) is reset at the start of each run, so
     ``reports``/:meth:`total_report` always describe the most recent
     run — one image for :meth:`run`, the whole batch for
     :meth:`run_batch`.
@@ -1095,7 +1166,8 @@ class FunctionalExecutor:
                  packed: bool = False,
                  sparsity: bool = False,
                  sanitize: bool | None = None,
-                 precision=None):
+                 precision=None,
+                 stagings: dict | None = None):
         from repro.nn.layers import (
             Add,
             BatchNorm,
@@ -1122,6 +1194,9 @@ class FunctionalExecutor:
         self.reports: dict[str, CycleReport] = {}
         #: Node name -> layer engine, planned once and reused per image.
         self._engines: dict[str, object] = {}
+        #: Node name -> compiled conv staging. Only ever added to, and its
+        #: values are immutable, so executors may share it.
+        self.stagings = stagings if stagings is not None else {}
         self._concat_type = Concat
         self._bn_type = BatchNorm
         self._fc_type = FullyConnected
@@ -1204,13 +1279,16 @@ class FunctionalExecutor:
             shape = (1, 1, int(np.prod(shape)))
         element_bits = (self.precision.bits_for(node.name)
                         if self.precision is not None else None)
-        return FunctionalConv(conv, shape,
-                              self.weights.for_node(node.name),
-                              self.config, name=node.name,
-                              output_params=activation,
-                              packed=self.packed, sparsity=self.sparsity,
-                              sanitize=self.sanitize,
-                              element_bits=element_bits)
+        engine = FunctionalConv(conv, shape,
+                                self.weights.for_node(node.name),
+                                self.config, name=node.name,
+                                output_params=activation,
+                                packed=self.packed, sparsity=self.sparsity,
+                                sanitize=self.sanitize,
+                                element_bits=element_bits,
+                                staging=self.stagings.get(node.name))
+        self.stagings.setdefault(node.name, engine.staging)
+        return engine
 
     def _run_node(self, node, inputs):
         """Run one node for the whole batch; ``inputs`` are per-branch
@@ -1245,24 +1323,24 @@ class FunctionalExecutor:
         return total
 
 
-def _check_narrowed(name: str, nb: int, filter_plane: np.ndarray,
-                    input_plane: np.ndarray) -> None:
+def _check_narrowed(name: str, nb: int, what: str,
+                    values: np.ndarray) -> None:
     """Narrowed layers must actually fit their elements in ``nb`` bits.
 
     Precision narrowing only drops the serial passes over the high
     planes; it is exact *only* when those planes are zero for every
     staged value, so an operand outside ``[0, 2**nb)`` is a hard error,
-    not silent truncation.
+    not silent truncation. Filters are checked once, when the layer's
+    staging compiles; inputs on every batch.
     """
     if nb >= 8:
         return
     limit = 1 << nb
-    f_max = int(filter_plane.max(initial=0))
-    x_max = int(input_plane.max(initial=0))
-    if f_max >= limit or x_max >= limit:
+    peak = int(values.max(initial=0))
+    if peak >= limit:
         raise SimulationError(
-            f"layer {name!r} narrows elements to {nb} bits but staged "
-            f"operands reach {max(f_max, x_max)} (>= {limit}); narrowed "
+            f"layer {name!r} narrows elements to {nb} bits but its staged "
+            f"{what} operands reach {peak} (>= {limit}); narrowed "
             f"execution would truncate them")
 
 

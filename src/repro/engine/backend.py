@@ -20,6 +20,7 @@ resolves engines by name.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -235,6 +236,42 @@ class Backend(Protocol):
         ...  # pragma: no cover - protocol signature
 
 
+class IdentityLRU:
+    """A bounded most-recently-used cache keyed by object identity.
+
+    Each entry holds its key objects, so their ``id()`` cannot be reused
+    while the entry lives, and a hit also checks identity (``is``). The
+    bookkeeping runs under a lock, so one cache may serve several
+    threads; ``build`` runs under it too, so a key is built once.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries: dict[tuple[int, ...], tuple] = {}
+        self._lock = threading.Lock()
+
+    def get(self, keys: tuple, build):
+        """The value cached for ``keys``, built by ``build()`` on a miss."""
+        ident = tuple(id(key) for key in keys)
+        with self._lock:
+            entry = self._entries.pop(ident, None)
+            if entry is None or any(a is not b
+                                    for a, b in zip(entry[0], keys)):
+                entry = (keys, build())
+            self._entries[ident] = entry    # re-insert = most recent
+            while len(self._entries) > self.size:
+                self._entries.pop(next(iter(self._entries)))
+        return entry[1]
+
+    def keys(self) -> list[tuple]:
+        """The cached key tuples, least recently used first."""
+        with self._lock:
+            return [entry[0] for entry in self._entries.values()]
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class AnalyticBackend:
     """The paper's deterministic model behind the Backend protocol.
 
@@ -251,18 +288,12 @@ class AnalyticBackend:
 
     def __init__(self, config: NeuralCacheConfig | None = None):
         self.config = config if config is not None else NeuralCacheConfig()
-        self._simulators: dict[int, tuple[Network, NeuralCacheSimulator]] = {}
+        self._simulators = IdentityLRU(self.CACHE_SIZE)
 
     def simulator(self, network: Network) -> NeuralCacheSimulator:
         """The cached simulator for ``network`` (engine-specific surface)."""
-        key = id(network)
-        entry = self._simulators.pop(key, None)
-        if entry is None or entry[0] is not network:
-            entry = (network, NeuralCacheSimulator(network, self.config))
-        self._simulators[key] = entry       # re-insert = most recent
-        while len(self._simulators) > self.CACHE_SIZE:
-            self._simulators.pop(next(iter(self._simulators)))
-        return entry[1]
+        return self._simulators.get(
+            (network,), lambda: NeuralCacheSimulator(network, self.config))
 
     def run(self, network: Network, batch_size: int = 1) -> BackendResult:
         check_batch_size(batch_size, self.name)
@@ -311,9 +342,20 @@ class FleetExecutor:
     Weights default to :func:`repro.nn.reference.initialise_weights` with
     a fixed seed; inputs are deterministic pseudo-random activations, so
     two runs of the same backend agree exactly.
+
+    The backend is weight-stationary across calls: each conv layer's
+    compiled :class:`~repro.core.functional.ConvStaging` (mapping, lane
+    plan, window and filter tables) is kept per network and weights in a
+    bounded LRU, built on the first :meth:`run_requests` that needs it.
+    Only immutable staging is cached; every call still builds its own
+    engines and cycle reports, so one backend may serve several threads.
+    The cache is keyed by object identity, so a network or weights
+    object must not be mutated once it has run; build a new one instead.
     """
 
     name = "fleet"
+    #: Most-recently-used (network, weights) staging sets kept alive.
+    STAGING_CACHE_SIZE = 4
 
     def __init__(self, config: NeuralCacheConfig | None = None,
                  weights=None, seed: int = 0, verify: bool = True,
@@ -334,6 +376,14 @@ class FleetExecutor:
         #: Per-layer precision table, overriding ``network.precision``.
         self.precision = precision
         self.name = "fleet-packed" if packed else "fleet"
+        #: (network, weights) -> {node name: ConvStaging}.
+        self._stagings = IdentityLRU(self.STAGING_CACHE_SIZE)
+
+    def stagings_for(self, network: Network, weights) -> dict:
+        """The conv stagings cached for ``network`` and ``weights``
+        (engine-specific surface): node name -> ConvStaging, filled as
+        each conv first runs."""
+        return self._stagings.get((network, weights), dict)
 
     def weights_for(self, network: Network):
         """The run's weights: explicit, or seeded deterministically."""
@@ -366,12 +416,15 @@ class FleetExecutor:
         """Execute an explicit image stream; per-image responses.
 
         One :class:`~repro.core.functional.FunctionalExecutor` serves the
-        whole stream, so every layer's mapping is planned exactly once per
-        batch (filters stay resident, Sec. IV-E) — not once per image.
-        With ``batched`` (the default) the whole stream additionally
-        executes as *one* fleet pass per layer, the batch folded into the
-        fleet's array axis; ``batched=False`` falls back to the per-image
-        loop, whose outputs and aggregate cycle report are identical.
+        whole stream, on the conv stagings this backend keeps for
+        ``network`` and ``weights`` (:meth:`stagings_for`): every conv
+        layer's mapping and gather tables are compiled exactly once per
+        backend (filters stay resident, Sec. IV-E) — not once per batch
+        or per image. With ``batched`` (the default) the whole stream
+        additionally executes as *one* fleet pass per layer, the batch
+        folded into the fleet's array axis; ``batched=False`` falls back
+        to the per-image loop, whose outputs and aggregate cycle report
+        are identical.
 
         The returned :class:`BatchOutcome` carries the network output of
         image ``i`` at ``responses[i]`` — this is the entry point the
@@ -390,7 +443,9 @@ class FleetExecutor:
                                       packed=self.packed,
                                       sparsity=self.sparsity,
                                       sanitize=self.sanitize,
-                                      precision=self.precision)
+                                      precision=self.precision,
+                                      stagings=self.stagings_for(network,
+                                                                 weights))
         if self.batched:
             results = executor.run_batch(images)
             responses = tuple(results[network.output_name])

@@ -57,6 +57,7 @@ from repro.engine.backend import (
     BackendResult,
     BatchOutcome,
     FleetExecutor,
+    IdentityLRU,
     ShardReport,
     check_batch_size,
     deterministic_images,
@@ -178,11 +179,11 @@ class ShardedBackend:
                                        sparsity=sparsity,
                                        sanitize=sanitize,
                                        precision=precision)
-        #: Most-recently-used resolved weights per network (same bounded
-        #: id()-keyed pattern as the analytic simulator cache). Stable
+        #: Most-recently-used resolved weights per network (the same
+        #: IdentityLRU as the analytic simulator cache). Stable
         #: weight identity across batches is what lets the persistent
         #: pool broadcast a program once and reuse it every batch.
-        self._weights_cache: dict[int, tuple[Network, object]] = {}
+        self._weights_cache = IdentityLRU(self.WEIGHTS_CACHE_SIZE)
         self._pool = None
         #: Recovery events the pool driver reported, in order. The
         #: latest batch's slice also lands on its ShardReports.
@@ -209,14 +210,8 @@ class ShardedBackend:
         """Resolved weights with stable identity across batches."""
         if self.weights is not None:
             return self.weights
-        key = id(network)
-        entry = self._weights_cache.pop(key, None)
-        if entry is None or entry[0] is not network:
-            entry = (network, self._executor.weights_for(network))
-        self._weights_cache[key] = entry    # re-insert = most recent
-        while len(self._weights_cache) > self.WEIGHTS_CACHE_SIZE:
-            self._weights_cache.pop(next(iter(self._weights_cache)))
-        return entry[1]
+        return self._weights_cache.get(
+            (network,), lambda: self._executor.weights_for(network))
 
     def _run_shards(self, network: Network, images, weights
                     ) -> tuple[list[ShardOutcome], CycleReport, int,

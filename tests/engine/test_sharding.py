@@ -245,7 +245,10 @@ class TestPlanOncePerBatch:
             lambda config, name, *a, **k: (conv_calls.append(name)
                                            or map_conv(config, name,
                                                        *a, **k)))
-        ShardedBackend(shards=2).run(tiny_net, batch_size=4)
-        # One persistent executor per shard: one plan per shard, not per
-        # image.
-        assert conv_calls == ["conv", "conv"]
+        backend = ShardedBackend(shards=2)
+        backend.run(tiny_net, batch_size=4)
+        backend.run(tiny_net, batch_size=3)
+        # The serial driver's shards share one executor and its conv
+        # staging cache: one plan for the backend, not per shard, batch
+        # or image.
+        assert conv_calls == ["conv"]
