@@ -1,7 +1,8 @@
 """Last-level cache facade: coordinates, set decoding and functional arrays.
 
 :class:`LastLevelCache` ties the static geometry to live
-:class:`~repro.sram.bitserial.BitSerialUnit` instances. Arrays are created
+:class:`~repro.sram.bitserial.BitSerialUnit` instances (one-array views
+of the fleet unit, one per touched array). Arrays are created
 lazily — a 35 MB cache has 4480 of them, and the functional executor only
 ever touches the handful a small layer maps to.
 

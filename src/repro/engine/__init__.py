@@ -10,9 +10,10 @@ This package is the "scale + speed" layer of the reproduction:
   smaller, several times faster per lockstep op); both stores sit behind
   the :class:`~repro.engine.fleet.PlaneStore` seam and
   :func:`~repro.engine.packed.make_fleet` selects one;
-* :class:`~repro.engine.bitserial.FleetBitSerialUnit` — the fleet-wide
-  port of the bit-serial operation sequences (bit-exact and cycle-exact
-  with the single-array :class:`~repro.sram.bitserial.BitSerialUnit`);
+* :class:`~repro.engine.bitserial.FleetBitSerialUnit` — the bit-serial
+  operation sequences, lockstep across every array of a store; the
+  single-array :class:`~repro.sram.bitserial.BitSerialUnit` is its
+  ``n_arrays=1`` view;
 * :mod:`repro.engine.backend` — the :class:`~repro.engine.backend.Backend`
   protocol unifying the analytic simulator and the functional fleet
   executor behind one ``run(network, batch_size)`` interface.

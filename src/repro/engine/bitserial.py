@@ -1,10 +1,9 @@
 """Fleet-wide bit-serial arithmetic: one instruction, every array at once.
 
-:class:`FleetBitSerialUnit` is the vectorized port of
-:class:`repro.sram.bitserial.BitSerialUnit`: the same operation sequences
+:class:`FleetBitSerialUnit` holds the bit-serial operation sequences
 (copy, addition per Fig. 4, predicated multiplication per Fig. 6,
 restoring division, subtraction/compare, max/min folding, ReLU, selective
-copies, in-array tree reduction per Fig. 5) driven over any
+copies, in-array tree reduction per Fig. 5) and drives them over any
 :class:`~repro.engine.fleet.PlaneStore` — the unpacked
 :class:`~repro.engine.fleet.ArrayFleet` reference or the packed
 :class:`~repro.engine.packed.PackedArrayFleet` — so every cycle executes
@@ -28,18 +27,20 @@ reports, both latches and both counters end exactly as on the
 per-primitive path, which the property tests check composite by
 composite.
 
-Cycle accounting is lockstep and bit-exact with the single-array unit:
-``self.cycles`` after any operation equals the single-array value, because
-the hardware broadcasts each instruction to the whole fleet. Property
-tests compare the two implementations on random operands and assert both
-results and cycle counts agree with :class:`repro.sram.cost.CycleCosts`
-in its ``derived`` preset.
+:class:`repro.sram.bitserial.BitSerialUnit` is the ``n_arrays=1`` view of
+this unit over one :class:`~repro.sram.array.SRAMArray`'s store, so the
+sequences exist once. Cycle accounting is lockstep: ``self.cycles`` after
+any operation equals what each member array charges when it runs alone,
+because the hardware broadcasts each instruction to the whole fleet.
+Property tests run lockstep fleets against isolated one-array units on
+random operands and assert results equal integer arithmetic and cycle
+counts equal :class:`repro.sram.cost.CycleCosts` in its ``derived``
+preset.
 
-Operands use the same transposed layout as the single-array unit: an
-:class:`Operand` names the wordline of its least-significant bit and its
-width; element ``(array, column)`` of the fleet occupies bitline ``column``
-of that array. :class:`Operand` is *defined* here and re-exported by
-:mod:`repro.sram.bitserial` for backwards compatibility.
+Operands use transposed layout: an :class:`Operand` names the wordline
+of its least-significant bit and its width; element ``(array, column)``
+of the fleet occupies bitline ``column`` of that array. :class:`Operand`
+is *defined* here and re-exported by :mod:`repro.sram.bitserial`.
 """
 
 from __future__ import annotations
@@ -629,7 +630,7 @@ class FleetBitSerialUnit:
     def multiply(self, a: Operand, b: Operand, product: Operand) -> None:
         """``product = a * b`` via predicated shift-adds (Fig. 6).
 
-        Derived cost ``n^2 + 4n - 1``, identical to the single-array unit.
+        Derived cost ``n^2 + 4n - 1`` (:meth:`CycleCosts.multiply`).
 
         Under ``sparsity``, a multiplier bit plane ``b.bit(j)`` that is
         all-zero fleet-wide skips iteration ``j``: the tag latch would be
@@ -689,10 +690,9 @@ class FleetBitSerialUnit:
                work: Operand) -> None:
         """Restoring division: ``quotient = a // b`` per bitline.
 
-        Same layout contract as the single-array unit: ``work`` provides
-        ``3n + 4`` contiguous scratch wordlines and afterwards holds
-        ``a % b`` in its first ``n + 1`` rows. Derived cost
-        ``3n^2 + 8n + 1``.
+        ``work`` provides ``3n + 4`` contiguous scratch wordlines and
+        afterwards holds ``a % b`` in its first ``n + 1`` rows. Derived
+        cost ``3n^2 + 8n + 1``.
         """
         n = a.nbits
         if b.nbits != n:

@@ -501,9 +501,10 @@ class FleetPeriphery:
     """Column peripherals (Figure 7) for every array of a fleet at once.
 
     The carry and tag latches are ``(n_arrays, cols)`` planes; the
-    combinational full-adder/XOR logic evaluates on whole planes. Mirrors
-    :class:`repro.sram.peripheral.ColumnPeriphery`, which is the
-    ``n_arrays=1`` reference implementation.
+    combinational full-adder/XOR logic evaluates on whole planes. It is
+    the one latch model: a one-array
+    :class:`~repro.sram.bitserial.BitSerialUnit` drives a periphery of
+    ``n_arrays=1``.
     :class:`repro.engine.packed.PackedFleetPeriphery` subclasses this with
     packed uint64 latches; the adder logic is shared, only latch storage
     and the rail complement differ.

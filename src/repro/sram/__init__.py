@@ -16,7 +16,6 @@ from repro.sram.layout import (
     max_conv_filter_bytes,
     reduction_layout,
 )
-from repro.sram.peripheral import ColumnPeriphery, WritebackSelect
 from repro.sram.transpose import TransposeMemoryUnit
 
 __all__ = [
@@ -24,14 +23,12 @@ __all__ = [
     "ArrayEnergyModel",
     "ArrayLayout",
     "BitSerialUnit",
-    "ColumnPeriphery",
     "CycleCosts",
     "DEFAULT_COLS",
     "DEFAULT_ROWS",
     "Operand",
     "SRAMArray",
     "TransposeMemoryUnit",
-    "WritebackSelect",
     "conv_layout",
     "max_conv_filter_bytes",
     "reduction_layout",

@@ -1,11 +1,13 @@
-"""Bit-serial arithmetic on a compute SRAM array (Sec. III of the paper).
+"""Bit-serial arithmetic on one compute SRAM array (Sec. III of the paper).
 
-:class:`BitSerialUnit` sequences the single-cycle primitives of
-:class:`~repro.sram.array.SRAMArray` and
-:class:`~repro.sram.peripheral.ColumnPeriphery` into the operations the
-paper describes: copy, addition (Fig. 4), predicated multiplication
-(Fig. 6), restoring division, subtraction/compare, max/min folding, ReLU,
-selective copies and in-array tree reduction (Fig. 5).
+:class:`BitSerialUnit` is the ``n_arrays=1`` view of
+:class:`repro.engine.bitserial.FleetBitSerialUnit`, built the way
+:class:`~repro.sram.array.SRAMArray` is a view over its plane store: it
+runs the fleet unit's sequences (copy, addition per Fig. 4, predicated
+multiplication per Fig. 6, restoring division, subtraction/compare,
+max/min folding, ReLU, selective copies and in-array tree reduction per
+Fig. 5) on the single-array store behind ``array.fleet``. Host values
+are one integer per bitline, ``(cols,)``.
 
 Operands live in *transposed* layout: an :class:`Operand` names the
 wordline of its least-significant bit and its width; element ``i`` of the
@@ -19,532 +21,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.bits import bits_to_int, int_to_bits
-from repro.common.errors import ArrayStateError, LayoutError
-from repro.engine.bitserial import Operand
+from repro.engine.bitserial import FleetBitSerialUnit, Operand
 from repro.sram.array import SRAMArray
-from repro.sram.peripheral import ColumnPeriphery
 
 __all__ = ["BitSerialUnit", "Operand"]
 
 
-class BitSerialUnit:
+class BitSerialUnit(FleetBitSerialUnit):
     """Drives one SRAM array through bit-serial compute sequences."""
 
     def __init__(self, array: SRAMArray | None = None):
         self.array = array if array is not None else SRAMArray()
-        self.periphery = ColumnPeriphery(self.array.cols)
-        self.cycles = 0
-
-    @property
-    def cols(self) -> int:
-        """Number of bitlines (parallel element slots)."""
-        return self.array.cols
-
-    @property
-    def rows(self) -> int:
-        """Number of wordlines."""
-        return self.array.rows
-
-    # ==================================================================
-    # Host-side data movement (no compute cycles; data enters via the
-    # TMU / bus models, which charge their own time)
-    # ==================================================================
-    def write_values(self, op: Operand, values: np.ndarray | int) -> None:
-        """Store one integer per bitline into ``op`` (host/TMU path)."""
-        if np.isscalar(values):
-            values = np.full(self.cols, int(values), dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
-        if values.shape != (self.cols,):
-            raise ArrayStateError(
-                f"expected {self.cols} values (one per bitline), got shape "
-                f"{values.shape}")
-        self.array.load_bits(op.row, int_to_bits(values, op.nbits))
+        super().__init__(self.array.fleet)
 
     def read_values(self, op: Operand) -> np.ndarray:
         """Read back one integer per bitline from ``op`` (host/TMU path)."""
-        return bits_to_int(self.array.dump_bits(op.row, op.nbits))
-
-    # ==================================================================
-    # Single-cycle primitives
-    # ==================================================================
-    def _cycle_copy_row(self, src_row: int, dst_row: int,
-                        predicated: bool = False, invert: bool = False,
-                        shift: int = 0) -> None:
-        """One move cycle: sense ``src_row`` (BL rail, or BLB when
-        ``invert``), optionally shift across bitlines through the column
-        mux, and write ``dst_row``."""
-        bl, blb = self.array.sense_single(src_row)
-        bits = blb if invert else bl
-        if shift:
-            bits = self._shift_columns(bits, shift)
-        self.array.write_back(dst_row, bits,
-                              mask=self.periphery.write_mask(predicated))
-        self.cycles += 1
-
-    def _cycle_add_bit(self, row_a: int, row_b: int, dst_row: int,
-                       predicated: bool = False) -> None:
-        """One full-adder cycle: sense rows A and B, add with the carry
-        latch, write the sum to ``dst_row`` (``dst_row`` may equal
-        ``row_b`` for in-place accumulation, as in Fig. 6)."""
-        bl, blb = self.array.sense(row_a, row_b)
-        total, _ = self.periphery.full_add(bl, blb)
-        self.array.write_back(dst_row, total,
-                              mask=self.periphery.write_mask(predicated))
-        self.cycles += 1
-
-    def _cycle_half_add_bit(self, row_a: int, dst_row: int,
-                            const_bit: int = 0,
-                            predicated: bool = False) -> None:
-        """One adder cycle with a constant second operand (0 or 1)."""
-        bl, blb = self.array.sense_single(row_a)
-        if const_bit:
-            a_and_b, a_xor_b = bl, blb       # B = 1: A&B = A, A^B = ~A
-        else:
-            a_and_b = np.zeros(self.cols, dtype=np.uint8)
-            a_xor_b = bl                      # B = 0: A&B = 0, A^B = A
-        total = a_xor_b ^ self.periphery.carry
-        carry_out = (a_and_b | (a_xor_b & self.periphery.carry)).astype(np.uint8)
-        self.periphery.carry[:] = carry_out
-        self.array.write_back(dst_row, total,
-                              mask=self.periphery.write_mask(predicated))
-        self.cycles += 1
-
-    def _cycle_write_const(self, row: int, bit: int,
-                           predicated: bool = False) -> None:
-        """One cycle writing a constant bit to a whole wordline."""
-        bits = np.full(self.cols, bit, dtype=np.uint8)
-        self.array.write_back(row, bits,
-                              mask=self.periphery.write_mask(predicated))
-        self.array.compute_cycles += 1
-        self.cycles += 1
-
-    def _cycle_store_carry(self, dst_row: int, predicated: bool = False) -> None:
-        """One cycle writing the carry latches to a wordline."""
-        self.array.write_back(dst_row, self.periphery.carry.copy(),
-                              mask=self.periphery.write_mask(predicated))
-        self.array.compute_cycles += 1
-        self.cycles += 1
-
-    def _cycle_store_tag(self, dst_row: int) -> None:
-        """One cycle writing the tag latches to a wordline."""
-        self.array.write_back(dst_row, self.periphery.tag.copy())
-        self.array.compute_cycles += 1
-        self.cycles += 1
-
-    def load_tag(self, row: int, invert: bool = False) -> None:
-        """Latch a wordline into the tag latches (1 cycle)."""
-        bl, blb = self.array.sense_single(row)
-        self.periphery.load_tag(blb if invert else bl)
-        self.cycles += 1
-
-    def set_tag_all(self) -> None:
-        """Re-enable all write drivers (free: happens at instruction issue)."""
-        self.periphery.set_tag_all()
-
-    def _shift_columns(self, bits: np.ndarray, shift: int) -> np.ndarray:
-        """Move bits ``shift`` bitlines to the left (toward column 0),
-        zero-filling at the right edge. Models the column-mux /
-        sense-amp-cycling moves of Sec. III-D."""
-        if shift <= 0:
-            raise ArrayStateError(f"column shift must be positive, got {shift}")
-        shifted = np.zeros_like(bits)
-        shifted[:-shift] = bits[shift:]
-        return shifted
-
-    # ==================================================================
-    # Composite operations (costs mirror CycleCosts.derived)
-    # ==================================================================
-    def zero(self, op: Operand, predicated: bool = False) -> None:
-        """Bulk-zero an operand region: ``nbits`` cycles."""
-        for b in range(op.nbits):
-            self._cycle_write_const(op.bit(b), 0, predicated)
-
-    def write_scalar(self, op: Operand, value: int) -> None:
-        """Broadcast an immediate to every bitline: ``nbits`` cycles.
-
-        Used for the quantization scalars the CPU sends back (Sec. IV-D).
-        """
-        if value < 0:
-            raise ArrayStateError(
-                "broadcast immediates must be non-negative; use two's "
-                "complement encoding for signed scalars")
-        for b in range(op.nbits):
-            self._cycle_write_const(op.bit(b), (value >> b) & 1)
-
-    def copy(self, src: Operand, dst: Operand, predicated: bool = False) -> None:
-        """Copy ``src`` to ``dst`` (``src.nbits`` cycles)."""
-        self._check_width(src, dst)
-        for b in range(src.nbits):
-            self._cycle_copy_row(src.bit(b), dst.bit(b), predicated)
-
-    def complement_copy(self, src: Operand, dst: Operand,
-                        predicated: bool = False) -> None:
-        """Copy the bitwise complement of ``src`` (via the BLB rail)."""
-        self._check_width(src, dst)
-        for b in range(src.nbits):
-            self._cycle_copy_row(src.bit(b), dst.bit(b), predicated,
-                                 invert=True)
-
-    def shift_copy(self, src: Operand, dst: Operand, column_shift: int) -> None:
-        """Copy ``src`` while moving every element ``column_shift`` bitlines
-        left (the inter-bitline move used by reductions)."""
-        self._check_width(src, dst)
-        for b in range(src.nbits):
-            self._cycle_copy_row(src.bit(b), dst.bit(b), shift=column_shift)
-
-    def add(self, a: Operand, b: Operand, dst: Operand,
-            predicated: bool = False) -> None:
-        """``dst = a + b`` (Fig. 4): ``n`` adder cycles + 1 carry store.
-
-        ``a`` and ``b`` must be the same width ``n``; ``dst`` must be
-        ``n + 1`` bits so the final carry has a home.
-        """
-        if a.nbits != b.nbits:
-            raise LayoutError(
-                f"addition operands must match: {a.nbits} vs {b.nbits} bits")
-        if dst.nbits != a.nbits + 1:
-            raise LayoutError(
-                f"addition destination must be {a.nbits + 1} bits, got "
-                f"{dst.nbits}")
-        self.periphery.clear_carry()
-        for k in range(a.nbits):
-            self._cycle_add_bit(a.bit(k), b.bit(k), dst.bit(k), predicated)
-        self._cycle_store_carry(dst.bit(a.nbits), predicated)
-
-    def add_into(self, src: Operand, acc: Operand,
-                 predicated: bool = False) -> None:
-        """``acc += src`` where ``acc`` is wider than ``src``: ``acc.nbits``
-        cycles (full adds over ``src``, then carry ripple through the rest).
-
-        The accumulator must be sized so the addition cannot overflow; the
-        mapper guarantees this (3-byte partial sums, 4-byte reductions).
-        """
-        if src.nbits > acc.nbits:
-            raise LayoutError(
-                f"accumulator ({acc.nbits} bits) narrower than source "
-                f"({src.nbits} bits)")
-        self.periphery.clear_carry()
-        for k in range(src.nbits):
-            self._cycle_add_bit(src.bit(k), acc.bit(k), acc.bit(k), predicated)
-        for k in range(src.nbits, acc.nbits):
-            self._cycle_half_add_bit(acc.bit(k), acc.bit(k), 0, predicated)
-
-    def sub(self, a: Operand, b: Operand, dst: Operand,
-            scratch: Operand) -> None:
-        """``dst[0:n] = a - b`` (mod ``2^n``), ``dst[n]`` = not-borrow.
-
-        ``2n + 1`` cycles: complement-copy ``b`` into ``scratch`` (the BLB
-        rail supplies the inversion), add with carry-in 1, store the final
-        carry. A not-borrow of 1 means ``a >= b``.
-        """
-        if a.nbits != b.nbits:
-            raise LayoutError(
-                f"subtraction operands must match: {a.nbits} vs {b.nbits} bits")
-        if dst.nbits != a.nbits + 1:
-            raise LayoutError(
-                f"subtraction destination must be {a.nbits + 1} bits "
-                f"(difference + not-borrow), got {dst.nbits}")
-        if scratch.nbits < b.nbits:
-            raise LayoutError(
-                f"subtraction scratch must hold {b.nbits} bits, got "
-                f"{scratch.nbits}")
-        self.complement_copy(b, Operand(scratch.row, b.nbits))
-        self.periphery.set_carry()
-        for k in range(a.nbits):
-            self._cycle_add_bit(a.bit(k), scratch.row + k, dst.bit(k))
-        self._cycle_store_carry(dst.bit(a.nbits))
-
-    def sub_into(self, acc: Operand, b: Operand, scratch: Operand) -> None:
-        """``acc -= b`` modulo ``2**acc.nbits`` (two's complement in place).
-
-        ``2n`` cycles: complement-copy ``b`` into ``scratch``, then add it
-        with carry-in 1. No borrow flag is produced — callers that need the
-        comparison use :meth:`sub`.
-        """
-        if b.nbits != acc.nbits:
-            raise LayoutError(
-                f"sub_into operands must match: {acc.nbits} vs {b.nbits} "
-                f"bits")
-        if scratch.nbits < b.nbits:
-            raise LayoutError(
-                f"sub_into scratch must hold {b.nbits} bits, got "
-                f"{scratch.nbits}")
-        self.complement_copy(b, Operand(scratch.row, b.nbits))
-        self.periphery.set_carry()
-        for k in range(acc.nbits):
-            self._cycle_add_bit(acc.bit(k), scratch.row + k, acc.bit(k))
-
-    def multiply(self, a: Operand, b: Operand, product: Operand) -> None:
-        """``product = a * b`` via predicated shift-adds (Fig. 6).
-
-        ``a`` (multiplicand) and ``b`` (multiplier) are ``n`` bits each;
-        ``product`` must be ``2n`` bits. Derived cost ``n^2 + 4n - 1``:
-        zero the product (``2n``), then for each multiplier bit load the
-        tag (1) and either predicated-copy the multiplicand (first bit,
-        ``n``) or predicated-add it at the right offset (``n`` adds plus a
-        predicated carry store).
-        """
-        n = a.nbits
-        if b.nbits != n:
-            raise LayoutError(
-                f"multiplication operands must match: {n} vs {b.nbits} bits")
-        if product.nbits != 2 * n:
-            raise LayoutError(
-                f"product must be {2 * n} bits, got {product.nbits}")
-        for operand in (a, b):
-            if operand.overlaps(product):
-                raise LayoutError("product region overlaps an input operand")
-        self.zero(product)
-        for j in range(n):
-            self.load_tag(b.bit(j))
-            if j == 0:
-                for k in range(n):
-                    self._cycle_copy_row(a.bit(k), product.bit(k),
-                                         predicated=True)
-            else:
-                self.periphery.clear_carry()
-                for k in range(n):
-                    self._cycle_add_bit(a.bit(k), product.bit(j + k),
-                                        product.bit(j + k), predicated=True)
-                self._cycle_store_carry(product.bit(j + n), predicated=True)
-        self.set_tag_all()
-
-    def mac(self, a: Operand, b: Operand, product_scratch: Operand,
-            acc: Operand) -> None:
-        """Multiply-accumulate: ``acc += a * b``.
-
-        Derived cost ``multiply(n) + acc.nbits`` (Sec. IV-A: 2-byte
-        scratchpad for the product, 3-byte partial sum).
-        """
-        self.multiply(a, b, product_scratch)
-        self.add_into(product_scratch, acc)
-
-    def divide(self, a: Operand, b: Operand, quotient: Operand,
-               work: Operand) -> None:
-        """Restoring division: ``quotient = a // b`` per bitline.
-
-        ``work`` provides ``3n + 4`` contiguous scratch wordlines: the
-        remainder (``n + 1``), the trial difference (``n + 2``) and the
-        complemented divisor (``n``). After the call the remainder region
-        (first ``n + 1`` work rows) holds ``a % b``. Columns where
-        ``b == 0`` produce all-ones quotients (hardware would flag these;
-        the mapper never divides by zero — AvgPool divisors are window
-        sizes). Derived cost ``3n^2 + 8n + 1``.
-        """
-        n = a.nbits
-        if b.nbits != n:
-            raise LayoutError(
-                f"division operands must match: {n} vs {b.nbits} bits")
-        if quotient.nbits != n:
-            raise LayoutError(f"quotient must be {n} bits, got {quotient.nbits}")
-        if work.nbits < 3 * n + 4:
-            raise LayoutError(
-                f"division scratch needs {3 * n + 4} rows, got {work.nbits}")
-        remainder = Operand(work.row, n + 1)
-        diff = Operand(remainder.end, n + 2)
-        comp_b = Operand(diff.end, n)
-
-        self.zero(remainder)
-        self.complement_copy(b, comp_b)
-        for i in range(n - 1, -1, -1):
-            # Shift the remainder up one bit (top to bottom so rows survive).
-            for k in range(n - 1, -1, -1):
-                self._cycle_copy_row(remainder.bit(k), remainder.bit(k + 1))
-            self._cycle_copy_row(a.bit(i), remainder.bit(0))
-            # Trial subtraction: diff = remainder - b (divisor zero-extended).
-            self.periphery.set_carry()
-            for k in range(n):
-                self._cycle_add_bit(remainder.bit(k), comp_b.bit(k),
-                                    diff.bit(k))
-            self._cycle_half_add_bit(remainder.bit(n), diff.bit(n),
-                                     const_bit=1)
-            self._cycle_store_carry(diff.bit(n + 1))
-            # Commit the difference where it did not borrow.
-            self.load_tag(diff.bit(n + 1))
-            for k in range(n + 1):
-                self._cycle_copy_row(diff.bit(k), remainder.bit(k),
-                                     predicated=True)
-            self._cycle_store_tag(quotient.bit(i))
-        self.set_tag_all()
-
-    def compare_ge(self, a: Operand, b: Operand, dst: Operand,
-                   scratch: Operand) -> None:
-        """Write ``a >= b`` (one bit per column) to ``dst``'s first row.
-
-        Implemented as a subtraction whose not-borrow lands in ``dst``.
-        """
-        if dst.nbits < 1:
-            raise LayoutError("comparison needs one destination row")
-        diff = Operand(scratch.row, a.nbits + 1)
-        tail = Operand(diff.end, scratch.nbits - (a.nbits + 1))
-        self.sub(a, b, diff, tail)
-        self._cycle_copy_row(diff.bit(a.nbits), dst.bit(0))
-
-    def max_update(self, current: Operand, candidate: Operand,
-                   scratch: Operand) -> None:
-        """Fold ``candidate`` into a running ``current = max(current, candidate)``.
-
-        ``scratch`` needs ``2n + 1`` rows (difference + not-borrow +
-        complement). Derived cost ``sub(n) + 1 + n``.
-        """
-        n = current.nbits
-        if candidate.nbits != n:
-            raise LayoutError(
-                f"max operands must match: {n} vs {candidate.nbits} bits")
-        if scratch.nbits < 2 * n + 1:
-            raise LayoutError(
-                f"max scratch needs {2 * n + 1} rows, got {scratch.nbits}")
-        diff = Operand(scratch.row, n + 1)
-        comp = Operand(diff.end, n)
-        self.sub(candidate, current, diff, comp)
-        self.load_tag(diff.bit(n))            # tag = (candidate >= current)
-        self.copy(candidate, current, predicated=True)
-        self.set_tag_all()
-
-    def min_update(self, current: Operand, candidate: Operand,
-                   scratch: Operand) -> None:
-        """Fold ``candidate`` into a running minimum (tag inverted)."""
-        n = current.nbits
-        if candidate.nbits != n:
-            raise LayoutError(
-                f"min operands must match: {n} vs {candidate.nbits} bits")
-        if scratch.nbits < 2 * n + 1:
-            raise LayoutError(
-                f"min scratch needs {2 * n + 1} rows, got {scratch.nbits}")
-        diff = Operand(scratch.row, n + 1)
-        comp = Operand(diff.end, n)
-        self.sub(candidate, current, diff, comp)
-        self.load_tag(diff.bit(n), invert=True)  # tag = (candidate < current)
-        self.copy(candidate, current, predicated=True)
-        self.set_tag_all()
-
-    def relu(self, op: Operand, sign_row: int) -> None:
-        """Zero every element whose sign bit is set (Sec. IV-D ReLU).
-
-        ``1 + n`` cycles: load the tag from ``sign_row`` (1 means negative),
-        then predicated-write zeros over the operand.
-        """
-        self.load_tag(sign_row)
-        self.zero(op, predicated=True)
-        self.set_tag_all()
-
-    def selective_copy(self, src: Operand, dst: Operand, tag_row: int,
-                       invert: bool = False) -> None:
-        """Copy ``src`` to ``dst`` only where ``tag_row`` enables it."""
-        self.load_tag(tag_row, invert=invert)
-        self.copy(src, dst, predicated=True)
-        self.set_tag_all()
-
-    # ==================================================================
-    # Compute Cache heritage ops (Sec. II-B): bit-parallel logicals,
-    # equality comparison and search. These need no bit-line interaction,
-    # so they run one cycle per wordline pair.
-    # ==================================================================
-    def logical_and(self, a: Operand, b: Operand, dst: Operand) -> None:
-        """``dst = a AND b`` straight off the BL rail: ``n`` cycles."""
-        self._check_width(a, b)
-        self._check_width(a, dst)
-        for k in range(a.nbits):
-            bl, _ = self.array.sense(a.bit(k), b.bit(k))
-            self.array.write_back(dst.bit(k), bl)
-            self.cycles += 1
-
-    def logical_nor(self, a: Operand, b: Operand, dst: Operand) -> None:
-        """``dst = a NOR b`` straight off the BLB rail: ``n`` cycles."""
-        self._check_width(a, b)
-        self._check_width(a, dst)
-        for k in range(a.nbits):
-            _, blb = self.array.sense(a.bit(k), b.bit(k))
-            self.array.write_back(dst.bit(k), blb)
-            self.cycles += 1
-
-    def logical_or(self, a: Operand, b: Operand, dst: Operand) -> None:
-        """``dst = a OR b`` (NOR then a complement write-back): ``2n``."""
-        self.logical_nor(a, b, dst)
-        self.complement_copy(dst, dst)
-
-    def logical_xor(self, a: Operand, b: Operand, dst: Operand) -> None:
-        """``dst = a XOR b`` via the two rails and the NOR gate of
-        Fig. 7: ``n`` cycles."""
-        self._check_width(a, b)
-        self._check_width(a, dst)
-        for k in range(a.nbits):
-            bl, blb = self.array.sense(a.bit(k), b.bit(k))
-            self.array.write_back(dst.bit(k),
-                                  self.periphery.xor_from_rails(bl, blb))
-            self.cycles += 1
-
-    def equality_compare(self, a: Operand, b: Operand,
-                         dst_row: int) -> None:
-        """Per-column ``a == b`` flag into ``dst_row``: ``n + 1`` cycles.
-
-        XOR bits accumulate into the tag as a running NEQ flag (the tag
-        latch ANDs successive enables), then the inverted tag is stored.
-        """
-        self._check_width(a, b)
-        neq = np.zeros(self.cols, dtype=np.uint8)
-        for k in range(a.nbits):
-            bl, blb = self.array.sense(a.bit(k), b.bit(k))
-            neq |= self.periphery.xor_from_rails(bl, blb)
-            self.cycles += 1
-        self.periphery.load_tag(neq, invert=True)
-        self._cycle_store_tag(dst_row)
-
-    def search(self, haystack: Operand, key: int, dst_row: int) -> None:
-        """Flag columns whose value equals ``key``: ``n + 1`` cycles.
-
-        The key is driven on the wordline pair selects (no second operand
-        row needed): matching bits are read directly or complemented via
-        the BLB rail according to the key's bits.
-        """
-        if key < 0 or key >= (1 << haystack.nbits):
-            raise ArrayStateError(
-                f"search key {key} does not fit {haystack.nbits} bits")
-        mismatch = np.zeros(self.cols, dtype=np.uint8)
-        for k in range(haystack.nbits):
-            bl, blb = self.array.sense_single(haystack.bit(k))
-            want_one = (key >> k) & 1
-            mismatch |= blb if want_one else bl
-            self.cycles += 1
-        self.periphery.load_tag(mismatch, invert=True)
-        self._cycle_store_tag(dst_row)
-
-    def reduce_tree(self, base: Operand, segment: Operand, elements: int,
-                    width: int) -> None:
-        """Sum groups of ``elements`` adjacent bitlines (Fig. 5).
-
-        ``base`` holds the partial sums (``width`` bits live, but the region
-        must be wide enough for the final ``width + log2(elements)`` bits).
-        ``segment`` is the second 4-byte reduction segment of Fig. 10(b).
-        After the call, the total for each group of ``elements`` columns
-        sits on the group's first bitline; other bitlines hold garbage.
-
-        Cost per step ``s``: move ``width + s`` rows + add ``width + s + 1``.
-        """
-        if elements <= 0 or elements & (elements - 1):
-            raise LayoutError(
-                f"reduction element count must be a power of two, got "
-                f"{elements}")
-        steps = elements.bit_length() - 1
-        final_bits = width + steps
-        if base.nbits < final_bits:
-            raise LayoutError(
-                f"reduction base needs {final_bits} rows, got {base.nbits}")
-        if segment.nbits < final_bits:
-            raise LayoutError(
-                f"reduction segment needs {final_bits} rows, got "
-                f"{segment.nbits}")
-        for step in range(steps):
-            bits = width + step
-            stride = 1 << step
-            self.shift_copy(Operand(base.row, bits),
-                            Operand(segment.row, bits), stride)
-            self.add(Operand(base.row, bits), Operand(segment.row, bits),
-                     Operand(base.row, bits + 1))
-
-    # ------------------------------------------------------------------
-    def _check_width(self, src: Operand, dst: Operand) -> None:
-        if src.nbits != dst.nbits:
-            raise LayoutError(
-                f"operand widths must match: {src.nbits} vs {dst.nbits} bits")
+        return super().read_values(op)[0]

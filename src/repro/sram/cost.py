@@ -4,8 +4,9 @@ Two presets exist (see DESIGN.md section 5):
 
 * :meth:`CycleCosts.derived` — closed forms that exactly match the cycle
   counts of the algorithms implemented in
-  :class:`repro.sram.bitserial.BitSerialUnit`. Tests assert functional
-  execution and these formulas agree bit-for-bit.
+  :class:`repro.engine.bitserial.FleetBitSerialUnit` (and so in its
+  one-array view :class:`repro.sram.bitserial.BitSerialUnit`). Tests
+  assert functional execution and these formulas agree bit-for-bit.
 * :meth:`CycleCosts.paper` — the formulas the paper states (Sec. III:
   addition ``n+1``, multiplication ``n^2+5n-2``, division ``1.5n^2+5.5n``)
   plus the two constants its Sec. VI-A worked example implies (236 cycles
@@ -135,8 +136,8 @@ class CycleCosts:
         """Predicated shift-add multiplication of two ``nbits`` operands.
 
         Paper formula: ``n^2 + 5n - 2``. Derived formula (the algorithm in
-        :meth:`BitSerialUnit.multiply`): ``n^2 + 4n - 1`` — the product region
-        is zeroed (``2n``), the first multiplier bit does a tag load plus
+        :meth:`FleetBitSerialUnit.multiply`): ``n^2 + 4n - 1`` — the product
+        region is zeroed (``2n``), the first multiplier bit does a tag load plus
         predicated copy (``1 + n``), and each remaining bit does a tag load,
         an ``n``-bit predicated add and a predicated carry store
         (``(n-1)(n+2)``).

@@ -101,14 +101,20 @@ class TestFleetPrimitives:
 
 class TestPeriphery:
     def test_full_add_matches_truth_table(self):
-        periphery = FleetPeriphery(1, 8)
-        a = np.array([[0, 0, 0, 0, 1, 1, 1, 1]], dtype=np.uint8)
-        b = np.array([[0, 0, 1, 1, 0, 0, 1, 1]], dtype=np.uint8)
-        cin = np.array([[0, 1, 0, 1, 0, 1, 0, 1]], dtype=np.uint8)
+        # All 8 (a, b, carry-in) cases, in both arrays of a fleet.
+        periphery = FleetPeriphery(2, 8)
+        a = np.array([[0, 0, 0, 0, 1, 1, 1, 1]] * 2, dtype=np.uint8)
+        b = np.array([[0, 0, 1, 1, 0, 0, 1, 1]] * 2, dtype=np.uint8)
+        cin = np.array([[0, 1, 0, 1, 0, 1, 0, 1]] * 2, dtype=np.uint8)
+        bl_and, blb_nor = a & b, (1 - a) & (1 - b)
+        assert np.array_equal(periphery.xor_from_rails(bl_and, blb_nor),
+                              a ^ b)
         periphery.load_carry(cin)
-        total, carry = periphery.full_add(a & b, (1 - a) & (1 - b))
+        total, carry = periphery.full_add(bl_and, blb_nor)
         assert np.array_equal(total, (a + b + cin) % 2)
         assert np.array_equal(carry, (a + b + cin) // 2)
+        # The carry latch holds the carry-out for the next cycle.
+        assert np.array_equal(periphery.carry, (a + b + cin) // 2)
 
     def test_latch_loads_reject_non_binary_planes(self):
         # Regression: load_tag/load_carry used to accept values > 1,
@@ -125,13 +131,24 @@ class TestPeriphery:
         good = np.eye(2, 4, dtype=np.uint8)
         periphery.load_carry(good)
         assert np.array_equal(periphery.carry, good)
+        # A plane must cover every column of every array.
+        for wrong in (good[0], good[:, :3], np.ones((1, 4), np.uint8)):
+            with pytest.raises(ArrayStateError, match="column bits"):
+                periphery.load_tag(wrong)
+            with pytest.raises(ArrayStateError, match="column bits"):
+                periphery.load_carry(wrong)
 
     def test_tag_gates_write_mask(self):
         periphery = FleetPeriphery(2, 4)
+        # Carry starts cleared and every write driver enabled.
+        assert np.all(periphery.carry == 0)
+        assert np.all(periphery.tag == 1)
         assert periphery.write_mask(False) is None
         tag = np.array([[1, 0, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
         periphery.load_tag(tag)
         assert np.array_equal(periphery.write_mask(True), tag)
+        periphery.load_tag(tag, invert=True)
+        assert np.array_equal(periphery.write_mask(True), 1 - tag)
         periphery.set_tag_all()
         assert np.all(periphery.write_mask(True) == 1)
 

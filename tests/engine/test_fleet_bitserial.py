@@ -1,10 +1,12 @@
-"""Fleet-wide bit-serial ops are bit-exact vs the single-array unit.
+"""Lockstep fleet ops agree with isolated one-array units and with integers.
 
-The acceptance contract of the array-fleet refactor: for random operands,
-every :class:`FleetBitSerialUnit` operation must produce, in each member
-array, exactly the bits that an independent single-array
-:class:`BitSerialUnit` produces — and must charge exactly the same cycle
-count, which the derived cost model pins analytically.
+:class:`BitSerialUnit` is the ``n_arrays=1`` view of
+:class:`FleetBitSerialUnit`, so the "singles" here are one-array fleets
+on their own stores. For random operands, every operation run on a
+lockstep fleet must leave in each member array the bits that member
+gets when it runs alone, those bits must equal the integer result of
+the operation, and the cycle count must match both the isolated runs
+and the closed forms of :class:`CycleCosts` in its ``derived`` preset.
 """
 
 import numpy as np
@@ -89,6 +91,9 @@ def test_sub_matches_single_arrays(case):
     fleet.sub(a, b, dst, scratch)
     for single in singles:
         single.sub(a, b, dst, scratch)
+    got = fleet.read_values(dst)
+    assert np.array_equal(got & ((1 << nbits) - 1), (av - bv) % (1 << nbits))
+    assert np.array_equal(got >> nbits, (av >= bv).astype(np.int64))
     assert_agree(fleet, singles, dst)
     assert_cycles(fleet, singles, COSTS.sub(nbits))
 

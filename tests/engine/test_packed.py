@@ -594,9 +594,18 @@ class TestPackedSRAMArrayView:
             u.write_values(a, values)
             u.write_values(b, 3)
             u.multiply(a, b, Operand(8, 8))
+            u.load_tag(a.bit(0))
         assert np.array_equal(unit.read_values(Operand(8, 8)), values * 3)
         assert unit.cycles == ref.cycles
         assert array.compute_cycles == ref.array.compute_cycles
+        # The packed-backed view runs the fused word-level kernels, the
+        # unpacked one the per-primitive reference; their latches agree.
+        assert unit._fused and not ref._fused
+        for latch in ("carry", "tag"):
+            assert np.array_equal(
+                unit.fleet.unpack_plane(getattr(unit.periphery, latch)),
+                getattr(ref.periphery, latch))
+        assert np.array_equal(ref.periphery.tag[0], values & 1)
 
     def test_packed_view_has_no_byte_per_bit_tensor(self):
         from repro.sram import SRAMArray

@@ -1,46 +1,55 @@
-"""Unit tests for the column peripheral logic (Figure 7)."""
+"""The column peripherals of one compute array (Figure 7).
+
+A one-array :class:`~repro.sram.BitSerialUnit` drives the latches its
+array's plane store supplies: a ``FleetPeriphery`` with one member, so
+every plane here is ``(1, cols)``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.common.errors import ArrayStateError
-from repro.sram import ColumnPeriphery, WritebackSelect
+from repro.sram import BitSerialUnit, SRAMArray
 
 
 def bits(values):
-    return np.array(values, dtype=np.uint8)
+    return np.array([values], dtype=np.uint8)
+
+
+def periphery(cols):
+    return BitSerialUnit(SRAMArray(rows=8, cols=cols)).periphery
 
 
 class TestLatches:
     def test_carry_starts_cleared_and_tag_enabled(self):
-        p = ColumnPeriphery(4)
+        p = periphery(4)
+        assert p.carry.shape == p.tag.shape == (1, 4)
         assert np.all(p.carry == 0)
         assert np.all(p.tag == 1)
 
     def test_set_and_clear_carry(self):
-        p = ColumnPeriphery(4)
+        p = periphery(4)
         p.set_carry()
         assert np.all(p.carry == 1)
         p.clear_carry()
         assert np.all(p.carry == 0)
 
     def test_load_tag_and_inverted_load(self):
-        p = ColumnPeriphery(4)
+        p = periphery(4)
         p.load_tag(bits([1, 0, 1, 0]))
-        assert np.array_equal(p.tag, [1, 0, 1, 0])
+        assert np.array_equal(p.tag, bits([1, 0, 1, 0]))
         p.load_tag(bits([1, 0, 1, 0]), invert=True)
-        assert np.array_equal(p.tag, [0, 1, 0, 1])
+        assert np.array_equal(p.tag, bits([0, 1, 0, 1]))
 
     def test_write_mask_follows_predication(self):
-        p = ColumnPeriphery(4)
+        p = periphery(4)
         p.load_tag(bits([0, 1, 1, 0]))
         assert p.write_mask(predicated=False) is None
-        assert np.array_equal(p.write_mask(predicated=True), [0, 1, 1, 0])
+        assert np.array_equal(p.write_mask(predicated=True),
+                              bits([0, 1, 1, 0]))
 
     def test_latch_loads_reject_non_binary_values(self):
-        # Regression: values > 1 used to latch silently and corrupt the
-        # next full_add (mirrors the FleetPeriphery check).
-        p = ColumnPeriphery(4)
+        p = periphery(4)
         with pytest.raises(ArrayStateError, match="0 or 1"):
             p.load_tag(bits([0, 2, 0, 0]))
         with pytest.raises(ArrayStateError, match="0 or 1"):
@@ -53,24 +62,24 @@ class TestFullAdder:
         bl_and = bits([0, 0, 0, 1])
         blb_nor = bits([1, 0, 0, 0])
         assert np.array_equal(
-            ColumnPeriphery.xor_from_rails(bl_and, blb_nor), [0, 1, 1, 0])
+            periphery(4).xor_from_rails(bl_and, blb_nor), bits([0, 1, 1, 0]))
 
     @pytest.mark.parametrize("a,b,cin,s,cout", [
         (0, 0, 0, 0, 0), (0, 1, 0, 1, 0), (1, 0, 0, 1, 0), (1, 1, 0, 0, 1),
         (0, 0, 1, 1, 0), (0, 1, 1, 0, 1), (1, 0, 1, 0, 1), (1, 1, 1, 1, 1),
     ])
     def test_full_add_truth_table(self, a, b, cin, s, cout):
-        p = ColumnPeriphery(1)
+        p = periphery(1)
         p.load_carry(bits([cin]))
         bl_and = bits([a & b])
         blb_nor = bits([(1 - a) & (1 - b)])
         total, carry = p.full_add(bl_and, blb_nor)
-        assert total[0] == s
-        assert carry[0] == cout
-        assert p.carry[0] == cout  # latch updated for the next cycle
+        assert total[0, 0] == s
+        assert carry[0, 0] == cout
+        assert p.carry[0, 0] == cout  # latch updated for the next cycle
 
     def test_full_add_vectorised(self):
-        p = ColumnPeriphery(8)
+        p = periphery(8)
         a = bits([0, 0, 0, 0, 1, 1, 1, 1])
         b = bits([0, 0, 1, 1, 0, 0, 1, 1])
         cin = bits([0, 1, 0, 1, 0, 1, 0, 1])
@@ -82,31 +91,11 @@ class TestFullAdder:
 
 
 class TestWritebackMux:
-    def test_select_sum(self):
-        p = ColumnPeriphery(2)
-        assert np.array_equal(
-            p.select(WritebackSelect.SUM, total=bits([1, 0])), [1, 0])
-
-    def test_select_carry_and_tag(self):
-        p = ColumnPeriphery(2)
-        p.load_carry(bits([1, 0]))
-        p.load_tag(bits([0, 1]))
-        assert np.array_equal(p.select(WritebackSelect.CARRY), [1, 0])
-        assert np.array_equal(p.select(WritebackSelect.TAG), [0, 1])
-
-    def test_select_data_in(self):
-        p = ColumnPeriphery(2)
-        assert np.array_equal(
-            p.select(WritebackSelect.DATA_IN, data_in=bits([1, 1])), [1, 1])
-
-    def test_missing_inputs_rejected(self):
-        p = ColumnPeriphery(2)
-        with pytest.raises(ArrayStateError):
-            p.select(WritebackSelect.SUM)
-        with pytest.raises(ArrayStateError):
-            p.select(WritebackSelect.DATA_IN)
-
     def test_shape_validation(self):
-        p = ColumnPeriphery(4)
+        # The tag plane gates the write-back drivers column by column, so
+        # it must cover exactly the array's bitlines.
+        p = periphery(4)
         with pytest.raises(ArrayStateError):
             p.load_tag(bits([1, 0]))
+        with pytest.raises(ArrayStateError):
+            p.load_tag(np.array([1, 0, 1, 0], dtype=np.uint8))
