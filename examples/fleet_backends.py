@@ -5,39 +5,42 @@ Every execution engine in the reproduction sits behind
 
 * the *analytic* backend runs the paper's deterministic latency/energy
   model on Inception v3 (Fig. 13-16 scale);
-* the *fleet* backend executes a verification-scale network bit by bit
-  on the vectorized :class:`~repro.engine.fleet.ArrayFleet` — every
-  bit-serial cycle runs on all arrays of the layer at once — and checks
-  each output against the golden NumPy executor;
-* the *fleet-packed* backend is the same engine on the packed plane
-  store (:class:`~repro.engine.packed.PackedArrayFleet`): 64 bit-columns
-  per uint64 word, 8x less memory, identical outputs and cycle reports;
+* the *fleet-packed* backend executes a verification-scale network bit
+  by bit on the packed plane store
+  (:class:`~repro.engine.packed.PackedArrayFleet`, 64 bit-columns per
+  uint64 word) — every bit-serial cycle runs on all arrays of the layer
+  at once — and checks each output against the golden NumPy executor;
 * the *sharded* backend splits the batch round-robin across socket
   shards (Sec. VI-B's multi-socket node), each shard a fleet executor on
   its own packed plane store, and aggregates per-shard cycle reports —
   bit-exact and cycle-identical to the unsharded run.
 
 The functional backends fold the whole batch into the fleet's array
-axis by default (``batched=True``): one fleet pass per layer computes
-every image, with outputs and cycle reports identical to the per-image
-loop (``batched=False``) — batching changes wall-clock, not modeled
-cycles.
+axis: one fleet pass per layer computes every image, with outputs and
+merged cycle reports identical to one ``run_requests`` call per image —
+batching changes wall-clock, not modeled cycles.
+
+The unpacked byte-per-bit :class:`~repro.engine.fleet.ArrayFleet` is
+the test and debug reference; it has no registry name, and the last
+section below builds it explicitly.
 
 Run:  python examples/fleet_backends.py
 """
 
-from repro import BackendOptions, ShardedBackend, get_backend
+from repro import ShardedBackend, get_backend
+from repro.core.functional import CycleReport
 from repro.engine import (
     ArrayFleet,
     FleetBitSerialUnit,
     Operand,
     PackedArrayFleet,
 )
+from repro.engine.backend import available_backends, deterministic_images
 
 
 def main() -> None:
     # -- the engines through the one protocol -----------------------------
-    for name in ("analytic", "fleet", "fleet-packed", "sharded"):
+    for name in available_backends():
         backend = get_backend(name)
         result = backend.run(backend.default_network(), batch_size=2)
         print(result.summary())
@@ -57,15 +60,19 @@ def main() -> None:
     print()
 
     # -- batch-in-fleet execution is invisible except in wall-clock -------
-    per_image = get_backend("fleet-packed",
-                            options=BackendOptions(batched=False))
-    loop_result = per_image.run(net, batch_size=5)
-    assert loop_result.report == reference.report
-    out = net.output_name
-    assert (loop_result.outputs[out].data
-            == reference.outputs[out].data).all()
-    print(f"batched vs per-image loop over batch 5: identical outputs "
-          f"and {reference.report.total} compute cycles either way")
+    weights = fleet_packed.weights_for(net)
+    images = deterministic_images(net, weights, fleet_packed.seed, 5)
+    batched = fleet_packed.run_requests(net, images)
+    per_image = [fleet_packed.run_requests(net, [image])
+                 for image in images]
+    merged = CycleReport()
+    for one, response in zip(per_image, batched.responses):
+        assert (one.responses[0].data == response.data).all()
+        merged = merged.merged(one.report)
+    assert merged == batched.report == reference.report
+    print(f"one run_requests call vs one per image over batch 5: "
+          f"identical outputs and {reference.report.total} compute "
+          f"cycles either way")
     print()
 
     # -- the fleet primitive underneath ------------------------------------

@@ -5,12 +5,10 @@ Usage::
     python -m repro                 # everything, in paper order
     python -m repro figure14 table3 # specific experiments
     python -m repro --list          # available experiment names
-    python -m repro --backend fleet # one inference via the Backend API
-    python -m repro --backend fleet-packed   # same, packed plane store
+    python -m repro --backend fleet-packed   # one inference via the Backend API
     python -m repro --backend analytic --batch 16
     python -m repro --backend sharded --batch 8 --shards 4
     python -m repro --backend sharded --shards 2 --shard-driver pool
-    python -m repro --backend fleet --batch 8 --no-batched   # per-image loop
     python -m repro serve-bench --requests 32 --sockets 2    # serving smoke
     python -m repro fault-sweep --images 16          # accuracy vs defects
     python -m repro verify                  # static dataflow verification
@@ -18,23 +16,22 @@ Usage::
 
 The ``--backend`` mode drives an execution engine through the unified
 :class:`~repro.engine.backend.Backend` protocol — ``analytic`` runs the
-paper's deterministic model on Inception v3, ``fleet`` runs bit-exact
-functional verification on the vectorized array fleet, ``fleet-packed``
-runs the same verification on the packed uint64 plane store (8x smaller,
-faster lockstep primitives, identical results), and ``sharded`` splits
-the batch round-robin across socket shards (``--shards``, default
-``config.sockets``), each on its own packed fleet, with results and
-cycle totals identical to the unsharded run. ``--shard-driver`` selects
-how the shards execute — ``serial`` (default: one after another
+paper's deterministic model on Inception v3, ``fleet-packed`` runs
+bit-exact functional verification on the array fleet's packed uint64
+plane store, and ``sharded`` splits the batch round-robin across socket
+shards (``--shards``, default ``config.sockets``), each on its own
+packed fleet, with results and cycle totals identical to the unsharded
+run. The unpacked byte-per-bit store is a test and debug reference with
+no backend name (``FleetExecutor(packed=False)``). ``--shard-driver``
+selects how the shards execute — ``serial`` (default: one after another
 in-process, runs everywhere) or ``pool`` (real wall-clock parallelism:
 persistent zero-copy workers, forked once, image payloads through
 shared-memory arenas; POSIX-only); both are bit-exact and
 cycle-report-identical.
 
-Functional backends fold the whole batch into the fleet's array axis by
-default (one fleet pass per layer computes every image);
-``--no-batched`` selects the per-image reference loop, whose outputs and
-cycle reports are identical — only wall-clock differs.
+Functional backends fold the whole batch into the fleet's array axis
+(one fleet pass per layer computes every image); the arrays are parallel
+hardware, so batching changes wall-clock, not modeled cycles.
 
 The ``serve-bench`` subcommand runs the async batched serving benchmark
 (:mod:`repro.serving`): a request stream coalesced into batched fleet
@@ -228,12 +225,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(wall-clock parallel persistent zero-copy "
                              "workers; fork-based, POSIX only); results "
                              "identical")
-    parser.add_argument("--batched", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="fold the batch into the fleet's array axis "
-                             "for functional --backend runs (default: "
-                             "batched; --no-batched keeps the per-image "
-                             "reference loop)")
     parser.add_argument("--sparsity", action="store_true",
                         help="skip all-zero operand bit planes in "
                              "functional --backend runs: outputs stay "
@@ -276,7 +267,6 @@ def main(argv: list[str] | None = None) -> int:
         # chosen backend rejects any it cannot honour (no rebuild hack:
         # --shards reaches the sharded constructor directly).
         options = BackendOptions(
-            batched=args.batched if args.batched is not None else True,
             driver=args.shard_driver, shards=args.shards,
             sparsity=args.sparsity, precision=precision)
         try:
@@ -284,9 +274,6 @@ def main(argv: list[str] | None = None) -> int:
         except SimulationError as exc:
             # e.g. --shard-driver on a backend without a shard pool.
             parser.error(str(exc))
-        if args.batched is not None and not hasattr(backend, "batched"):
-            parser.error("--batched/--no-batched only applies to the "
-                         "functional fleet backends")
         network = backend.default_network()
         try:
             print(backend.run(network, args.batch).summary())
@@ -307,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--shards only applies to --backend sharded runs")
     if args.shard_driver is not None:
         parser.error("--shard-driver only applies to --backend sharded "
-                     "runs")
-    if args.batched is not None:
-        parser.error("--batched/--no-batched only applies to --backend "
                      "runs")
     if args.sparsity:
         parser.error("--sparsity only applies to --backend runs")

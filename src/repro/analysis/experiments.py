@@ -437,13 +437,13 @@ def fleet_verification(batch_size: int = 2) -> ExperimentResult:
 
     Exercises the same :class:`~repro.engine.backend.Backend` protocol the
     analytic experiments use, but with the vectorized functional engine:
-    every layer runs as one lockstep bit-serial sequence across an
-    :class:`~repro.engine.fleet.ArrayFleet` and the outputs are checked
-    bit-for-bit against the golden NumPy executor.
+    every layer runs as one lockstep bit-serial sequence across a packed
+    :class:`~repro.engine.packed.PackedArrayFleet` and the outputs are
+    checked bit-for-bit against the golden NumPy executor.
     """
     from repro.engine.backend import tiny_verification_network
 
-    backend = get_backend("fleet")
+    backend = get_backend("fleet-packed")
     net = tiny_verification_network()
     res = backend.run(net, batch_size=batch_size)
     r = res.report

@@ -39,7 +39,7 @@ class BackendOptions:
 
     This is the single construction surface for
     :func:`get_backend`: instead of a growing tail of keyword arguments
-    (``batched``, ``driver``, ...), callers build one frozen options
+    (``driver``, ``shards``, ...), callers build one frozen options
     object and hand it to any backend factory. Knobs that do not apply
     to a backend are rejected at construction with a clear error (the
     analytic model has no shard pool to drive), so a typo'd or misplaced
@@ -57,9 +57,6 @@ class BackendOptions:
     layer names at map time).
     """
 
-    #: Fold the whole batch into each layer's fleet pass (functional
-    #: engines; the analytic model ignores it for registry uniformity).
-    batched: bool = True
     #: Shard driver for the sharded backends: ``serial`` or ``pool``.
     #: ``None`` keeps the engine default (``serial``).
     driver: str | None = None
@@ -79,8 +76,8 @@ class BackendOptions:
 
     def for_functional(self) -> dict:
         """The options every functional (fleet) engine consumes."""
-        return {"batched": self.batched, "sanitize": self.sanitize,
-                "sparsity": self.sparsity, "precision": self.precision}
+        return {"sanitize": self.sanitize, "sparsity": self.sparsity,
+                "precision": self.precision}
 
 
 @dataclass(frozen=True)
@@ -325,19 +322,19 @@ class FleetExecutor:
     reproduction's analogue of the paper's trace-matching verification.
 
     ``packed`` selects the bit-plane store: the packed uint64 word store
-    (:class:`~repro.engine.packed.PackedArrayFleet`, 8x smaller and
-    several times faster per lockstep op) or the unpacked byte-per-bit
-    reference. Both are registered — ``get_backend("fleet")`` and
-    ``get_backend("fleet-packed")`` — and produce identical outputs and
-    cycle reports; property tests pin that equivalence.
+    (:class:`~repro.engine.packed.PackedArrayFleet`, the default and the
+    one ``get_backend("fleet-packed")`` runs), ``"shared"`` (pool
+    workers) or ``False`` — the unpacked byte-per-bit reference, a test
+    and debug store with identical outputs and cycle reports that no
+    registry name selects.
 
-    ``batched`` (default) folds the whole batch into each layer's fleet
-    dimension — one :meth:`FunctionalExecutor.run_batch
-    <repro.core.functional.FunctionalExecutor.run_batch>` pass computes
-    every image, ~batch-times faster in wall-clock with bit-identical
-    outputs and cycle reports (the arrays are parallel hardware; batching
-    changes wall-clock, not modeled cycles). ``batched=False`` keeps the
-    per-image loop as a reference/regression path.
+    Each layer runs the whole stream as one fleet pass — one
+    :meth:`FunctionalExecutor.run_batch
+    <repro.core.functional.FunctionalExecutor.run_batch>` folds the batch
+    into the fleet's array axis. The arrays are parallel hardware, so
+    batching changes wall-clock, not modeled cycles: one
+    :meth:`run_requests` call per image gives the same outputs and, once
+    merged, the same cycle report.
 
     Weights default to :func:`repro.nn.reference.initialise_weights` with
     a fixed seed; inputs are deterministic pseudo-random activations, so
@@ -353,21 +350,19 @@ class FleetExecutor:
     object must not be mutated once it has run; build a new one instead.
     """
 
-    name = "fleet"
+    name = "fleet-packed"
     #: Most-recently-used (network, weights) staging sets kept alive.
     STAGING_CACHE_SIZE = 4
 
     def __init__(self, config: NeuralCacheConfig | None = None,
                  weights=None, seed: int = 0, verify: bool = True,
-                 packed: bool = False, batched: bool = True,
-                 sparsity: bool = False, sanitize: bool | None = None,
-                 precision=None):
+                 packed: bool | str = True, sparsity: bool = False,
+                 sanitize: bool | None = None, precision=None):
         self.config = config if config is not None else NeuralCacheConfig()
         self.weights = weights
         self.seed = seed
         self.verify = verify
         self.packed = packed
-        self.batched = batched
         #: Bit-plane sparsity skipping (data-dependent ``CycleReport``;
         #: outputs stay bit-exact, verified against the golden executor).
         self.sparsity = sparsity
@@ -375,7 +370,6 @@ class FleetExecutor:
         self.sanitize = sanitize
         #: Per-layer precision table, overriding ``network.precision``.
         self.precision = precision
-        self.name = "fleet-packed" if packed else "fleet"
         #: (network, weights) -> {node name: ConvStaging}.
         self._stagings = IdentityLRU(self.STAGING_CACHE_SIZE)
 
@@ -420,11 +414,9 @@ class FleetExecutor:
         ``network`` and ``weights`` (:meth:`stagings_for`): every conv
         layer's mapping and gather tables are compiled exactly once per
         backend (filters stay resident, Sec. IV-E) — not once per batch
-        or per image. With ``batched`` (the default) the whole stream
-        additionally executes as *one* fleet pass per layer, the batch
-        folded into the fleet's array axis; ``batched=False`` falls back
-        to the per-image loop, whose outputs and aggregate cycle report
-        are identical.
+        or per image. The whole stream executes as *one* fleet pass per
+        layer, the batch folded into the fleet's array axis, so every
+        image must share the input quantization parameters.
 
         The returned :class:`BatchOutcome` carries the network output of
         image ``i`` at ``responses[i]`` — this is the entry point the
@@ -446,30 +438,13 @@ class FleetExecutor:
                                       precision=self.precision,
                                       stagings=self.stagings_for(network,
                                                                  weights))
-        if self.batched:
-            results = executor.run_batch(images)
-            responses = tuple(results[network.output_name])
-            verified = self._verify_batch(network, images, responses,
-                                          golden)
-            outputs = {name: tensors[-1]
-                       for name, tensors in results.items()}
-            return BatchOutcome(report=executor.total_report(),
-                                responses=responses, outputs=outputs,
-                                verified=verified)
-        total = CycleReport()
-        responses = []
-        outputs = None
-        verified = 0
-        for image in images:
-            outputs = executor.run(image)
-            responses.append(outputs[network.output_name])
-            if golden is not None:
-                self._verify_batch(network, [image], [responses[-1]],
-                                   golden)
-                verified += 1
-            total = total.merged(executor.total_report())
-        return BatchOutcome(report=total, responses=tuple(responses),
-                            outputs=outputs, verified=verified)
+        results = executor.run_batch(images)
+        responses = tuple(results[network.output_name])
+        verified = self._verify_batch(network, images, responses, golden)
+        outputs = {name: tensors[-1] for name, tensors in results.items()}
+        return BatchOutcome(report=executor.total_report(),
+                            responses=responses, outputs=outputs,
+                            verified=verified)
 
     def _verify_batch(self, network: Network, images, outputs,
                       golden) -> int:
@@ -538,8 +513,7 @@ def _check_analytic(options: BackendOptions) -> None:
 
 def _analytic(config: NeuralCacheConfig | None = None,
               options: BackendOptions | None = None) -> AnalyticBackend:
-    """The analytic model. It has no functional per-image loop to fold,
-    so ``batched`` is accepted for registry uniformity and ignored."""
+    """The analytic model."""
     options = options if options is not None else BackendOptions()
     _check_analytic(options)
     return AnalyticBackend(config)
@@ -547,18 +521,10 @@ def _analytic(config: NeuralCacheConfig | None = None,
 
 def _fleet(config: NeuralCacheConfig | None = None,
            options: BackendOptions | None = None) -> FleetExecutor:
-    """The fleet executor on the unpacked reference store."""
-    options = options if options is not None else BackendOptions()
-    _check_unsharded("fleet", options)
-    return FleetExecutor(config, **options.for_functional())
-
-
-def _packed_fleet(config: NeuralCacheConfig | None = None,
-                  options: BackendOptions | None = None) -> FleetExecutor:
     """The fleet executor on the packed uint64 plane store."""
     options = options if options is not None else BackendOptions()
-    _check_unsharded("fleet-packed", options)
-    return FleetExecutor(config, packed=True, **options.for_functional())
+    _check_unsharded(FleetExecutor.name, options)
+    return FleetExecutor(config, **options.for_functional())
 
 
 def _sharded(config: NeuralCacheConfig | None = None,
@@ -567,23 +533,9 @@ def _sharded(config: NeuralCacheConfig | None = None,
     from repro.engine.sharding import ShardedBackend
     options = options if options is not None else BackendOptions()
     return ShardedBackend(
-        config, shards=options.shards, batched=options.batched,
+        config, shards=options.shards,
         driver=options.driver if options.driver is not None else "serial",
-        fault_plan=options.faults, sparsity=options.sparsity,
-        sanitize=options.sanitize, precision=options.precision)
-
-
-def _sharded_unpacked(config: NeuralCacheConfig | None = None,
-                      options: BackendOptions | None = None) -> Backend:
-    """The sharded backend on the unpacked reference store."""
-    from repro.engine.sharding import ShardedBackend
-    options = options if options is not None else BackendOptions()
-    return ShardedBackend(
-        config, shards=options.shards, packed=False,
-        batched=options.batched,
-        driver=options.driver if options.driver is not None else "serial",
-        fault_plan=options.faults, sparsity=options.sparsity,
-        sanitize=options.sanitize, precision=options.precision)
+        fault_plan=options.faults, **options.for_functional())
 
 
 #: Registered engine factories ((config, options) -> Backend), by
@@ -592,9 +544,7 @@ def _sharded_unpacked(config: NeuralCacheConfig | None = None,
 BACKENDS: dict = {
     AnalyticBackend.name: _analytic,
     FleetExecutor.name: _fleet,
-    "fleet-packed": _packed_fleet,
     "sharded": _sharded,
-    "sharded-unpacked": _sharded_unpacked,
 }
 
 
@@ -607,10 +557,16 @@ def get_backend(name: str, config: NeuralCacheConfig | None = None,
                 options: BackendOptions | None = None) -> Backend:
     """Resolve a backend by name; raises on unknown names.
 
+    Three names cover the two engines: ``analytic`` (the paper's
+    model), ``fleet-packed`` (the functional fleet on the packed plane
+    store) and ``sharded`` (that fleet split over socket shards). The
+    unpacked reference store has no name here; tests and debugging
+    build it explicitly with ``FleetExecutor(packed=False)``.
+
     ``options`` is the construction surface: one
-    :class:`BackendOptions` value carrying every backend knob (batch
-    folding, shard driver and count, sanitizer, fault plan, bit-plane
-    sparsity, per-layer precision). Factories reject options they cannot
+    :class:`BackendOptions` value carrying every backend knob (shard
+    driver and count, sanitizer, fault plan, bit-plane sparsity,
+    per-layer precision). Factories reject options they cannot
     honour — the analytic model has no fleets to sparsify, the unsharded
     engines no pool to drive. The ``pool`` driver forks persistent
     workers at construction, so it is POSIX-only (requires the ``fork``

@@ -217,13 +217,12 @@ class _WorkerState:
         #: re-attach only when the parent grew (renamed) an arena.
         self.arenas: dict[str, SharedSegment] = {}
 
-    def load_program(self, network, weights, config, packed, batched,
-                     verify, seed, sparsity=False, sanitize=None,
-                     precision=None) -> None:
+    def load_program(self, network, weights, config, verify, seed,
+                     sparsity=False, sanitize=None, precision=None) -> None:
         """(Re)build the warm executor for a broadcast program.
 
-        ``packed=True`` becomes ``packed="shared"`` here: the worker's
-        fleets allocate their word planes on
+        The executor runs ``packed="shared"``: the worker's fleets
+        allocate their word planes on
         :class:`~repro.engine.shared.SharedPlaneStore` segments (scoped
         to this worker, recycled across layer chunks), which is the
         zero-copy tentpole — plane state lives in mappable segments,
@@ -233,8 +232,8 @@ class _WorkerState:
         self.weights = weights
         self.executor = FleetExecutor(
             config, weights=weights, seed=seed, verify=verify,
-            packed="shared" if packed else False, batched=batched,
-            sparsity=sparsity, sanitize=sanitize, precision=precision)
+            packed="shared", sparsity=sparsity, sanitize=sanitize,
+            precision=precision)
         self.golden = self.executor.golden_for(network, weights)
 
     def _arena(self, role: str, name: str) -> SharedSegment:
@@ -358,7 +357,6 @@ class ShardWorkerPool:
     """
 
     def __init__(self, shards: int, config: NeuralCacheConfig,
-                 packed: bool = True, batched: bool = True,
                  verify: bool = True, seed: int = 0,
                  reply_timeout_s: float = 60.0,
                  max_retries: int = 2,
@@ -386,8 +384,6 @@ class ShardWorkerPool:
                 f"{type(fault_plan).__name__}")
         self.shards = shards
         self.config = config
-        self.packed = packed
-        self.batched = batched
         self.verify = verify
         self.seed = seed
         self.reply_timeout_s = reply_timeout_s
@@ -504,8 +500,8 @@ class ShardWorkerPool:
         if self._program is not None:
             _, network, weights = self._program
             message = ("program", network, weights, self.config,
-                       self.packed, self.batched, self.verify, self.seed,
-                       self.sparsity, self.sanitize, self.precision)
+                       self.verify, self.seed, self.sparsity,
+                       self.sanitize, self.precision)
             try:
                 self._send_raw(slot, message)
                 reply = self._recv_raw(slot)
@@ -646,9 +642,8 @@ class ShardWorkerPool:
         if self._program is not None and self._program[0] == key:
             return
         self._program = None
-        message = ("program", network, weights, self.config, self.packed,
-                   self.batched, self.verify, self.seed, self.sparsity,
-                   self.sanitize, self.precision)
+        message = ("program", network, weights, self.config, self.verify,
+                   self.seed, self.sparsity, self.sanitize, self.precision)
         if not self.supervise:
             for slot in range(self.shards):
                 try:

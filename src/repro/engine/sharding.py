@@ -9,7 +9,7 @@ this module makes a functional backend actually shard work that way.
 
 :class:`ShardedBackend` splits a batch across ``shards`` sockets (one
 fleet executor pass per shard, each on its own packed
-:class:`~repro.engine.packed.PackedArrayFleet` by default), assigns
+:class:`~repro.engine.packed.PackedArrayFleet`), assigns
 images **round-robin** — image ``i`` goes to shard ``i % shards``, the
 arrival-order policy a serving frontend would use — and aggregates the
 per-shard cycle reports.
@@ -83,9 +83,8 @@ class ShardedBackend:
 
     ``shards`` defaults to ``config.sockets`` (the paper's dual-socket
     node). Each shard executes its round-robin slice as one fleet pass
-    on its own plane-store fleet — packed uint64 words by default
-    (``packed=False`` selects the unpacked byte-per-bit reference,
-    registered as ``sharded-unpacked``).
+    on its own packed plane-store fleet (shared-memory segments in pool
+    workers).
 
     ``driver`` selects how the shards execute — ``serial`` or ``pool``
     (:data:`SHARD_DRIVERS`). ``serial`` runs each round-robin slice in
@@ -129,10 +128,12 @@ class ShardedBackend:
     per-image responses out, arrival order preserved across shards.
     """
 
+    name = "sharded"
+
     def __init__(self, config: NeuralCacheConfig | None = None,
-                 shards: int | None = None, packed: bool = True,
+                 shards: int | None = None,
                  weights=None, seed: int = 0, verify: bool = True,
-                 batched: bool = True, driver: str = "serial",
+                 driver: str = "serial",
                  reply_timeout_s: float = 60.0, max_retries: int = 2,
                  supervise: bool = True, fault_plan=None,
                  sparsity: bool = False, sanitize: bool | None = None,
@@ -153,14 +154,9 @@ class ShardedBackend:
                 f"workers; driver {driver!r} has no injection points "
                 "(use hardware_faults() for array-level faults)")
         self.shards = shards
-        self.packed = packed
         self.weights = weights
         self.seed = seed
         self.verify = verify
-        #: Batch-in-fleet execution inside each shard: a shard's whole
-        #: round-robin slice runs as one fleet pass per layer (the
-        #: per-image loop remains as ``batched=False``).
-        self.batched = batched
         #: How the shards execute: serial or pool.
         self.driver = driver
         #: Bit-plane sparsity skipping in every shard's fleet.
@@ -169,13 +165,11 @@ class ShardedBackend:
         self.sanitize = sanitize
         #: Per-layer precision table shipped to every shard.
         self.precision = precision
-        self.name = "sharded" if packed else "sharded-unpacked"
         #: The executor the serial driver runs every shard's slice on;
         #: it also resolves weights and the default network exactly like
         #: each pool worker's executor does.
         self._executor = FleetExecutor(self.config, weights=weights,
                                        seed=seed, verify=verify,
-                                       packed=packed, batched=batched,
                                        sparsity=sparsity,
                                        sanitize=sanitize,
                                        precision=precision)
@@ -194,7 +188,6 @@ class ShardedBackend:
             # the backend, which is the whole point of the driver.
             from repro.engine.pool import ShardWorkerPool
             self._pool = ShardWorkerPool(shards, self.config,
-                                         packed=packed, batched=batched,
                                          verify=verify, seed=seed,
                                          reply_timeout_s=reply_timeout_s,
                                          max_retries=max_retries,

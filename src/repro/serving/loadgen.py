@@ -166,7 +166,7 @@ def run_serving_benchmark(
     ``precision``) for every serving node *and* the serial reference —
     both knobs are value-preserving, so the bit-exactness gate holds
     unchanged while the nodes' cycle reports become data-dependent.
-    Topology knobs (``driver``, ``shards``, ``batched``, ``faults``)
+    Topology knobs (``driver``, ``shards``, ``faults``)
     belong to this function's own arguments and are rejected on
     ``options`` to keep one source of truth.
     """
@@ -179,10 +179,6 @@ def run_serving_benchmark(
                 raise SimulationError(
                     f"run_serving_benchmark sets {knob!r} through its own "
                     f"arguments; leave it unset on BackendOptions")
-        if not options.batched:
-            raise SimulationError(
-                "run_serving_benchmark always batches coalesced requests; "
-                "leave 'batched' unset on BackendOptions")
         engine_knobs = {"sparsity": options.sparsity,
                         "sanitize": options.sanitize,
                         "precision": options.precision}

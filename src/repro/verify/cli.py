@@ -29,9 +29,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         metavar="NAME",
                         help="check only this model (repeatable; default: "
                              "all registered models)")
-    parser.add_argument("--unpacked", action="store_true",
-                        help="record over the unpacked reference store "
-                             "instead of the packed word store")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="list every checked program, not just totals")
     args = parser.parse_args(argv)
@@ -46,7 +43,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     total_ops = 0
     failures = 0
     for name in names:
-        extracted = extract_model_programs(name, packed=not args.unpacked)
+        extracted = extract_model_programs(name)
         if extracted.skipped is not None:
             print(f"{name}: SKIP ({extracted.skipped})")
             continue

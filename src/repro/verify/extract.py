@@ -53,7 +53,7 @@ def registered_models() -> list[str]:
     return list(_networks())
 
 
-def extract_model_programs(name: str, packed: bool = True) -> ModelPrograms:
+def extract_model_programs(name: str) -> ModelPrograms:
     """Record one functional inference of model ``name`` and lift it.
 
     Returns a :class:`ModelPrograms` with one
@@ -69,12 +69,12 @@ def extract_model_programs(name: str, packed: bool = True) -> ModelPrograms:
     # spanning geometry) record under it, so the lifted programs cover
     # the mapping the model exists to exercise.
     config = model_zoo_configs().get(name)
-    backend = FleetExecutor(config=config, packed=packed, verify=False)
+    backend = FleetExecutor(config=config, verify=False)
     weights = backend.weights_for(network)
     image = deterministic_images(network, weights, backend.seed, 1)[0]
 
     executor = FunctionalExecutor(network, weights, config=config,
-                                  packed=packed)
+                                  packed=True)
     original_run_node = executor._run_node
 
     with record_programs() as recorder:

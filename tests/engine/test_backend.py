@@ -13,6 +13,7 @@ from repro.engine.backend import (
     BackendResult,
     FleetExecutor,
     available_backends,
+    deterministic_images,
     get_backend,
     tiny_verification_network,
 )
@@ -25,21 +26,21 @@ def tiny_net():
 
 class TestRegistry:
     def test_all_engines_registered(self):
-        assert set(available_backends()) == {"analytic", "fleet",
-                                             "fleet-packed", "sharded",
-                                             "sharded-unpacked"}
+        assert available_backends() == ("analytic", "fleet-packed",
+                                        "sharded")
 
     def test_get_backend_resolves(self):
         assert isinstance(get_backend("analytic"), AnalyticBackend)
-        assert isinstance(get_backend("fleet"), FleetExecutor)
         packed = get_backend("fleet-packed")
         assert isinstance(packed, FleetExecutor)
-        assert packed.packed and packed.name == "fleet-packed"
-        assert not get_backend("fleet").packed
+        assert packed.packed is True and packed.name == "fleet-packed"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="unknown backend"):
-            get_backend("quantum")
+        """The unpacked store has no registry name; tests build it with
+        ``FleetExecutor(packed=False)``."""
+        for name in ("quantum", "fleet", "sharded-unpacked"):
+            with pytest.raises(SimulationError, match="unknown backend"):
+                get_backend(name)
 
     def test_engines_satisfy_protocol(self):
         for name in available_backends():
@@ -55,25 +56,7 @@ class TestRegistry:
         backend = get_backend(name, config)
         assert backend.config is config
 
-    @pytest.mark.parametrize("name", available_backends())
-    def test_options_batched_propagates(self, name):
-        """Every registered factory takes one ``BackendOptions`` value
-        and hands its knobs to the engine it builds (the analytic model,
-        which has no functional loop to fold, accepts and ignores
-        ``batched`` for registry uniformity)."""
-        backend = get_backend(name, options=BackendOptions(batched=False))
-        if hasattr(backend, "batched"):
-            assert backend.batched is False
-        default = get_backend(name)
-        if hasattr(default, "batched"):
-            assert default.batched is True
-        # The flag must reach the executor a sharded backend's shards
-        # run on.
-        if hasattr(backend, "shards"):
-            assert backend._executor.batched is False
-
-    @pytest.mark.parametrize("name", ["fleet", "fleet-packed", "sharded",
-                                      "sharded-unpacked"])
+    @pytest.mark.parametrize("name", ["fleet-packed", "sharded"])
     def test_options_sparsity_propagates(self, name):
         backend = get_backend(name, options=BackendOptions(sparsity=True))
         assert backend.sparsity is True
@@ -81,8 +64,7 @@ class TestRegistry:
         if hasattr(backend, "shards"):
             assert backend._executor.sparsity is True
 
-    @pytest.mark.parametrize("name", ["fleet", "fleet-packed", "sharded",
-                                      "sharded-unpacked"])
+    @pytest.mark.parametrize("name", ["fleet-packed", "sharded"])
     def test_options_precision_propagates(self, name):
         from repro.core.precision import LayerPrecision
 
@@ -100,9 +82,9 @@ class TestRegistry:
     @pytest.mark.parametrize("name,options", [
         ("analytic", BackendOptions(sparsity=True)),
         ("analytic", BackendOptions(sanitize=True)),
-        ("fleet", BackendOptions(driver="pool")),
-        ("fleet", BackendOptions(shards=2)),
+        ("fleet-packed", BackendOptions(driver="pool")),
         ("fleet-packed", BackendOptions(shards=2)),
+        ("fleet-packed", BackendOptions(faults=object())),
         ("analytic", BackendOptions(shards=2)),
     ])
     def test_inapplicable_options_rejected(self, name, options):
@@ -178,7 +160,7 @@ class TestFleetExecutor:
     def test_run_verifies_bit_exact(self, tiny_net):
         backend = FleetExecutor()
         result = backend.run(tiny_net, batch_size=2)
-        assert result.backend == "fleet"
+        assert result.backend == "fleet-packed"
         assert result.verified_images == 2
         assert result.report.mac > 0
         assert result.outputs is not None
@@ -200,8 +182,8 @@ class TestFleetExecutor:
         assert np.array_equal(got.data, expected.data)
 
     def test_packed_store_matches_unpacked(self, tiny_net):
-        unpacked = FleetExecutor().run(tiny_net, batch_size=1)
-        packed = FleetExecutor(packed=True).run(tiny_net, batch_size=1)
+        unpacked = FleetExecutor(packed=False).run(tiny_net, batch_size=1)
+        packed = FleetExecutor().run(tiny_net, batch_size=1)
         assert packed.backend == "fleet-packed"
         assert packed.verified_images == 1
         assert packed.report == unpacked.report
@@ -238,17 +220,24 @@ class TestFleetExecutor:
     @pytest.mark.parametrize("batch_size", [1, 3, 8])
     def test_batched_matches_per_image_loop(self, tiny_net, packed,
                                             batch_size):
-        """The tentpole property: folding the batch into the fleet axis
-        changes wall-clock only — outputs, cycle reports and verification
-        counts are identical to the per-image loop."""
-        batched = FleetExecutor(packed=packed).run(tiny_net, batch_size)
-        loop = FleetExecutor(packed=packed, batched=False).run(tiny_net,
-                                                               batch_size)
-        assert batched.report == loop.report
-        assert batched.verified_images == loop.verified_images == batch_size
-        for name in loop.outputs:
-            assert np.array_equal(batched.outputs[name].data,
-                                  loop.outputs[name].data), name
+        """Folding the batch into the fleet axis changes wall-clock only:
+        one ``run_requests`` call per image gives the same responses,
+        the same merged cycle report and the same verification count."""
+        backend = FleetExecutor(packed=packed)
+        weights = backend.weights_for(tiny_net)
+        images = deterministic_images(tiny_net, weights, 0, batch_size)
+        batched = backend.run_requests(tiny_net, images)
+        loop = [backend.run_requests(tiny_net, [image])
+                for image in images]
+        assert len(batched.responses) == len(loop)
+        for got, one in zip(batched.responses, loop):
+            assert np.array_equal(got.data, one.responses[0].data)
+        merged = CycleReport()
+        for one in loop:
+            merged = merged.merged(one.report)
+        assert batched.report == merged
+        assert batched.verified == sum(one.verified for one in loop)
+        assert batched.verified == batch_size
 
     def test_batched_report_is_per_image_scaled(self, tiny_net):
         """Regression: a batched pass must not double-count per-image
@@ -306,48 +295,42 @@ class TestConsumers:
     def test_cli_backend_mode(self, capsys):
         from repro.__main__ import main
 
-        assert main(["--backend", "fleet"]) == 0
-        out = capsys.readouterr().out
-        assert "backend=fleet" in out
-        assert "bit-exact" in out
+        for name in available_backends():
+            assert main(["--backend", name]) == 0
+            out = capsys.readouterr().out
+            assert f"backend={name} " in out
+            if name != "analytic":
+                assert "bit-exact" in out
 
     def test_cli_rejects_backend_with_experiment_names(self, capsys):
         from repro.__main__ import main
 
         with pytest.raises(SystemExit):
-            main(["table3", "--backend", "fleet"])
+            main(["table3", "--backend", "fleet-packed"])
         assert "takes no experiment names" in capsys.readouterr().err
 
     def test_cli_rejects_bad_batch(self, capsys):
         from repro.__main__ import main
 
         with pytest.raises(SystemExit):
-            main(["--backend", "fleet", "--batch", "0"])
+            main(["--backend", "fleet-packed", "--batch", "0"])
         assert "--batch must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--batched", "--no-batched"])
-    def test_cli_batched_flag(self, capsys, flag):
+    @pytest.mark.parametrize("argv", [
+        ["--backend", "fleet"],
+        ["--backend", "sharded-unpacked"],
+        ["--backend", "fleet-packed", "--no-batched"],
+        ["--backend", "fleet-packed", "--batched"],
+    ])
+    def test_cli_rejects_removed_backend_surface(self, capsys, argv):
+        """The unpacked registry names and the batch-folding switch are
+        gone: argparse rejects them with a usage error."""
         from repro.__main__ import main
 
-        assert main(["--backend", "fleet", "--batch", "2", flag]) == 0
-        out = capsys.readouterr().out
-        assert "backend=fleet" in out and "2/2" in out
-
-    def test_cli_rejects_batched_for_analytic(self, capsys):
-        from repro.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["--backend", "analytic", "--no-batched"])
-        assert ("--batched/--no-batched only applies"
-                in capsys.readouterr().err)
-
-    def test_cli_rejects_batched_without_backend_mode(self, capsys):
-        from repro.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["table3", "--no-batched"])
-        assert ("--batched/--no-batched only applies"
-                in capsys.readouterr().err)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_cli_reports_engine_failure_without_usage_text(self, capsys,
                                                            monkeypatch):
@@ -355,7 +338,7 @@ class TestConsumers:
         from repro.common.errors import SimulationError
 
         class BrokenBackend:
-            name = "fleet"
+            name = "fleet-packed"
 
             def default_network(self):
                 from repro.engine.backend import tiny_verification_network
@@ -366,7 +349,7 @@ class TestConsumers:
 
         monkeypatch.setattr(cli, "get_backend",
                             lambda name, **kwargs: BrokenBackend())
-        assert cli.main(["--backend", "fleet"]) == 1
+        assert cli.main(["--backend", "fleet-packed"]) == 1
         err = capsys.readouterr().err
         assert "failed: functional output diverged" in err
         assert "usage:" not in err

@@ -68,21 +68,13 @@ class TestDriverEquivalence:
         assert_driver_equivalent(result, serial_results[(3, 1)], tiny_net)
         assert [s.images for s in result.shard_reports] == [1, 0, 0]
 
-    @pytest.mark.parametrize("driver", CONCURRENT)
-    def test_unbatched_shards_match_too(self, tiny_net, driver):
-        serial = ShardedBackend(shards=2, batched=False).run(tiny_net,
-                                                             batch_size=4)
-        result = ShardedBackend(shards=2, batched=False,
-                                driver=driver).run(tiny_net, batch_size=4)
-        assert_driver_equivalent(result, serial, tiny_net)
-
 
 class TestRunRequests:
     """The serving entry point: explicit images, arrival-order responses."""
 
     @pytest.fixture(scope="class")
     def stream(self, tiny_net):
-        executor = FleetExecutor(packed=True)
+        executor = FleetExecutor()
         weights = executor.weights_for(tiny_net)
         images = deterministic_images(tiny_net, weights, 0, 7)
         direct = executor.run_requests(tiny_net, images, weights)
@@ -127,7 +119,7 @@ class TestShardWorkUnits:
         images = deterministic_images(tiny_net, weights, 0, 5)
         outcomes = backend._run_shards(tiny_net, images, weights)[0]
         assert [o.images for o in outcomes] == [2, 2, 1]
-        direct = FleetExecutor(packed=True).run_requests(
+        direct = FleetExecutor().run_requests(
             tiny_net, [images[1], images[4]], weights)
         for got, want in zip(outcomes[1].outcome.responses,
                              direct.responses):
@@ -158,25 +150,20 @@ class TestDriverSelection:
         backend = get_backend("sharded", options=options)
         assert isinstance(backend, ShardedBackend)
         assert backend.driver == driver
-        unpacked = get_backend("sharded-unpacked", options=options)
-        assert unpacked.driver == driver
-        assert not unpacked.packed
 
     def test_registry_default_driver_is_serial(self):
         assert get_backend("sharded").driver == "serial"
 
-    @pytest.mark.parametrize("name", ["analytic", "fleet", "fleet-packed"])
+    @pytest.mark.parametrize("name", ["analytic", "fleet-packed"])
     def test_registry_rejects_driver_for_unsharded(self, name):
         with pytest.raises(SimulationError, match="shard driver"):
             get_backend(name, options=BackendOptions(driver="pool"))
 
-    def test_driver_composes_with_config_and_batched(self):
+    def test_driver_composes_with_config(self):
         config = NeuralCacheConfig()
         with get_backend("sharded", config,
-                         BackendOptions(batched=False,
-                                        driver="pool")) as backend:
+                         BackendOptions(driver="pool")) as backend:
             assert backend.config is config
-            assert backend.batched is False
             assert backend.driver == "pool"
 
 
@@ -203,26 +190,23 @@ class TestCliPropagation:
     def test_all_sharded_knobs_reach_the_backend(self, monkeypatch):
         backend = self._captured_backend(
             monkeypatch,
-            ["--backend", "sharded", "--shards", "3", "--no-batched",
+            ["--backend", "sharded", "--shards", "3",
              "--shard-driver", "pool", "--batch", "2"])
         assert backend.shards == 3
-        assert backend.batched is False
         assert backend.driver == "pool"
-        assert backend.packed
 
     def test_driver_survives_shards_rebuild(self, monkeypatch):
         backend = self._captured_backend(
             monkeypatch,
-            ["--backend", "sharded-unpacked", "--shards", "2",
+            ["--backend", "sharded", "--shards", "2",
              "--shard-driver", "pool"])
         assert backend.driver == "pool"
-        assert not backend.packed
+        assert backend.shards == 2
 
     def test_defaults_without_flags(self, monkeypatch):
         backend = self._captured_backend(monkeypatch,
                                          ["--backend", "sharded"])
         assert backend.driver == "serial"
-        assert backend.batched is True
 
     def test_cli_runs_serial_driver_end_to_end(self, capsys):
         from repro.__main__ import main
@@ -246,7 +230,7 @@ class TestCliPropagation:
         from repro.__main__ import main
 
         with pytest.raises(SystemExit):
-            main(["--backend", "fleet", "--shard-driver", "pool"])
+            main(["--backend", "fleet-packed", "--shard-driver", "pool"])
         assert "shard driver" in capsys.readouterr().err
 
     def test_cli_rejects_driver_without_backend_mode(self, capsys):

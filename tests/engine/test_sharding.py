@@ -16,6 +16,7 @@ from repro.config import NeuralCacheConfig
 from repro.core.functional import CycleReport
 from repro.engine.backend import (
     FleetExecutor,
+    deterministic_images,
     get_backend,
     tiny_verification_network,
 )
@@ -68,28 +69,28 @@ class TestShardedEquivalence:
         for s in idle:
             assert s.report == CycleReport()
 
-    def test_unpacked_store_matches_too(self, tiny_net, unsharded):
-        result = ShardedBackend(shards=2, packed=False).run(tiny_net,
-                                                            batch_size=4)
-        assert result.backend == "sharded-unpacked"
-        assert_equivalent(result, unsharded[4], tiny_net)
-
     @pytest.mark.parametrize("shards", [2, 3])
     def test_batched_shards_match_per_image_shards(self, tiny_net,
                                                    unsharded, shards):
         """Each shard runs its round-robin slice as one batched fleet
-        pass; per-image shard execution must be indistinguishable."""
-        batched = ShardedBackend(shards=shards).run(tiny_net, batch_size=5)
-        loop = ShardedBackend(shards=shards, batched=False).run(
-            tiny_net, batch_size=5)
-        assert batched.report == loop.report
-        assert batched.shard_reports == loop.shard_reports
-        got = batched.outputs[tiny_net.output_name]
-        want = loop.outputs[tiny_net.output_name]
-        assert np.array_equal(got.data, want.data)
-        # And both still match the unsharded reference.
-        assert_equivalent(batched, unsharded[5], tiny_net)
-        assert_equivalent(loop, unsharded[5], tiny_net)
+        pass; one ``run_requests`` call per image must be
+        indistinguishable once the per-image reports are merged."""
+        backend = ShardedBackend(shards=shards)
+        weights = backend._weights_for(tiny_net)
+        images = deterministic_images(tiny_net, weights, 0, 5)
+        batched = backend.run_requests(tiny_net, images)
+        loop = [backend.run_requests(tiny_net, [image])
+                for image in images]
+        assert len(batched.responses) == len(loop)
+        for got, one in zip(batched.responses, loop):
+            assert np.array_equal(got.data, one.responses[0].data)
+        merged = CycleReport()
+        for one in loop:
+            merged = merged.merged(one.report)
+        assert batched.report == merged
+        assert batched.verified == sum(one.verified for one in loop) == 5
+        # And the batched stream still matches the unsharded reference.
+        assert batched.report == unsharded[5].report
 
 
 class TestShardAssignment:
@@ -120,12 +121,6 @@ class TestShardAssignment:
         executor = backend._executor
         assert executor.config is config
         assert executor.packed
-        assert executor.batched
-
-    def test_batched_flag_propagates_to_every_shard(self, tiny_net):
-        backend = ShardedBackend(shards=2, batched=False)
-        assert not backend.batched
-        assert not backend._executor.batched
 
     def test_bad_shard_count_rejected(self):
         with pytest.raises(SimulationError, match="shard count"):
@@ -163,11 +158,8 @@ class TestRegistryAndCli:
     def test_registered_names_resolve(self):
         sharded = get_backend("sharded")
         assert isinstance(sharded, ShardedBackend)
-        assert sharded.packed and sharded.name == "sharded"
-        unpacked = get_backend("sharded-unpacked")
-        assert isinstance(unpacked, ShardedBackend)
-        assert not unpacked.packed
-        assert unpacked.name == "sharded-unpacked"
+        assert sharded.name == "sharded"
+        assert sharded._executor.packed
 
     def test_cli_sharded_run(self, capsys):
         from repro.__main__ import main
@@ -192,7 +184,7 @@ class TestRegistryAndCli:
         from repro.__main__ import main
 
         with pytest.raises(SystemExit):
-            main(["--backend", "fleet", "--shards", "2"])
+            main(["--backend", "fleet-packed", "--shards", "2"])
         assert "does not take a shard count" in capsys.readouterr().err
 
     def test_cli_rejects_shards_without_backend_mode(self, capsys):
@@ -230,7 +222,7 @@ class TestPlanOncePerBatch:
             lambda config, name, *a, **k: (pool_calls.append(name)
                                            or map_pool(config, name,
                                                        *a, **k)))
-        result = FleetExecutor(packed=True).run(tiny_net, batch_size=4)
+        result = FleetExecutor().run(tiny_net, batch_size=4)
         assert result.verified_images == 4
         assert conv_calls == ["conv"]
         assert pool_calls == ["pool"]
