@@ -317,7 +317,6 @@ class FunctionalConv:
                  output_params=None,
                  packed: bool = False,
                  sparsity: bool = False,
-                 sanitize: bool | None = None,
                  element_bits: int | None = None,
                  staging: ConvStaging | None = None):
         self.conv = conv
@@ -332,7 +331,6 @@ class FunctionalConv:
         #: Skip all-zero operand bit planes fleet-wide (data-dependent
         #: ``CycleReport``; outputs stay bit-exact vs the dense path).
         self.sparsity = sparsity
-        self.sanitize = sanitize
         if staging is None:
             staging = ConvStaging.compile(conv, input_shape, weights,
                                           self.config, name, element_bits)
@@ -525,8 +523,7 @@ class FunctionalConv:
                 f"functional layout needs {xsum_rows.end} rows")
 
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=256, cols=cols, packed=self.packed,
-                       sanitize=self.sanitize),
+            make_fleet(n_arrays, rows=256, cols=cols, packed=self.packed),
             sparsity=self.sparsity)
         # One vectorized host pack loads all taps' planes at once (the
         # per-tap write_values loop was the pack boundary hot spot).
@@ -675,8 +672,7 @@ class FunctionalConv:
         requant = self.weights.requant
         n_arrays = raw_planes.shape[0]
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=256, cols=cols, packed=self.packed,
-                       sanitize=self.sanitize),
+            make_fleet(n_arrays, rows=256, cols=cols, packed=self.packed),
             sparsity=self.sparsity)
         w = CORRECTION_BITS
 
@@ -747,15 +743,13 @@ class FunctionalMaxPool:
     def __init__(self, pool: MaxPool, input_shape: tuple[int, int, int],
                  config: NeuralCacheConfig | None = None,
                  name: str = "maxpool", packed: bool = False,
-                 sparsity: bool = False,
-                 sanitize: bool | None = None):
+                 sparsity: bool = False):
         self.pool = pool
         self.input_shape = input_shape
         self.config = config if config is not None else NeuralCacheConfig()
         self.mapping = map_pool(self.config, name, pool, input_shape)
         self.packed = packed
         self.sparsity = sparsity
-        self.sanitize = sanitize
         self.report = CycleReport()
 
     def run(self, x: QuantizedTensor) -> QuantizedTensor:
@@ -794,8 +788,7 @@ class FunctionalMaxPool:
         maximum, all ``(n_arrays, cols)`` slots at once."""
         n_arrays = taps[0].shape[0]
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=64, cols=cols, packed=self.packed,
-                       sanitize=self.sanitize),
+            make_fleet(n_arrays, rows=64, cols=cols, packed=self.packed),
             sparsity=self.sparsity)
         current = Operand(0, 8)
         candidate = Operand(8, 8)
@@ -818,15 +811,13 @@ class FunctionalAvgPool:
     def __init__(self, pool: AvgPool, input_shape: tuple[int, int, int],
                  config: NeuralCacheConfig | None = None,
                  name: str = "avgpool", packed: bool = False,
-                 sparsity: bool = False,
-                 sanitize: bool | None = None):
+                 sparsity: bool = False):
         self.pool = pool
         self.input_shape = input_shape
         self.config = config if config is not None else NeuralCacheConfig()
         self.mapping = map_pool(self.config, name, pool, input_shape)
         self.packed = packed
         self.sparsity = sparsity
-        self.sanitize = sanitize
         self.report = CycleReport()
 
     def run(self, x: QuantizedTensor) -> QuantizedTensor:
@@ -874,8 +865,7 @@ class FunctionalAvgPool:
         acc_bits = 16
 
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=128, cols=cols, packed=self.packed,
-                       sanitize=self.sanitize),
+            make_fleet(n_arrays, rows=128, cols=cols, packed=self.packed),
             sparsity=self.sparsity)
         element = Operand(0, 8)
         acc = Operand(8, acc_bits)
@@ -908,15 +898,13 @@ class FunctionalAdd:
     def __init__(self, input_shape: tuple[int, int, int],
                  config: NeuralCacheConfig | None = None,
                  relu: bool = False, name: str = "add",
-                 packed: bool = False, sparsity: bool = False,
-                 sanitize: bool | None = None):
+                 packed: bool = False, sparsity: bool = False):
         self.input_shape = input_shape
         self.config = config if config is not None else NeuralCacheConfig()
         self.relu = relu
         self.name = name
         self.packed = packed
         self.sparsity = sparsity
-        self.sanitize = sanitize
         self.report = CycleReport()
 
     def run(self, a: QuantizedTensor, b: QuantizedTensor) -> QuantizedTensor:
@@ -963,8 +951,7 @@ class FunctionalAdd:
         """One bounded fleet over staged ``(n_arrays, cols)`` operands."""
         n_arrays = av.shape[0]
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=96, cols=cols, packed=self.packed,
-                       sanitize=self.sanitize),
+            make_fleet(n_arrays, rows=96, cols=cols, packed=self.packed),
             sparsity=self.sparsity)
         a8, b8 = Operand(0, 8), Operand(8, 8)
         total9 = Operand(16, 9)
@@ -1015,8 +1002,7 @@ class FunctionalBatchNorm:
     def __init__(self, input_shape: tuple[int, int, int], bn_weights,
                  config: NeuralCacheConfig | None = None,
                  relu: bool = True, zp_out: int = 0, name: str = "bn",
-                 packed: bool = False, sparsity: bool = False,
-                 sanitize: bool | None = None):
+                 packed: bool = False, sparsity: bool = False):
         self.input_shape = input_shape
         self.bn = bn_weights
         self.config = config if config is not None else NeuralCacheConfig()
@@ -1025,7 +1011,6 @@ class FunctionalBatchNorm:
         self.name = name
         self.packed = packed
         self.sparsity = sparsity
-        self.sanitize = sanitize
         self.report = CycleReport()
         if input_shape[2] != bn_weights.channels:
             raise SimulationError(
@@ -1091,8 +1076,7 @@ class FunctionalBatchNorm:
         two's complement accumulators (no-ReLU layers, host epilogue)."""
         n_arrays = q_planes.shape[0]
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=256, cols=cols, packed=self.packed,
-                       sanitize=self.sanitize),
+            make_fleet(n_arrays, rows=256, cols=cols, packed=self.packed),
             sparsity=self.sparsity)
         w = CORRECTION_BITS
         q16 = Operand(0, 16)
@@ -1165,7 +1149,6 @@ class FunctionalExecutor:
                  config: NeuralCacheConfig | None = None,
                  packed: bool = False,
                  sparsity: bool = False,
-                 sanitize: bool | None = None,
                  precision=None,
                  stagings: dict | None = None):
         from repro.nn.layers import (
@@ -1183,7 +1166,6 @@ class FunctionalExecutor:
         #: Skip all-zero operand bit planes (data-dependent cycles;
         #: outputs bit-exact vs dense, ``dense_cycles`` stays stable).
         self.sparsity = sparsity
-        self.sanitize = sanitize
         #: Per-layer element precision (:class:`~repro.core.precision
         #: .LayerPrecision`); falls back to the network's attached table.
         if precision is None:
@@ -1254,25 +1236,21 @@ class FunctionalExecutor:
         if isinstance(layer, self._add_type):
             return FunctionalAdd(inputs[0].shape, self.config,
                                  relu=layer.relu, name=node.name,
-                                 packed=self.packed, sparsity=self.sparsity,
-                                 sanitize=self.sanitize)
+                                 packed=self.packed, sparsity=self.sparsity)
         if isinstance(layer, self._qbn_type):
             return FunctionalBatchNorm(
                 inputs[0].shape, self.weights.bn_for_node(node.name),
                 self.config, relu=layer.relu,
                 zp_out=activation.zero_point, name=node.name,
-                packed=self.packed, sparsity=self.sparsity,
-                sanitize=self.sanitize)
+                packed=self.packed, sparsity=self.sparsity)
         if isinstance(layer, MaxPool):
             return FunctionalMaxPool(layer, inputs[0].shape, self.config,
                                      name=node.name, packed=self.packed,
-                                     sparsity=self.sparsity,
-                                     sanitize=self.sanitize)
+                                     sparsity=self.sparsity)
         if isinstance(layer, AvgPool):
             return FunctionalAvgPool(layer, inputs[0].shape, self.config,
                                      name=node.name, packed=self.packed,
-                                     sparsity=self.sparsity,
-                                     sanitize=self.sanitize)
+                                     sparsity=self.sparsity)
         conv = self.network.conv_of(node)
         shape = inputs[0].shape
         if isinstance(layer, self._fc_type):
@@ -1284,7 +1262,6 @@ class FunctionalExecutor:
                                 self.config, name=node.name,
                                 output_params=activation,
                                 packed=self.packed, sparsity=self.sparsity,
-                                sanitize=self.sanitize,
                                 element_bits=element_bits,
                                 staging=self.stagings.get(node.name))
         self.stagings.setdefault(node.name, engine.staging)

@@ -55,6 +55,10 @@ class BackendOptions:
     :class:`~repro.core.precision.LayerPrecision` table so conv layers
     run narrowed bit-serial sequences (validated against the network's
     layer names at map time).
+
+    The shadow-state sanitizer is not an option: every fleet an engine
+    builds follows ``NEURALCACHE_SANITIZE``, read by
+    :func:`~repro.engine.packed.make_fleet`.
     """
 
     #: Shard driver for the sharded backends: ``serial`` or ``pool``.
@@ -62,9 +66,6 @@ class BackendOptions:
     driver: str | None = None
     #: Shard (socket) count for the sharded backends.
     shards: int | None = None
-    #: Shadow-state sanitizer for the functional fleets; ``None`` defers
-    #: to the ``NEURALCACHE_SANITIZE`` environment variable.
-    sanitize: bool | None = None
     #: Software fault plan (:class:`repro.faults.plan.FaultPlan`) armed
     #: in the sharded pool driver's workers.
     faults: object | None = None
@@ -76,8 +77,7 @@ class BackendOptions:
 
     def for_functional(self) -> dict:
         """The options every functional (fleet) engine consumes."""
-        return {"sanitize": self.sanitize, "sparsity": self.sparsity,
-                "precision": self.precision}
+        return {"sparsity": self.sparsity, "precision": self.precision}
 
 
 @dataclass(frozen=True)
@@ -357,7 +357,7 @@ class FleetExecutor:
     def __init__(self, config: NeuralCacheConfig | None = None,
                  weights=None, seed: int = 0, verify: bool = True,
                  packed: bool | str = True, sparsity: bool = False,
-                 sanitize: bool | None = None, precision=None):
+                 precision=None):
         self.config = config if config is not None else NeuralCacheConfig()
         self.weights = weights
         self.seed = seed
@@ -366,8 +366,6 @@ class FleetExecutor:
         #: Bit-plane sparsity skipping (data-dependent ``CycleReport``;
         #: outputs stay bit-exact, verified against the golden executor).
         self.sparsity = sparsity
-        #: Shadow-state sanitizer override (None = env default).
-        self.sanitize = sanitize
         #: Per-layer precision table, overriding ``network.precision``.
         self.precision = precision
         #: (network, weights) -> {node name: ConvStaging}.
@@ -434,7 +432,6 @@ class FleetExecutor:
         executor = FunctionalExecutor(network, weights, self.config,
                                       packed=self.packed,
                                       sparsity=self.sparsity,
-                                      sanitize=self.sanitize,
                                       precision=self.precision,
                                       stagings=self.stagings_for(network,
                                                                  weights))
@@ -498,12 +495,10 @@ def _check_unsharded(name: str, options: BackendOptions) -> None:
 def _check_analytic(options: BackendOptions) -> None:
     """The analytic model has no functional fleets to configure."""
     _check_unsharded("analytic", options)
-    for knob, pointer in (("sparsity", "the functional fleet engines"),
-                          ("sanitize", "the functional fleet engines")):
-        if getattr(options, knob) not in (None, False):
-            raise SimulationError(
-                f"backend 'analytic' does not take {knob!r}; only "
-                f"{pointer} execute bit planes")
+    if options.sparsity:
+        raise SimulationError(
+            "backend 'analytic' does not take 'sparsity'; only the "
+            "functional fleet engines execute bit planes")
     if options.precision is not None:
         raise SimulationError(
             "backend 'analytic' takes per-layer precision from the "
@@ -565,8 +560,8 @@ def get_backend(name: str, config: NeuralCacheConfig | None = None,
 
     ``options`` is the construction surface: one
     :class:`BackendOptions` value carrying every backend knob (shard
-    driver and count, sanitizer, fault plan, bit-plane sparsity,
-    per-layer precision). Factories reject options they cannot
+    driver and count, fault plan, bit-plane sparsity, per-layer
+    precision). Factories reject options they cannot
     honour — the analytic model has no fleets to sparsify, the unsharded
     engines no pool to drive. The ``pool`` driver forks persistent
     workers at construction, so it is POSIX-only (requires the ``fork``

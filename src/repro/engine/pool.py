@@ -29,31 +29,35 @@ in both arenas, so shard ``k`` touches exactly the slots
 driver uses, which is what keeps the pool bit-exact and
 shard-report-identical to the serial reference.
 
-Supervision (``supervise=True``, the default): every reply wait is
-bounded by ``reply_timeout_s`` — there is no unbounded blocking
-``recv`` anywhere — and every send health-checks its worker first. A
-worker that dies or hangs mid-batch is reaped (terminated, its pipe
-closed, its incarnation's plane segments swept) and **respawned**; the
-works its death orphaned are re-dispatched, under ``max_retries``
-bounded rounds with exponential backoff. If a respawn fails, the pool
-**degrades**: the dead slot's lanes route to the surviving workers (a
-lane names its slots by ``shard``/``stride`` arithmetic, so any warm
-worker can run any lane) until no live worker remains, which — like
-exhausting the retry budget — tears the pool down loudly. Recovery is
-observable: :meth:`pop_recovery_events` returns the
-:class:`RecoveryEvent` log, which the sharded backend republishes on
-its ``ShardReport``. Re-execution of an orphaned lane is safe by
-construction: a lane writes only its own output slots and every driver
-is bit-exact, so a re-run overwrites identical bytes.
+Supervision: every reply wait is bounded by ``reply_timeout_s`` — there
+is no unbounded blocking ``recv`` anywhere — and every send
+health-checks its worker first. A worker that dies or hangs mid-batch
+is reaped (terminated, its pipe closed, its incarnation's plane
+segments swept) and **respawned**; the works its death orphaned are
+re-dispatched, under ``max_retries`` bounded rounds with exponential
+backoff. If a respawn fails, the pool **degrades**: the dead slot's
+lanes route to the surviving workers (a lane names its slots by
+``shard``/``stride`` arithmetic, so any warm worker can run any lane)
+until no live worker remains. Losing every worker, or exhausting the
+retry budget, tears the pool down loudly: a
+:class:`~repro.common.errors.SimulationError` names the last failed
+worker, its PID and whether it ``died`` or ``hung``, and every segment
+under the pool's scope is swept. ``max_retries=0`` is fail-fast: the
+first dead or hung worker ends the pool. Recovery is observable:
+:meth:`pop_recovery_events` returns the :class:`RecoveryEvent` log,
+which the sharded backend republishes on its ``ShardReport``.
+Re-execution of an orphaned lane is safe by construction: a lane writes
+only its own output slots and every driver is bit-exact, so a re-run
+overwrites identical bytes.
 
-With ``supervise=False`` the pool keeps the original fail-fast
-contract: a dead *or hung* worker tears the whole pool down
-(:class:`~repro.common.errors.SimulationError` naming the shard and its
-PID), every segment under the pool's scope is swept, and the pool is
-unusable afterwards. A worker-*reported* error is gentler in both
-modes: the replies of every other shard in the round are drained first
-(keeping the pipes level), the error raises, and the pool keeps
-serving.
+A worker-*reported* error is gentler: the replies of every other
+shard in the round are drained first (keeping the pipes level), the
+error raises, and the pool keeps serving.
+
+Sanitizer: every fleet a worker builds follows ``NEURALCACHE_SANITIZE``
+(:func:`~repro.engine.packed.make_fleet`). Workers inherit the
+environment when forked, and a respawn forks again, so the switch must
+be set for the whole process, not around one call.
 
 Chaos hooks: a seeded :class:`~repro.faults.plan.FaultPlan` makes the
 workers inject the faults supervision exists to survive — ``kill``
@@ -112,6 +116,9 @@ _PARAM_DTYPE = np.dtype([("scale", "<f8"), ("zero", "<i8")])
 
 #: Slot alignment (and header size) in bytes.
 _ALIGN = 16
+
+#: Sleep before the first re-dispatch round, doubled on each further one.
+_RETRY_BACKOFF_S = 0.05
 
 
 def _slot_size(payload_nbytes: int) -> int:
@@ -218,7 +225,7 @@ class _WorkerState:
         self.arenas: dict[str, SharedSegment] = {}
 
     def load_program(self, network, weights, config, verify, seed,
-                     sparsity=False, sanitize=None, precision=None) -> None:
+                     sparsity=False, precision=None) -> None:
         """(Re)build the warm executor for a broadcast program.
 
         The executor runs ``packed="shared"``: the worker's fleets
@@ -232,8 +239,7 @@ class _WorkerState:
         self.weights = weights
         self.executor = FleetExecutor(
             config, weights=weights, seed=seed, verify=verify,
-            packed="shared", sparsity=sparsity, sanitize=sanitize,
-            precision=precision)
+            packed="shared", sparsity=sparsity, precision=precision)
         self.golden = self.executor.golden_for(network, weights)
 
     def _arena(self, role: str, name: str) -> SharedSegment:
@@ -352,19 +358,16 @@ class ShardWorkerPool:
     calls.
 
     See the module docstring for the supervision contract (timeouts,
-    health checks, respawn with re-dispatch, graceful degradation) and
-    the unsupervised fail-fast contract behind ``supervise=False``.
+    health checks, respawn with re-dispatch, graceful degradation, and
+    fail-fast at ``max_retries=0``).
     """
 
     def __init__(self, shards: int, config: NeuralCacheConfig,
                  verify: bool = True, seed: int = 0,
                  reply_timeout_s: float = 60.0,
                  max_retries: int = 2,
-                 retry_backoff_s: float = 0.05,
-                 supervise: bool = True,
                  fault_plan: FaultPlan | None = None,
-                 sparsity: bool = False, sanitize: bool | None = None,
-                 precision=None):
+                 sparsity: bool = False, precision=None):
         if shards <= 0:
             raise SimulationError(
                 f"shard count must be positive, got {shards}")
@@ -374,10 +377,6 @@ class ShardWorkerPool:
         if max_retries < 0:
             raise SimulationError(
                 f"retry budget must be non-negative, got {max_retries}")
-        if retry_backoff_s < 0:
-            raise SimulationError(
-                f"retry backoff must be non-negative, got "
-                f"{retry_backoff_s}")
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
             raise SimulationError(
                 f"fault_plan must be a FaultPlan, got "
@@ -388,14 +387,11 @@ class ShardWorkerPool:
         self.seed = seed
         self.reply_timeout_s = reply_timeout_s
         self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.supervise = supervise
         self.fault_plan = fault_plan
         #: Executor knobs broadcast to every worker with the program:
-        #: bit-plane sparsity skipping, the sanitizer override and the
-        #: per-layer precision table (all scalar/small, O(1) pickle).
+        #: bit-plane sparsity skipping and the per-layer precision table
+        #: (both scalar/small, O(1) pickle).
         self.sparsity = sparsity
-        self.sanitize = sanitize
         self.precision = precision
         #: Every segment this pool's parent or workers create carries
         #: this prefix — the crash-sweep handle.
@@ -499,11 +495,8 @@ class ShardWorkerPool:
             return False
         if self._program is not None:
             _, network, weights = self._program
-            message = ("program", network, weights, self.config,
-                       self.verify, self.seed, self.sparsity,
-                       self.sanitize, self.precision)
             try:
-                self._send_raw(slot, message)
+                self._send_raw(slot, self._program_message(network, weights))
                 reply = self._recv_raw(slot)
                 if reply[0] != "ok":
                     raise _WorkerFailure(slot, "died",
@@ -579,53 +572,17 @@ class ShardWorkerPool:
                     pass
                 raise _WorkerFailure(slot, "died", worker.pid) from None
 
-    def _drain(self, shards) -> dict[int, tuple]:
-        """One reply per shard, drained fully even when some are errors.
-
-        The unsupervised receive path. Every shard that was sent a
-        message in this round answers exactly once, so its reply must
-        be consumed *before* any error raises — otherwise the surviving
-        workers' queued "done" replies would pair with the next round's
-        messages, desyncing the protocol and silently corrupting every
-        later batch. Raises after the drain if any shard reported an
-        error; the workers (and the pool) stay serviceable. A shard
-        that died or hung instead of answering tears the pool down via
-        :meth:`_fail` — reply waits are bounded by ``reply_timeout_s``,
-        so a hung worker can no longer block this forever.
-        """
-        replies: dict[int, tuple] = {}
-        errors = []
-        for shard in shards:
-            try:
-                reply = self._recv_raw(shard)
-            except _WorkerFailure as failure:
-                self._fail(failure)
-            if reply[0] == "error":
-                errors.append((shard, reply[1]))
-            else:
-                replies[shard] = reply
-        if errors:
-            raise SimulationError("pool " + "; ".join(
-                f"shard {shard} failed: {msg}" for shard, msg in errors))
-        return replies
-
-    def _fail(self, failure: _WorkerFailure) -> None:
-        """Unsupervised verdict: tear the whole pool down, then raise."""
-        self.close(drain=False)
-        if failure.kind == "hung":
-            detail = (f"sent no reply within {self.reply_timeout_s:g}s "
-                      f"(hung)")
-        else:
-            detail = "died"
-        raise SimulationError(
-            f"pool shard worker {failure.slot} (pid {failure.pid}) "
-            f"{detail}; pool shut down and its segments were swept")
-
     def _unrecoverable(self, why: str) -> None:
         """Supervision gave up: tear down and raise."""
         self.close(drain=False)
         raise SimulationError(
             f"pool {why}; pool shut down and its segments were swept")
+
+    def _program_message(self, network: Network, weights) -> tuple:
+        """The ``program`` message, fields in the order
+        :meth:`_WorkerState.load_program` takes them."""
+        return ("program", network, weights, self.config, self.verify,
+                self.seed, self.sparsity, self.precision)
 
     def _broadcast_program(self, network: Network, weights) -> None:
         """Ship the program once per (network, weights) identity.
@@ -633,28 +590,15 @@ class ShardWorkerPool:
         Strong references to the broadcast pair are kept, so the
         ``id()``-keyed cache can never alias a collected object (the
         same guard the analytic backend's simulator cache uses).
-        Supervised pools repair workers that fail mid-broadcast (a
-        respawn re-ships the program itself); a worker-*reported*
-        program error unsets the cache so the next stage() converges
-        every worker again.
+        Workers that fail mid-broadcast are repaired (a respawn re-ships
+        the program itself); a worker-*reported* program error unsets
+        the cache so the next stage() converges every worker again.
         """
         key = (id(network), id(weights))
         if self._program is not None and self._program[0] == key:
             return
         self._program = None
-        message = ("program", network, weights, self.config, self.verify,
-                   self.seed, self.sparsity, self.sanitize, self.precision)
-        if not self.supervise:
-            for slot in range(self.shards):
-                try:
-                    self._send_raw(slot, message)
-                except _WorkerFailure as failure:
-                    self._fail(failure)
-            # A partial failure leaves _program unset, so the next
-            # stage() re-broadcasts and the workers converge again.
-            self._drain(range(self.shards))
-            self._program = (key, network, weights)
-            return
+        message = self._program_message(network, weights)
         sent = []
         failures = []
         errors = []
@@ -735,27 +679,18 @@ class ShardWorkerPool:
     def _run_works(self, busy: list[PoolShardWork]) -> dict[int, tuple]:
         """Execute the busy lanes; one ``done`` reply per lane.
 
-        Unsupervised: the original send-all / drain-all flow, now with
-        bounded reply waits. Supervised: lanes route to live slots
-        (a dead slot's lane goes to ``live[shard % len(live)]``), sends
-        pair with FIFO receives per slot, and any slot that dies or
-        hangs is repaired while its orphaned lanes re-dispatch on the
-        next round — bounded by ``max_retries`` rounds with exponential
-        backoff. Worker-*reported* errors never trigger recovery: the
-        round is drained level, then the error raises with the pool
-        still serviceable.
+        Lanes route to live slots (a dead slot's lane goes to
+        ``live[shard % len(live)]``), sends pair with FIFO receives per
+        slot, and any slot that dies or hangs is repaired while its
+        orphaned lanes re-dispatch on the next round — bounded by
+        ``max_retries`` rounds with exponential backoff. A round that
+        would exceed the budget tears the pool down instead, naming the
+        last failed worker. Worker-*reported* errors never trigger
+        recovery: the round is drained level, then the error raises with
+        the pool still serviceable.
         """
         if not busy:
             return {}
-        if not self.supervise:
-            for work in busy:
-                self._sent[work.shard] += 1
-                try:
-                    self._send_raw(work.shard,
-                                   ("run", work, self._sent[work.shard]))
-                except _WorkerFailure as failure:
-                    self._fail(failure)
-            return self._drain([work.shard for work in busy])
         replies: dict[int, tuple] = {}
         pending = list(busy)
         attempt = 0
@@ -801,6 +736,15 @@ class ShardWorkerPool:
                         for target in failed
                         for work in routed[target]
                         if id(work) not in answered]
+                retry = bool(lost) and not errors
+                if retry and attempt >= self.max_retries:
+                    # Name the worker: at max_retries=0 this is the
+                    # fail-fast diagnosis of the first death or hang.
+                    last = list(failed.values())[-1]
+                    self._unrecoverable(
+                        f"worker recovery exhausted after "
+                        f"{self.max_retries} re-dispatch round(s); last "
+                        f"failure: {last}")
                 for target, failure in failed.items():
                     orphaned = sum(work.count for work in routed[target]
                                    if id(work) not in answered)
@@ -810,13 +754,9 @@ class ShardWorkerPool:
                                f"after worker {target} (pid "
                                f"{failure.pid}) {failure.kind}"))
                     self._repair(failure)
-                if lost and not errors:
+                if retry:
                     attempt += 1
-                    if attempt > self.max_retries:
-                        self._unrecoverable(
-                            f"worker recovery exhausted after "
-                            f"{self.max_retries} re-dispatch round(s)")
-                    time.sleep(self.retry_backoff_s * 2 ** (attempt - 1))
+                    time.sleep(_RETRY_BACKOFF_S * 2 ** (attempt - 1))
                     pending = lost
             if errors:
                 # Pipes are level (every sent message was answered or

@@ -112,11 +112,12 @@ class ShardedBackend:
     manager for scoped use. The serial driver holds nothing, so
     ``close`` is a no-op for it.
 
-    The pool driver is also supervised by default: ``reply_timeout_s``,
-    ``max_retries`` and ``supervise`` pass straight through to
+    The pool driver is supervised: ``reply_timeout_s`` and
+    ``max_retries`` pass straight through to
     :class:`~repro.engine.pool.ShardWorkerPool`, whose self-healing
     (respawn + re-dispatch, degradation) this backend surfaces via
-    :meth:`recovery_events` and ``ShardReport.recoveries``.
+    :meth:`recovery_events` and ``ShardReport.recoveries``;
+    ``max_retries=0`` fails fast on the first dead or hung worker.
     ``fault_plan`` arms the chaos hooks in the pool workers; it is
     rejected on the serial driver, which has no injection points.
 
@@ -135,8 +136,7 @@ class ShardedBackend:
                  weights=None, seed: int = 0, verify: bool = True,
                  driver: str = "serial",
                  reply_timeout_s: float = 60.0, max_retries: int = 2,
-                 supervise: bool = True, fault_plan=None,
-                 sparsity: bool = False, sanitize: bool | None = None,
+                 fault_plan=None, sparsity: bool = False,
                  precision=None):
         self.config = config if config is not None else NeuralCacheConfig()
         if shards is None:
@@ -161,8 +161,6 @@ class ShardedBackend:
         self.driver = driver
         #: Bit-plane sparsity skipping in every shard's fleet.
         self.sparsity = sparsity
-        #: Shadow-state sanitizer override shipped to every shard.
-        self.sanitize = sanitize
         #: Per-layer precision table shipped to every shard.
         self.precision = precision
         #: The executor the serial driver runs every shard's slice on;
@@ -171,7 +169,6 @@ class ShardedBackend:
         self._executor = FleetExecutor(self.config, weights=weights,
                                        seed=seed, verify=verify,
                                        sparsity=sparsity,
-                                       sanitize=sanitize,
                                        precision=precision)
         #: Most-recently-used resolved weights per network (the same
         #: IdentityLRU as the analytic simulator cache). Stable
@@ -191,10 +188,8 @@ class ShardedBackend:
                                          verify=verify, seed=seed,
                                          reply_timeout_s=reply_timeout_s,
                                          max_retries=max_retries,
-                                         supervise=supervise,
                                          fault_plan=fault_plan,
                                          sparsity=sparsity,
-                                         sanitize=sanitize,
                                          precision=precision)
 
     WEIGHTS_CACHE_SIZE = 4

@@ -162,13 +162,14 @@ def run_serving_benchmark(
     events the nodes took are counted in the stats.
 
     ``options`` is a :class:`~repro.engine.backend.BackendOptions`
-    carrying the functional-engine knobs (``sparsity``, ``sanitize``,
-    ``precision``) for every serving node *and* the serial reference —
-    both knobs are value-preserving, so the bit-exactness gate holds
-    unchanged while the nodes' cycle reports become data-dependent.
-    Topology knobs (``driver``, ``shards``, ``faults``)
-    belong to this function's own arguments and are rejected on
-    ``options`` to keep one source of truth.
+    carrying the functional-engine knobs (``sparsity``, ``precision``)
+    for every serving node *and* the serial reference — both knobs are
+    value-preserving, so the bit-exactness gate holds unchanged while
+    the nodes' cycle reports become data-dependent. Topology knobs
+    (``driver``, ``shards``, ``faults``) belong to this function's own
+    arguments and are rejected on ``options`` to keep one source of
+    truth. The sanitizer is not a knob here either: the nodes' fleets
+    follow ``NEURALCACHE_SANITIZE``.
     """
     if network is None:
         network = tiny_verification_network()
@@ -179,9 +180,7 @@ def run_serving_benchmark(
                 raise SimulationError(
                     f"run_serving_benchmark sets {knob!r} through its own "
                     f"arguments; leave it unset on BackendOptions")
-        engine_knobs = {"sparsity": options.sparsity,
-                        "sanitize": options.sanitize,
-                        "precision": options.precision}
+        engine_knobs = options.for_functional()
     template = FleetExecutor(config, packed=True, verify=False)
     weights = template.weights_for(network)
     images = deterministic_images(network, weights, seed, n_requests)

@@ -81,7 +81,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name,options", [
         ("analytic", BackendOptions(sparsity=True)),
-        ("analytic", BackendOptions(sanitize=True)),
+        ("analytic", BackendOptions(driver="pool")),
         ("fleet-packed", BackendOptions(driver="pool")),
         ("fleet-packed", BackendOptions(shards=2)),
         ("fleet-packed", BackendOptions(faults=object())),

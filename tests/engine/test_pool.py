@@ -12,7 +12,9 @@ driver passes against the serial driver in ``test_shard_driver.py``):
 * **lifecycle** — after normal close, ``Server.close`` with
   ``close_backends``, a worker crash, or a double close, nothing the
   pool ever created remains in ``/dev/shm`` (asserted by scope scan and
-  by segment re-attach failure).
+  by segment re-attach failure);
+* **ambient sanitizer** — workers inherit ``NEURALCACHE_SANITIZE`` when
+  forked, so every fleet they build follows the parent's switch.
 """
 
 import asyncio
@@ -140,6 +142,36 @@ class TestEmptyShardSkip:
         assert [s.images for s in result.shard_reports] == [1, 0, 0]
 
 
+class TestSanitizer:
+    @pytest.mark.parametrize("switch", ["1", "0"])
+    def test_environment_switch_reaches_workers(self, tiny_net,
+                                                monkeypatch, switch):
+        """A pool engine that reads a never-written operand trips the
+        sanitizer in the workers exactly when the parent's environment
+        arms it; both the patch and the switch cross the fork."""
+        from repro.core.functional import FunctionalMaxPool
+        from repro.engine.bitserial import FleetBitSerialUnit, Operand
+        from repro.engine.packed import make_fleet
+
+        original = FunctionalMaxPool._run_fleet
+
+        def reads_unwritten(self, taps, cols):
+            probe = FleetBitSerialUnit(make_fleet(1, rows=8, cols=cols))
+            probe.read_values(Operand(0, 8))
+            return original(self, taps, cols)
+
+        monkeypatch.setattr(FunctionalMaxPool, "_run_fleet", reads_unwritten)
+        monkeypatch.setenv("NEURALCACHE_SANITIZE", switch)
+        with ShardedBackend(shards=2, driver="pool") as backend:
+            if switch == "1":
+                with pytest.raises(SimulationError, match="VerifyError"):
+                    backend.run(tiny_net, batch_size=4)
+            else:
+                assert backend.run(tiny_net,
+                                   batch_size=4).verified_images == 4
+        assert_no_segment_leaks()
+
+
 class TestLifecycle:
     def test_normal_close_sweeps_every_segment(self, tiny_net):
         backend = ShardedBackend(shards=2, driver="pool")
@@ -166,13 +198,15 @@ class TestLifecycle:
             backend.worker_pids()
 
     def test_worker_crash_fails_loudly_and_sweeps(self, tiny_net):
-        # supervise=False pins the original fail-fast contract; the
-        # supervised default recovers instead (test_pool_supervision.py).
-        backend = ShardedBackend(shards=2, driver="pool", supervise=False)
+        # max_retries=0 is fail-fast; the default budget recovers
+        # instead (test_pool_supervision.py).
+        backend = ShardedBackend(shards=2, driver="pool", max_retries=0)
         backend.run(tiny_net, batch_size=4)     # warm, arenas staged
         scope = backend._pool.scope
-        os.kill(backend.worker_pids()[1], signal.SIGKILL)
-        with pytest.raises(SimulationError, match="died"):
+        victim = backend.worker_pids()[1]
+        os.kill(victim, signal.SIGKILL)
+        with pytest.raises(SimulationError,
+                           match=rf"worker 1 \(pid {victim}\) died"):
             backend.run(tiny_net, batch_size=4)
         assert scope_segments(scope) == []
         backend.close()     # idempotent after the crash teardown

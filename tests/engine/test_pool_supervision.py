@@ -1,10 +1,10 @@
-"""The self-healing pool: supervision, chaos plans, and the fail-fast mode.
+"""The self-healing pool: supervision, chaos plans, and fail-fast.
 
 The supervised :class:`~repro.engine.pool.ShardWorkerPool` must survive
 workers that die or go silent mid-batch — respawn them, re-dispatch the
 orphaned lanes, and keep the batch bit-exact with the serial reference —
-while ``supervise=False`` pins the original fail-fast contract (tear
-down loudly, sweep every segment, name the worker and its PID).
+while ``max_retries=0`` is fail-fast (tear down loudly, sweep every
+segment, name the worker, its PID and whether it died or hung).
 """
 
 import os
@@ -177,35 +177,37 @@ class TestReporting:
 
 class TestFailFastMode:
     def test_hung_worker_raises_instead_of_blocking_forever(self, tiny_net):
-        """Satellite regression: _drain used to block on a silent worker.
+        """A silent worker must not block the parent.
 
         A deliberately sleeping worker (delay fault far past the reply
-        timeout) must raise a SimulationError naming the shard and its
-        PID instead of hanging the parent.
+        timeout) must raise a SimulationError naming the shard, its PID
+        and ``hung`` instead of hanging the parent.
         """
         plan = FaultPlan(pool=(PoolFault(kind="delay", shard=0, every=1,
                                          delay_s=30.0),))
-        backend = ShardedBackend(shards=2, driver="pool",
-                                 supervise=False, fault_plan=plan,
-                                 reply_timeout_s=0.5)
+        backend = ShardedBackend(shards=2, driver="pool", max_retries=0,
+                                 fault_plan=plan, reply_timeout_s=0.5)
         scope = backend._pool.scope
         pid = backend.worker_pids()[0]
-        with pytest.raises(
-                SimulationError,
-                match=rf"worker 0 \(pid {pid}\) sent no reply within "
-                      rf"0\.5s \(hung\)"):
+        with pytest.raises(SimulationError,
+                           match=rf"worker 0 \(pid {pid}\) hung; pool "
+                                 rf"shut down"):
             backend.run(tiny_net, batch_size=4)
         assert scope_segments(scope) == []
         backend.close()
         assert_no_segment_leaks()
 
-    def test_unsupervised_kill_still_fails_loudly(self, tiny_net):
+    def test_killed_worker_fails_loudly(self, tiny_net):
         plan = FaultPlan(pool=(PoolFault(kind="kill", shard=1, every=2),))
-        backend = ShardedBackend(shards=2, driver="pool",
-                                 supervise=False, fault_plan=plan)
+        backend = ShardedBackend(shards=2, driver="pool", max_retries=0,
+                                 fault_plan=plan)
         backend.run(tiny_net, batch_size=4)
-        with pytest.raises(SimulationError, match="died"):
+        scope = backend._pool.scope
+        pid = backend.worker_pids()[1]
+        with pytest.raises(SimulationError,
+                           match=rf"worker 1 \(pid {pid}\) died"):
             backend.run(tiny_net, batch_size=4)
+        assert scope_segments(scope) == []
         backend.close()
         assert_no_segment_leaks()
 

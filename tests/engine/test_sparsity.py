@@ -14,6 +14,9 @@ feature is admissible only under two invariants, pinned here:
   the paper's data-independent numbers whatever the input sparsity.
 """
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +36,11 @@ from repro.nn import QuantizedTensor
 #: reproduce it exactly.
 SEED_TINY_REPORT = CycleReport(mac=20592, reduction=4896,
                                quantization=2890, pooling=78, passes=17)
+
+#: Arms the shadow-state sanitizer for every fleet built inside it
+#: (``mock.patch.dict``, not the function-scoped ``monkeypatch`` fixture,
+#: which Hypothesis's health check rejects inside ``@given``).
+SANITIZED = {"NEURALCACHE_SANITIZE": "1"}
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +66,11 @@ def images_with_cap(net, weights, cap, seed, batch=1):
 def run_pair(net, images, weights, packed):
     """Fresh dense and sparse executors over the same stream, both with
     the shadow-state sanitizer armed."""
-    dense = FleetExecutor(packed=packed, sanitize=True).run_requests(
-        net, images, weights)
-    sparse = FleetExecutor(packed=packed, sparsity=True,
-                           sanitize=True).run_requests(net, images, weights)
+    with mock.patch.dict(os.environ, SANITIZED):
+        dense = FleetExecutor(packed=packed).run_requests(
+            net, images, weights)
+        sparse = FleetExecutor(packed=packed, sparsity=True).run_requests(
+            net, images, weights)
     return dense, sparse
 
 
@@ -94,11 +103,12 @@ class TestBitExactness:
         """The deepest stack: sparsity knobs cross the pool protocol to
         persistent workers and still land bit-exact."""
         images = deterministic_images(tiny_net, tiny_weights, 0, 3)
-        dense = ShardedBackend(shards=2, sanitize=True).run_requests(
-            tiny_net, images)
-        sparse = ShardedBackend(shards=2, driver="pool", sparsity=True,
-                                sanitize=True).run_requests(tiny_net,
-                                                            images)
+        # The pool's workers inherit the sanitizer switch when forked.
+        with mock.patch.dict(os.environ, SANITIZED):
+            dense = ShardedBackend(shards=2).run_requests(tiny_net, images)
+            with ShardedBackend(shards=2, driver="pool",
+                                sparsity=True) as backend:
+                sparse = backend.run_requests(tiny_net, images)
         assert_bit_exact(dense, sparse)
         assert sparse.report.skipped > 0
         assert sparse.report.dense_cycles == dense.report.total
