@@ -21,13 +21,14 @@ def simulate_zoo():
 def test_model_zoo_simulation(benchmark, record):
     results = benchmark(simulate_zoo)
     assert set(results) == {"lenet5", "vgg-tiny", "resnet-tiny", "mlp",
-                            "inception-v3"}
+                            "inception-span", "inception-v3"}
     for name, (result, macs) in results.items():
         assert result.total_time > 0, name
         assert result.total_energy > 0, name
     # Inception dominates everything else by orders of magnitude.
     inception_time = results["inception-v3"][0].total_time
-    for name in ("lenet5", "vgg-tiny", "resnet-tiny", "mlp"):
+    for name in ("lenet5", "vgg-tiny", "resnet-tiny", "mlp",
+                 "inception-span"):
         assert results[name][0].total_time < inception_time / 50
     lines = ["Model zoo on the 35 MB Neural Cache",
              f"{'model':14s} {'MACs':>12s} {'latency':>12s} {'energy':>10s}"]

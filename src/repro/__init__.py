@@ -26,7 +26,6 @@ from repro.cache import (
     CacheGeometry,
     DramModel,
     InterconnectModel,
-    LastLevelCache,
     xeon_e5_2697_v3,
 )
 from repro.config import NeuralCacheConfig
@@ -104,7 +103,6 @@ __all__ = [
     "PackedArrayFleet",
     "make_fleet",
     "InterconnectModel",
-    "LastLevelCache",
     "Network",
     "NeuralCacheConfig",
     "NeuralCacheSimulator",

@@ -1,4 +1,4 @@
-"""Cache substrate: geometry, interconnect, DRAM and the LLC facade."""
+"""Cache substrate: geometry, interconnect and DRAM."""
 
 from repro.cache.dram import DramModel
 from repro.cache.geometry import (
@@ -9,15 +9,11 @@ from repro.cache.geometry import (
     xeon_e5_2697_v3,
 )
 from repro.cache.interconnect import InterconnectModel
-from repro.cache.llc import ArrayCoordinate, LastLevelCache, SetLocation
 
 __all__ = [
-    "ArrayCoordinate",
     "CacheGeometry",
     "DramModel",
     "InterconnectModel",
-    "LastLevelCache",
-    "SetLocation",
     "capacity_sweep",
     "xeon_45mb",
     "xeon_60mb",

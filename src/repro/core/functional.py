@@ -190,6 +190,26 @@ def _plan_lanes(mapping: LayerMapping, kernel: tuple[int, int],
                      c=table(c))
 
 
+def _conv_rows(mapping: LayerMapping, taps: int) -> tuple[Operand, ...]:
+    """A conv fleet's row regions (Fig. 10a, with the input-sum for
+    corrections): filters, inputs, multiply scratch, partial sums,
+    reduction segment and input sums, top to bottom.
+
+    Packed 1x1 filters have no input reuse and stream one input byte at
+    a time into a single-byte region (Sec. IV-A). Spanning groups widen
+    the accumulators by one row: the final cross-array add carries into
+    bit 32 of the reduction width.
+    """
+    acc_rows = 33 if mapping.arrays_per_conv > 1 else 32
+    filters = Operand(0, taps * 8)
+    inputs = Operand(filters.end, 8 if mapping.pack_factor > 1 else taps * 8)
+    scratch = Operand(inputs.end, 16)
+    partial = Operand(scratch.end, acc_rows)  # 24 live + growth
+    segment = Operand(partial.end, 32)
+    xsum = Operand(segment.end, acc_rows)     # 24 live + growth
+    return filters, inputs, scratch, partial, segment, xsum
+
+
 @dataclass(frozen=True)
 class ConvStaging:
     """A conv layer's compiled host staging, built once and reused by
@@ -213,8 +233,8 @@ class ConvStaging:
       quantization stage's zero-point constant.
 
     :meth:`compile` validates the layer (element width, tap bound,
-    spanning geometry, narrowed filter range) so a staging is always
-    runnable.
+    spanning geometry, row layout, narrowed filter range) so a staging
+    is always runnable.
     """
 
     mapping: LayerMapping
@@ -254,6 +274,11 @@ class ConvStaging:
                     f"{cols}-column array width in-array first; that tree "
                     f"needs a power-of-two array_cols")
         plan = _plan_lanes(mapping, conv.kernel, c)
+        rows = _conv_rows(mapping, plan.taps)[-1].end
+        if rows > 256:
+            raise SimulationError(
+                f"layer {name!r}: the functional layout needs {rows} "
+                f"rows, but an array has 256")
 
         h, w, _ = input_shape
         top = left = 0
@@ -505,22 +530,9 @@ class FunctionalConv:
         filter_plane, input_plane, img, ol, live = self._stage_chunk(
             windows, a0, a1, arrays_per_image, cols, lanes, groups)
         nb = mapping.element_bits
-
-        # -- row regions (Fig. 10a, with the input-sum for corrections).
-        # Packed 1x1 filters have no input reuse and stream one input
-        # byte at a time into a single-byte region (Sec. IV-A).
-        # Spanning groups widen the accumulators by one row: the final
-        # cross-array add carries into bit 32 of the reduction width.
-        acc_rows = 33 if span > 1 else 32
-        filter_rows = Operand(0, taps * 8)
-        input_rows = Operand(filter_rows.end, 8 if packed else taps * 8)
-        scratch = Operand(input_rows.end, 16)
-        partial = Operand(scratch.end, acc_rows)  # 24 live + growth
-        segment = Operand(partial.end, 32)
-        xsum_rows = Operand(segment.end, acc_rows)  # 24 live + growth
-        if xsum_rows.end > 256:
-            raise SimulationError(
-                f"functional layout needs {xsum_rows.end} rows")
+        # ``compile`` checked that the regions fit the array.
+        (filter_rows, input_rows, scratch, partial, segment,
+         xsum_rows) = _conv_rows(mapping, taps)
 
         unit = FleetBitSerialUnit(
             make_fleet(n_arrays, rows=256, cols=cols, packed=self.packed),
@@ -586,7 +598,7 @@ class FunctionalConv:
         if span == 1:
             live_bits = 24 + (lanes.bit_length() - 1 if lanes > 1 else 0)
         else:
-            live_bits = acc_rows
+            live_bits = partial.nbits
         raw_bits = unit.read_values(Operand(partial.row, live_bits))
         sum_bits = unit.read_values(Operand(xsum_rows.row, live_bits))
         head = np.arange(groups) * (lanes if span == 1 else 0)

@@ -48,11 +48,11 @@ _SHARDING_NAMES = (
     "ShardedBackend",
 )
 
-# Shared-memory plane stores and the persistent pool are lazy for the
-# same reason as the backend: both pull in repro.core via the executor.
+# The persistent pool is lazy for the same reason as the backend: it
+# pulls in repro.core via the executor. Its shared-memory arenas load
+# with it, not with every fleet.
 _SHARED_NAMES = (
     "SegmentStats",
-    "SharedPlaneStore",
     "SharedSegment",
     "shared_segment_stats",
 )

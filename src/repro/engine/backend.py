@@ -323,10 +323,10 @@ class FleetExecutor:
 
     ``packed`` selects the bit-plane store: the packed uint64 word store
     (:class:`~repro.engine.packed.PackedArrayFleet`, the default and the
-    one ``get_backend("fleet-packed")`` runs), ``"shared"`` (pool
-    workers) or ``False`` — the unpacked byte-per-bit reference, a test
-    and debug store with identical outputs and cycle reports that no
-    registry name selects.
+    one ``get_backend("fleet-packed")`` and every pool worker run) or
+    ``False`` — the unpacked byte-per-bit reference, a test and debug
+    store with identical outputs and cycle reports that no registry name
+    selects.
 
     Each layer runs the whole stream as one fleet pass — one
     :meth:`FunctionalExecutor.run_batch
@@ -356,7 +356,7 @@ class FleetExecutor:
 
     def __init__(self, config: NeuralCacheConfig | None = None,
                  weights=None, seed: int = 0, verify: bool = True,
-                 packed: bool | str = True, sparsity: bool = False,
+                 packed: bool = True, sparsity: bool = False,
                  precision=None):
         self.config = config if config is not None else NeuralCacheConfig()
         self.weights = weights

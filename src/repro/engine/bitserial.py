@@ -16,8 +16,8 @@ path runs every modeled cycle as one call into the store and the
 periphery; it is the reference, and it is what the unpacked
 :class:`~repro.engine.fleet.ArrayFleet` and the sanitizer and fault
 wrappers run, because their checks and defects act on each primitive
-access. The packed and shared-memory stores take the *fused* path for
-the hot composites (``zero``, ``write_scalar``, the copies, ``add``,
+access. The packed store takes the *fused* path for the hot
+composites (``zero``, ``write_scalar``, the copies, ``add``,
 ``add_into``, ``sub``, ``sub_into``, each ``multiply`` iteration and so
 ``mac``, ``move_across`` and so both reduction trees): one word-level
 kernel per composite over whole operand blocks, with the carry in a
@@ -382,8 +382,8 @@ class FleetBitSerialUnit:
             hook(self, "skip_step", (kind, source, dest, cycles), {})
 
     # ==================================================================
-    # Fused word-level kernels (stores with ``fused`` set: the packed and
-    # shared-memory stores). Each runs one composite, or one multiply
+    # Fused word-level kernels (stores with ``fused`` set: the packed
+    # store). Each runs one composite, or one multiply
     # iteration, over whole ``(nbits, n_arrays, n_words)`` operand blocks
     # from ``fleet.word_block``: the carry lives in a local word plane,
     # results are written back per block, and the cycles charged are the

@@ -300,7 +300,7 @@ class PlaneStore:
         hops at larger strides. Because every store keeps the fleet axis
         first in its native planes (``row_plane`` returns ``(n_arrays,
         ...)``), one permutation along axis 0 implements the hop for the
-        unpacked, packed and shared stores alike. Raw plane op: no cycle
+        unpacked and packed stores alike. Raw plane op: no cycle
         accounting here — sequencers charge hop cycles themselves.
         """
         self._check_row(src_row)

@@ -25,8 +25,8 @@ this module supplies the packed storage, the native plane ops
   host integers convert to and from packed words through byte views and
   an 8x8 bit-matrix transpose, never through a 0/1 byte-per-bit tensor.
 
-:class:`~repro.engine.shared.SharedPlaneStore` (and so every pool worker)
-inherits both. The unpacked reference keeps the per-primitive path, and
+Every packed fleet takes both, in the serial driver and in every pool
+worker alike. The unpacked reference keeps the per-primitive path, and
 so do the sanitizer and fault-injection wrappers, which declare both
 entry points themselves: a fused kernel would touch the planes without
 passing their checks and defects. :class:`PackedFleetPeriphery`
@@ -125,16 +125,10 @@ class PackedArrayFleet(PlaneStore):
                  cols: int = DEFAULT_COLS):
         super().__init__(n_arrays, rows, cols)
         self.n_words, self._mask, self._tail_partial = _packed_geometry(cols)
-        self._words = self._alloc_words()
-
-    def _alloc_words(self) -> np.ndarray:
-        """The backing ``(rows, n_arrays, n_words)`` word tensor —
-        wordline-major, so one wordline across the fleet and a run of
-        wordlines (an operand) are each one contiguous block. This is the
-        allocation seam :class:`~repro.engine.shared.SharedPlaneStore`
-        re-homes in a shared-memory segment."""
-        return np.zeros((self.rows, self.n_arrays, self.n_words),
-                        dtype=np.uint64)
+        # Wordline-major, so one wordline across the fleet and a run of
+        # wordlines (an operand) are each one contiguous block.
+        self._words = np.zeros((rows, n_arrays, self.n_words),
+                               dtype=np.uint64)
 
     # -- plane ops ------------------------------------------------------
     def row_plane(self, row: int) -> np.ndarray:
@@ -257,17 +251,15 @@ class PackedFleetPeriphery(FleetPeriphery):
 
 def make_fleet(n_arrays: int = 1, rows: int = DEFAULT_ROWS,
                cols: int = DEFAULT_COLS,
-               packed: bool | str = False,
+               packed: bool = False,
                sanitize: bool | None = None,
                faults=None) -> PlaneStore:
     """Construct a plane store behind the :class:`PlaneStore` seam.
 
     ``packed`` selects the storage: ``False`` is the unpacked
-    byte-per-bit reference, ``True`` the packed uint64 production store,
-    and ``"shared"`` the packed store on a shared-memory segment
-    (:class:`~repro.engine.shared.SharedPlaneStore`) — what the
-    persistent pool workers run on, so a fleet's planes are mappable
-    from other processes instead of picklable only.
+    byte-per-bit reference, ``True`` the packed uint64 production store
+    (what the fleet backends and every pool worker run on). Anything
+    but a ``bool`` is rejected.
 
     ``faults`` wraps the store in a hardware fault injector
     (:class:`repro.faults.hardware.FaultyPlaneStore`) for the given
@@ -288,16 +280,12 @@ def make_fleet(n_arrays: int = 1, rows: int = DEFAULT_ROWS,
     """
     if sanitize is None:
         sanitize = os.environ.get("NEURALCACHE_SANITIZE", "") not in ("", "0")
-    if isinstance(packed, str):
-        if packed != "shared":
-            raise ArrayStateError(
-                f"unknown plane store {packed!r}; use False (unpacked), "
-                f"True (packed) or 'shared' (packed, shared-memory)")
-        from repro.engine.shared import SharedPlaneStore
-        store: PlaneStore = SharedPlaneStore(n_arrays, rows, cols)
-    else:
-        cls = PackedArrayFleet if packed else ArrayFleet
-        store = cls(n_arrays, rows, cols)
+    if not isinstance(packed, bool):
+        raise ArrayStateError(
+            f"unknown plane store {packed!r}; use False (unpacked) or "
+            f"True (packed)")
+    store = (PackedArrayFleet if packed else ArrayFleet)(n_arrays, rows,
+                                                          cols)
     from repro.faults.context import wrap_fleet
     store = wrap_fleet(store, faults)
     if sanitize:

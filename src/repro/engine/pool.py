@@ -10,11 +10,12 @@ on). Both would sit on the serving path, recurring per coalesced batch.
 The pool removes both. Workers are forked **once per
 backend lifetime** and each holds warm program state — the network, the
 resolved weights, the golden executor when verification is on, and a
-:class:`~repro.engine.backend.FleetExecutor` whose packed uint64 bit
-planes live in shared-memory segments
-(:class:`~repro.engine.shared.SharedPlaneStore`). Per batch, the parent
-writes the image payloads into a shared **input arena**, sends each
-worker a :class:`PoolShardWork` that names the arena and the worker's
+:class:`~repro.engine.backend.FleetExecutor` on the same private packed
+plane store as the serial driver — each socket's cache computes on its
+own arrays, and only a batch's inputs and outputs cross between
+processes (Sec. VI-B). Per batch, the parent writes the image payloads
+into a shared **input arena**, sends each worker a
+:class:`PoolShardWork` that names the arena and the worker's
 round-robin lane (``start``/``stride``/``batch`` arithmetic — no index
 lists, no arrays), and reads the responses back out of a shared
 **output arena**. The only bytes that cross the pipes are the O(1) work
@@ -32,14 +33,13 @@ shard-report-identical to the serial reference.
 Supervision: every reply wait is bounded by ``reply_timeout_s`` — there
 is no unbounded blocking ``recv`` anywhere — and every send
 health-checks its worker first. A worker that dies or hangs mid-batch
-is reaped (terminated, its pipe closed, its incarnation's plane
-segments swept) and **respawned**; the works its death orphaned are
-re-dispatched, under ``max_retries`` bounded rounds with exponential
-backoff. If a respawn fails, the pool **degrades**: the dead slot's
-lanes route to the surviving workers (a lane names its slots by
-``shard``/``stride`` arithmetic, so any warm worker can run any lane)
-until no live worker remains. Losing every worker, or exhausting the
-retry budget, tears the pool down loudly: a
+is reaped (terminated, its pipe closed) and **respawned**; the works
+its death orphaned are re-dispatched, under ``max_retries`` bounded
+rounds with exponential backoff. If a respawn fails, the pool
+**degrades**: the dead slot's lanes route to the surviving workers (a
+lane names its slots by ``shard``/``stride`` arithmetic, so any warm
+worker can run any lane) until no live worker remains. Losing every
+worker, or exhausting the retry budget, tears the pool down loudly: a
 :class:`~repro.common.errors.SimulationError` names the last failed
 worker, its PID and whether it ``died`` or ``hung``, and every segment
 under the pool's scope is swept. ``max_retries=0`` is fail-fast: the
@@ -66,13 +66,11 @@ the lane, never reply — indistinguishable from a hang upstream) — on a
 deterministic schedule driven by the parent's per-slot send counters.
 
 Lifecycle is explicit and owned by the pool: the parent owns both
-arenas (created under the pool's segment scope, grown by powers of two,
-unlinked on close); each worker incarnation scopes its plane segments
-under the pool's scope too, so after a crash the parent can sweep
-everything the dead worker had allocated by prefix
-(:func:`~repro.engine.shared.unlink_scope`) without asking it. Normal
-shutdown drains the workers (they release their recycled plane segments
-themselves) and then sweeps anyway; ``close()`` is idempotent.
+arenas — the only shared-memory segments the pool has — created under
+the pool's segment scope, grown by powers of two and unlinked on close.
+Workers only attach to them. ``close()`` drains (or, on the crash path,
+terminates) the workers, unlinks the arenas and then sweeps the scope
+(:func:`~repro.engine.shared.unlink_scope`) anyway; it is idempotent.
 
 Platform: workers are forked (they inherit the program objects and the
 arena handles by address), so the pool driver needs the ``fork`` start
@@ -97,13 +95,7 @@ import numpy as np
 from repro.common.errors import SimulationError
 from repro.config import NeuralCacheConfig
 from repro.engine.backend import BatchOutcome, FleetExecutor
-from repro.engine.shared import (
-    SharedSegment,
-    release_pooled_segments,
-    reset_shared_state,
-    set_segment_scope,
-    unlink_scope,
-)
+from repro.engine.shared import SharedSegment, unlink_scope
 from repro.faults.plan import FaultPlan
 from repro.nn.graph import Network
 from repro.nn.tensor import QuantParams, QuantizedTensor
@@ -226,20 +218,12 @@ class _WorkerState:
 
     def load_program(self, network, weights, config, verify, seed,
                      sparsity=False, precision=None) -> None:
-        """(Re)build the warm executor for a broadcast program.
-
-        The executor runs ``packed="shared"``: the worker's fleets
-        allocate their word planes on
-        :class:`~repro.engine.shared.SharedPlaneStore` segments (scoped
-        to this worker, recycled across layer chunks), which is the
-        zero-copy tentpole — plane state lives in mappable segments,
-        not private heap.
-        """
+        """(Re)build the warm executor for a broadcast program."""
         self.network = network
         self.weights = weights
         self.executor = FleetExecutor(
             config, weights=weights, seed=seed, verify=verify,
-            packed="shared", sparsity=sparsity, precision=precision)
+            sparsity=sparsity, precision=precision)
         self.golden = self.executor.golden_for(network, weights)
 
     def _arena(self, role: str, name: str) -> SharedSegment:
@@ -288,9 +272,9 @@ class _WorkerState:
         self.arenas.clear()
 
 
-def _worker_main(conn, scope: str, shard: int = 0,
+def _worker_main(conn, shard: int = 0,
                  fault_plan: FaultPlan | None = None) -> None:
-    """A pool worker's whole life: scope, serve messages, clean up.
+    """A pool worker's whole life: serve messages, then clean up.
 
     ``fault_plan`` arms the chaos hooks: the plan's hardware model is
     installed process-globally (every fleet this worker builds runs on
@@ -299,10 +283,6 @@ def _worker_main(conn, scope: str, shard: int = 0,
     mid-batch, ``delay`` answers late, ``drop`` finishes the lane but
     never answers (upstream can only see that as a hang).
     """
-    set_segment_scope(scope)
-    # The fork copied the parent's recycler/ledger; forget it, or this
-    # worker's exit-time release would unlink names the parent owns.
-    reset_shared_state()
     if fault_plan is not None and fault_plan.hardware is not None:
         from repro.faults.context import set_hardware_faults
         set_hardware_faults(fault_plan.hardware)
@@ -336,14 +316,13 @@ def _worker_main(conn, scope: str, shard: int = 0,
                     conn.send(("error", f"unknown message {kind!r}"))
             except Exception as exc:
                 # Report-and-continue: a failed batch must not take the
-                # warm worker (and its segments) down with it.
+                # warm worker down with it.
                 try:
                     conn.send(("error", f"{type(exc).__name__}: {exc}"))
                 except Exception:  # pragma: no cover - pipe gone too
                     break
     finally:
         state.close()
-        release_pooled_segments()
         conn.close()
 
 
@@ -393,8 +372,8 @@ class ShardWorkerPool:
         #: (both scalar/small, O(1) pickle).
         self.sparsity = sparsity
         self.precision = precision
-        #: Every segment this pool's parent or workers create carries
-        #: this prefix — the crash-sweep handle.
+        #: Both arenas are created under this prefix — the handle
+        #: ``close`` sweeps by, whatever state a crash left them in.
         self.scope = f"repro-pool-{os.getpid()}-{secrets.token_hex(4)}"
         self._program: tuple | None = None
         self._input: SharedSegment | None = None
@@ -419,22 +398,8 @@ class ShardWorkerPool:
                 "construct pool-driver backends before starting any "
                 "threads (forking a multithreaded process is unsafe)",
                 RuntimeWarning, stacklevel=3)
-        # Start the shared-memory resource tracker *before* forking:
-        # otherwise each worker lazily spawns its own tracker, and a
-        # killed worker's private tracker dies with it — eagerly
-        # unlinking segments out from under the supervisor and warning
-        # about "leaks" the parent's scope sweep owns. One parent-owned
-        # tracker outlives every worker incarnation.
-        try:  # pragma: no cover - private API may move
-            from multiprocessing import resource_tracker
-            resource_tracker.ensure_running()
-        except Exception:
-            pass
         self._conns: list = [None] * shards
         self._workers: list = [None] * shards
-        #: Incarnation number per slot (bumped on every respawn; names
-        #: the incarnation's segment scope so a reap can sweep it).
-        self._gen = [0] * shards
         #: Run messages sent per slot, ever — the fault plans' clock.
         self._sent = [0] * shards
         self._events: list[RecoveryEvent] = []
@@ -447,8 +412,7 @@ class ShardWorkerPool:
         parent_conn, child_conn = self._context.Pipe()
         worker = self._context.Process(
             target=_worker_main,
-            args=(child_conn, f"{self.scope}-w{slot}g{self._gen[slot]}",
-                  slot, self.fault_plan),
+            args=(child_conn, slot, self.fault_plan),
             name=f"repro-shard-worker-{slot}", daemon=True)
         worker.start()
         child_conn.close()
@@ -456,7 +420,7 @@ class ShardWorkerPool:
         self._workers[slot] = worker
 
     def _reap(self, slot: int) -> None:
-        """Retire ``slot``'s incarnation: kill, close, sweep its scope."""
+        """Retire ``slot``'s incarnation: close its pipe, end it."""
         worker = self._workers[slot]
         conn = self._conns[slot]
         self._workers[slot] = None
@@ -475,9 +439,6 @@ class ShardWorkerPool:
                     worker.join(timeout=5)
             else:
                 worker.join(timeout=1)
-        # Sweep the dead incarnation's plane segments now — respawns
-        # must not accumulate leaked segments across generations.
-        unlink_scope(f"{self.scope}-w{slot}g{self._gen[slot]}")
 
     def _respawn(self, slot: int) -> bool:
         """Replace ``slot``'s incarnation; re-ship the current program.
@@ -486,7 +447,6 @@ class ShardWorkerPool:
         the program hand-off fails.
         """
         self._reap(slot)
-        self._gen[slot] += 1
         try:
             self._spawn(slot)
         except Exception:  # pragma: no cover - fork exhaustion
@@ -633,7 +593,7 @@ class ShardWorkerPool:
         if current is not None and current.nbytes >= nbytes:
             return current
         if current is not None:
-            current.close(unlink=True)
+            current.close()
         capacity = 1 << max(0, int(nbytes - 1).bit_length())
         return SharedSegment.create(capacity, scope=self.scope)
 
@@ -831,11 +791,10 @@ class ShardWorkerPool:
     def close(self, drain: bool = True) -> None:
         """Shut the pool down; idempotent.
 
-        ``drain`` asks workers to exit cleanly (releasing their own
-        recycled plane segments); the crash path passes ``False`` and
-        terminates. Either way both arenas are unlinked and the pool's
-        whole segment scope is swept, so nothing the pool ever created
-        outlives it.
+        ``drain`` asks workers to exit cleanly; the crash path passes
+        ``False`` and terminates them. Either way both arenas are
+        unlinked and the pool's whole segment scope is swept, so nothing
+        the pool ever created outlives it.
         """
         if self._closed:
             return
@@ -859,7 +818,7 @@ class ShardWorkerPool:
         for arena in (self._input, self._output):
             if arena is not None:
                 try:
-                    arena.close(unlink=True)
+                    arena.close()
                 except Exception:  # pragma: no cover - live views on a
                     pass           # crash path; the sweep below catches it
         self._input = self._output = None

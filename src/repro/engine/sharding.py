@@ -21,8 +21,8 @@ The shards run on one of two **drivers** (``driver=``):
   the parallel driver must match, and the driver that runs everywhere;
 * ``pool`` — a persistent :class:`~repro.engine.pool.ShardWorkerPool`:
   workers forked once per backend lifetime, each holding a warm
-  executor on shared-memory plane stores, with image payloads moving
-  through shared arenas instead of pickles. The modeled socket
+  executor on its own packed plane store, with image payloads moving
+  through shared-memory arenas instead of pickles. The modeled socket
   parallelism becomes real wall-clock parallelism; POSIX-only (it
   needs the ``fork`` start method).
 
@@ -83,8 +83,7 @@ class ShardedBackend:
 
     ``shards`` defaults to ``config.sockets`` (the paper's dual-socket
     node). Each shard executes its round-robin slice as one fleet pass
-    on its own packed plane-store fleet (shared-memory segments in pool
-    workers).
+    on its own packed plane-store fleet.
 
     ``driver`` selects how the shards execute — ``serial`` or ``pool``
     (:data:`SHARD_DRIVERS`). ``serial`` runs each round-robin slice in

@@ -5,9 +5,8 @@ non-idealities are not an exotic concern — a manufacturing defect or a
 marginal cell shows up directly in the bit-serial arithmetic.
 :class:`FaultyPlaneStore` makes those defects injectable behind the
 :class:`~repro.engine.fleet.PlaneStore` seam, the same composition point
-the shadow sanitizer uses, so any fleet (unpacked, packed, or
-shared-memory) can run on electrically imperfect arrays without the
-sequencer knowing.
+the shadow sanitizer uses, so any fleet (unpacked or packed) can run
+on electrically imperfect arrays without the sequencer knowing.
 
 Fault semantics:
 

@@ -22,7 +22,7 @@ not electrical state.
 
 Composition, not inheritance: the wrapper holds the real store and
 forwards everything, so it works identically over the unpacked
-reference store, the packed word store and the shared-memory store. The
+reference store and the packed word store. The
 cycle counters are property proxies onto the inner store — sequencer
 code does ``fleet.compute_cycles += 1`` and both halves of that
 read-modify-write must land on the same counter.

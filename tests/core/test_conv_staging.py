@@ -397,3 +397,21 @@ def test_conv_pool_network_caches_only_conv_staging():
             net, case_images(net, weights, batch, batch), weights)
         assert outcome.verified == batch
     assert set(backend.stagings_for(net, weights)) == {"c"}
+
+
+def test_row_layout_refused_at_compile():
+    """A layer whose functional row regions overflow the array is refused
+    by ``compile``, named, and never cached: a 3x3 conv over 24 channels
+    under the spanning config maps 9 taps per bitline, whose regions
+    need 258 of the array's 256 rows."""
+    net = conv_net((6, 6, 24), Conv2D(8, (3, 3), padding="same"))
+    config = spanning_config()
+    backend = FleetExecutor(config, verify=False)
+    weights = backend.weights_for(net)
+    with pytest.raises(SimulationError,
+                       match=r"layer 'c'.* needs 258 rows.* has 256"):
+        ConvStaging.compile(net.conv_of(net.node("c")), net.input_shape,
+                            weights.for_node("c"), config, "c")
+    with pytest.raises(SimulationError, match=r"layer 'c'.* 258 rows"):
+        backend.run_requests(net, case_images(net, weights, 2, 0), weights)
+    assert backend.stagings_for(net, weights) == {}

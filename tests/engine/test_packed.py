@@ -345,11 +345,6 @@ class TestFusedKernels:
     def test_store_type_decides_the_path(self):
         assert FleetBitSerialUnit(PackedArrayFleet(1, 8, 64))._fused
         assert not FleetBitSerialUnit(ArrayFleet(1, 8, 64))._fused
-        shared = make_fleet(1, 8, 64, packed="shared", sanitize=False)
-        try:
-            assert FleetBitSerialUnit(shared)._fused
-        finally:
-            shared.close()
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)

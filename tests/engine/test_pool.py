@@ -32,12 +32,7 @@ from repro.engine.backend import (
     tiny_verification_network,
 )
 from repro.engine.pool import PoolShardWork
-from repro.engine.shared import (
-    SHM_DIR,
-    SharedSegment,
-    release_pooled_segments,
-    shared_segment_stats,
-)
+from repro.engine.shared import SHM_DIR, SharedSegment, shared_segment_stats
 from repro.engine.sharding import ShardedBackend
 
 
@@ -54,9 +49,8 @@ def scope_segments(scope: str) -> list[str]:
 
 def assert_no_segment_leaks():
     """Every close path must leave the global segment ledger clean: no
-    open mappings, nothing pooled once the recycler is drained, and no
-    orphaned files under this process's token in /dev/shm."""
-    release_pooled_segments()
+    open mappings and no orphaned files under this process's token in
+    /dev/shm."""
     assert shared_segment_stats().check() == []
 
 
@@ -278,29 +272,30 @@ class TestLifecycle:
                         == reference[batch].shard_reports)
                 assert result.verified_images == batch
 
-    def test_workers_do_not_unlink_parent_recycled_segments(self, tiny_net):
-        """Fork inherits the parent's recycler; workers must not act on it.
+    def test_open_pool_links_only_its_arenas(self, tiny_net):
+        """Workers compute on private plane stores: while a pool is open
+        after a batch, the only segments under its scope are the parent's
+        input and output arenas."""
+        with ShardedBackend(shards=2, driver="pool") as backend:
+            backend.run(tiny_net, batch_size=4)
+            pool = backend._pool
+            assert sorted(scope_segments(pool.scope)) == sorted(
+                [pool._input.name, pool._output.name])
+        assert_no_segment_leaks()
 
-        Before the worker-side reset, a worker's exit-time
-        release_pooled_segments() unlinked recycled names the parent
-        still owns and may hand out again via SharedSegment.create.
-        """
-        from repro.engine.shared import (
-            SharedPlaneStore,
-            release_pooled_segments,
-        )
-
-        store = SharedPlaneStore(1, rows=4, cols=64)
-        name = store.segment_name
-        store.close()       # owner + recyclable -> pooled, still linked
+    def test_workers_do_not_unlink_parent_segments(self, tiny_net):
+        """Fork hands every worker the parent's owner handles; a worker
+        starting, serving and exiting must leave the parent's segments
+        linked."""
+        segment = SharedSegment.create(64)
         try:
             with ShardedBackend(shards=2, driver="pool") as backend:
                 backend.run(tiny_net, batch_size=2)
-            # The workers exited; the parent's pooled segment survives.
-            attached = SharedSegment.attach(name)
-            attached.close()
+            # The workers exited; the parent's segment survives.
+            SharedSegment.attach(segment.name).close()
         finally:
-            release_pooled_segments()
+            segment.close()
+        assert_no_segment_leaks()
 
     def test_pool_warns_when_forking_with_threads(self, tiny_net):
         import threading

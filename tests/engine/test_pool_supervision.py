@@ -15,11 +15,7 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.engine.backend import tiny_verification_network
 from repro.engine.pool import ShardWorkerPool
-from repro.engine.shared import (
-    SHM_DIR,
-    release_pooled_segments,
-    shared_segment_stats,
-)
+from repro.engine.shared import SHM_DIR, shared_segment_stats
 from repro.engine.sharding import ShardedBackend
 from repro.faults import FaultPlan, PoolFault
 
@@ -35,7 +31,6 @@ def scope_segments(scope: str) -> list[str]:
 
 
 def assert_no_segment_leaks():
-    release_pooled_segments()
     assert shared_segment_stats().check() == []
 
 

@@ -21,10 +21,7 @@ from repro.engine.backend import (
     deterministic_images,
     tiny_verification_network,
 )
-from repro.engine.shared import (
-    release_pooled_segments,
-    shared_segment_stats,
-)
+from repro.engine.shared import shared_segment_stats
 from repro.engine.sharding import ShardedBackend
 from repro.faults import FaultPlan, PoolFault
 from repro.serving import Server, run_load, run_serving_benchmark
@@ -89,7 +86,6 @@ class TestChaosUnderLoad:
             assert any(event.kind == "respawned" for event in events)
         finally:
             backend.close()
-        release_pooled_segments()
         assert shared_segment_stats().check() == []
 
     def test_benchmark_entry_point_reports_the_recoveries(self):
@@ -101,7 +97,6 @@ class TestChaosUnderLoad:
             max_retries=1)
         assert stats["ok"]
         assert stats["recoveries"] > 0
-        release_pooled_segments()
         assert shared_segment_stats().check() == []
 
     def test_fault_plan_rejected_off_the_pool_driver(self):
