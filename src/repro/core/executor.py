@@ -12,11 +12,12 @@ latency (Fig. 15), throughput vs batch size (Fig. 16), energy and power
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.errors import SimulationError
 from repro.config import NeuralCacheConfig
 from repro.core.mapping import LayerMapping, map_node
-from repro.core.schedule import PHASES, LayerSchedule, PhaseBreakdown, schedule_layer
+from repro.core.schedule import LayerSchedule, PhaseBreakdown, schedule_layer
 from repro.nn.graph import Network
 
 
@@ -92,7 +93,12 @@ class InferenceResult:
 
 
 class NeuralCacheSimulator:
-    """Maps and schedules a network on a Neural Cache configuration."""
+    """Maps and schedules a network on a Neural Cache configuration.
+
+    Construction maps every layer. The first :meth:`run` or
+    :meth:`throughput` schedules each mapped layer once at batch 1;
+    every batch size after that re-weights those cached schedules.
+    """
 
     def __init__(self, network: Network,
                  config: NeuralCacheConfig | None = None):
@@ -119,43 +125,46 @@ class NeuralCacheSimulator:
         raise SimulationError(f"no mapping for layer {name!r}")
 
     # ------------------------------------------------------------------
+    @cached_property
+    def _schedules(self) -> tuple[LayerSchedule, ...]:
+        """Each mapped layer's batch-1 schedule, built on first use.
+
+        Only the first mapped layer streams its input from DRAM.
+        """
+        return tuple(
+            schedule_layer(self.config, mapping, input_from_dram=index == 0)
+            for index, (_, _, mapping) in enumerate(self._mappings))
+
     def run(self, batch_size: int = 1) -> InferenceResult:
-        """Simulate one batch (filters loaded once per layer, Sec. IV-E)."""
+        """Simulate one batch (filters loaded once per layer, Sec. IV-E).
+
+        No layer is rescheduled: a batch re-weights each cached batch-1
+        schedule. Filters stay resident, so ``filter_load`` is charged
+        once, and every other phase repeats per image.
+        """
         if batch_size <= 0:
             raise SimulationError(
                 f"batch size must be positive, got {batch_size}")
         results = []
         spill_time = 0.0
         spill_energy = 0.0
-        first_layer = True
-        for name, group, mapping in self._mappings:
-            schedule = schedule_layer(self.config, mapping,
-                                      input_from_dram=first_layer)
-            first_layer = False
+        buffer_bytes = self.config.output_buffer_bytes
+        dram = self.config.dram
+        for (name, group, mapping), schedule in zip(self._mappings,
+                                                    self._schedules):
             if batch_size > 1:
-                # Filters stay resident for the batch; everything else
-                # repeats per image.
-                per_image = PhaseBreakdown(**{
-                    phase: getattr(schedule.time, phase)
-                    for phase in PHASES if phase != "filter_load"})
-                time = per_image.scaled(batch_size) + PhaseBreakdown(
-                    filter_load=schedule.time.filter_load)
-                per_image_e = PhaseBreakdown(**{
-                    phase: getattr(schedule.energy, phase)
-                    for phase in PHASES if phase != "filter_load"})
-                energy = per_image_e.scaled(batch_size) + PhaseBreakdown(
-                    filter_load=schedule.energy.filter_load)
                 schedule = LayerSchedule(
-                    mapping=mapping, time=time, energy=energy,
+                    mapping=mapping,
+                    time=_batched(schedule.time, batch_size),
+                    energy=_batched(schedule.energy, batch_size),
                     compute_cycles_per_pass=schedule.compute_cycles_per_pass)
                 # Heavy layers overflow the reserved way and dump to DRAM
                 # (Sec. IV-E: "the first five require dumping").
-                overflow = (batch_size * mapping.output_bytes
-                            - self.config.output_buffer_bytes)
+                overflow = batch_size * mapping.output_bytes - buffer_bytes
                 if overflow > 0:
                     spilled = 2.0 * overflow  # dump + reload
-                    spill_time += self.config.dram.transfer_time(spilled)
-                    spill_energy += self.config.dram.transfer_energy(spilled)
+                    spill_time += dram.transfer_time(spilled)
+                    spill_energy += dram.transfer_energy(spilled)
             results.append(LayerResult(name=name, group=group,
                                        schedule=schedule))
         return InferenceResult(layers=tuple(results), batch_size=batch_size,
@@ -163,10 +172,11 @@ class NeuralCacheSimulator:
                                spill_energy=spill_energy)
 
     def throughput(self, batch_size: int = 1) -> float:
-        """Inferences per second for the node (Sec. VI-B).
+        """Inferences per second for the node (Sec. VI-B, Fig. 16).
 
         Neural Cache scales linearly with host CPUs; a dual-socket node
-        runs two independent caches.
+        runs two independent caches. Every batch size goes through
+        :meth:`run`, so it re-weights the same cached schedules.
         """
         result = self.run(batch_size)
         return self.config.sockets * batch_size / result.total_time
@@ -174,6 +184,18 @@ class NeuralCacheSimulator:
     def latency(self, batch_size: int = 1) -> float:
         """Seconds for one batch on one socket."""
         return self.run(batch_size).total_time
+
+
+def _batched(per_image: PhaseBreakdown, batch_size: int) -> PhaseBreakdown:
+    """A batch's phases: ``filter_load`` once, every other phase per image."""
+    return PhaseBreakdown(
+        filter_load=per_image.filter_load,
+        input_stream=per_image.input_stream * batch_size,
+        mac=per_image.mac * batch_size,
+        reduction=per_image.reduction * batch_size,
+        quantization=per_image.quantization * batch_size,
+        pooling=per_image.pooling * batch_size,
+        output_move=per_image.output_move * batch_size)
 
 
 def simulate_inference(network: Network,

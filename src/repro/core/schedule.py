@@ -26,7 +26,7 @@ and array row writes at the 8.6 pJ access energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.common.bits import ceil_div
 from repro.common.errors import SimulationError
@@ -65,14 +65,13 @@ class PhaseBreakdown:
         return {name: getattr(self, name) / total for name in PHASES}
 
     def __add__(self, other: "PhaseBreakdown") -> "PhaseBreakdown":
-        return PhaseBreakdown(**{
-            f.name: getattr(self, f.name) + getattr(other, f.name)
-            for f in fields(self)})
+        return PhaseBreakdown(*[getattr(self, name) + getattr(other, name)
+                                for name in PHASES])
 
     def scaled(self, factor: float) -> "PhaseBreakdown":
-        """All phases multiplied by ``factor`` (used for batching)."""
-        return PhaseBreakdown(**{
-            f.name: getattr(self, f.name) * factor for f in fields(self)})
+        """All phases multiplied by ``factor``."""
+        return PhaseBreakdown(*[getattr(self, name) * factor
+                                for name in PHASES])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import NeuralCacheConfig
 from repro.core.functional import FunctionalConv, FunctionalExecutor
 from repro.core.schedule import reduction_cycles_per_pass
 from repro.engine.backend import FleetExecutor, deterministic_images

@@ -2,11 +2,20 @@
 
 import pytest
 
+import repro.core.executor as executor
 from repro.cache.geometry import capacity_sweep, xeon_45mb, xeon_60mb
 from repro.common.errors import SimulationError
 from repro.config import NeuralCacheConfig
-from repro.core.executor import NeuralCacheSimulator, simulate_inference
+from repro.core.executor import (
+    InferenceResult,
+    LayerResult,
+    NeuralCacheSimulator,
+    simulate_inference,
+)
+from repro.core.mapping import map_node
+from repro.core.schedule import PHASES, LayerSchedule, PhaseBreakdown, schedule_layer
 from repro.nn import build_inception_v3
+from repro.nn.models import model_zoo
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +184,78 @@ class TestConvenience:
         assert mapping.serial_passes == 43
         with pytest.raises(SimulationError):
             sim.mapping_for("nope")
+
+
+def _reference_batched(per_layer, batch_size) -> PhaseBreakdown:
+    """Filters load once per batch; every other phase repeats per image."""
+    per_image = PhaseBreakdown(**{
+        phase: getattr(per_layer, phase)
+        for phase in PHASES if phase != "filter_load"})
+    return per_image.scaled(batch_size) + PhaseBreakdown(
+        filter_load=per_layer.filter_load)
+
+
+def _reference_run(network, config, batch_size) -> InferenceResult:
+    """A batch simulated the direct way: map and schedule every layer
+    afresh, then weight the phases by the batch and charge the spills."""
+    layers = []
+    spill_time = spill_energy = 0.0
+    first_layer = True
+    for node in network.layer_nodes():
+        mapping = map_node(config, network, node)
+        if mapping is None:
+            continue
+        schedule = schedule_layer(config, mapping,
+                                  input_from_dram=first_layer)
+        first_layer = False
+        if batch_size > 1:
+            schedule = LayerSchedule(
+                mapping=mapping,
+                time=_reference_batched(schedule.time, batch_size),
+                energy=_reference_batched(schedule.energy, batch_size),
+                compute_cycles_per_pass=schedule.compute_cycles_per_pass)
+            overflow = (batch_size * mapping.output_bytes
+                        - config.output_buffer_bytes)
+            if overflow > 0:
+                spill_time += config.dram.transfer_time(2.0 * overflow)
+                spill_energy += config.dram.transfer_energy(2.0 * overflow)
+        layers.append(LayerResult(name=node.name, group=node.group,
+                                  schedule=schedule))
+    return InferenceResult(layers=tuple(layers), batch_size=batch_size,
+                           spill_time=spill_time, spill_energy=spill_energy)
+
+
+class TestScheduleOnce:
+    """Each layer is scheduled once per simulator; batch sizes re-weight
+    the cached schedules (Sec. IV-E) with the same floats."""
+
+    def test_each_layer_scheduled_once(self, net, monkeypatch):
+        calls = []
+        real = executor.schedule_layer
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "schedule_layer", counting)
+        sim = NeuralCacheSimulator(net)
+        assert calls == []  # construction maps; scheduling waits for use
+        sim.run(1)
+        sim.run(8)
+        for batch_size in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+            sim.throughput(batch_size)
+        sim.run(4).breakdown()
+        assert len(calls) == len(sim.mappings)
+
+    @pytest.mark.parametrize("model", ["inception-v3", "resnet-tiny",
+                                       "vgg-tiny"])
+    def test_matches_fresh_schedules_exactly(self, model):
+        network = model_zoo()[model]
+        for geometry in capacity_sweep():
+            config = NeuralCacheConfig().with_geometry(geometry)
+            sim = NeuralCacheSimulator(network, config)
+            for batch_size in (1, 2, 7, 64, 256):
+                reference = _reference_run(network, config, batch_size)
+                assert sim.run(batch_size) == reference
+                assert sim.throughput(batch_size) == (
+                    config.sockets * batch_size / reference.total_time)

@@ -16,6 +16,7 @@ from repro.config import NeuralCacheConfig
 from repro.core.executor import NeuralCacheSimulator
 from repro.core.functional import FunctionalConv
 from repro.core.mapping import map_conv
+from repro.core.schedule import PHASES, PhaseBreakdown
 from repro.nn import Conv2D, build_inception_v3, build_vgg_tiny, initialise_weights
 from repro.nn.graph import Network
 
@@ -114,3 +115,19 @@ class TestFunctionalGuards:
         weights = initialise_weights(net)
         with pytest.raises(SimulationError, match="taps per output"):
             FunctionalConv(conv, (4, 4, 64), weights.for_node("c"))
+
+
+_phase_values = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)
+                            for _ in PHASES])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_phase_values, _phase_values,
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_phase_breakdown_arithmetic_is_fieldwise(a_values, b_values, factor):
+    a = PhaseBreakdown(**dict(zip(PHASES, a_values)))
+    b = PhaseBreakdown(**dict(zip(PHASES, b_values)))
+    assert (a + b).as_dict() == {
+        phase: x + y for phase, x, y in zip(PHASES, a_values, b_values)}
+    assert a.scaled(factor).as_dict() == {
+        phase: x * factor for phase, x in zip(PHASES, a_values)}

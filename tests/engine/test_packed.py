@@ -21,7 +21,7 @@ from repro.common.bits import (
     transpose8x8,
     unpack_bit_plane,
 )
-from repro.common.errors import ArrayStateError, SimulationError
+from repro.common.errors import ArrayStateError
 from repro.engine import (
     ArrayFleet,
     FleetBitSerialUnit,
