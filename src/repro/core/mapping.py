@@ -190,15 +190,6 @@ class LayerMapping:
         return remainder if remainder else self.parallel_outputs
 
     @property
-    def reduction_elements(self) -> int:
-        """Bitlines whose partial sums reduce into one output."""
-        return self.channels_padded
-
-    @property
-    def needs_cross_array_reduction(self) -> bool:
-        return self.arrays_per_conv > 1
-
-    @property
     def cross_array_steps(self) -> int:
         """Reduction steps that cross array boundaries (sense-amp pairs
         first, then bus/ring moves)."""

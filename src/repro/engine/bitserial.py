@@ -46,6 +46,7 @@ is *defined* here and re-exported by :mod:`repro.sram.bitserial`.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,24 @@ def _ripple_add(a, b, carry: np.ndarray, out) -> np.ndarray:
         out[k] = x ^ carry
         carry = g | (x & carry)
     return carry
+
+
+def sense_rows(fleet: PlaneStore, *rows: int) -> list[np.ndarray]:
+    """The sensing phase of one compute cycle, fleet-wide.
+
+    Activates one wordline, or two distinct ones (Figure 2b), in every
+    array, charges the one lockstep compute cycle to ``fleet`` and returns
+    the rows' native planes from its compute read ``read_plane``. The
+    rails follow from the planes: ``a & b`` on BL, ``NOT (a | b)`` on
+    BLB; one row reads ``a`` and ``NOT a``.
+    """
+    for row in rows:
+        fleet._check_row(row)
+    if len(rows) == 2 and rows[0] == rows[1]:
+        raise ArrayStateError(
+            f"compute sensing requires two distinct wordlines, got {rows[0]}")
+    fleet.compute_cycles += 1
+    return [fleet.read_plane(row) for row in rows]
 
 
 def _reads_before_writes(dst: "Operand", *srcs: "Operand") -> bool:
@@ -261,10 +280,10 @@ class FleetBitSerialUnit:
     # Single-cycle primitives
     #
     # These are the inner loop of the per-primitive path: every
-    # bit-serial op expands to thousands of calls. They therefore operate
-    # on native row planes directly (the operands are internally generated
-    # planes, so the public API's per-call value validation would only
-    # re-check what the sequencer already guarantees), while still
+    # bit-serial op expands to thousands of calls. They operate on native
+    # row planes through the store's one compute read (``read_plane``) and
+    # one compute write (``store_plane``) — the planes come from the
+    # store's own ops, so nothing re-validates them — while still
     # advancing the fleet's lockstep compute counter and checking row
     # bounds so layout bugs surface as ArrayStateError. Planes are opaque:
     # only ``& | ^``, the store's plane ops and the periphery touch them,
@@ -793,25 +812,30 @@ class FleetBitSerialUnit:
 
     # ==================================================================
     # Compute Cache heritage ops (Sec. II-B): bit-parallel logicals,
-    # equality comparison and search.
+    # equality comparison and search, on the same compute read and write
+    # as every sequence above.
     # ==================================================================
-    def logical_and(self, a: Operand, b: Operand, dst: Operand) -> None:
-        """``dst = a AND b`` straight off the BL rail: ``n`` cycles."""
+    def _logical(self, a: Operand, b: Operand, dst: Operand, gate) -> None:
+        """``dst = gate(a, b)`` bit by bit: each cycle senses bit ``k`` of
+        both operands and writes the gate's plane to bit ``k`` of
+        ``dst``, so ``dst`` may alias an operand."""
         self._check_width(a, b)
         self._check_width(a, dst)
+        fleet = self.fleet
         for k in range(a.nbits):
-            bl, _ = self.fleet.sense(a.bit(k), b.bit(k))
-            self.fleet.write_back(dst.bit(k), bl)
+            pa, pb = sense_rows(fleet, a.bit(k), b.bit(k))
+            fleet._check_row(dst.bit(k))
+            fleet.store_plane(dst.bit(k), gate(pa, pb))
             self.cycles += 1
+
+    def logical_and(self, a: Operand, b: Operand, dst: Operand) -> None:
+        """``dst = a AND b`` straight off the BL rail: ``n`` cycles."""
+        self._logical(a, b, dst, operator.and_)
 
     def logical_nor(self, a: Operand, b: Operand, dst: Operand) -> None:
         """``dst = a NOR b`` straight off the BLB rail: ``n`` cycles."""
-        self._check_width(a, b)
-        self._check_width(a, dst)
-        for k in range(a.nbits):
-            _, blb = self.fleet.sense(a.bit(k), b.bit(k))
-            self.fleet.write_back(dst.bit(k), blb)
-            self.cycles += 1
+        plane_not = self.fleet.plane_not
+        self._logical(a, b, dst, lambda pa, pb: plane_not(pa | pb))
 
     def logical_or(self, a: Operand, b: Operand, dst: Operand) -> None:
         """``dst = a OR b`` (NOR then a complement write-back): ``2n``."""
@@ -819,26 +843,21 @@ class FleetBitSerialUnit:
         self.complement_copy(dst, dst)
 
     def logical_xor(self, a: Operand, b: Operand, dst: Operand) -> None:
-        """``dst = a XOR b`` via the two rails and the NOR gate of
-        Fig. 7: ``n`` cycles."""
-        self._check_width(a, b)
-        self._check_width(a, dst)
-        for k in range(a.nbits):
-            bl, blb = self.fleet.sense(a.bit(k), b.bit(k))
-            self.fleet.write_back(dst.bit(k),
-                                  self.periphery.xor_from_rails(bl, blb))
-            self.cycles += 1
+        """``dst = a XOR b`` — the NOR of the two rails (the gate of
+        Fig. 7): ``n`` cycles."""
+        self._logical(a, b, dst, operator.xor)
 
     def equality_compare(self, a: Operand, b: Operand,
                          dst_row: int) -> None:
         """Per-column ``a == b`` flag into ``dst_row``: ``n + 1`` cycles."""
         self._check_width(a, b)
-        neq = self.fleet.new_plane()
+        fleet = self.fleet
+        neq = fleet.const_plane(0)
         for k in range(a.nbits):
-            bl, blb = self.fleet.sense(a.bit(k), b.bit(k))
-            neq |= self.periphery.xor_from_rails(bl, blb)
+            pa, pb = sense_rows(fleet, a.bit(k), b.bit(k))
+            neq = neq | (pa ^ pb)
             self.cycles += 1
-        self.periphery.load_tag(neq, invert=True)
+        self.periphery.tag[...] = fleet.plane_not(neq)
         self._cycle_store_tag(dst_row)
 
     def search(self, haystack: Operand, key: int, dst_row: int) -> None:
@@ -846,13 +865,15 @@ class FleetBitSerialUnit:
         if key < 0 or key >= (1 << haystack.nbits):
             raise ArrayStateError(
                 f"search key {key} does not fit {haystack.nbits} bits")
-        mismatch = self.fleet.new_plane()
+        fleet = self.fleet
+        mismatch = fleet.const_plane(0)
         for k in range(haystack.nbits):
-            bl, blb = self.fleet.sense_single(haystack.bit(k))
-            want_one = (key >> k) & 1
-            mismatch |= blb if want_one else bl
+            (plane,) = sense_rows(fleet, haystack.bit(k))
+            # A set key bit mismatches where the BLB rail (NOT a) is 1.
+            mismatch = mismatch | (fleet.plane_not(plane) if (key >> k) & 1
+                                   else plane)
             self.cycles += 1
-        self.periphery.load_tag(mismatch, invert=True)
+        self.periphery.tag[...] = fleet.plane_not(mismatch)
         self._cycle_store_tag(dst_row)
 
     def reduce_tree(self, base: Operand, segment: Operand, elements: int,

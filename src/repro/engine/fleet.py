@@ -8,11 +8,12 @@ cycle activates the same two wordlines in every array of a slice.
 sensing, masked write-back, plain reads/writes) operating on *all arrays
 per call* as NumPy bit-plane operations.
 
-Cycle accounting is lockstep: one :meth:`PlaneStore.sense` call is one
-compute cycle *of the whole fleet*, because the hardware broadcasts one
-instruction to every array. A fleet of one array therefore behaves exactly
-like the original scalar :class:`repro.sram.array.SRAMArray`, which is now
-a thin ``n_arrays=1`` view over this class.
+Cycle accounting is lockstep: one compute cycle senses wordlines and
+writes one back *in every array of the fleet*, because the hardware
+broadcasts one instruction to every array, and the sequencer charges it
+once. A fleet of one array therefore behaves exactly like the original
+scalar :class:`repro.sram.array.SRAMArray`, which is now a thin
+``n_arrays=1`` view over this class.
 
 The storage format sits behind the :class:`PlaneStore` seam: every
 lockstep primitive is written once here in terms of a handful of abstract
@@ -24,11 +25,13 @@ word — 8x smaller, several times faster per lockstep op).
 
 Plane currency: host-facing methods (``read_row``, ``write_row``,
 ``load_bits``, ``dump_bits``) always speak 0/1 uint8, whatever the store;
-compute-facing methods (``sense``, ``sense_single``, ``write_back`` and
-the plane ops) speak the store's *native* planes — uint8 ``(n_arrays,
-cols)`` for the unpacked store, uint64 ``(n_arrays, n_words)`` for the
-packed one. Callers that sequence compute cycles treat native planes as
-opaque values supporting ``& | ^``.
+the compute read and write (``read_plane``, ``store_plane``) and the
+plane ops speak the store's *native* planes — uint8 ``(n_arrays, cols)``
+for the unpacked store, uint64 ``(n_arrays, n_words)`` for the packed
+one. Every compute cycle goes through that one read and that one write,
+so a wrapper that checks or corrupts them sees all compute traffic.
+Callers that sequence compute cycles treat native planes as opaque values
+supporting ``& | ^``.
 
 This module must stay dependency-light (NumPy + error types only): the
 single-array classes in :mod:`repro.sram` import it, so importing anything
@@ -36,6 +39,8 @@ from :mod:`repro.core` here would create a cycle.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 
@@ -126,12 +131,14 @@ class PlaneStore:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Read/write seam over row_plane. ``row_plane`` alone cannot tell a
-    # sensed wordline from a driven one, so sequencers that touch native
-    # planes directly (the hot per-cycle path of FleetBitSerialUnit) go
-    # through these two wrappers instead — which is what lets the
-    # shadow-state sanitizer (repro.verify.sanitizer) observe every
-    # compute-phase access without being in the default path.
+    # The compute read and the compute write over row_plane.
+    # ``row_plane`` alone cannot tell a sensed wordline from a driven
+    # one, so every per-primitive compute cycle of FleetBitSerialUnit —
+    # arithmetic, moves and the Compute Cache heritage ops alike — and
+    # SRAMArray.sense go through these two instead. That is what lets
+    # the shadow-state sanitizer and the fault injector observe every
+    # compute-phase access by overriding just these two, without being
+    # in the default path.
     # ------------------------------------------------------------------
     def read_plane(self, row: int) -> np.ndarray:
         """Native view of one wordline being *sensed* (compute read)."""
@@ -139,22 +146,19 @@ class PlaneStore:
 
     def store_plane(self, row: int, plane: np.ndarray,
                     mask: np.ndarray | None = None) -> None:
-        """Raw write-back of a native plane (compute write, hot path).
+        """Write-back phase of a compute cycle: store a native plane.
 
-        Unlike :meth:`write_back` this performs no plane coercion — the
-        caller is the sequencer whose planes came from this store's own
-        ops. ``mask`` models the tag-gated write drivers; masked columns
-        keep their value (an implicit read of the destination row).
+        Performs no plane validation — the caller is the sequencer whose
+        planes came from this store's own ops — and charges no cycle:
+        the sensing and write-back phases share one clock. ``mask``
+        models the tag-gated write drivers; masked columns keep their
+        value (an implicit read of the destination row).
         """
         dst = self.row_plane(row)
         if mask is None:
             dst[...] = plane
         else:
             dst[...] = mux(mask, plane, dst)
-
-    def new_plane(self) -> np.ndarray:
-        """A fresh writable all-zero native plane, ``(n_arrays, ...)``."""
-        raise NotImplementedError
 
     def plane_not(self, plane: np.ndarray) -> np.ndarray:
         """Complement of the active columns of a native plane."""
@@ -172,10 +176,6 @@ class PlaneStore:
 
     def unpack_plane(self, plane: np.ndarray) -> np.ndarray:
         """Native plane -> fresh host 0/1 uint8 ``(n_arrays, cols)``."""
-        raise NotImplementedError
-
-    def coerce_plane(self, plane: np.ndarray) -> np.ndarray:
-        """Validate an externally supplied native plane."""
         raise NotImplementedError
 
     def make_periphery(self):
@@ -224,36 +224,8 @@ class PlaneStore:
                            plane, dst)
 
     # ------------------------------------------------------------------
-    # Compute behaviour (two simultaneous wordlines; native currency)
+    # Compute behaviour (native currency)
     # ------------------------------------------------------------------
-    def sense(self, row_a: int, row_b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Activate two wordlines fleet-wide and sense both rails.
-
-        Returns native planes ``(bl, blb)`` where ``bl = A AND B`` and
-        ``blb = A NOR B`` per bitline (Figure 2b). One lockstep compute
-        cycle for the whole fleet.
-        """
-        self._check_row(row_a)
-        self._check_row(row_b)
-        if row_a == row_b:
-            raise ArrayStateError(
-                f"compute sensing requires two distinct wordlines, got {row_a}")
-        self.compute_cycles += 1
-        a = self.row_plane(row_a)
-        b = self.row_plane(row_b)
-        return a & b, self.plane_not(a) & self.plane_not(b)
-
-    def sense_single(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Activate one wordline in compute mode fleet-wide.
-
-        The missing operand reads as all-ones on BL sensing, so
-        ``bl = A`` and ``blb = NOT A``. Used for moves and tag loads.
-        """
-        self._check_row(row)
-        self.compute_cycles += 1
-        a = self.row_plane(row)
-        return a.copy(), self.plane_not(a)
-
     def plane_any(self, row: int) -> bool:
         """True when any bit of ``row`` is set in *any* array of the fleet.
 
@@ -267,22 +239,6 @@ class PlaneStore:
         """
         self._check_row(row)
         return bool(self.row_plane(row).any())
-
-    def write_back(self, row: int, plane: np.ndarray,
-                   mask: np.ndarray | None = None) -> None:
-        """Phase-2 write of a compute cycle (WWL activation), all arrays.
-
-        Takes *native* planes (e.g. the rails :meth:`sense` returned).
-        Does *not* count an extra cycle: the paper's compute cycle has a
-        sensing phase and a write-back phase inside one clock.
-        """
-        self._check_row(row)
-        plane = self.coerce_plane(plane)
-        dst = self.row_plane(row)
-        if mask is None:
-            dst[...] = plane
-        else:
-            dst[...] = mux(self.coerce_plane(mask), plane, dst)
 
     def move_plane(self, src_row: int, dst_row: int, stride: int,
                    group: int) -> None:
@@ -456,9 +412,6 @@ class ArrayFleet(PlaneStore):
     def const_plane(self, bit: int):
         return np.uint8(1) if bit else np.uint8(0)
 
-    def new_plane(self) -> np.ndarray:
-        return np.zeros((self.n_arrays, self.cols), dtype=np.uint8)
-
     def plane_not(self, plane: np.ndarray) -> np.ndarray:
         return plane ^ 1
 
@@ -475,9 +428,6 @@ class ArrayFleet(PlaneStore):
 
     def unpack_plane(self, plane: np.ndarray) -> np.ndarray:
         return plane.copy()
-
-    def coerce_plane(self, plane: np.ndarray) -> np.ndarray:
-        return self._coerce_bits(plane)
 
     def make_periphery(self) -> "FleetPeriphery":
         return FleetPeriphery(self.n_arrays, self.cols)
@@ -501,13 +451,15 @@ class FleetPeriphery:
     """Column peripherals (Figure 7) for every array of a fleet at once.
 
     The carry and tag latches are ``(n_arrays, cols)`` planes; the
-    combinational full-adder/XOR logic evaluates on whole planes. It is
-    the one latch model: a one-array
+    combinational full-adder logic evaluates on whole planes. It is the
+    one latch model: a one-array
     :class:`~repro.sram.bitserial.BitSerialUnit` drives a periphery of
-    ``n_arrays=1``.
+    ``n_arrays=1``. The sequencer latches sensed planes straight into
+    ``tag``/``carry`` — they come from the store's own ops, so nothing
+    here re-validates them.
     :class:`repro.engine.packed.PackedFleetPeriphery` subclasses this with
     packed uint64 latches; the adder logic is shared, only latch storage
-    and the rail complement differ.
+    differs.
     """
 
     def __init__(self, n_arrays: int, cols: int):
@@ -536,29 +488,15 @@ class FleetPeriphery:
     def set_tag_all(self) -> None:
         self.tag[:] = 1
 
-    def load_tag(self, bits: np.ndarray, invert: bool = False) -> None:
-        """Latch a sensed plane into the tag latches (optionally inverted
-        for free via the BLB sense amp)."""
-        bits = self._coerce(bits)
-        self.tag[:] = self._invert(bits) if invert else bits
-
-    def load_carry(self, bits: np.ndarray) -> None:
-        self.carry[:] = self._coerce(bits)
-
     # -- combinational logic -------------------------------------------
-    def xor_from_rails(self, bl_and: np.ndarray,
-                       blb_nor: np.ndarray) -> np.ndarray:
-        """``A XOR B`` from the two sensed rails: ``NOR(A&B, A NOR B)``."""
-        return self._invert(bl_and) & self._invert(blb_nor)
-
     def add_step(self, a_and_b: np.ndarray,
                  a_xor_b: np.ndarray) -> np.ndarray:
         """The sum/carry latch update from pre-decoded AND/XOR planes.
 
         This is the single implementation of the adder logic: the
-        validated rail-based :meth:`full_add`, the hot per-cycle path of
-        :class:`~repro.engine.bitserial.FleetBitSerialUnit`, and the
-        packed store's periphery all land here, so the carry semantics
+        per-cycle path of
+        :class:`~repro.engine.bitserial.FleetBitSerialUnit` and the
+        packed store's periphery both land here, so the carry semantics
         cannot drift between them. The carry latch supplies carry-in and
         is overwritten with the carry-out; returns the sum plane.
         """
@@ -567,33 +505,63 @@ class FleetPeriphery:
         carry[...] = a_and_b | (a_xor_b & carry)
         return total
 
-    def full_add(self, bl_and: np.ndarray,
-                 blb_nor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One full-adder evaluation for every column of every array.
 
-        Takes the two sensed rails (``A AND B``, ``A NOR B``), validated;
-        returns ``(sum, carry_out)``.
-        """
-        a_and_b = self._coerce(bl_and)
-        a_xor_b = self.xor_from_rails(a_and_b, self._coerce(blb_nor))
-        total = self.add_step(a_and_b, a_xor_b)
-        return total, self.carry.copy()
+class PlaneStoreWrapper:
+    """Shared scaffolding of the wrappers that compose around a store.
 
-    def write_mask(self, predicated: bool) -> np.ndarray | None:
-        """Per-column write-driver enables: tag when predicated, else all."""
-        return self.tag.copy() if predicated else None
+    The shadow-state sanitizer
+    (:class:`repro.verify.sanitizer.ShadowPlaneStore`) and the hardware
+    fault injector (:class:`repro.faults.hardware.FaultyPlaneStore`) hold
+    the real store and forward everything they do not override, so they
+    work identically over the unpacked and the packed store. This base
+    keeps what both need and nothing else; subclasses add only their
+    checks or defects on the read and write paths.
 
-    # ------------------------------------------------------------------
-    def _invert(self, bits: np.ndarray) -> np.ndarray:
-        """Complement a latch plane (store-specific in subclasses)."""
-        return (bits ^ 1).astype(np.uint8)
+    The cycle counters are property proxies onto the inner store —
+    sequencer code does ``fleet.compute_cycles += 1`` and both halves of
+    that read-modify-write must land on the same counter.
 
-    def _coerce(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != (self.n_arrays, self.cols):
-            raise ArrayStateError(
-                f"expected ({self.n_arrays}, {self.cols}) column bits, got "
-                f"shape {bits.shape}")
-        if np.any(bits > 1):
-            raise ArrayStateError("latch bit values must be 0 or 1")
-        return bits
+    The fused and host-value entry points are declared here rather than
+    forwarded: the inner store's fused kernels and int/word host
+    conversion would reach its storage without passing through the
+    wrapper. The sequencer therefore runs the per-primitive path, and
+    host values go through the reference conversion over the wrapper's
+    own ``load_bits``/``dump_bits``.
+    """
+
+    fused = False
+
+    def __init__(self, store: PlaneStore):
+        self._store = store
+        self.n_arrays = store.n_arrays
+        self.rows = store.rows
+        self.cols = store.cols
+
+    @property
+    def access_cycles(self) -> int:
+        return self._store.access_cycles
+
+    @access_cycles.setter
+    def access_cycles(self, value: int) -> None:
+        self._store.access_cycles = value
+
+    @property
+    def compute_cycles(self) -> int:
+        return self._store.compute_cycles
+
+    @compute_cycles.setter
+    def compute_cycles(self, value: int) -> None:
+        self._store.compute_cycles = value
+
+    def word_block(self, top_row: int, n_rows: int) -> np.ndarray:
+        raise ArrayStateError(
+            f"{type(self).__name__} exposes no word blocks: wrapped stores "
+            f"run the per-primitive path")
+
+    load_values = PlaneStore.load_values
+    dump_values = PlaneStore.dump_values
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for names the wrapper does not define: plane ops,
+        # row checks, make_periphery, nbytes, reset_counters, ...
+        return getattr(self._store, name)

@@ -39,10 +39,12 @@ reference for every bit-serial sequence, including ragged
 populated.
 
 Invariant: bits at column positions >= ``cols`` (the tail of the last
-word) are always zero, in the store, in sensed rails and in the periphery
-latches. ``plane_not`` and the rail complements mask the tail, and
-:meth:`PackedArrayFleet.coerce_plane` rejects externally supplied planes
-that violate it.
+word) are always zero, in the store, in every plane a compute cycle
+senses or writes, and in the periphery latches. Compute planes only ever
+come from the store's own rows and ops, and the one op that could set
+tail bits, ``plane_not``, masks them (so does the all-ones
+``const_plane``); host bits enter through ``pack_plane``, which packs
+exactly ``cols`` columns.
 """
 
 from __future__ import annotations
@@ -82,32 +84,6 @@ def _column_mask(cols: int) -> np.ndarray:
     return mask
 
 
-def _packed_geometry(cols: int) -> tuple[int, np.ndarray, bool]:
-    """``(n_words, column mask, has-partial-tail-word)`` for ``cols``."""
-    return packed_words(cols), _column_mask(cols), bool(cols % WORD_BITS)
-
-
-def _coerce_words(owner, plane: np.ndarray, what: str,
-                  broadcast: bool = False) -> np.ndarray:
-    """Validate a packed plane against ``owner``'s geometry and the
-    tail-word invariant. ``owner`` is the fleet or periphery holding
-    ``n_arrays``/``n_words``/``_mask``/``_tail_partial`` — the single
-    implementation of the invariant check for both."""
-    plane = np.asarray(plane)
-    if plane.dtype != np.uint64:
-        raise ArrayStateError(
-            f"{what}s must be uint64 words, got dtype {plane.dtype}")
-    if broadcast and plane.shape == (owner.n_words,):
-        plane = np.broadcast_to(plane, (owner.n_arrays, owner.n_words))
-    if plane.shape != (owner.n_arrays, owner.n_words):
-        raise ArrayStateError(
-            f"expected ({owner.n_arrays}, {owner.n_words}) packed words, "
-            f"got shape {plane.shape}")
-    if owner._tail_partial and np.any(plane[..., -1] & ~owner._mask[-1]):
-        raise ArrayStateError(f"{what} sets bits beyond the last column")
-    return plane
-
-
 class PackedArrayFleet(PlaneStore):
     """``n_arrays`` lockstep compute arrays on packed uint64 bit planes.
 
@@ -124,7 +100,8 @@ class PackedArrayFleet(PlaneStore):
     def __init__(self, n_arrays: int = 1, rows: int = DEFAULT_ROWS,
                  cols: int = DEFAULT_COLS):
         super().__init__(n_arrays, rows, cols)
-        self.n_words, self._mask, self._tail_partial = _packed_geometry(cols)
+        self.n_words = packed_words(cols)
+        self._mask = _column_mask(cols)
         # Wordline-major, so one wordline across the fleet and a run of
         # wordlines (an operand) are each one contiguous block.
         self._words = np.zeros((rows, n_arrays, self.n_words),
@@ -145,9 +122,6 @@ class PackedArrayFleet(PlaneStore):
     def const_plane(self, bit: int):
         # The mask doubles as the all-ones plane (it is read-only).
         return self._mask if bit else np.uint64(0)
-
-    def new_plane(self) -> np.ndarray:
-        return np.zeros((self.n_arrays, self.n_words), dtype=np.uint64)
 
     def plane_not(self, plane: np.ndarray) -> np.ndarray:
         return ~plane & self._mask
@@ -176,9 +150,6 @@ class PackedArrayFleet(PlaneStore):
 
     def unpack_plane(self, plane: np.ndarray) -> np.ndarray:
         return unpack_bit_plane(plane, self.cols)
-
-    def coerce_plane(self, plane: np.ndarray) -> np.ndarray:
-        return _coerce_words(self, plane, "packed plane", broadcast=True)
 
     def make_periphery(self) -> "PackedFleetPeriphery":
         return PackedFleetPeriphery(self.n_arrays, self.cols)
@@ -222,15 +193,15 @@ class PackedArrayFleet(PlaneStore):
 class PackedFleetPeriphery(FleetPeriphery):
     """Column peripherals whose carry/tag latches are packed uint64 words.
 
-    The full-adder/XOR logic is inherited unchanged from
+    The full-adder logic is inherited unchanged from
     :class:`~repro.engine.fleet.FleetPeriphery` — bitwise ops are
-    representation-agnostic — so only latch storage, the rail complement
-    (which must mask the tail word) and plane validation live here.
+    representation-agnostic — so only latch storage lives here, with the
+    all-ones latch states masked to the active columns.
     """
 
     def _alloc_latches(self) -> None:
-        self.n_words, self._mask, self._tail_partial = _packed_geometry(
-            self.cols)
+        self.n_words = packed_words(self.cols)
+        self._mask = _column_mask(self.cols)
         self.carry = np.zeros((self.n_arrays, self.n_words),
                               dtype=np.uint64)
         self.tag = np.broadcast_to(self._mask,
@@ -241,12 +212,6 @@ class PackedFleetPeriphery(FleetPeriphery):
 
     def set_tag_all(self) -> None:
         self.tag[:] = self._mask
-
-    def _invert(self, bits: np.ndarray) -> np.ndarray:
-        return ~bits & self._mask
-
-    def _coerce(self, bits: np.ndarray) -> np.ndarray:
-        return _coerce_words(self, bits, "packed latch plane")
 
 
 def make_fleet(n_arrays: int = 1, rows: int = DEFAULT_ROWS,

@@ -12,18 +12,20 @@ Fault semantics:
 
 * **stuck-at cells** clamp on *write*: whatever value a write drives
   into a stuck cell, the stored bit is the stuck value. Every write path
-  of the seam (``store_plane``/``write_back``/``write_row``/
-  ``load_bits``/``move_plane``) re-applies the per-row clamp masks, and
+  of the seam (the compute write ``store_plane``, ``write_row``,
+  ``load_bits``, ``move_plane``) re-applies the per-row clamp masks, and
   the clamp is applied once at construction so stuck-at-1 cells read 1
   even before the first write. Reads then see the clamped storage for
-  free — including the two-row compute sensing, whose AND/NOR rails are
-  computed from the stored planes.
+  free — every sensed row of a compute cycle is read from the stored
+  planes.
 * **dead wordlines** are whole rows stuck at 0 (a broken row driver):
   modeled as stuck-at-0 across every column of that row.
-* **flaky sense amps** are *read*-side and transient: each chosen
-  column's amp flips its sensed bit with probability ``flaky_rate``
-  per sensing (both rails flip together — one amp, one bad sample).
-  Storage is untouched, so the same row can read differently twice.
+* **flaky sense amps** are *read*-side and transient: one model on every
+  sensed row. Each chosen column's amp flips the bit it senses with
+  probability ``flaky_rate`` on every ``read_plane`` — the one compute
+  read, so a two-row cycle (an add, a heritage logical) samples its amps
+  once per operand row. Storage is untouched, so the same row can read
+  differently twice.
 
 Determinism: the stuck-at set is sampled from ``(seed, fault_index)``
 via a *rate-independent* uniform field — each cell draws one u ~ U[0,1)
@@ -31,19 +33,18 @@ and is faulty iff ``u < stuck_rate`` — so the fault set at a lower rate
 is a strict subset of the set at any higher rate. That nesting is what
 makes the ``fault-sweep`` accuracy curve monotone by construction
 rather than by luck. Flaky-amp draws come from an independent seeded
-stream and are consumed one batch per sensing, so a re-run replays the
-same flips.
+stream and are consumed one batch per sensed row, so a re-run replays
+the same flips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from repro.common.errors import ArrayStateError, SimulationError
-from repro.engine.fleet import PlaneStore
+from repro.common.errors import SimulationError
+from repro.engine.fleet import PlaneStore, PlaneStoreWrapper
 
 __all__ = ["FaultyPlaneStore", "HardwareFaultModel"]
 
@@ -102,14 +103,15 @@ class HardwareFaultModel:
                     or (self.flaky_columns and self.flaky_rate > 0))
 
 
-class FaultyPlaneStore:
+class FaultyPlaneStore(PlaneStoreWrapper):
     """A :class:`PlaneStore` wrapper that injects electrical defects.
 
-    Composition, not inheritance — exactly like the shadow sanitizer,
-    and composable with it (``ShadowPlaneStore(FaultyPlaneStore(store))``
-    is what ``make_fleet`` builds when both are active: discipline is
-    checked on the program's accesses, defects corrupt the storage
-    underneath). ``fault_index`` distinguishes the fleets one executor
+    Composition over the inner store
+    (:class:`~repro.engine.fleet.PlaneStoreWrapper`) — exactly like the
+    shadow sanitizer, and composable with it
+    (``ShadowPlaneStore(FaultyPlaneStore(store))`` is what ``make_fleet``
+    builds when both are active: discipline is checked on the program's
+    accesses, defects corrupt the storage underneath). ``fault_index`` distinguishes the fleets one executor
     creates, so each gets its own slice of the seeded defect field.
 
     Fault coordinates outside this fleet's geometry are ignored — one
@@ -118,12 +120,9 @@ class FaultyPlaneStore:
 
     def __init__(self, store: PlaneStore, model: HardwareFaultModel,
                  fault_index: int = 0):
-        self._store = store
+        super().__init__(store)
         self.model = model
         self.fault_index = fault_index
-        self.n_arrays = store.n_arrays
-        self.rows = store.rows
-        self.cols = store.cols
         #: row -> (keep_mask, force_mask) native planes; the stuck-at
         #: clamp is ``dst = (dst & keep) | force``.
         self._clamps: dict[int, tuple] = {}
@@ -188,10 +187,10 @@ class FaultyPlaneStore:
             self._clamp(row)
 
     def _amp_flips(self):
-        """Native plane of this sensing's amp flips, or ``None``.
+        """Native plane of this sensed row's amp flips, or ``None``.
 
         One draw per flaky amp per call, hit or miss, so the flip
-        stream is a pure function of (seed, fault_index, sense count).
+        stream is a pure function of (seed, fault_index, read count).
         """
         if not self._flaky_cells or self.model.flaky_rate <= 0:
             return None
@@ -206,52 +205,16 @@ class FaultyPlaneStore:
             return None
         return self._store.pack_plane(flips)
 
-    # -- counters (shared read-modify-write with the inner store) -----
-    @property
-    def access_cycles(self) -> int:
-        return self._store.access_cycles
-
-    @access_cycles.setter
-    def access_cycles(self, value: int) -> None:
-        self._store.access_cycles = value
-
-    @property
-    def compute_cycles(self) -> int:
-        return self._store.compute_cycles
-
-    @compute_cycles.setter
-    def compute_cycles(self, value: int) -> None:
-        self._store.compute_cycles = value
-
     # -- read paths (flaky amps corrupt sensing, not storage) ---------
     def read_plane(self, row: int) -> np.ndarray:
         plane = self._store.read_plane(row)
         flips = self._amp_flips()
         return plane if flips is None else plane ^ flips
 
-    def sense(self, row_a: int, row_b: int) -> tuple[np.ndarray, np.ndarray]:
-        bl, blb = self._store.sense(row_a, row_b)
-        flips = self._amp_flips()
-        if flips is not None:
-            bl, blb = bl ^ flips, blb ^ flips
-        return bl, blb
-
-    def sense_single(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        bl, blb = self._store.sense_single(row)
-        flips = self._amp_flips()
-        if flips is not None:
-            bl, blb = bl ^ flips, blb ^ flips
-        return bl, blb
-
     # -- write paths (stuck cells clamp what was just driven) ---------
     def store_plane(self, row: int, plane: np.ndarray,
                     mask: np.ndarray | None = None) -> None:
         self._store.store_plane(row, plane, mask)
-        self._clamp(row)
-
-    def write_back(self, row: int, plane: np.ndarray,
-                   mask: np.ndarray | None = None) -> None:
-        self._store.write_back(row, plane, mask)
         self._clamp(row)
 
     def write_row(self, row: int, bits: np.ndarray,
@@ -268,26 +231,6 @@ class FaultyPlaneStore:
                    group: int) -> None:
         self._store.move_plane(src_row, dst_row, stride, group)
         self._clamp(dst_row)
-
-    # -- fused and host-value entry points -----------------------------
-    # Declared here rather than forwarded: the inner store's fused
-    # kernels and int/word host conversion would reach its storage
-    # without passing through the wrapper. The sequencer therefore runs
-    # the per-primitive path, and host values go through the reference
-    # conversion over this wrapper's own load_bits/dump_bits.
-    fused = False
-
-    def word_block(self, top_row: int, n_rows: int) -> np.ndarray:
-        raise ArrayStateError(
-            f"{type(self).__name__} exposes no word blocks: wrapped stores "
-            f"run the per-primitive path")
-
-    load_values = PlaneStore.load_values
-    dump_values = PlaneStore.dump_values
-
-    # -- everything else is the inner store's business ----------------
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._store, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FaultyPlaneStore({self._store!r}, "

@@ -16,11 +16,14 @@ activation) only affects delay and energy, which are captured by
 Since the array-fleet refactor, :class:`SRAMArray` is a thin ``n_arrays=1``
 view over a :class:`repro.engine.fleet.PlaneStore` — the vectorized engine
 that executes the same primitives across *all* arrays of a slice at once.
-It only talks to the backing store through the store seam (plane ops and
-the host-currency bulk paths), so it views the unpacked
-:class:`~repro.engine.fleet.ArrayFleet` and the packed
-:class:`~repro.engine.packed.PackedArrayFleet` interchangeably while its
-own scalar API stays 0/1 uint8 vectors. The API and the cycle accounting
+It only talks to the backing store through the store seam (the compute
+read ``read_plane`` and write ``store_plane``, plane ops and the
+host-currency bulk paths), so it views the unpacked
+:class:`~repro.engine.fleet.ArrayFleet`, the packed
+:class:`~repro.engine.packed.PackedArrayFleet` and their sanitizer and
+fault wrappers interchangeably while its own scalar API stays 0/1 uint8
+vectors. :meth:`SRAMArray.sense` is the one place the two Figure 2b rails
+are materialised; the sequencers combine the sensed planes directly. The API and the cycle accounting
 are unchanged: the fleet's lockstep counters coincide with the per-array
 counters when the fleet has one member, so the 8.6 pJ / 15.4 pJ
 per-256-bitline-cycle energy charging (22 nm numbers from Sec. V) is
@@ -32,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ArrayStateError
+from repro.engine.bitserial import sense_rows
 from repro.engine.fleet import (
     DEFAULT_COLS,
     DEFAULT_ROWS,
@@ -135,8 +139,10 @@ class SRAMArray:
         via word-line under-drive; 20 fabricated test chips tolerate 64
         simultaneous rows, the architecture only ever uses two).
         """
-        bl, blb = self.fleet.sense(row_a, row_b)
-        return self.fleet.unpack_plane(bl)[0], self.fleet.unpack_plane(blb)[0]
+        fleet = self.fleet
+        a, b = sense_rows(fleet, row_a, row_b)
+        return (fleet.unpack_plane(a & b)[0],
+                fleet.unpack_plane(fleet.plane_not(a | b))[0])
 
     def sense_single(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """Activate one wordline in compute mode (the other operand reads
@@ -144,8 +150,10 @@ class SRAMArray:
 
         Used for moves and tag loads, which only need one operand row.
         """
-        bl, blb = self.fleet.sense_single(row)
-        return self.fleet.unpack_plane(bl)[0], self.fleet.unpack_plane(blb)[0]
+        fleet = self.fleet
+        (a,) = sense_rows(fleet, row)
+        return (fleet.unpack_plane(a)[0],
+                fleet.unpack_plane(fleet.plane_not(a))[0])
 
     def write_back(self, row: int, bits: np.ndarray,
                    mask: np.ndarray | None = None) -> None:

@@ -2,10 +2,12 @@
 
 The mapper reserves vertical regions of an array for filters, inputs,
 scratchpad, partial sums, outputs and the two 4-byte reduction segments.
-:class:`ArrayLayout` is a simple bump allocator over the 256 wordlines with
-named regions, used both by the functional executor (which needs real row
-numbers) and by the mapping engine (which only needs to know whether a
-layer's regions fit).
+The mapping engine reads the region heights below and
+:func:`max_conv_filter_bytes` to decide whether a layer's regions fit;
+the functional executor lays out its real rows itself
+(``repro.core.functional._conv_rows``). :class:`ArrayLayout`,
+:func:`conv_layout` and :func:`reduction_layout` are a bump allocator
+that spells out Figure 10's two layouts; nothing in the engine calls them.
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@
 :class:`ShadowPlaneStore` wraps any
 :class:`~repro.engine.fleet.PlaneStore` and tracks one bit of shadow
 state per wordline: *has anything ever written this row?* Every read path
-of the store seam — compute sensing (``sense``/``sense_single``/
-``read_plane``), tag-masked writes (which read the destination through
-the write drivers' mux), and host reads (``read_row``/``dump_bits``) —
-checks the shadow first and raises a structured
-:class:`~repro.common.errors.VerifyError` at the exact offending
-primitive. That makes it the runtime ground truth the static
+of the store seam — the compute read ``read_plane`` (every sensed row of
+every compute cycle, heritage logicals included), the sparsity probe
+``plane_any``, cross-array moves, tag-masked writes (which read the
+destination through the write drivers' mux), and host reads
+(``read_row``/``dump_bits``) — checks the shadow first and raises a
+structured :class:`~repro.common.errors.VerifyError` at the exact
+offending primitive. That makes it the runtime ground truth the static
 ``uninit-read`` pass is tested against: a program the static pass calls
 clean must execute under the sanitizer without raising, and a seeded
 uninitialized read must trip both.
@@ -21,36 +22,29 @@ discipline (the paper's "validate once, broadcast everywhere" contract),
 not electrical state.
 
 Composition, not inheritance: the wrapper holds the real store and
-forwards everything, so it works identically over the unpacked
-reference store and the packed word store. The
-cycle counters are property proxies onto the inner store — sequencer
-code does ``fleet.compute_cycles += 1`` and both halves of that
-read-modify-write must land on the same counter.
+forwards everything it does not check
+(:class:`~repro.engine.fleet.PlaneStoreWrapper`), so it works identically
+over the unpacked reference store and the packed word store.
 
 Opt in via ``make_fleet(..., sanitize=True)`` or ``NEURALCACHE_SANITIZE=1``.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
-from repro.common.errors import ArrayStateError, VerifyError
-from repro.engine.fleet import PlaneStore
+from repro.common.errors import VerifyError
+from repro.engine.fleet import PlaneStore, PlaneStoreWrapper
 
 __all__ = ["ShadowPlaneStore"]
 
 
-class ShadowPlaneStore:
+class ShadowPlaneStore(PlaneStoreWrapper):
     """A :class:`PlaneStore` wrapper that traps uninitialized reads."""
 
     def __init__(self, store: PlaneStore):
-        self._store = store
+        super().__init__(store)
         self._shadow = np.zeros(store.rows, dtype=bool)
-        self.n_arrays = store.n_arrays
-        self.rows = store.rows
-        self.cols = store.cols
 
     # -- shadow state --------------------------------------------------
     def _require(self, row: int, what: str) -> None:
@@ -75,36 +69,10 @@ class ShadowPlaneStore:
         """Forget all init state (e.g. between program runs)."""
         self._shadow[:] = False
 
-    # -- counters (shared read-modify-write with the inner store) ------
-    @property
-    def access_cycles(self) -> int:
-        return self._store.access_cycles
-
-    @access_cycles.setter
-    def access_cycles(self, value: int) -> None:
-        self._store.access_cycles = value
-
-    @property
-    def compute_cycles(self) -> int:
-        return self._store.compute_cycles
-
-    @compute_cycles.setter
-    def compute_cycles(self, value: int) -> None:
-        self._store.compute_cycles = value
-
     # -- checked read paths --------------------------------------------
     def read_plane(self, row: int) -> np.ndarray:
         self._require(row, "compute sensing")
         return self._store.read_plane(row)
-
-    def sense(self, row_a: int, row_b: int) -> tuple[np.ndarray, np.ndarray]:
-        self._require(row_a, "compute sensing")
-        self._require(row_b, "compute sensing")
-        return self._store.sense(row_a, row_b)
-
-    def sense_single(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        self._require(row, "compute sensing")
-        return self._store.sense_single(row)
 
     def plane_any(self, row: int) -> bool:
         # Explicit proxy: the sparsity engine's zero-plane probe senses
@@ -141,13 +109,6 @@ class ShadowPlaneStore:
         self._store.store_plane(row, plane, mask)
         self._mark(row)
 
-    def write_back(self, row: int, plane: np.ndarray,
-                   mask: np.ndarray | None = None) -> None:
-        if mask is not None:
-            self._require(row, "tag-masked write-back")
-        self._store.write_back(row, plane, mask)
-        self._mark(row)
-
     def move_plane(self, src_row: int, dst_row: int, stride: int,
                    group: int) -> None:
         # Explicit proxy: the inner store's move_plane reads the source
@@ -169,28 +130,6 @@ class ShadowPlaneStore:
         self._store.load_bits(top_row, bits, col_offset)
         n_rows = np.asarray(bits).shape[-2]
         self._mark(top_row, n_rows)
-
-    # -- fused and host-value entry points -----------------------------
-    # Declared here rather than forwarded: the inner store's fused
-    # kernels and int/word host conversion would reach its storage
-    # without passing through the wrapper. The sequencer therefore runs
-    # the per-primitive path, and host values go through the reference
-    # conversion over this wrapper's own load_bits/dump_bits.
-    fused = False
-
-    def word_block(self, top_row: int, n_rows: int) -> np.ndarray:
-        raise ArrayStateError(
-            f"{type(self).__name__} exposes no word blocks: wrapped stores "
-            f"run the per-primitive path")
-
-    load_values = PlaneStore.load_values
-    dump_values = PlaneStore.dump_values
-
-    # -- everything else is the inner store's business -----------------
-    def __getattr__(self, name: str) -> Any:
-        # Only reached for names not defined above: plane ops, checks,
-        # make_periphery, nbytes, reset_counters, ...
-        return getattr(self._store, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShadowPlaneStore({self._store!r})"

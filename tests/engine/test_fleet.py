@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.bits import bitplanes_to_int, int_to_bitplanes
 from repro.common.errors import ArrayStateError
-from repro.engine import ArrayFleet, FleetPeriphery
+from repro.engine import ArrayFleet, FleetBitSerialUnit, FleetPeriphery, Operand
 from repro.sram import SRAMArray
 
 RNG = np.random.default_rng(7)
@@ -13,34 +13,41 @@ RNG = np.random.default_rng(7)
 
 class TestFleetPrimitives:
     def test_sense_is_per_array_and_lockstep(self):
-        fleet = ArrayFleet(3, rows=8, cols=4)
+        # The two Figure 2b rails, fleet-wide: AND off BL, NOR off BLB.
+        unit = FleetBitSerialUnit(ArrayFleet(3, rows=8, cols=4))
         a = RNG.integers(0, 2, (3, 4)).astype(np.uint8)
         b = RNG.integers(0, 2, (3, 4)).astype(np.uint8)
-        fleet.load_bits(0, a[:, None, :])
-        fleet.load_bits(1, b[:, None, :])
-        bl, blb = fleet.sense(0, 1)
-        assert np.array_equal(bl, a & b)
-        assert np.array_equal(blb, (1 - a) & (1 - b))
+        unit.fleet.load_bits(0, a[:, None, :])
+        unit.fleet.load_bits(1, b[:, None, :])
+        unit.logical_and(Operand(0, 1), Operand(1, 1), Operand(2, 1))
+        assert np.array_equal(unit.fleet.dump_bits(2, 1)[:, 0], a & b)
         # One instruction broadcast = one compute cycle, fleet-wide.
-        assert fleet.compute_cycles == 1
+        assert unit.fleet.compute_cycles == 1
+        unit.logical_nor(Operand(0, 1), Operand(1, 1), Operand(3, 1))
+        assert np.array_equal(unit.fleet.dump_bits(3, 1)[:, 0],
+                              (1 - a) & (1 - b))
+        assert unit.fleet.compute_cycles == 2
 
     def test_sense_single_rails(self):
-        fleet = ArrayFleet(2, rows=4, cols=4)
+        # One sensed row gives the value (BL) and its complement (BLB):
+        # a 1-bit search for key 1 flags a, for key 0 flags NOT a.
+        unit = FleetBitSerialUnit(ArrayFleet(2, rows=4, cols=4))
         a = RNG.integers(0, 2, (2, 4)).astype(np.uint8)
-        fleet.load_bits(2, a[:, None, :])
-        bl, blb = fleet.sense_single(2)
-        assert np.array_equal(bl, a)
-        assert np.array_equal(blb, 1 - a)
+        unit.fleet.load_bits(2, a[:, None, :])
+        unit.search(Operand(2, 1), key=1, dst_row=0)
+        unit.search(Operand(2, 1), key=0, dst_row=1)
+        assert np.array_equal(unit.fleet.dump_bits(0, 1)[:, 0], a)
+        assert np.array_equal(unit.fleet.dump_bits(1, 1)[:, 0], 1 - a)
 
     def test_sense_same_row_rejected(self):
-        fleet = ArrayFleet(2, rows=4, cols=4)
-        with pytest.raises(ArrayStateError):
-            fleet.sense(1, 1)
+        unit = FleetBitSerialUnit(ArrayFleet(2, rows=4, cols=4))
+        with pytest.raises(ArrayStateError, match="two distinct"):
+            unit.logical_and(Operand(1, 1), Operand(1, 1), Operand(2, 1))
 
     def test_write_back_mask_per_array(self):
         fleet = ArrayFleet(2, rows=4, cols=4)
         mask = np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.uint8)
-        fleet.write_back(0, np.ones((2, 4), dtype=np.uint8), mask=mask)
+        fleet.store_plane(0, np.ones((2, 4), dtype=np.uint8), mask=mask)
         assert np.array_equal(fleet.dump_bits(0, 1)[:, 0], mask)
         assert fleet.compute_cycles == 0  # write-back shares the cycle
 
@@ -89,7 +96,8 @@ class TestFleetPrimitives:
     def test_counters_reset(self):
         fleet = ArrayFleet(2, rows=4, cols=4)
         fleet.read_row(0)
-        fleet.sense(0, 1)
+        FleetBitSerialUnit(fleet).logical_and(Operand(0, 1), Operand(1, 1),
+                                              Operand(2, 1))
         assert (fleet.access_cycles, fleet.compute_cycles) == (1, 1)
         fleet.reset_counters()
         assert (fleet.access_cycles, fleet.compute_cycles) == (0, 0)
@@ -106,51 +114,32 @@ class TestPeriphery:
         a = np.array([[0, 0, 0, 0, 1, 1, 1, 1]] * 2, dtype=np.uint8)
         b = np.array([[0, 0, 1, 1, 0, 0, 1, 1]] * 2, dtype=np.uint8)
         cin = np.array([[0, 1, 0, 1, 0, 1, 0, 1]] * 2, dtype=np.uint8)
-        bl_and, blb_nor = a & b, (1 - a) & (1 - b)
-        assert np.array_equal(periphery.xor_from_rails(bl_and, blb_nor),
-                              a ^ b)
-        periphery.load_carry(cin)
-        total, carry = periphery.full_add(bl_and, blb_nor)
+        periphery.carry[...] = cin
+        total = periphery.add_step(a & b, a ^ b)
         assert np.array_equal(total, (a + b + cin) % 2)
-        assert np.array_equal(carry, (a + b + cin) // 2)
         # The carry latch holds the carry-out for the next cycle.
         assert np.array_equal(periphery.carry, (a + b + cin) // 2)
 
-    def test_latch_loads_reject_non_binary_planes(self):
-        # Regression: load_tag/load_carry used to accept values > 1,
-        # silently corrupting later add_step carry logic.
-        periphery = FleetPeriphery(2, 4)
-        bad = np.full((2, 4), 3, dtype=np.uint8)
-        with pytest.raises(ArrayStateError, match="0 or 1"):
-            periphery.load_tag(bad)
-        with pytest.raises(ArrayStateError, match="0 or 1"):
-            periphery.load_tag(bad, invert=True)
-        with pytest.raises(ArrayStateError, match="0 or 1"):
-            periphery.load_carry(bad)
-        # Valid 0/1 planes still latch.
-        good = np.eye(2, 4, dtype=np.uint8)
-        periphery.load_carry(good)
-        assert np.array_equal(periphery.carry, good)
-        # A plane must cover every column of every array.
-        for wrong in (good[0], good[:, :3], np.ones((1, 4), np.uint8)):
-            with pytest.raises(ArrayStateError, match="column bits"):
-                periphery.load_tag(wrong)
-            with pytest.raises(ArrayStateError, match="column bits"):
-                periphery.load_carry(wrong)
-
     def test_tag_gates_write_mask(self):
-        periphery = FleetPeriphery(2, 4)
+        unit = FleetBitSerialUnit(ArrayFleet(2, rows=4, cols=4))
+        periphery = unit.periphery
         # Carry starts cleared and every write driver enabled.
         assert np.all(periphery.carry == 0)
         assert np.all(periphery.tag == 1)
-        assert periphery.write_mask(False) is None
         tag = np.array([[1, 0, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
-        periphery.load_tag(tag)
-        assert np.array_equal(periphery.write_mask(True), tag)
-        periphery.load_tag(tag, invert=True)
-        assert np.array_equal(periphery.write_mask(True), 1 - tag)
-        periphery.set_tag_all()
-        assert np.all(periphery.write_mask(True) == 1)
+        unit.fleet.load_bits(0, tag[:, None, :])
+        unit.write_values(Operand(1, 1), 1)
+        unit.zero(Operand(2, 2))
+        unit.load_tag(0)
+        assert np.array_equal(periphery.tag, tag)
+        # A predicated write lands only where the tag enables a driver.
+        unit.copy(Operand(1, 1), Operand(2, 1), predicated=True)
+        assert np.array_equal(unit.fleet.dump_bits(2, 1)[:, 0], tag)
+        unit.load_tag(0, invert=True)
+        unit.copy(Operand(1, 1), Operand(3, 1), predicated=True)
+        assert np.array_equal(unit.fleet.dump_bits(3, 1)[:, 0], 1 - tag)
+        unit.set_tag_all()
+        assert np.all(periphery.tag == 1)
 
 
 class TestSRAMArrayIsAFleetView:

@@ -27,7 +27,6 @@ from repro.engine import (
     FleetBitSerialUnit,
     Operand,
     PackedArrayFleet,
-    PackedFleetPeriphery,
     make_fleet,
 )
 from repro.verify import record_programs
@@ -101,18 +100,22 @@ class TestPackHelpers:
 class TestPackedFleetPrimitives:
     @pytest.mark.parametrize("n_arrays,cols", GEOMETRIES)
     def test_sense_rails_match_reference(self, n_arrays, cols):
-        ref = ArrayFleet(n_arrays, 8, cols)
-        packed = PackedArrayFleet(n_arrays, 8, cols)
+        # The AND (BL) and NOR (BLB) rails, written back by the heritage
+        # logicals: the NOR complement must keep the tail word clear.
+        ref, packed = make_pair(n_arrays, cols, rows=8)
         a = RNG.integers(0, 2, (n_arrays, 1, cols)).astype(np.uint8)
         b = RNG.integers(0, 2, (n_arrays, 1, cols)).astype(np.uint8)
-        for fleet in (ref, packed):
-            fleet.load_bits(0, a)
-            fleet.load_bits(1, b)
-        bl_u, blb_u = ref.sense(0, 1)
-        bl_p, blb_p = packed.sense(0, 1)
-        assert np.array_equal(bl_u, unpack_bit_plane(bl_p, cols))
-        assert np.array_equal(blb_u, unpack_bit_plane(blb_p, cols))
-        assert packed.compute_cycles == ref.compute_cycles == 1
+        for unit in (ref, packed):
+            unit.fleet.load_bits(0, a)
+            unit.fleet.load_bits(1, b)
+            unit.logical_and(Operand(0, 1), Operand(1, 1), Operand(2, 1))
+            unit.logical_nor(Operand(0, 1), Operand(1, 1), Operand(3, 1))
+        assert np.array_equal(ref.fleet.dump_bits(2, 2),
+                              packed.fleet.dump_bits(2, 2))
+        assert np.array_equal(ref.fleet.dump_bits(2, 1)[:, 0], (a & b)[:, 0])
+        assert packed.fleet.compute_cycles == ref.fleet.compute_cycles == 2
+        assert not np.any(packed.fleet.row_plane(3)
+                          & ~packed.fleet.const_plane(1))
 
     def test_write_row_mask_and_read_row_speak_host_bits(self):
         packed = PackedArrayFleet(2, rows=4, cols=100)
@@ -137,14 +140,6 @@ class TestPackedFleetPrimitives:
         assert np.array_equal(packed.dump_bits(1, 2, col_offset=60, n_cols=9),
                               patch)
 
-    def test_tail_word_invariant_rejected_on_dirty_planes(self):
-        packed = PackedArrayFleet(1, rows=4, cols=100)
-        dirty = np.full((1, packed.n_words), ~np.uint64(0), dtype=np.uint64)
-        with pytest.raises(ArrayStateError, match="beyond the last column"):
-            packed.write_back(0, dirty)
-        with pytest.raises(ArrayStateError, match="uint64"):
-            packed.write_back(0, np.ones((1, 100), dtype=np.uint8))
-
     def test_host_path_validation_shared_with_reference(self):
         # The boundary bugfix sweep applies to both stores: the checks
         # live once in the PlaneStore base.
@@ -155,15 +150,6 @@ class TestPackedFleetPrimitives:
             packed.dump_bits(0, 1, col_offset=99, n_cols=2)
         with pytest.raises(ArrayStateError, match="0 or 1"):
             packed.load_bits(0, np.full((1, 1, 100), 2, dtype=np.uint8))
-
-    def test_packed_periphery_rejects_dirty_latch_planes(self):
-        periphery = PackedFleetPeriphery(1, 100)
-        dirty = np.full((1, periphery.n_words), ~np.uint64(0),
-                        dtype=np.uint64)
-        with pytest.raises(ArrayStateError, match="beyond the last column"):
-            periphery.load_tag(dirty)
-        with pytest.raises(ArrayStateError, match="uint64"):
-            periphery.load_carry(np.ones((1, 100), dtype=np.uint8))
 
     def test_resident_memory_is_8x_smaller_on_word_multiples(self):
         ref = ArrayFleet(16, 256, 256)
@@ -286,9 +272,9 @@ class TestSequenceEquivalence:
     @given(st.data())
     @settings(max_examples=25, deadline=None)
     def test_property_random_masked_write_back_sequences(self, data):
-        """Random tag-gated write-back programs leave both stores
-        identical — the tail-word masking of the packed store under
-        arbitrary masks at ragged widths."""
+        """Random tag-gated compute writes (``store_plane``) leave both
+        stores identical — the tail-word masking of the packed store
+        under arbitrary masks at ragged widths."""
         cols = data.draw(st.sampled_from([64, 100, 37, 130]), label="cols")
         n_arrays, rows = 2, 8
         ref = ArrayFleet(n_arrays, rows, cols)
@@ -304,8 +290,8 @@ class TestSequenceEquivalence:
             mask = (np.array(data.draw(plane),
                              dtype=np.uint8).reshape(n_arrays, cols)
                     if masked else None)
-            ref.write_back(row, bits, mask=mask)
-            packed.write_back(
+            ref.store_plane(row, bits, mask=mask)
+            packed.store_plane(
                 row, pack_bit_plane(bits, packed.n_words),
                 mask=None if mask is None
                 else pack_bit_plane(mask, packed.n_words))

@@ -9,15 +9,19 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ArrayStateError
-from repro.sram import BitSerialUnit, SRAMArray
+from repro.sram import BitSerialUnit, Operand, SRAMArray
 
 
 def bits(values):
     return np.array([values], dtype=np.uint8)
 
 
+def unit_for(cols):
+    return BitSerialUnit(SRAMArray(rows=8, cols=cols))
+
+
 def periphery(cols):
-    return BitSerialUnit(SRAMArray(rows=8, cols=cols)).periphery
+    return unit_for(cols).periphery
 
 
 class TestLatches:
@@ -35,34 +39,39 @@ class TestLatches:
         assert np.all(p.carry == 0)
 
     def test_load_tag_and_inverted_load(self):
-        p = periphery(4)
-        p.load_tag(bits([1, 0, 1, 0]))
-        assert np.array_equal(p.tag, bits([1, 0, 1, 0]))
-        p.load_tag(bits([1, 0, 1, 0]), invert=True)
-        assert np.array_equal(p.tag, bits([0, 1, 0, 1]))
+        unit = unit_for(4)
+        unit.array.write_row(0, np.array([1, 0, 1, 0], dtype=np.uint8))
+        unit.load_tag(0)
+        assert np.array_equal(unit.periphery.tag, bits([1, 0, 1, 0]))
+        unit.load_tag(0, invert=True)
+        assert np.array_equal(unit.periphery.tag, bits([0, 1, 0, 1]))
 
     def test_write_mask_follows_predication(self):
-        p = periphery(4)
-        p.load_tag(bits([0, 1, 1, 0]))
-        assert p.write_mask(predicated=False) is None
-        assert np.array_equal(p.write_mask(predicated=True),
-                              bits([0, 1, 1, 0]))
-
-    def test_latch_loads_reject_non_binary_values(self):
-        p = periphery(4)
-        with pytest.raises(ArrayStateError, match="0 or 1"):
-            p.load_tag(bits([0, 2, 0, 0]))
-        with pytest.raises(ArrayStateError, match="0 or 1"):
-            p.load_carry(bits([3, 0, 0, 0]))
+        unit = unit_for(4)
+        unit.array.write_row(0, np.array([0, 1, 1, 0], dtype=np.uint8))
+        unit.load_tag(0)
+        unit.write_scalar(Operand(1, 1), 1)
+        unit.zero(Operand(2, 2))
+        unit.copy(Operand(1, 1), Operand(2, 1))
+        unit.copy(Operand(1, 1), Operand(3, 1), predicated=True)
+        assert np.array_equal(unit.array.read_row(2), [1, 1, 1, 1])
+        assert np.array_equal(unit.array.read_row(3), [0, 1, 1, 0])
 
 
 class TestFullAdder:
     def test_xor_from_rails_truth_table(self):
-        # (A, B) in {00, 01, 10, 11} -> AND = 0001, NOR = 1000, XOR = 0110
-        bl_and = bits([0, 0, 0, 1])
-        blb_nor = bits([1, 0, 0, 0])
-        assert np.array_equal(
-            periphery(4).xor_from_rails(bl_and, blb_nor), bits([0, 1, 1, 0]))
+        # (A, B) in {00, 01, 10, 11} -> AND = 0001, NOR = 1000, XOR = 0110:
+        # XOR is the NOR of the two rails (the gate of Figure 7).
+        unit = unit_for(4)
+        unit.array.write_row(0, np.array([0, 0, 1, 1], dtype=np.uint8))
+        unit.array.write_row(1, np.array([0, 1, 0, 1], dtype=np.uint8))
+        bl_and, blb_nor = unit.array.sense(0, 1)
+        assert np.array_equal(bl_and, [0, 0, 0, 1])
+        assert np.array_equal(blb_nor, [1, 0, 0, 0])
+        unit.logical_xor(Operand(0, 1), Operand(1, 1), Operand(2, 1))
+        assert np.array_equal(unit.array.read_row(2), [0, 1, 1, 0])
+        assert np.array_equal(unit.array.read_row(2),
+                              1 - (bl_and | blb_nor))
 
     @pytest.mark.parametrize("a,b,cin,s,cout", [
         (0, 0, 0, 0, 0), (0, 1, 0, 1, 0), (1, 0, 0, 1, 0), (1, 1, 0, 0, 1),
@@ -70,12 +79,9 @@ class TestFullAdder:
     ])
     def test_full_add_truth_table(self, a, b, cin, s, cout):
         p = periphery(1)
-        p.load_carry(bits([cin]))
-        bl_and = bits([a & b])
-        blb_nor = bits([(1 - a) & (1 - b)])
-        total, carry = p.full_add(bl_and, blb_nor)
+        p.carry[...] = bits([cin])
+        total = p.add_step(bits([a & b]), bits([a ^ b]))
         assert total[0, 0] == s
-        assert carry[0, 0] == cout
         assert p.carry[0, 0] == cout  # latch updated for the next cycle
 
     def test_full_add_vectorised(self):
@@ -83,19 +89,20 @@ class TestFullAdder:
         a = bits([0, 0, 0, 0, 1, 1, 1, 1])
         b = bits([0, 0, 1, 1, 0, 0, 1, 1])
         cin = bits([0, 1, 0, 1, 0, 1, 0, 1])
-        p.load_carry(cin)
-        total, carry = p.full_add(a & b, (1 - a) & (1 - b))
+        p.carry[...] = cin
+        total = p.add_step(a & b, a ^ b)
         expected = a + b + cin
         assert np.array_equal(total, expected & 1)
-        assert np.array_equal(carry, expected >> 1)
+        assert np.array_equal(p.carry, expected >> 1)
 
 
 class TestWritebackMux:
     def test_shape_validation(self):
-        # The tag plane gates the write-back drivers column by column, so
-        # it must cover exactly the array's bitlines.
-        p = periphery(4)
+        # The tag-gated write-back mask covers exactly the array's
+        # bitlines, one enable per column.
+        array = SRAMArray(rows=8, cols=4)
+        ones = np.ones(4, dtype=np.uint8)
         with pytest.raises(ArrayStateError):
-            p.load_tag(bits([1, 0]))
+            array.write_back(0, ones, mask=np.array([1, 0], dtype=np.uint8))
         with pytest.raises(ArrayStateError):
-            p.load_tag(np.array([1, 0, 1, 0], dtype=np.uint8))
+            array.write_back(0, ones, mask=bits([1, 0, 1, 0]))

@@ -107,8 +107,8 @@ class TestShadowState:
     def test_plane_ops_pass_through(self):
         store = fleet_for("unpacked")
         assert store.rows == ROWS and store.cols == COLS
-        plane = store.new_plane()
-        assert store.unpack_plane(plane).shape == (1, COLS)
+        plane = store.pack_plane(np.zeros((1, COLS), dtype=np.uint8))
+        assert store.unpack_plane(store.plane_not(plane)).all()
 
 
 class TestSparsityProbe:
