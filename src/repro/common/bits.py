@@ -173,7 +173,13 @@ def transpose8x8(words: np.ndarray) -> np.ndarray:
     between per-lane integers and per-bit column words. The transpose is
     its own inverse.
     """
-    x = np.array(words, dtype=np.uint64)
+    return _transpose8x8_into(np.array(words, dtype=np.uint64))
+
+
+def _transpose8x8_into(x: np.ndarray) -> np.ndarray:
+    """:func:`transpose8x8` over a uint64 array the caller owns,
+    overwriting it: the host converters transpose their private copies
+    without a second one."""
     t = np.empty_like(x)
     for shift, mask in _TRANSPOSE_ROUNDS:
         # t = (x ^ (x >> shift)) & mask; x ^= t ^ (t << shift), in place:
@@ -226,7 +232,7 @@ def ints_to_packed_planes(values: np.ndarray, nbits: int,
         lanes[:8, ..., :cols] = np.moveaxis(as_bytes[..., :n_bytes], -1, 0)
     # Eight lanes per word, transposed: byte i of group g = bit i of the
     # group's lanes, i.e. byte g of word w of plane i.
-    flipped = transpose8x8(lanes.view("<u8"))
+    flipped = _transpose8x8_into(lanes.view("<u8"))
     flipped = _le_bytes(flipped).reshape(n_bytes, *lead, n_words, 8, 8)
     planes = np.moveaxis(flipped, -1, 1)  # (n_bytes, 8, *lead, n_words, 8)
     planes = np.ascontiguousarray(planes).view("<u8")
@@ -255,7 +261,10 @@ def packed_planes_to_ints(planes: np.ndarray, cols: int) -> np.ndarray:
         planes = np.concatenate([planes, pad])
     as_bytes = _le_bytes(planes).reshape(n_bytes, 8, *lead, n_words, 8)
     groups = np.ascontiguousarray(np.moveaxis(as_bytes, 1, -1)).view("<u8")
-    lanes = _le_bytes(transpose8x8(groups[..., 0]))
+    # Transpose the private copy in place, after dropping the padded
+    # planes, so the conversion holds two word blocks at a time, not four.
+    del planes, as_bytes
+    lanes = _le_bytes(_transpose8x8_into(groups[..., 0]))
     lanes = lanes.reshape(n_bytes, *lead, n_words * WORD_BITS)[..., :cols]
     out = np.zeros((*lead, cols, 8), dtype=np.uint8)
     out[..., :n_bytes] = np.moveaxis(lanes, 0, -1)

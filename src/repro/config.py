@@ -36,8 +36,10 @@ class NeuralCacheConfig:
     #: Fraction of the reserved I/O way usable for buffering outputs when
     #: batching (the rest buffers inputs).
     output_buffer_fraction: float = 0.5
-    #: Cap on arrays per lockstep chunk of a functional fleet pass, so
-    #: batched fleets (batch x arrays-per-image) stay memory-bounded.
+    #: Cap on arrays per chunk of a functional fleet pass (batched passes
+    #: hold batch x arrays-per-image arrays). A conv chunk is one sparsity
+    #: skip domain; consecutive chunks with equal skip signatures share a
+    #: lockstep fleet (:data:`repro.core.functional.FLEET_WORD_BUDGET`).
     #: ``None`` selects the module default
     #: (:data:`repro.core.functional.MAX_FLEET_ARRAYS`).
     max_fleet_arrays: int | None = None

@@ -45,8 +45,15 @@ bit-serial sequence once per *batch* instead of once per image. Arrays
 stay aligned to image boundaries, so a batched pass executes exactly the
 arrays the per-image loop would and reports identical per-image cycles
 (the arrays are parallel hardware — batching changes wall-clock, not
-modeled cycles). Fleets are chunked at ``config.max_fleet_arrays``
-(default :data:`MAX_FLEET_ARRAYS`) arrays so memory stays bounded.
+modeled cycles). Passes are chunked at ``config.max_fleet_arrays``
+(default :data:`MAX_FLEET_ARRAYS`) arrays. A conv compute chunk is a
+sparsity skip domain; consecutive chunks whose skip signatures agree run
+as one lockstep fleet of up to :data:`FLEET_WORD_BUDGET` words per
+wordline, as one broadcast instruction steps every array (Sec. IV-F),
+so narrow arrays stack several chunks into each host plane op with
+identical outputs and cycle reports. Conv compute fleets allocate only
+the rows their layout uses; every other fleet is one array height of the
+geometry.
 
 Layers whose padded channel count exceeds the array width span
 ``arrays_per_conv`` consecutive fleet members per output: each spanning
@@ -70,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.bits import from_twos_complement
+from repro.common.bits import from_twos_complement, packed_words
 from repro.common.errors import SimulationError
 from repro.config import NeuralCacheConfig
 from repro.core.mapping import LayerMapping, map_conv, map_pool
@@ -85,18 +92,26 @@ from repro.sram.bitserial import Operand
 CORRECTION_BITS = 34
 #: Maximum taps per output so the input-sum fits the 16-bit multiply.
 MAX_FUNCTIONAL_TAPS = 257
-#: Arrays per lockstep chunk of a vectorized stage: bounds the fleet bit
-#: tensor at ~16 MB per chunk. The conv compute stage additionally bounds
-#: its staged filter and input planes (whose size scales with taps *
-#: lanes) via ``GATHER_BUDGET_ELEMENTS``; verification-scale layers still
-#: run in a single all-arrays pass. Overridable per run via
+#: Arrays per chunk of a vectorized stage. Overridable per run via
 #: ``NeuralCacheConfig.max_fleet_arrays`` (batched passes multiply the
-#: array count by the batch size, so serving-scale batches chunk).
+#: array count by the batch size, so serving-scale batches chunk). A conv
+#: compute chunk is the sparsity skip domain: its ``plane_any`` probes
+#: decide skips for its arrays alone, so this value is part of the cycle
+#: model. The conv compute stage bounds its host memory with
+#: ``FLEET_WORD_BUDGET`` and ``GATHER_BUDGET_ELEMENTS``, the other stages
+#: with this cap; verification-scale layers still run in a single
+#: all-arrays pass.
 MAX_FLEET_ARRAYS = 256
-#: Elements per staged (array, lane, tap) plane in a conv chunk. Chunk
-#: boundaries move sparsity skip charges, so this value is part of the
+#: Elements per staged (array, lane, tap) plane in a conv window. It
+#: also caps the chunk size, so it moves skip domains and is part of the
 #: cycle model, not just a memory knob.
 GATHER_BUDGET_ELEMENTS = 1 << 21
+#: Words per wordline of one conv compute fleet: one default-width chunk
+#: (``MAX_FLEET_ARRAYS`` arrays of 256 columns). Consecutive chunks with
+#: equal skip signatures run as one lockstep fleet within it, so narrow
+#: arrays stack several chunks into each plane op while 256-column layers
+#: keep one chunk per fleet.
+FLEET_WORD_BUDGET = MAX_FLEET_ARRAYS * packed_words(256)
 
 
 @dataclass
@@ -210,6 +225,48 @@ def _conv_rows(mapping: LayerMapping, taps: int) -> tuple[Operand, ...]:
     return filters, inputs, scratch, partial, segment, xsum
 
 
+def _quantize_rows(requant: bool) -> tuple[Operand, ...]:
+    """The quantization stage's row regions: the correction layout
+    (accumulator, input sum, zero-point scalar, product, constant,
+    scratch), then, for layers that requantize in cache, the layout
+    that reuses the dead rows above the accumulator (multiplier,
+    48-bit product, rounding half, zero point, result, saturation)."""
+    w = CORRECTION_BITS
+    acc = Operand(0, w)
+    xs16 = Operand(acc.end, 16)
+    m16 = Operand(xs16.end, 16)
+    prod = Operand(m16.end, w)       # 32-bit product + 2 zero rows
+    kreg = Operand(prod.end, w)
+    scr = Operand(kreg.end, w)
+    rows = (acc, xs16, m16, prod, kreg, scr)
+    if not requant:
+        return rows
+    m24 = Operand(acc.end, 24)       # xs16/m16 are dead now
+    prod48 = Operand(m24.end, 48)    # prod/kreg head are dead
+    half48 = Operand(prod48.end, 48)  # kreg tail/scr head are dead
+    zp9 = Operand(half48.end, 9)
+    out10 = Operand(zp9.end, 10)
+    sat8 = Operand(out10.end, 8)
+    return rows + (m24, prod48, half48, zp9, out10, sat8)
+
+
+def _in_cache_requant(conv: Conv2D, weights: ConvWeights) -> bool:
+    """ReLU layers requantize in cache; the rest (the final FC) on the
+    host, as the paper ships final outputs to the CPU."""
+    return conv.relu and weights.requant.shift <= 39
+
+
+def _check_rows(name: str, what: str, regions: tuple[Operand, ...],
+                config: NeuralCacheConfig) -> None:
+    """Refuse a layout whose regions do not fit the geometry's arrays."""
+    rows = max(region.end for region in regions)
+    limit = config.geometry.array_rows
+    if rows > limit:
+        raise SimulationError(
+            f"layer {name!r}: the {what} layout needs {rows} rows, but "
+            f"an array has {limit}")
+
+
 @dataclass(frozen=True)
 class ConvStaging:
     """A conv layer's compiled host staging, built once and reused by
@@ -233,7 +290,8 @@ class ConvStaging:
       quantization stage's zero-point constant.
 
     :meth:`compile` validates the layer (element width, tap bound,
-    spanning geometry, row layout, narrowed filter range) so a staging
+    spanning geometry, the compute and quantization row layouts against
+    the geometry's ``array_rows``, narrowed filter range) so a staging
     is always runnable.
     """
 
@@ -274,11 +332,10 @@ class ConvStaging:
                     f"{cols}-column array width in-array first; that tree "
                     f"needs a power-of-two array_cols")
         plan = _plan_lanes(mapping, conv.kernel, c)
-        rows = _conv_rows(mapping, plan.taps)[-1].end
-        if rows > 256:
-            raise SimulationError(
-                f"layer {name!r}: the functional layout needs {rows} "
-                f"rows, but an array has 256")
+        _check_rows(name, "functional", _conv_rows(mapping, plan.taps),
+                    config)
+        _check_rows(name, "quantization",
+                    _quantize_rows(_in_cache_requant(conv, weights)), config)
 
         h, w, _ = input_shape
         top = left = 0
@@ -412,17 +469,21 @@ class FunctionalConv:
         """All images' output batches at once: one fleet member per pass.
 
         ``windows`` is the batch's ``(batch, E*F, lanes, taps)`` input
-        windows (:meth:`ConvStaging.gather_windows`). Each chunk stages
-        its arrays' planes by indexing those windows and the staging's
-        filter table with the arrays' output coordinates, then a *single*
-        lockstep MAC/reduction sequence executes on the whole
-        ``batch * arrays_per_image`` fleet — no Python loop over arrays
-        or images. Arrays never straddle image boundaries, so cycle
-        reports (``sequence_cycles * n_arrays`` per chunk) match the
-        per-image loop exactly. Fleets larger than
-        ``config.max_fleet_arrays`` execute in bounded chunks so the
-        staged planes never outgrow memory on output-heavy layers or
-        large batches.
+        windows (:meth:`ConvStaging.gather_windows`). The
+        ``batch * arrays_per_image`` arrays split into chunks of at most
+        ``config.max_fleet_arrays``, aligned to reduction groups; each
+        chunk is one sparsity skip domain. A window of consecutive
+        chunks, within ``FLEET_WORD_BUDGET`` words per wordline and
+        ``GATHER_BUDGET_ELEMENTS`` staged elements, stages its planes at
+        once by indexing those windows and the staging's filter table
+        with the arrays' output coordinates. Each run of chunks with
+        equal skip signatures (:func:`_skip_runs`) then executes as a
+        *single* lockstep MAC/reduction sequence — no Python loop over
+        arrays or images. Equal signatures make every ``plane_any``
+        probe answer each chunk as it would alone, and arrays never
+        straddle image boundaries, so cycle reports
+        (``sequence_cycles * n_arrays`` per fleet) match the per-image
+        loop exactly.
         """
         e, f, m = self.conv.output_shape(self.input_shape)
         n_out = e * f * m
@@ -454,9 +515,22 @@ class FunctionalConv:
             # multiples of ``span`` on the global axis, so aligned chunk
             # boundaries can never split one.
             per_chunk = max(per_chunk // span * span, span)
-        for a0, a1 in _array_chunks(total_arrays, per_chunk):
-            self._run_fleet_chunk(windows, a0, a1, arrays_per_image,
-                                  cols, lanes, groups, raw, xsum)
+        chunks = _array_chunks(total_arrays, per_chunk)
+        per_window = max(min(
+            FLEET_WORD_BUDGET // (per_chunk * packed_words(cols)),
+            GATHER_BUDGET_ELEMENTS // (per_chunk * taps * cols)), 1)
+        for w in range(0, len(chunks), per_window):
+            window = chunks[w:w + per_window]
+            a0, a1 = window[0][0], window[-1][1]
+            filter_plane, input_plane, img, ol, live = self._stage_chunk(
+                windows, a0, a1, arrays_per_image, cols, lanes, groups)
+            starts = np.array([c0 - a0 for c0, _ in window])
+            runs = ([(0, a1 - a0)] if not self.sparsity else
+                    _skip_runs(filter_plane, input_plane, starts))
+            for r0, r1 in runs:
+                self._run_fleet(filter_plane[r0:r1], input_plane[r0:r1],
+                                img[r0:r1], ol[r0:r1], live[r0:r1],
+                                cols, lanes, groups, raw, xsum)
         return raw, xsum
 
     def _stage_chunk(self, windows: np.ndarray, a0: int, a1: int,
@@ -515,27 +589,27 @@ class FunctionalConv:
 
         return planes(fvals), planes(ivals), img, ol, live
 
-    def _run_fleet_chunk(self, windows: np.ndarray, a0: int, a1: int,
-                         arrays_per_image: int, cols: int, lanes: int,
-                         groups: int, raw: np.ndarray,
-                         xsum: np.ndarray) -> None:
-        """One bounded fleet: arrays ``[a0, a1)`` of the global
-        batch-by-arrays axis, one array per pass. Results land in the
-        ``(batch, n_out)`` ``raw``/``xsum`` accumulators."""
+    def _run_fleet(self, filter_plane: np.ndarray, input_plane: np.ndarray,
+                   img: np.ndarray, ol: np.ndarray, live: np.ndarray,
+                   cols: int, lanes: int, groups: int, raw: np.ndarray,
+                   xsum: np.ndarray) -> None:
+        """One lockstep fleet over staged planes (:meth:`_stage_chunk`),
+        one array per pass. Results land in the ``(batch, n_out)``
+        ``raw``/``xsum`` accumulators."""
         mapping = self.mapping
         taps = self.plan.taps
         packed = mapping.pack_factor > 1
-        n_arrays = a1 - a0
+        n_arrays = filter_plane.shape[0]
         span = mapping.arrays_per_conv
-        filter_plane, input_plane, img, ol, live = self._stage_chunk(
-            windows, a0, a1, arrays_per_image, cols, lanes, groups)
         nb = mapping.element_bits
-        # ``compile`` checked that the regions fit the array.
+        # ``compile`` checked that the regions fit the array; the fleet
+        # allocates only the rows they use.
         (filter_rows, input_rows, scratch, partial, segment,
          xsum_rows) = _conv_rows(mapping, taps)
 
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=256, cols=cols, packed=self.packed),
+            make_fleet(n_arrays, rows=xsum_rows.end, cols=cols,
+                       packed=self.packed),
             sparsity=self.sparsity)
         # One vectorized host pack loads all taps' planes at once (the
         # per-tap write_values loop was the pack boundary hot spot).
@@ -642,7 +716,7 @@ class FunctionalConv:
         const = n_taps * zpx * zpw - zpx * sum_w  # per filter m
         const_per_output = np.tile(const, e * f)  # outputs are (i, j, m)
 
-        in_cache_requant = conv.relu and requant.shift <= 39
+        in_cache_requant = _in_cache_requant(conv, weights)
         cols = self.config.geometry.array_cols
         return self._quantize_fleet(raw, xsum, const_per_output, zpw,
                                     in_cache_requant, cols)
@@ -684,16 +758,13 @@ class FunctionalConv:
         requant = self.weights.requant
         n_arrays = raw_planes.shape[0]
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=256, cols=cols, packed=self.packed),
+            make_fleet(n_arrays, rows=self.config.geometry.array_rows,
+                       cols=cols, packed=self.packed),
             sparsity=self.sparsity)
         w = CORRECTION_BITS
-
-        acc = Operand(0, w)          # 0..33
-        xs16 = Operand(w, 16)        # 34..49
-        m16 = Operand(50, 16)
-        prod = Operand(66, w)        # 32-bit product + 2 zero rows
-        kreg = Operand(100, w)
-        scr = Operand(134, w)
+        # ``ConvStaging.compile`` checked that the layout fits the array.
+        (acc, xs16, m16, prod, kreg, scr, m24, prod48, half48, zp9, out10,
+         sat8) = _quantize_rows(True)
 
         # Host staging (the output-move path already paid for this data).
         unit.write_values(acc, raw_planes)
@@ -723,12 +794,6 @@ class FunctionalConv:
 
         # Requantize: acc * M0 (24x24 multiply), +rounding, shift, +zp.
         shift = requant.shift
-        m24 = Operand(34, 24)            # xs16/m16 are dead now
-        prod48 = Operand(58, 48)         # prod/kreg head are dead
-        half48 = Operand(106, 48)        # kreg tail/scr head are dead
-        zp9 = Operand(154, 9)
-        out10 = Operand(163, 10)
-        sat8 = Operand(173, 8)
 
         unit.write_scalar(m24, requant.multiplier)
         unit.multiply(Operand(acc.row, 24), m24, prod48)
@@ -800,7 +865,8 @@ class FunctionalMaxPool:
         maximum, all ``(n_arrays, cols)`` slots at once."""
         n_arrays = taps[0].shape[0]
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=64, cols=cols, packed=self.packed),
+            make_fleet(n_arrays, rows=self.config.geometry.array_rows,
+                       cols=cols, packed=self.packed),
             sparsity=self.sparsity)
         current = Operand(0, 8)
         candidate = Operand(8, 8)
@@ -877,7 +943,8 @@ class FunctionalAvgPool:
         acc_bits = 16
 
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=128, cols=cols, packed=self.packed),
+            make_fleet(n_arrays, rows=self.config.geometry.array_rows,
+                       cols=cols, packed=self.packed),
             sparsity=self.sparsity)
         element = Operand(0, 8)
         acc = Operand(8, acc_bits)
@@ -963,7 +1030,8 @@ class FunctionalAdd:
         """One bounded fleet over staged ``(n_arrays, cols)`` operands."""
         n_arrays = av.shape[0]
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=96, cols=cols, packed=self.packed),
+            make_fleet(n_arrays, rows=self.config.geometry.array_rows,
+                       cols=cols, packed=self.packed),
             sparsity=self.sparsity)
         a8, b8 = Operand(0, 8), Operand(8, 8)
         total9 = Operand(16, 9)
@@ -1088,7 +1156,8 @@ class FunctionalBatchNorm:
         two's complement accumulators (no-ReLU layers, host epilogue)."""
         n_arrays = q_planes.shape[0]
         unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=256, cols=cols, packed=self.packed),
+            make_fleet(n_arrays, rows=self.config.geometry.array_rows,
+                       cols=cols, packed=self.packed),
             sparsity=self.sparsity)
         w = CORRECTION_BITS
         q16 = Operand(0, 16)
@@ -1346,6 +1415,33 @@ def _array_chunks(total_arrays: int, max_arrays: int
     each, bounding fleet memory on activation-heavy layers and batches."""
     return [(a0, min(a0 + max_arrays, total_arrays))
             for a0 in range(0, total_arrays, max_arrays)]
+
+
+def _skip_runs(filter_plane: np.ndarray, input_plane: np.ndarray,
+               starts: np.ndarray) -> list[tuple[int, int]]:
+    """Split a staged conv window into maximal runs of chunks with equal
+    skip signatures, as ``[r0, r1)`` array offsets into the window.
+
+    ``filter_plane``/``input_plane`` are the window's ``(arrays, taps,
+    cols)`` staged bytes and ``starts`` each chunk's first array. A
+    chunk's signature decides every sparsity probe of its MAC sequence:
+    per tap, the OR of its input bytes (each ``multiply`` plane probe and
+    the input-sum ``add_into`` skip) and whether any lane's product is
+    nonzero (the product ``add_into`` skip). No other step of the
+    sequence probes, so chunks with equal signatures skip exactly the
+    same steps whether they run alone or stacked in one fleet.
+    """
+    # Fold the arrays of each chunk first: whole (taps, cols) rows per
+    # step, so the narrow column axis is reduced only once per chunk.
+    ors = np.bitwise_or.reduceat(input_plane, starts, axis=0)
+    products = np.logical_or.reduceat(
+        (filter_plane != 0) & (input_plane != 0), starts, axis=0)
+    ors = np.bitwise_or.reduce(ors, axis=2)
+    products = products.any(axis=2)
+    signature = np.concatenate([ors, products], axis=1)
+    change = np.flatnonzero((signature[1:] != signature[:-1]).any(axis=1))
+    bounds = [0, *starts[change + 1].tolist(), filter_plane.shape[0]]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _run_batched_staged(n_images: int, n_out: int, cols: int,

@@ -10,18 +10,12 @@ from repro.sram.array import DEFAULT_COLS, DEFAULT_ROWS, SRAMArray
 from repro.sram.bitserial import BitSerialUnit, Operand
 from repro.sram.cost import CycleCosts
 from repro.sram.energy import ArrayAreaModel, ArrayEnergyModel
-from repro.sram.layout import (
-    ArrayLayout,
-    conv_layout,
-    max_conv_filter_bytes,
-    reduction_layout,
-)
+from repro.sram.layout import max_conv_filter_bytes
 from repro.sram.transpose import TransposeMemoryUnit
 
 __all__ = [
     "ArrayAreaModel",
     "ArrayEnergyModel",
-    "ArrayLayout",
     "BitSerialUnit",
     "CycleCosts",
     "DEFAULT_COLS",
@@ -29,7 +23,5 @@ __all__ = [
     "Operand",
     "SRAMArray",
     "TransposeMemoryUnit",
-    "conv_layout",
     "max_conv_filter_bytes",
-    "reduction_layout",
 ]

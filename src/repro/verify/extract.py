@@ -58,8 +58,8 @@ def extract_model_programs(name: str) -> ModelPrograms:
 
     Returns a :class:`ModelPrograms` with one
     :class:`~repro.verify.facts.ProgramFacts` per (layer, fleet) —
-    chunked layers contribute one program per fleet chunk, labelled with
-    the layer name.
+    chunked layers contribute one program per fleet, labelled with the
+    layer name (a conv fleet may stack several skip-equivalent chunks).
     """
     from repro.core.functional import FunctionalExecutor
     from repro.engine.backend import FleetExecutor, deterministic_images

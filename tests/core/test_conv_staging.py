@@ -415,3 +415,35 @@ def test_row_layout_refused_at_compile():
     with pytest.raises(SimulationError, match=r"layer 'c'.* 258 rows"):
         backend.run_requests(net, case_images(net, weights, 2, 0), weights)
     assert backend.stagings_for(net, weights) == {}
+
+
+def rows_config(rows: int) -> NeuralCacheConfig:
+    base = NeuralCacheConfig()
+    return base.with_geometry(
+        dataclasses.replace(base.geometry, array_rows=rows))
+
+
+def test_row_layouts_checked_against_the_geometry():
+    """The row bound is the geometry's ``array_rows``, not 256: under
+    128-row arrays resnet-tiny's stem (a 160-row layout) is refused by
+    name, and under 170-row arrays a conv whose compute layout fits is
+    still refused for its 181-row quantization layout."""
+    from repro.nn.models import build_resnet_tiny
+
+    net = build_resnet_tiny()
+    config = rows_config(128)
+    backend = FleetExecutor(config, verify=False)
+    weights = backend.weights_for(net)
+    with pytest.raises(SimulationError,
+                       match=r"layer 'stem'.* needs 160 rows, but an "
+                             r"array has 128"):
+        backend.run_requests(net, case_images(net, weights, 1, 0), weights)
+
+    net = conv_net((2, 2, 2), Conv2D(2, (1, 1)))
+    config = rows_config(170)
+    weights = FleetExecutor(config, verify=False).weights_for(net)
+    with pytest.raises(SimulationError,
+                       match=r"layer 'c': the quantization layout needs "
+                             r"181 rows, but an array has 170"):
+        ConvStaging.compile(net.conv_of(net.node("c")), net.input_shape,
+                            weights.for_node("c"), config, "c")

@@ -1,102 +1,79 @@
-"""Tests for the per-array word-line layout allocator (Figure 10)."""
+"""Tests for the per-array word-line layout (Figure 10).
+
+The mapper sizes layers with the region constants and
+:func:`max_conv_filter_bytes`; the functional executor lays out its real
+rows with ``repro.core.functional._conv_rows``, so the Figure 10 region
+tests below pin that layout.
+"""
+
+import dataclasses
 
 import pytest
 
-from repro.common.errors import LayoutError
-from repro.sram import ArrayLayout, conv_layout, max_conv_filter_bytes, reduction_layout
+from repro.common.errors import SimulationError
+from repro.config import NeuralCacheConfig
+from repro.core.functional import ConvStaging, _conv_rows
+from repro.core.mapping import map_conv
+from repro.nn import Conv2D, Network, initialise_weights
+from repro.sram import max_conv_filter_bytes
 from repro.sram.layout import (
-    OUTPUT_BITS,
     PARTIAL_SUM_BITS,
     REDUCTION_SEGMENT_BITS,
     SCRATCHPAD_BITS,
 )
 
+CONV_3X3 = Conv2D(8, (3, 3))
+SHAPE = (8, 8, 8)
 
-class TestAllocator:
-    def test_sequential_allocation(self):
-        layout = ArrayLayout(rows=64)
-        a = layout.allocate("a", 16)
-        b = layout.allocate("b", 8)
-        assert (a.row, a.nbits) == (0, 16)
-        assert (b.row, b.nbits) == (16, 8)
-        assert layout.used_rows == 24
-        assert layout.free_rows == 40
 
-    def test_lookup_by_name(self):
-        layout = ArrayLayout(rows=64)
-        layout.allocate("x", 8)
-        assert layout.region("x").nbits == 8
-        with pytest.raises(LayoutError):
-            layout.region("missing")
-
-    def test_duplicate_name_rejected(self):
-        layout = ArrayLayout(rows=64)
-        layout.allocate("x", 8)
-        with pytest.raises(LayoutError):
-            layout.allocate("x", 8)
-
-    def test_overflow_rejected(self):
-        layout = ArrayLayout(rows=16)
-        layout.allocate("a", 10)
-        with pytest.raises(LayoutError):
-            layout.allocate("b", 7)
-
-    def test_zero_size_rejected(self):
-        layout = ArrayLayout(rows=16)
-        with pytest.raises(LayoutError):
-            layout.allocate("a", 0)
-
-    def test_names_in_order(self):
-        layout = ArrayLayout(rows=64)
-        layout.allocate("first", 8)
-        layout.allocate("second", 8)
-        assert layout.names() == ["first", "second"]
+def rows_3x3():
+    """The executor's regions for a plain 3x3 conv: filters, inputs,
+    scratchpad, partial sums, reduction segment, input sums."""
+    mapping = map_conv(NeuralCacheConfig(), "c", CONV_3X3, SHAPE)
+    return _conv_rows(mapping, mapping.filter_bytes_per_bitline)
 
 
 class TestConvLayout:
     def test_figure10a_regions_for_3x3(self):
-        layout = conv_layout(filter_bytes=9)
-        assert layout.region("filter").nbits == 72       # R.S x 8
-        assert layout.region("input").nbits == 72
-        assert layout.region("scratchpad").nbits == SCRATCHPAD_BITS
-        assert layout.region("partial_sum").nbits == PARTIAL_SUM_BITS
-        assert layout.region("output").nbits == OUTPUT_BITS
+        filters, inputs, scratch, partial, _, _ = rows_3x3()
+        assert (filters.row, filters.nbits) == (0, 72)    # R.S x 8
+        assert (inputs.row, inputs.nbits) == (72, 72)
+        assert (scratch.row, scratch.nbits) == (144, SCRATCHPAD_BITS)
+        assert partial.row == scratch.end
+        assert partial.nbits >= PARTIAL_SUM_BITS
 
     def test_3x3_fits_a_256_row_array(self):
-        layout = conv_layout(filter_bytes=9)
-        assert layout.used_rows <= 256
-
-    def test_extra_input_rows_for_reuse(self):
-        layout = conv_layout(filter_bytes=3, extra_input_bytes=4)
-        assert layout.region("input").nbits == (3 + 4) * 8
-
-    def test_multiple_serial_outputs(self):
-        layout = conv_layout(filter_bytes=3, outputs=3)
-        assert layout.region("output").nbits == 3 * OUTPUT_BITS
+        assert rows_3x3()[-1].end <= 256
 
     def test_oversized_filter_rejected(self):
-        with pytest.raises(LayoutError):
-            conv_layout(filter_bytes=16)
-
-    def test_nonpositive_filter_rejected(self):
-        with pytest.raises(LayoutError):
-            conv_layout(filter_bytes=0)
+        # 240-row arrays still take a 9-byte filter in the mapper's
+        # budget, but the executor's 3x3 layout needs all 256 rows.
+        net = Network(name="tall")
+        x = net.add_input("in", SHAPE)
+        net.add("c", CONV_3X3, x)
+        weights = initialise_weights(net, seed=0)
+        base = NeuralCacheConfig()
+        short = base.with_geometry(
+            dataclasses.replace(base.geometry, array_rows=240))
+        with pytest.raises(SimulationError, match="needs 256 rows, but an array has 240"):
+            ConvStaging.compile(CONV_3X3, SHAPE, weights.for_node("c"),
+                                short, "c")
 
 
 class TestReductionLayout:
     def test_figure10b_regions(self):
-        layout = reduction_layout()
-        assert layout.region("reduce_a").nbits == REDUCTION_SEGMENT_BITS
-        assert layout.region("reduce_b").nbits == REDUCTION_SEGMENT_BITS
-        assert layout.region("output").nbits == OUTPUT_BITS
+        _, _, _, partial, segment, xsum = rows_3x3()
+        assert (segment.row, segment.nbits) == (partial.end,
+                                                REDUCTION_SEGMENT_BITS)
+        assert xsum.row == segment.end
 
     def test_reduction_after_conv_keeps_filters_and_inputs(self):
-        layout = reduction_layout(filter_bytes=9)
-        # Filters and inputs survive; scratch + partial sums are overwritten
-        # by the two reduction segments (Sec. IV-A).
-        assert layout.region("filter").nbits == 72
-        assert layout.region("input").nbits == 72
-        assert layout.used_rows <= 256
+        # The reduction regions sit below the filters and inputs, which
+        # stay resident for the next batch (Sec. IV-E).
+        filters, inputs, _, partial, segment, xsum = rows_3x3()
+        for region in (partial, segment, xsum):
+            assert not region.overlaps(filters)
+            assert not region.overlaps(inputs)
 
 
 class TestFilterCeiling:

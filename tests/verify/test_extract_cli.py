@@ -1,8 +1,12 @@
 """Recorder granularity, model program extraction, and the verify CLI."""
 
+from contextlib import contextmanager
+
+import numpy as np
 import pytest
 
 from repro.common.errors import VerifyError
+from repro.core import functional
 from repro.engine.bitserial import FleetBitSerialUnit, Operand
 from repro.engine.packed import make_fleet
 from repro.verify import (
@@ -12,6 +16,7 @@ from repro.verify import (
     registered_models,
     verify_program,
 )
+from repro.verify import extract
 from repro.verify.cli import main as verify_main
 
 ROWS, COLS = 64, 16
@@ -125,11 +130,13 @@ class TestExtraction:
 
 
 #: (programs, ops) per functionally extractable model: one program per
-#: (layer, fleet). ``repro verify`` reports their sums, 56 / 1497.
+#: (layer, fleet). ``repro verify`` reports their sums, 44 / 1221.
+#: inception-span's conv stacks four 256-array chunks of 16-column
+#: arrays into each fleet.
 PINNED_COUNTS = {
     "resnet-tiny": (27, 723),
     "mlp": (6, 240),
-    "inception-span": (20, 466),
+    "inception-span": (8, 190),
     "tiny-verification": (3, 68),
 }
 
@@ -146,7 +153,69 @@ class TestPinnedCounts:
         argv = [arg for name in PINNED_COUNTS for arg in ("--model", name)]
         assert verify_main(argv) == 0
         out = capsys.readouterr().out
-        assert "verified 56 programs / 1497 ops: 0 finding(s)" in out
+        assert "verified 44 programs / 1221 ops: 0 finding(s)" in out
+
+
+def _call_stream(program_calls):
+    """A recorded call stream with each host array reduced to its shape
+    past the fleet axis, which is all that a stacked fleet changes."""
+    return [(call.method,
+             tuple(arg.shape[1:] if isinstance(arg, np.ndarray) else arg
+                   for arg in call.args))
+            for call in program_calls]
+
+
+def _recorded_streams(name, monkeypatch):
+    """Label -> call streams of the inference ``extract_model_programs``
+    records for ``name``, plus the lifted (programs, ops) counts."""
+    recorders = []
+
+    @contextmanager
+    def keep():
+        with record_programs() as recorder:
+            recorders.append(recorder)
+            yield recorder
+
+    monkeypatch.setattr(extract, "record_programs", keep)
+    extracted = extract_model_programs(name)
+    streams = {}
+    for trace in recorders[-1].traces.values():
+        streams.setdefault(trace.label, []).append(
+            _call_stream(trace.calls))
+    counts = (len(extracted.programs),
+              sum(len(program) for program in extracted.programs))
+    return streams, counts
+
+
+class TestStackedConvPrograms:
+    def test_one_chunk_fleets_restore_the_per_chunk_pins(self,
+                                                         monkeypatch):
+        stacked, stacked_counts = _recorded_streams("inception-span",
+                                                    monkeypatch)
+        assert stacked_counts == PINNED_COUNTS["inception-span"]
+        monkeypatch.setattr(functional, "FLEET_WORD_BUDGET", 0)
+        per_chunk, counts = _recorded_streams("inception-span",
+                                              monkeypatch)
+        assert counts == (20, 466)
+        conv = "Mixed_5c/Branch_0/Conv2d_0a_1x1"
+
+        def split(streams):
+            """The conv's compute programs, and every other program."""
+            compute = [s for s in streams[conv]
+                       if any(method == "mac" for method, _ in s)]
+            rest = {label: [s for s in programs if s not in compute]
+                    for label, programs in streams.items()}
+            return compute, rest
+
+        stacked_compute, stacked_rest = split(stacked)
+        chunk_compute, chunk_rest = split(per_chunk)
+        assert len(stacked_compute) == 4 and len(chunk_compute) == 16
+        # Every stacked compute program is the per-chunk program, call
+        # for call; the quantization fleet and the other layers are
+        # untouched.
+        for program in stacked_compute + chunk_compute:
+            assert program == chunk_compute[0]
+        assert stacked_rest == chunk_rest
 
 
 class TestCli:
