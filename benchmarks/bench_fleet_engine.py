@@ -4,7 +4,7 @@ sparsity.
 
 Seven comparisons, all bit-identical by construction:
 
-* the packed uint64 plane store vs the unpacked byte-per-bit reference on
+* the packed word plane store vs the unpacked byte-per-bit reference on
   the lockstep primitives themselves (acceptance target: >= 4x faster
   multiply/add sequences at serving-scale fleets, 8x smaller resident
   planes);
@@ -171,7 +171,8 @@ def test_packed_vs_unpacked_primitives(record):
     stats = compare_plane_stores(PRIMITIVE_ARRAYS)
     record(render_plane_store_report(stats))
     assert stats["bit_exact"] and stats["cycle_exact"]
-    # cols=256 is a whole number of uint64 words, so exactly 8x.
+    # cols=256 is a whole number of uint64 words (four per wordline), so
+    # exactly 8x.
     assert stats["memory_ratio"] == 8.0
     # Soft gate far below the measured speedup (the recorded line carries
     # the real number): 28-41x at 8192 arrays and ~15x at the --quick

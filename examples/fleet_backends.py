@@ -7,9 +7,10 @@ Every execution engine in the reproduction sits behind
   model on Inception v3 (Fig. 13-16 scale);
 * the *fleet-packed* backend executes a verification-scale network bit
   by bit on the packed plane store
-  (:class:`~repro.engine.packed.PackedArrayFleet`, 64 bit-columns per
-  uint64 word) — every bit-serial cycle runs on all arrays of the layer
-  at once — and checks each output against the golden NumPy executor;
+  (:class:`~repro.engine.packed.PackedArrayFleet`, one bit-column per
+  word bit, words sized to the array width) — every bit-serial cycle
+  runs on all arrays of the layer at once — and checks each output
+  against the golden NumPy executor;
 * the *sharded* backend splits the batch round-robin across socket
   shards (Sec. VI-B's multi-socket node), each shard a fleet executor on
   its own packed plane store, and aggregates per-shard cycle reports —
@@ -90,7 +91,7 @@ def main() -> None:
           f"{unit.cycles} lockstep cycles "
           f"({unit.fleet.compute_cycles} array compute cycles)")
 
-    # -- the packed store runs the same sequence on uint64 word planes ----
+    # -- the packed store runs the same sequence on packed word planes ----
     packed = FleetBitSerialUnit(PackedArrayFleet(n_arrays=4))
     packed.write_values(a, 23)
     packed.write_values(b, 11)

@@ -17,17 +17,17 @@ Usage::
 The ``--backend`` mode drives an execution engine through the unified
 :class:`~repro.engine.backend.Backend` protocol — ``analytic`` runs the
 paper's deterministic model on Inception v3, ``fleet-packed`` runs
-bit-exact functional verification on the array fleet's packed uint64
-plane store, and ``sharded`` splits the batch round-robin across socket
-shards (``--shards``, default ``config.sockets``), each on its own
-packed fleet, with results and cycle totals identical to the unsharded
-run. The unpacked byte-per-bit store is a test and debug reference with
-no backend name (``FleetExecutor(packed=False)``). ``--shard-driver``
-selects how the shards execute — ``serial`` (default: one after another
-in-process, runs everywhere) or ``pool`` (real wall-clock parallelism:
-persistent zero-copy workers, forked once, image payloads through
-shared-memory arenas; POSIX-only); both are bit-exact and
-cycle-report-identical.
+bit-exact functional verification on the array fleet's packed plane
+store (words sized to the array width), and ``sharded`` splits the batch
+round-robin across socket shards (``--shards``, default
+``config.sockets``), each on its own packed fleet, with results and
+cycle totals identical to the unsharded run. The unpacked byte-per-bit
+store is a test and debug reference with no backend name
+(``FleetExecutor(packed=False)``). ``--shard-driver`` selects how the
+shards execute — ``serial`` (default: one after another in-process, runs
+everywhere) or ``pool`` (real wall-clock parallelism: persistent
+zero-copy workers, forked once, image payloads through shared-memory
+arenas; POSIX-only); both are bit-exact and cycle-report-identical.
 
 Functional backends fold the whole batch into the fleet's array axis
 (one fleet pass per layer computes every image); the arrays are parallel

@@ -99,59 +99,97 @@ def bitplanes_to_int(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Bits per machine word of the packed bit-plane store.
+#: Bits per machine word of the packed bit-plane store at its widest:
+#: arrays wider than this hold several words per wordline.
 WORD_BITS = 64
 
 
-def packed_words(cols: int) -> int:
-    """Words needed to hold ``cols`` bit-columns (``ceil(cols / 64)``)."""
+def word_bits(cols: int) -> int:
+    """Bits per word of the packed store for ``cols``-column arrays.
+
+    A word is the narrowest of 8/16/32/64 bits that holds ``cols``
+    columns, and 64 bits beyond 64 columns (several words per wordline),
+    so every word op carries only live bitlines plus at most a ragged
+    tail.
+    """
     if cols <= 0:
         raise ValueError(f"cols must be positive, got {cols}")
-    return ceil_div(cols, WORD_BITS)
+    return max(8, min(next_power_of_two(cols), WORD_BITS))
+
+
+def word_dtype(cols: int) -> np.dtype:
+    """The unsigned word dtype of :func:`word_bits` (uint8 ... uint64)."""
+    return np.dtype(f"uint{word_bits(cols)}")
+
+
+def packed_words(cols: int) -> int:
+    """Words needed to hold ``cols`` bit-columns (one up to 64 columns,
+    ``ceil(cols / 64)`` beyond)."""
+    return ceil_div(cols, word_bits(cols))
+
+
+def packed_bytes(cols: int) -> int:
+    """Bytes one wordline of one ``cols``-column array occupies packed."""
+    return packed_words(cols) * word_dtype(cols).itemsize
+
+
+def _le(dtype: np.dtype) -> np.dtype:
+    """``dtype`` with explicit little-endian byte order: byte 0 of a word
+    is its least-significant byte on any host, so the LSB-first column
+    order survives regardless of platform endianness."""
+    return np.dtype(dtype).newbyteorder("<")
+
+
+def _le_bytes(words: np.ndarray) -> np.ndarray:
+    """Little-endian byte view of a word array (last axis grows by the
+    word size)."""
+    words = np.ascontiguousarray(words.astype(_le(words.dtype), copy=False))
+    return words.view(np.uint8)
+
+
+def _check_capacity(n_words: int, dtype: np.dtype, cols: int) -> None:
+    if n_words * dtype.itemsize * 8 < cols:
+        raise ValueError(
+            f"{n_words} {dtype} words cannot hold {cols} bit columns")
 
 
 def pack_bit_plane(bits: np.ndarray, n_words: int | None = None) -> np.ndarray:
-    """Pack 0/1 bit columns into uint64 words along the last axis.
+    """Pack 0/1 bit columns into words along the last axis.
 
     ``bits`` is ``(..., cols)`` with values 0/1; the result is
-    ``(..., n_words)`` uint64 where column ``c`` lives at bit ``c % 64``
-    (LSB-first) of word ``c // 64``. Tail bits beyond ``cols`` are zero.
-    This is the host<->packed-store boundary conversion; the packed store
-    itself only ever operates on whole words.
+    ``(..., n_words)`` of :func:`word_dtype` ``(cols)``, ``w`` bits per
+    word, where column ``c`` lives at bit ``c % w`` (LSB-first) of word
+    ``c // w``. Tail bits beyond ``cols`` are zero. This is the
+    host<->packed-store boundary conversion; the packed store itself only
+    ever operates on whole words.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     cols = bits.shape[-1]
+    dtype = word_dtype(cols)
     if n_words is None:
         n_words = packed_words(cols)
-    if n_words * WORD_BITS < cols:
-        raise ValueError(
-            f"{n_words} words cannot hold {cols} bit columns")
+    _check_capacity(n_words, dtype, cols)
     as_bytes = np.packbits(bits, axis=-1, bitorder="little")
-    pad = n_words * (WORD_BITS // 8) - as_bytes.shape[-1]
+    pad = n_words * dtype.itemsize - as_bytes.shape[-1]
     if pad:
         as_bytes = np.concatenate(
             [as_bytes, np.zeros((*as_bytes.shape[:-1], pad), dtype=np.uint8)],
             axis=-1)
-    # '<u8' reads byte 0 as the least-significant byte on any host, so the
-    # LSB-first column order survives regardless of platform endianness.
-    words = np.ascontiguousarray(as_bytes).view("<u8")
-    return words.astype(np.uint64, copy=False)
+    words = np.ascontiguousarray(as_bytes).view(_le(dtype))
+    return words.astype(dtype, copy=False)
 
 
 def unpack_bit_plane(words: np.ndarray, cols: int) -> np.ndarray:
-    """Unpack uint64 words back into ``(..., cols)`` 0/1 uint8 columns.
+    """Unpack words back into ``(..., cols)`` 0/1 uint8 columns.
 
-    Inverse of :func:`pack_bit_plane` for the first ``cols`` bits.
+    Inverse of :func:`pack_bit_plane` for the first ``cols`` bits; the
+    word width is the array's own dtype.
     """
     if cols <= 0:
         raise ValueError(f"cols must be positive, got {cols}")
     words = np.asarray(words)
-    if words.shape[-1] * WORD_BITS < cols:
-        raise ValueError(
-            f"{words.shape[-1]} words hold fewer than {cols} bit columns")
-    as_bytes = np.ascontiguousarray(
-        words.astype("<u8", copy=False)).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
+    _check_capacity(words.shape[-1], words.dtype, cols)
+    bits = np.unpackbits(_le_bytes(words), axis=-1, bitorder="little")
     return bits[..., :cols]
 
 
@@ -194,32 +232,28 @@ def _transpose8x8_into(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _le_bytes(words: np.ndarray) -> np.ndarray:
-    """Little-endian byte view of a uint64 array (last axis grows 8x)."""
-    words = np.ascontiguousarray(words.astype("<u8", copy=False))
-    return words.view(np.uint8)
-
-
 def ints_to_packed_planes(values: np.ndarray, nbits: int,
                           n_words: int) -> np.ndarray:
     """Non-negative ints ``(..., cols)`` -> packed bit planes.
 
-    Returns ``(nbits, ..., n_words)`` uint64 where plane ``b`` holds bit
-    ``b`` of every element, column ``c`` at bit ``c % 64`` of word
-    ``c // 64`` — :func:`pack_bit_plane` applied to
-    :func:`int_to_bitplanes`, without the 0/1 byte-per-bit tensor in
-    between: byte ``k`` of every lane goes through :func:`transpose8x8`
-    eight lanes at a time. Values are masked to ``nbits``; columns past
+    Returns ``(nbits, ..., n_words)`` words of :func:`word_dtype`
+    ``(cols)``, ``w`` bits each, where plane ``b`` holds bit ``b`` of
+    every element, column ``c`` at bit ``c % w`` of word ``c // w`` —
+    :func:`pack_bit_plane` applied to :func:`int_to_bitplanes`, without
+    the 0/1 byte-per-bit tensor in between: byte ``k`` of every lane goes
+    through :func:`transpose8x8` eight lanes at a time, ``w / 8`` such
+    groups per word. Values are masked to ``nbits``; columns past
     ``cols`` (the tail of the last word) are zero.
     """
     values = np.asarray(values)
     if nbits <= 0:
         raise ValueError(f"nbits must be positive, got {nbits}")
     *lead, cols = values.shape
-    if n_words * WORD_BITS < cols:
-        raise ValueError(f"{n_words} words cannot hold {cols} bit columns")
+    dtype = word_dtype(cols)
+    _check_capacity(n_words, dtype, cols)
+    groups = dtype.itemsize  # eight-lane groups per word
     n_bytes = ceil_div(nbits, 8)
-    lanes = np.zeros((n_bytes, *lead, n_words * WORD_BITS), dtype=np.uint8)
+    lanes = np.zeros((n_bytes, *lead, n_words * groups * 8), dtype=np.uint8)
     if values.dtype == np.uint8:
         lanes[0, ..., :cols] = values
     else:
@@ -230,42 +264,43 @@ def ints_to_packed_planes(values: np.ndarray, nbits: int,
         as_bytes = _le_bytes(values).reshape(*lead, cols, 8)
         # Planes past bit 63 stay zero: the values are int64.
         lanes[:8, ..., :cols] = np.moveaxis(as_bytes[..., :n_bytes], -1, 0)
-    # Eight lanes per word, transposed: byte i of group g = bit i of the
-    # group's lanes, i.e. byte g of word w of plane i.
+    # Eight lanes per group, transposed: byte i of group g = bit i of the
+    # group's lanes, i.e. byte g % groups of word g // groups of plane i.
     flipped = _transpose8x8_into(lanes.view("<u8"))
-    flipped = _le_bytes(flipped).reshape(n_bytes, *lead, n_words, 8, 8)
-    planes = np.moveaxis(flipped, -1, 1)  # (n_bytes, 8, *lead, n_words, 8)
-    planes = np.ascontiguousarray(planes).view("<u8")
+    flipped = _le_bytes(flipped).reshape(n_bytes, *lead, n_words, groups, 8)
+    # (n_bytes, 8, *lead, n_words, groups)
+    planes = np.moveaxis(flipped, -1, 1)
+    planes = np.ascontiguousarray(planes).view(_le(dtype))
     planes = planes.reshape(n_bytes * 8, *lead, n_words)[:nbits]
-    return planes.astype(np.uint64, copy=False)
+    return planes.astype(dtype, copy=False)
 
 
 def packed_planes_to_ints(planes: np.ndarray, cols: int) -> np.ndarray:
     """Packed bit planes ``(nbits, ..., n_words)`` -> ints ``(..., cols)``.
 
     Inverse of :func:`ints_to_packed_planes` for the first ``cols``
-    columns: int64, at most 64 planes (the int64 host currency).
+    columns, at the planes' own word width: int64, at most 64 planes
+    (the int64 host currency).
     """
     planes = np.asarray(planes)
     nbits, *lead, n_words = planes.shape
     if nbits > 64:
         raise ValueError(f"bit planes wider than 64 bits ({nbits}) do not "
                          f"fit the int64 host currency")
-    if n_words * WORD_BITS < cols:
-        raise ValueError(
-            f"{n_words} words hold fewer than {cols} bit columns")
+    _check_capacity(n_words, planes.dtype, cols)
+    groups = planes.dtype.itemsize
     n_bytes = ceil_div(nbits, 8)
     if nbits % 8:
         pad = np.zeros((n_bytes * 8 - nbits, *lead, n_words),
-                       dtype=np.uint64)
+                       dtype=planes.dtype)
         planes = np.concatenate([planes, pad])
-    as_bytes = _le_bytes(planes).reshape(n_bytes, 8, *lead, n_words, 8)
-    groups = np.ascontiguousarray(np.moveaxis(as_bytes, 1, -1)).view("<u8")
+    as_bytes = _le_bytes(planes).reshape(n_bytes, 8, *lead, n_words, groups)
+    blocks = np.ascontiguousarray(np.moveaxis(as_bytes, 1, -1)).view("<u8")
     # Transpose the private copy in place, after dropping the padded
     # planes, so the conversion holds two word blocks at a time, not four.
     del planes, as_bytes
-    lanes = _le_bytes(_transpose8x8_into(groups[..., 0]))
-    lanes = lanes.reshape(n_bytes, *lead, n_words * WORD_BITS)[..., :cols]
+    lanes = _le_bytes(_transpose8x8_into(blocks[..., 0]))
+    lanes = lanes.reshape(n_bytes, *lead, n_words * groups * 8)[..., :cols]
     out = np.zeros((*lead, cols, 8), dtype=np.uint8)
     out[..., :n_bytes] = np.moveaxis(lanes, 0, -1)
     return out.view("<i8")[..., 0].astype(np.int64, copy=False)

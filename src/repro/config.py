@@ -39,7 +39,9 @@ class NeuralCacheConfig:
     #: Cap on arrays per chunk of a functional fleet pass (batched passes
     #: hold batch x arrays-per-image arrays). A conv chunk is one sparsity
     #: skip domain; consecutive chunks with equal skip signatures share a
-    #: lockstep fleet (:data:`repro.core.functional.FLEET_WORD_BUDGET`).
+    #: lockstep fleet of at most
+    #: :data:`repro.core.functional.FLEET_BYTE_BUDGET` packed bytes per
+    #: wordline (words sized to the array width).
     #: ``None`` selects the module default
     #: (:data:`repro.core.functional.MAX_FLEET_ARRAYS`).
     max_fleet_arrays: int | None = None

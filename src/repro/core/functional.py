@@ -32,10 +32,10 @@ whole layer executes as one lockstep bit-serial sequence across all
 arrays — the paper's "thousands of arrays operating in lockstep"
 (Sec. III). Cycle reports aggregate per-array cycles
 (``sequence_cycles * n_arrays``). ``packed=True`` backs every fleet
-with the packed uint64 plane store
-(:class:`~repro.engine.packed.PackedArrayFleet`) instead of the unpacked
-byte-per-bit reference; outputs and cycle reports are identical either
-way.
+with the packed plane store
+(:class:`~repro.engine.packed.PackedArrayFleet`, words sized to the
+array width) instead of the unpacked byte-per-bit reference; outputs and
+cycle reports are identical either way.
 
 The *batch* dimension is a fleet dimension too: every engine exposes
 ``run_batch``, which folds a whole batch of images into the fleet's
@@ -48,8 +48,8 @@ arrays the per-image loop would and reports identical per-image cycles
 modeled cycles). Passes are chunked at ``config.max_fleet_arrays``
 (default :data:`MAX_FLEET_ARRAYS`) arrays. A conv compute chunk is a
 sparsity skip domain; consecutive chunks whose skip signatures agree run
-as one lockstep fleet of up to :data:`FLEET_WORD_BUDGET` words per
-wordline, as one broadcast instruction steps every array (Sec. IV-F),
+as one lockstep fleet of up to :data:`FLEET_BYTE_BUDGET` packed bytes
+per wordline, as one broadcast instruction steps every array (Sec. IV-F),
 so narrow arrays stack several chunks into each host plane op with
 identical outputs and cycle reports. Conv compute fleets allocate only
 the rows their layout uses; every other fleet is one array height of the
@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.bits import from_twos_complement, packed_words
+from repro.common.bits import from_twos_complement, packed_bytes
 from repro.common.errors import SimulationError
 from repro.config import NeuralCacheConfig
 from repro.core.mapping import LayerMapping, map_conv, map_pool
@@ -98,7 +98,7 @@ MAX_FUNCTIONAL_TAPS = 257
 #: compute chunk is the sparsity skip domain: its ``plane_any`` probes
 #: decide skips for its arrays alone, so this value is part of the cycle
 #: model. The conv compute stage bounds its host memory with
-#: ``FLEET_WORD_BUDGET`` and ``GATHER_BUDGET_ELEMENTS``, the other stages
+#: ``FLEET_BYTE_BUDGET`` and ``GATHER_BUDGET_ELEMENTS``, the other stages
 #: with this cap; verification-scale layers still run in a single
 #: all-arrays pass.
 MAX_FLEET_ARRAYS = 256
@@ -106,12 +106,15 @@ MAX_FLEET_ARRAYS = 256
 #: also caps the chunk size, so it moves skip domains and is part of the
 #: cycle model, not just a memory knob.
 GATHER_BUDGET_ELEMENTS = 1 << 21
-#: Words per wordline of one conv compute fleet: one default-width chunk
-#: (``MAX_FLEET_ARRAYS`` arrays of 256 columns). Consecutive chunks with
-#: equal skip signatures run as one lockstep fleet within it, so narrow
-#: arrays stack several chunks into each plane op while 256-column layers
-#: keep one chunk per fleet.
-FLEET_WORD_BUDGET = MAX_FLEET_ARRAYS * packed_words(256)
+#: Packed bytes per wordline of one conv compute fleet: half of one
+#: default-width chunk (``MAX_FLEET_ARRAYS`` arrays of 256 columns,
+#: 8 KB). Consecutive chunks with equal skip signatures run as one
+#: lockstep fleet within it, so narrow arrays stack several chunks into
+#: each plane op (eight 256-array chunks of 16-column uint16 words),
+#: while a 256-column chunk, over the budget on its own, runs alone.
+#: Half rather than a whole chunk because a stacked window's host
+#: staging grows with its array count.
+FLEET_BYTE_BUDGET = MAX_FLEET_ARRAYS * packed_bytes(256) // 2
 
 
 @dataclass
@@ -407,7 +410,7 @@ class FunctionalConv:
         self.config = config if config is not None else NeuralCacheConfig()
         self.name = name
         self.output_params = output_params
-        #: Back the fleet with the packed uint64 plane store instead of
+        #: Back the fleet with the packed word plane store instead of
         #: the unpacked byte-per-bit reference.
         self.packed = packed
         #: Skip all-zero operand bit planes fleet-wide (data-dependent
@@ -473,7 +476,7 @@ class FunctionalConv:
         ``batch * arrays_per_image`` arrays split into chunks of at most
         ``config.max_fleet_arrays``, aligned to reduction groups; each
         chunk is one sparsity skip domain. A window of consecutive
-        chunks, within ``FLEET_WORD_BUDGET`` words per wordline and
+        chunks, within ``FLEET_BYTE_BUDGET`` packed bytes per wordline and
         ``GATHER_BUDGET_ELEMENTS`` staged elements, stages its planes at
         once by indexing those windows and the staging's filter table
         with the arrays' output coordinates. Each run of chunks with
@@ -517,7 +520,7 @@ class FunctionalConv:
             per_chunk = max(per_chunk // span * span, span)
         chunks = _array_chunks(total_arrays, per_chunk)
         per_window = max(min(
-            FLEET_WORD_BUDGET // (per_chunk * packed_words(cols)),
+            FLEET_BYTE_BUDGET // (per_chunk * packed_bytes(cols)),
             GATHER_BUDGET_ELEMENTS // (per_chunk * taps * cols)), 1)
         for w in range(0, len(chunks), per_window):
             window = chunks[w:w + per_window]

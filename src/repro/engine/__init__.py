@@ -6,9 +6,10 @@ This package is the "scale + speed" layer of the reproduction:
   ``(n_arrays, rows, cols)`` bit tensor, primitives lockstep across all
   arrays per call;
 * :class:`~repro.engine.packed.PackedArrayFleet` — the same primitives on
-  ``np.packbits``-style uint64 word planes (64 bit-columns per word, 8x
-  smaller, several times faster per lockstep op); both stores sit behind
-  the :class:`~repro.engine.fleet.PlaneStore` seam and
+  ``np.packbits``-style word planes (one bit-column per word bit, the
+  word sized to the array width: uint16 for 16 columns, uint64 words
+  beyond 64; 8x smaller, several times faster per lockstep op); both
+  stores sit behind the :class:`~repro.engine.fleet.PlaneStore` seam and
   :func:`~repro.engine.packed.make_fleet` selects one;
 * :class:`~repro.engine.bitserial.FleetBitSerialUnit` — the bit-serial
   operation sequences, lockstep across every array of a store; the

@@ -321,7 +321,7 @@ class FleetExecutor:
     is on, is checked bit-for-bit against the golden NumPy executor — the
     reproduction's analogue of the paper's trace-matching verification.
 
-    ``packed`` selects the bit-plane store: the packed uint64 word store
+    ``packed`` selects the bit-plane store: the packed word store
     (:class:`~repro.engine.packed.PackedArrayFleet`, the default and the
     one ``get_backend("fleet-packed")`` and every pool worker run) or
     ``False`` — the unpacked byte-per-bit reference, a test and debug
@@ -516,7 +516,7 @@ def _analytic(config: NeuralCacheConfig | None = None,
 
 def _fleet(config: NeuralCacheConfig | None = None,
            options: BackendOptions | None = None) -> FleetExecutor:
-    """The fleet executor on the packed uint64 plane store."""
+    """The fleet executor on the packed plane store."""
     options = options if options is not None else BackendOptions()
     _check_unsharded(FleetExecutor.name, options)
     return FleetExecutor(config, **options.for_functional())

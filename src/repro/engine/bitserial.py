@@ -111,9 +111,9 @@ def _ripple_add(a, b, carry: np.ndarray, out) -> np.ndarray:
     For every plane ``k`` of ``a``, ``a[k] + b[k]`` plus the running
     carry (initially ``carry``) writes sum plane ``k`` to ``out[k]``;
     returns the carry-out plane. This is the per-bit sum/carry step of
-    the column periphery, 64 bitlines per word op. Each step reads its
-    operands before it writes, so ``out`` may alias ``a`` or ``b`` row
-    for row.
+    the column periphery, one bitline per bit of the store's word. Each
+    step reads its operands before it writes, so ``out`` may alias ``a``
+    or ``b`` row for row.
     """
     for k in range(len(a)):
         ak = a[k]

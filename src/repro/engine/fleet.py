@@ -20,16 +20,18 @@ lockstep primitive is written once here in terms of a handful of abstract
 *plane ops* (``row_plane``, ``plane_not``, ``shift_plane``, pack/unpack),
 so the same sequencer code drives both the unpacked reference store
 (:class:`ArrayFleet`, one byte per bit) and the packed store
-(:class:`repro.engine.packed.PackedArrayFleet`, 64 bit-columns per uint64
-word — 8x smaller, several times faster per lockstep op).
+(:class:`repro.engine.packed.PackedArrayFleet`, one bit-column per bit
+of a word sized to the array width, uint8 to uint64 — 8x smaller,
+several times faster per lockstep op).
 
 Plane currency: host-facing methods (``read_row``, ``write_row``,
 ``load_bits``, ``dump_bits``) always speak 0/1 uint8, whatever the store;
 the compute read and write (``read_plane``, ``store_plane``) and the
 plane ops speak the store's *native* planes — uint8 ``(n_arrays, cols)``
-for the unpacked store, uint64 ``(n_arrays, n_words)`` for the packed
-one. Every compute cycle goes through that one read and that one write,
-so a wrapper that checks or corrupts them sees all compute traffic.
+for the unpacked store, ``(n_arrays, n_words)`` words of the store's
+word dtype for the packed one. Every compute cycle goes through that one
+read and that one write, so a wrapper that checks or corrupts them sees
+all compute traffic.
 Callers that sequence compute cycles treat native planes as opaque values
 supporting ``& | ^``.
 
@@ -56,7 +58,7 @@ def mux(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bitwise select: ``a`` where a mask bit is set, else ``b``.
 
     ``b ^ ((a ^ b) & mask)`` works unchanged on 0/1 uint8 planes and on
-    packed uint64 word planes — it is the store-agnostic form of the
+    packed word planes of any width — it is the store-agnostic form of the
     tag-gated write drivers of Figure 7.
     """
     return b ^ ((a ^ b) & mask)
@@ -234,7 +236,7 @@ class PlaneStore:
         driving operand plane is all-zero across every array. Modeled as
         free (0 cycles) — the hardware analogue is a per-wordline zero
         flag the periphery maintains as planes are written, and on the
-        packed store the probe is one ``np.any`` over native uint64 words
+        packed store the probe is one ``np.any`` over native words
         (exact, because bits past the last column are invariantly zero).
         """
         self._check_row(row)
@@ -458,7 +460,7 @@ class FleetPeriphery:
     ``tag``/``carry`` — they come from the store's own ops, so nothing
     here re-validates them.
     :class:`repro.engine.packed.PackedFleetPeriphery` subclasses this with
-    packed uint64 latches; the adder logic is shared, only latch storage
+    packed word latches; the adder logic is shared, only latch storage
     differs.
     """
 

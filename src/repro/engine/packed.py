@@ -1,17 +1,22 @@
-"""Packed-bit plane store: 64 bit-columns per machine word.
+"""Packed-bit plane store: one bit-column per bit of a machine word.
 
 :class:`ArrayFleet` keeps one uint8 byte per bit — convenient to inspect,
 but 8x more memory and 8x less ALU work per NumPy op than the hardware
 analogy allows. :class:`PackedArrayFleet` stores the same
 ``(n_arrays, rows, cols)`` bit tensor as wordline-major
-``(rows, n_arrays, n_words)`` uint64 words (column ``c`` at bit
-``c % 64`` of word ``c // 64``, LSB-first), so every lockstep primitive —
-two-row sensing as ``a & b`` / ``~a & ~b`` on whole words, tag-gated
-write-back, column shifts — touches 8x fewer bytes and processes 64
-bit-serial lanes per machine word, and one wordline across the fleet, or
-a run of wordlines, is one contiguous block. That is exactly how
-bit-level SRAM-compute reproductions get their throughput, and it drops
-the resident plane memory 8x for serving-scale fleets.
+``(rows, n_arrays, n_words)`` words whose width follows the array width
+(:func:`~repro.common.bits.word_dtype`): the narrowest of
+uint8/16/32/64 that holds ``cols`` columns, and uint64 words, several
+per wordline, beyond 64 columns. Column ``c`` sits at bit ``c % w`` of
+word ``c // w`` (LSB-first, ``w`` bits per word), so every lockstep
+primitive — two-row sensing as ``a & b`` / ``~a & ~b`` on whole words,
+tag-gated write-back, column shifts — touches 8x fewer bytes than the
+byte-per-bit store and processes ``w`` bit-serial lanes per machine
+word. A 16-column array's wordline is one uint16 rather than a quarter
+of a uint64, and one wordline across the fleet, or a run of wordlines,
+is one contiguous block. That is exactly how bit-level SRAM-compute
+reproductions get their throughput, and it drops the resident plane
+memory 8x for serving-scale fleets.
 
 Every primitive lives once in :class:`~repro.engine.fleet.PlaneStore`;
 this module supplies the packed storage, the native plane ops
@@ -34,17 +39,21 @@ inherits the full-adder logic from
 :class:`~repro.engine.fleet.FleetPeriphery` and only re-homes the
 carry/tag latches in packed words. Property tests pin the packed store —
 fused kernels included — bit-exact and cycle-exact against the unpacked
-reference for every bit-serial sequence, including ragged
-``cols % 64 != 0`` geometries where the tail word is only partially
-populated.
+reference for every bit-serial sequence, at every word width and
+including ragged geometries (``cols`` not a multiple of the word width)
+where the tail word is only partially populated.
 
 Invariant: bits at column positions >= ``cols`` (the tail of the last
-word) are always zero, in the store, in every plane a compute cycle
-senses or writes, and in the periphery latches. Compute planes only ever
-come from the store's own rows and ops, and the one op that could set
-tail bits, ``plane_not``, masks them (so does the all-ones
-``const_plane``); host bits enter through ``pack_plane``, which packs
-exactly ``cols`` columns.
+word: bits ``cols % w`` and up when ``w`` does not divide ``cols``) are
+always zero, whatever the word width, in the store, in every plane a
+compute cycle senses or writes, and in the periphery latches. Compute
+planes only ever come from the store's own rows and ops, and the one op
+that could set tail bits, ``plane_not``, masks them (so does the
+all-ones ``const_plane``); host bits enter through ``pack_plane``, which
+packs exactly ``cols`` columns. Every plane a store op returns keeps the
+store's word dtype: shift counts are Python ints and the constant planes
+are dtype-matched, since NumPy's promotion rules would widen a uint16
+plane combined with a ``np.uint64`` scalar back to uint64.
 """
 
 from __future__ import annotations
@@ -54,12 +63,13 @@ import os
 import numpy as np
 
 from repro.common.bits import (
-    WORD_BITS,
     ints_to_packed_planes,
     pack_bit_plane,
     packed_planes_to_ints,
     packed_words,
     unpack_bit_plane,
+    word_bits,
+    word_dtype,
 )
 from repro.common.errors import ArrayStateError
 from repro.engine.fleet import (
@@ -74,25 +84,27 @@ __all__ = ["PackedArrayFleet", "PackedFleetPeriphery", "make_fleet"]
 
 
 def _column_mask(cols: int) -> np.ndarray:
-    """Per-word active-column mask: all-ones, tail word partially set."""
-    n_words = packed_words(cols)
-    mask = np.full(n_words, ~np.uint64(0), dtype=np.uint64)
-    tail = cols % WORD_BITS
+    """Per-word active-column mask in the store's word dtype: all-ones,
+    tail word partially set."""
+    dtype = word_dtype(cols)
+    mask = np.full(packed_words(cols), np.iinfo(dtype).max, dtype=dtype)
+    tail = cols % word_bits(cols)
     if tail:
-        mask[-1] = np.uint64((1 << tail) - 1)
+        mask[-1] = (1 << tail) - 1
     mask.flags.writeable = False
     return mask
 
 
 class PackedArrayFleet(PlaneStore):
-    """``n_arrays`` lockstep compute arrays on packed uint64 bit planes.
+    """``n_arrays`` lockstep compute arrays on packed word bit planes.
 
     Same public surface and cycle accounting as :class:`ArrayFleet` (both
     are :class:`PlaneStore` implementations); only the native plane
-    currency differs — ``(n_arrays, n_words)`` uint64 words instead of
-    ``(n_arrays, cols)`` uint8 bits. Host-facing methods (``read_row``,
-    ``write_row``, ``load_bits``, ``dump_bits``) still speak 0/1 uint8 and
-    convert at the boundary; ``load_values``/``dump_values`` speak ints.
+    currency differs — ``(n_arrays, n_words)`` words of :attr:`dtype`
+    (sized to ``cols``) instead of ``(n_arrays, cols)`` uint8 bits.
+    Host-facing methods (``read_row``, ``write_row``, ``load_bits``,
+    ``dump_bits``) still speak 0/1 uint8 and convert at the boundary;
+    ``load_values``/``dump_values`` speak ints.
     """
 
     fused = True
@@ -101,11 +113,14 @@ class PackedArrayFleet(PlaneStore):
                  cols: int = DEFAULT_COLS):
         super().__init__(n_arrays, rows, cols)
         self.n_words = packed_words(cols)
+        self.word_bits = word_bits(cols)
+        self.dtype = word_dtype(cols)
         self._mask = _column_mask(cols)
+        self._zero = self.dtype.type(0)
         # Wordline-major, so one wordline across the fleet and a run of
         # wordlines (an operand) are each one contiguous block.
         self._words = np.zeros((rows, n_arrays, self.n_words),
-                               dtype=np.uint64)
+                               dtype=self.dtype)
 
     # -- plane ops ------------------------------------------------------
     def row_plane(self, row: int) -> np.ndarray:
@@ -121,7 +136,7 @@ class PackedArrayFleet(PlaneStore):
 
     def const_plane(self, bit: int):
         # The mask doubles as the all-ones plane (it is read-only).
-        return self._mask if bit else np.uint64(0)
+        return self._mask if bit else self._zero
 
     def plane_not(self, plane: np.ndarray) -> np.ndarray:
         return ~plane & self._mask
@@ -131,7 +146,7 @@ class PackedArrayFleet(PlaneStore):
         ``c + shift``, zero-filling past the last populated column."""
         if shift <= 0:
             raise ArrayStateError(f"column shift must be positive, got {shift}")
-        q, r = divmod(shift, WORD_BITS)
+        q, r = divmod(shift, self.word_bits)
         out = np.zeros_like(plane)
         n = self.n_words
         if q >= n:
@@ -139,10 +154,11 @@ class PackedArrayFleet(PlaneStore):
         if r == 0:
             out[..., :n - q] = plane[..., q:]
         else:
-            out[..., :n - q] = plane[..., q:] >> np.uint64(r)
+            # Python-int shift counts keep the plane's word dtype.
+            out[..., :n - q] = plane[..., q:] >> r
             if q + 1 < n:
                 out[..., :n - q - 1] |= (plane[..., q + 1:]
-                                         << np.uint64(WORD_BITS - r))
+                                         << (self.word_bits - r))
         return out
 
     def pack_plane(self, bits: np.ndarray) -> np.ndarray:
@@ -191,7 +207,8 @@ class PackedArrayFleet(PlaneStore):
 
 
 class PackedFleetPeriphery(FleetPeriphery):
-    """Column peripherals whose carry/tag latches are packed uint64 words.
+    """Column peripherals whose carry/tag latches are packed words (the
+    store's word dtype for the same ``cols``).
 
     The full-adder logic is inherited unchanged from
     :class:`~repro.engine.fleet.FleetPeriphery` — bitwise ops are
@@ -203,7 +220,7 @@ class PackedFleetPeriphery(FleetPeriphery):
         self.n_words = packed_words(self.cols)
         self._mask = _column_mask(self.cols)
         self.carry = np.zeros((self.n_arrays, self.n_words),
-                              dtype=np.uint64)
+                              dtype=self._mask.dtype)
         self.tag = np.broadcast_to(self._mask,
                                    (self.n_arrays, self.n_words)).copy()
 
@@ -222,7 +239,7 @@ def make_fleet(n_arrays: int = 1, rows: int = DEFAULT_ROWS,
     """Construct a plane store behind the :class:`PlaneStore` seam.
 
     ``packed`` selects the storage: ``False`` is the unpacked
-    byte-per-bit reference, ``True`` the packed uint64 production store
+    byte-per-bit reference, ``True`` the packed word production store
     (what the fleet backends and every pool worker run on). Anything
     but a ``bool`` is rejected.
 

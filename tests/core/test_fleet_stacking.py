@@ -3,10 +3,10 @@
 A conv layer's arrays split into chunks of at most ``max_fleet_arrays``;
 each chunk is one sparsity skip domain. Consecutive chunks whose skip
 signatures agree run as one lockstep fleet of up to
-``FLEET_WORD_BUDGET`` words per wordline. These tests pin that stacking
-is unobservable — outputs and per-layer cycle reports, skipped and
-dense-equivalent cycles included, equal one fleet per chunk
-(``FLEET_WORD_BUDGET = 0``) — and that a fleet never mixes signatures
+``FLEET_BYTE_BUDGET`` packed bytes per wordline. These tests pin that
+stacking is unobservable — outputs and per-layer cycle reports, skipped
+and dense-equivalent cycles included, equal one fleet per chunk
+(``FLEET_BYTE_BUDGET = 0``) — and that a fleet never mixes signatures
 or outgrows its budgets.
 """
 
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bits import packed_words
+from repro.common.bits import packed_bytes
 from repro.config import NeuralCacheConfig
 from repro.core import functional
 from repro.core.functional import FunctionalConv, FunctionalExecutor
@@ -99,7 +99,7 @@ def test_stacked_fleets_match_one_fleet_per_chunk(network, kinds, sparsity,
     stacked_out, stacked_reports = run(net, weights, config, images,
                                        sparsity)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(functional, "FLEET_WORD_BUDGET", 0)
+        mp.setattr(functional, "FLEET_BYTE_BUDGET", 0)
         chunk_out, chunk_reports = run(net, weights, config, images,
                                        sparsity)
 
@@ -196,21 +196,24 @@ def test_fleets_never_mix_signatures():
         assert len(chunks) == 1
 
 
-@pytest.mark.parametrize("budget", [64, 200, functional.FLEET_WORD_BUDGET])
+@pytest.mark.parametrize("budget", [64, 200, functional.FLEET_BYTE_BUDGET])
 def test_fleets_stay_within_the_budgets(budget):
     """Dense chunks all share one signature, so only the budgets bound a
-    fleet: words per wordline, whole chunks, and the staged elements."""
+    fleet: packed bytes per wordline (two per 16-column array), whole
+    chunks, and the staged elements."""
     config = dataclasses.replace(spanning_config(), max_fleet_arrays=8)
     net, weights, engine = single_conv(config)
     images = stream(net, weights, [("random", 255)] * 8, 2)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(functional, "FLEET_WORD_BUDGET", budget)
+        mp.setattr(functional, "FLEET_BYTE_BUDGET", budget)
         spy = FleetSpy(mp)
         engine.run_batch(images)
     sizes = [fp.shape[0] for fp, _ in spy.fleets]
-    words = packed_words(config.geometry.array_cols)
+    row_bytes = packed_bytes(config.geometry.array_cols)
+    assert row_bytes == 2
     assert sum(sizes) == 8 * 64
     assert all(size % 8 == 0 for size in sizes)
-    assert max(sizes) == min(budget // words // 8 * 8, 8 * 64)
+    assert max(sizes) == min(budget // row_bytes // 8 * 8, 8 * 64)
+    assert max(sizes) * row_bytes <= budget
     for filter_plane, _ in spy.fleets:
         assert filter_plane.size <= functional.GATHER_BUDGET_ELEMENTS

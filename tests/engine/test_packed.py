@@ -1,10 +1,13 @@
 """The packed plane store is bit-exact and cycle-exact vs the reference.
 
 The acceptance contract of the packed-store change: for any geometry —
-including ragged ``cols % 64 != 0`` fleets, where the tail uint64 word is
-only partially populated — every :class:`FleetBitSerialUnit` sequence
-must leave a :class:`PackedArrayFleet` holding exactly the bits an
-:class:`ArrayFleet` holds, with exactly the same lockstep cycle counters.
+at every word width (uint8, uint16 and uint32 words for arrays of up to
+8, 16 and 32 columns, uint64 beyond) and including ragged fleets, where
+the tail word is only partially populated — every
+:class:`FleetBitSerialUnit` sequence must leave a
+:class:`PackedArrayFleet` holding exactly the bits an
+:class:`ArrayFleet` holds, with exactly the same lockstep cycle counters,
+and every plane it computes keeps the store's word dtype.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ from repro.common.bits import (
     packed_words,
     transpose8x8,
     unpack_bit_plane,
+    word_dtype,
 )
 from repro.common.errors import ArrayStateError
 from repro.engine import (
@@ -33,8 +37,13 @@ from repro.verify import record_programs
 
 RNG = np.random.default_rng(23)
 
-#: Geometries exercising whole-word, multi-word and ragged tail cases.
+#: Geometries exercising every word width, whole-word, multi-word and
+#: ragged tail cases.
 GEOMETRIES = [
+    pytest.param(3, 8, id="uint8"),
+    pytest.param(2, 16, id="uint16"),
+    pytest.param(2, 13, id="ragged-13"),
+    pytest.param(2, 32, id="uint32"),
     pytest.param(2, 64, id="one-word"),
     pytest.param(3, 256, id="four-words"),
     pytest.param(2, 100, id="ragged-100"),
@@ -68,13 +77,21 @@ def assert_stores_agree(ref, packed):
                           unpack_bit_plane(packed.periphery.carry, cols))
 
 
+#: The packed word per array width: the narrowest unsigned word holding
+#: every column, uint64 words (several) beyond 64 columns.
+WORD_DTYPES = {1: np.uint8, 8: np.uint8, 9: np.uint16, 13: np.uint16,
+               16: np.uint16, 17: np.uint32, 32: np.uint32, 33: np.uint64,
+               63: np.uint64, 64: np.uint64, 65: np.uint64, 100: np.uint64,
+               256: np.uint64}
+
+
 class TestPackHelpers:
-    @pytest.mark.parametrize("cols", [1, 8, 63, 64, 65, 100, 256])
+    @pytest.mark.parametrize("cols", sorted(WORD_DTYPES))
     def test_roundtrip(self, cols):
         bits = RNG.integers(0, 2, (3, 5, cols)).astype(np.uint8)
         words = pack_bit_plane(bits)
         assert words.shape == (3, 5, packed_words(cols))
-        assert words.dtype == np.uint64
+        assert words.dtype == WORD_DTYPES[cols] == word_dtype(cols)
         assert np.array_equal(unpack_bit_plane(words, cols), bits)
 
     def test_lsb_first_within_word(self):
@@ -87,12 +104,17 @@ class TestPackHelpers:
         words = pack_bit_plane(bits)
         assert words.shape == (1, 2)
         assert words[0, 1] == np.uint64((1 << 6) - 1)
+        narrow = pack_bit_plane(np.ones((1, 13), dtype=np.uint8))
+        assert narrow.dtype == np.uint16
+        assert narrow[0, 0] == (1 << 13) - 1
 
     def test_word_count_validated(self):
         with pytest.raises(ValueError):
             pack_bit_plane(np.ones(129, dtype=np.uint8), n_words=2)
         with pytest.raises(ValueError):
             unpack_bit_plane(np.zeros(1, dtype=np.uint64), cols=65)
+        with pytest.raises(ValueError):
+            unpack_bit_plane(np.zeros(1, dtype=np.uint16), cols=17)
         with pytest.raises(ValueError):
             packed_words(0)
 
@@ -246,11 +268,33 @@ class TestSequenceEquivalence:
                 unit.shift_copy(Operand(0, 8), Operand(8, 8), shift)
             assert_stores_agree(ref, packed)
 
+    @pytest.mark.parametrize("n_arrays,cols", GEOMETRIES)
+    def test_column_shift_at_and_past_the_word_width(self, n_arrays, cols):
+        # Shifts of a whole word or more move whole words (or clear a
+        # one-word wordline); the funnel shifter's word width is the
+        # store's, not 64.
+        ref, packed = make_pair(n_arrays, cols, rows=16)
+        w = packed.fleet.word_bits
+        av = RNG.integers(0, 256, (n_arrays, cols)).astype(np.int64)
+        for unit in (ref, packed):
+            unit.write_values(Operand(0, 8), av)
+        for shift in sorted({1, w - 1, w, w + 1, 2 * w, cols - 1, cols,
+                             cols + 1} - {0}):
+            for unit in (ref, packed):
+                unit.zero(Operand(8, 8))
+                unit.shift_copy(Operand(0, 8), Operand(8, 8), shift)
+            expected = np.zeros_like(av)
+            if shift < cols:
+                expected[:, :-shift] = av[:, shift:]
+            assert np.array_equal(packed.read_values(Operand(8, 8)),
+                                  expected)
+            assert_stores_agree(ref, packed)
+
     @given(st.data())
     @settings(max_examples=25, deadline=None)
     def test_property_random_add_multiply(self, data):
         n_arrays, cols = 2, data.draw(
-            st.sampled_from([64, 100, 37]), label="cols")
+            st.sampled_from([64, 100, 37, 8, 13, 16, 32]), label="cols")
         nbits = data.draw(st.integers(min_value=1, max_value=8))
         hi = (1 << nbits) - 1
         draw_vals = st.lists(st.integers(0, hi),
@@ -275,7 +319,8 @@ class TestSequenceEquivalence:
         """Random tag-gated compute writes (``store_plane``) leave both
         stores identical — the tail-word masking of the packed store
         under arbitrary masks at ragged widths."""
-        cols = data.draw(st.sampled_from([64, 100, 37, 130]), label="cols")
+        cols = data.draw(st.sampled_from([64, 100, 37, 130, 8, 13, 16, 32]),
+                         label="cols")
         n_arrays, rows = 2, 8
         ref = ArrayFleet(n_arrays, rows, cols)
         packed = PackedArrayFleet(n_arrays, rows, cols)
@@ -464,6 +509,92 @@ class TestFusedKernels:
         lockstep(ref, packed, lambda u: getattr(u, kind)(*args))
 
 
+class TestWordDtype:
+    """Every plane the packed store computes keeps the store's word
+    dtype. Assignment into the store casts silently, so a stray
+    ``np.uint64`` operand — which NumPy's promotion rules combine with a
+    uint16 plane into a uint64 one — would not show in the stored bits,
+    only in the width of every temporary; this pins the temporaries."""
+
+    @pytest.mark.parametrize("n_arrays,cols", GEOMETRIES)
+    def test_composites_and_plane_ops_keep_the_word_dtype(
+            self, n_arrays, cols, monkeypatch):
+        from repro.engine import bitserial
+
+        dtype = word_dtype(cols)
+        computed = []
+
+        def spy(name):
+            original = getattr(bitserial, name)
+
+            def record(*args):
+                result = original(*args)
+                computed.append((name, result.dtype))
+                return result
+
+            monkeypatch.setattr(bitserial, name, record)
+
+        spy("_ripple_add")
+        spy("mux")
+        unit = FleetBitSerialUnit(PackedArrayFleet(2 * n_arrays, 96, cols),
+                                  sparsity=True)
+        fleet = unit.fleet
+        assert unit._fused and fleet.dtype == dtype
+        shape = (2 * n_arrays, cols)
+        av = RNG.integers(0, 1 << 6, shape)
+        bv = RNG.integers(0, 1 << 6, shape)
+        a, b, prod = Operand(0, 6), Operand(6, 6), Operand(12, 12)
+        acc, diff, dst = Operand(24, 16), Operand(40, 7), Operand(47, 6)
+        base, segment = Operand(54, 12), Operand(66, 12)
+        steps = [
+            lambda: unit.write_values(a, av),
+            lambda: unit.write_values(b, bv),
+            lambda: unit.zero(acc),
+            lambda: unit.multiply(a, b, prod),
+            lambda: unit.mac(a, b, prod, acc),
+            lambda: unit.add_into(a, acc),
+            lambda: unit.add(a, b, diff),
+            lambda: unit.sub(a, b, diff, dst),
+            lambda: unit.sub_into(a, b, dst),
+            lambda: unit.write_scalar(dst, 45),
+            lambda: unit.copy(a, dst),
+            lambda: unit.complement_copy(b, dst),
+            lambda: unit.shift_copy(a, dst, 1),
+            lambda: unit.shift_copy(a, dst, fleet.word_bits),
+            lambda: unit.selective_copy(b, dst, tag_row=a.bit(0)),
+            lambda: unit.relu(acc, sign_row=acc.bit(acc.nbits - 1)),
+            lambda: unit.zero(acc, predicated=True),
+            lambda: unit.write_values(Operand(base.row, 6), av),
+            lambda: unit.zero(Operand(base.row + 6, 6)),
+            lambda: unit.reduce_tree(base, segment, min(4, cols), 6),
+            lambda: unit.move_across(a, dst, 1, 2),
+            lambda: unit.reduce_across_arrays(Operand(0, 7), Operand(78, 6),
+                                              2, 6),
+            lambda: unit.logical_nor(a, b, dst),
+            lambda: unit.equality_compare(a, b, 90),
+            lambda: unit.search(b, int(bv[0, 0]), 91),
+        ]
+        for step in steps:
+            step()
+            assert fleet._words.dtype == dtype
+            assert unit.periphery.carry.dtype == dtype
+            assert unit.periphery.tag.dtype == dtype
+        assert {name for name, _ in computed} == {"_ripple_add", "mux"}
+        assert {d for _, d in computed} == {dtype}
+
+        bits = RNG.integers(0, 2, shape, dtype=np.uint8)
+        for row in range(fleet.rows):
+            plane = fleet.read_plane(row)
+            results = [plane, fleet.plane_not(plane),
+                       plane ^ fleet.const_plane(0),
+                       plane & fleet.const_plane(1),
+                       fleet.pack_plane(bits)]
+            results += [fleet.shift_plane(plane, shift) for shift in
+                        (1, fleet.word_bits - 1, fleet.word_bits,
+                         fleet.word_bits + 1, cols)]
+            assert all(r.dtype == dtype for r in results)
+
+
 class TestHostValues:
     """The packed store's host boundary: ints to words and back through
     byte views and the 8x8 bit-matrix transpose, no 0/1 bit tensor."""
@@ -480,7 +611,8 @@ class TestHostValues:
                               matrix(words).transpose(0, 2, 1))
         assert np.array_equal(transpose8x8(flipped), words)
 
-    @pytest.mark.parametrize("cols", [1, 37, 63, 64, 65, 100, 256])
+    @pytest.mark.parametrize("cols", [1, 8, 13, 16, 32, 37, 63, 64, 65, 100,
+                                      256])
     @pytest.mark.parametrize("nbits", [1, 3, 8, 9, 24, 33, 63])
     def test_int_word_conversion_matches_bit_planes(self, cols, nbits):
         # Values up to two bits wider than the field: the excess is

@@ -194,18 +194,26 @@ class TestPerPrimitivePath:
         stuck_cells=((0, 3, 5, 1), (1, 20, 9, 0)),
         flaky_columns=((0, 2), (1, 33), (2, 64)), flaky_rate=0.3)
 
-    def run_program(self, packed):
+    #: Defects of a 16-column fleet, whose packed store holds one uint16
+    #: word per wordline: stuck cells in both polarities and flaky amps
+    #: at the first, a middle and the last column.
+    NARROW_MODEL = HardwareFaultModel(
+        seed=7, stuck_rate=0.004,
+        stuck_cells=((0, 3, 5, 1), (1, 20, 15, 0)),
+        flaky_columns=((0, 0), (1, 9), (2, 15)), flaky_rate=0.3)
+
+    def run_program(self, packed, cols=100, model=MODEL):
         from repro.engine import FleetBitSerialUnit, Operand
 
         rng = np.random.default_rng(11)
-        store = make_fleet(4, 96, 100, packed=packed, sanitize=False,
-                           faults=self.MODEL)
+        store = make_fleet(4, 96, cols, packed=packed, sanitize=False,
+                           faults=model)
         assert store.fused is False
         unit = FleetBitSerialUnit(store, sparsity=True)
         assert not unit._fused
         a, b, acc = Operand(0, 8), Operand(8, 8), Operand(40, 24)
-        unit.write_values(a, rng.integers(0, 256, (4, 100)))
-        unit.write_values(b, rng.integers(0, 256, (4, 100)) & 0b10110101)
+        unit.write_values(a, rng.integers(0, 256, (4, cols)))
+        unit.write_values(b, rng.integers(0, 256, (4, cols)) & 0b10110101)
         unit.zero(acc)
         unit.mac(a, b, Operand(16, 16), acc)
         unit.add_into(a, acc)
@@ -224,6 +232,17 @@ class TestPerPrimitivePath:
         # draw (which pins how many draws the program consumed).
         assert int(packed[0].sum()) == 46466455732
         assert packed[1:] == (302, 20, 0.6486326507571981)
+
+    def test_narrow_packed_words_match_unpacked(self):
+        # 16 columns: the packed store's uint16 words take the stuck-cell
+        # masks and flaky-amp flips exactly where the byte-per-bit
+        # reference does.
+        packed = self.run_program(True, 16, self.NARROW_MODEL)
+        unpacked = self.run_program(False, 16, self.NARROW_MODEL)
+        assert np.array_equal(packed[0], unpacked[0])
+        assert packed[1:] == unpacked[1:]
+        clean = self.run_program(True, 16, HardwareFaultModel())
+        assert not np.array_equal(packed[0], clean[0])
 
     def test_stuck_cells_clamp_host_values(self):
         from repro.engine import FleetBitSerialUnit, Operand

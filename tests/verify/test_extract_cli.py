@@ -130,13 +130,13 @@ class TestExtraction:
 
 
 #: (programs, ops) per functionally extractable model: one program per
-#: (layer, fleet). ``repro verify`` reports their sums, 44 / 1221.
-#: inception-span's conv stacks four 256-array chunks of 16-column
-#: arrays into each fleet.
+#: (layer, fleet). ``repro verify`` reports their sums, 42 / 1175.
+#: inception-span's conv stacks eight 256-array chunks of 16-column
+#: arrays (uint16 words, 4 KB per wordline) into each fleet.
 PINNED_COUNTS = {
     "resnet-tiny": (27, 723),
     "mlp": (6, 240),
-    "inception-span": (8, 190),
+    "inception-span": (6, 144),
     "tiny-verification": (3, 68),
 }
 
@@ -153,7 +153,7 @@ class TestPinnedCounts:
         argv = [arg for name in PINNED_COUNTS for arg in ("--model", name)]
         assert verify_main(argv) == 0
         out = capsys.readouterr().out
-        assert "verified 44 programs / 1221 ops: 0 finding(s)" in out
+        assert "verified 42 programs / 1175 ops: 0 finding(s)" in out
 
 
 def _call_stream(program_calls):
@@ -193,7 +193,7 @@ class TestStackedConvPrograms:
         stacked, stacked_counts = _recorded_streams("inception-span",
                                                     monkeypatch)
         assert stacked_counts == PINNED_COUNTS["inception-span"]
-        monkeypatch.setattr(functional, "FLEET_WORD_BUDGET", 0)
+        monkeypatch.setattr(functional, "FLEET_BYTE_BUDGET", 0)
         per_chunk, counts = _recorded_streams("inception-span",
                                               monkeypatch)
         assert counts == (20, 466)
@@ -209,7 +209,7 @@ class TestStackedConvPrograms:
 
         stacked_compute, stacked_rest = split(stacked)
         chunk_compute, chunk_rest = split(per_chunk)
-        assert len(stacked_compute) == 4 and len(chunk_compute) == 16
+        assert len(stacked_compute) == 2 and len(chunk_compute) == 16
         # Every stacked compute program is the per-chunk program, call
         # for call; the quantization fleet and the other layers are
         # untouched.
