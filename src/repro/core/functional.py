@@ -64,6 +64,16 @@ pair, quadrant bus, then ring hops) into the group's first array. Chunk
 boundaries are reduction-group-aligned, so a lockstep chunk never
 splits a spanning output.
 
+Host transfers follow the live data, as only outputs move out of the
+cache (Sec. IV-E). After the reductions only each group's head bitline
+holds an output, so the compute stage reads back only the arrays that
+hold a live group (on spanning layers each group's first array, one in
+``arrays_per_conv``) through the array-selective
+``FleetBitSerialUnit.read_values``. Spanning layers stage their planes
+by copying from views of the gathered windows and the filter table,
+not through per-(array, lane) index arrays, and streamed input bytes
+stay uint8 on their way to the packed store.
+
 Scale limits: the compute stage's input-sum must fit 16 bits for the
 in-cache correction multiply, which bounds a layer's reduction size
 (R.S.C) to 257 taps — enough for every verification-scale layer and for
@@ -554,31 +564,28 @@ class FunctionalConv:
         arr = np.arange(a0, a1)
         img = arr // arrays_per_image
         local = arr % arrays_per_image
-        if span == 1:
-            out_local = local[:, None] * groups + np.arange(groups)[None, :]
-            live = out_local < n_out          # (n_arrays, groups)
-            ol = np.minimum(out_local, n_out - 1)
-            # Window and filter bytes per (array, group, lane, tap): the
-            # window depends on the output position, the filter on the
-            # output channel; dead groups stage zeros.
-            ivals = windows[img[:, None], ol // m]
-            fvals = filters[ol % m]
-            ivals[~live] = 0
-            fvals[~live] = 0
-            array_lanes = groups * lanes
-        else:
+        if span > 1:
             # Array ``local`` holds slot ``local % span`` (channel columns
             # [slot*cols, slot*cols + cols)) of output ``local // span``.
             # Every array computes real data; only slot 0 emits a result.
             slot = local % span
             ol = (local // span)[:, None]     # (n_arrays, 1), groups == 1
             live = np.broadcast_to(slot[:, None] == 0, ol.shape)
-            # Per-array lane window of the spanning group: slot k of the
-            # group maps the tables' lanes [k*cols, (k+1)*cols).
-            lane_idx = slot[:, None] * cols + np.arange(cols)[None, :]
-            ivals = windows[img[:, None], ol // m, lane_idx][:, None]
-            fvals = filters[ol % m, lane_idx][:, None]
-            array_lanes = cols                # (n_arrays, 1, cols, taps)
+            filter_plane, input_plane = self._stage_spanning(
+                windows, a0, a1, arrays_per_image, cols)
+            return filter_plane, input_plane, img, ol, live
+
+        out_local = local[:, None] * groups + np.arange(groups)[None, :]
+        live = out_local < n_out              # (n_arrays, groups)
+        ol = np.minimum(out_local, n_out - 1)
+        # Window and filter bytes per (array, group, lane, tap): the
+        # window depends on the output position, the filter on the output
+        # channel; dead groups stage zeros.
+        ivals = windows[img[:, None], ol // m]
+        fvals = filters[ol % m]
+        ivals[~live] = 0
+        fvals[~live] = 0
+        array_lanes = groups * lanes
 
         def planes(vals: np.ndarray) -> np.ndarray:
             """(n_arrays, groups, lanes, taps) -> (n_arrays, taps, cols)."""
@@ -591,6 +598,53 @@ class FunctionalConv:
             return full
 
         return planes(fvals), planes(ivals), img, ol, live
+
+    def _stage_spanning(self, windows: np.ndarray, a0: int, a1: int,
+                        arrays_per_image: int, cols: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Filter and input planes of spanning arrays ``[a0, a1)``,
+        copied straight from views of the gathered windows and the
+        filter table, with no per-(array, lane) index arrays.
+
+        Image-local array ``(p * M + m) * span + slot`` holds channel
+        columns ``[slot * cols, (slot + 1) * cols)`` of output position
+        ``p`` and channel ``m``: its input plane is slot ``slot`` of
+        window ``p`` (the same for every ``m``), its filter plane slot
+        ``slot`` of filter ``m`` (the same for every ``p`` and image).
+        So a run of groups within one image and one row of positions,
+        or over whole rows, is a ``(positions, channels, span)`` block
+        of arrays that two broadcast copies fill.
+        """
+        batch, positions = windows.shape[:2]
+        filters = self.staging.filters
+        m = filters.shape[0]
+        span = self.mapping.arrays_per_conv
+        taps = self.plan.taps
+        # (batch, E*F, span, taps, cols) and (M, span, taps, cols) views.
+        win = windows.reshape(batch, positions, span, cols,
+                              taps).transpose(0, 1, 2, 4, 3)
+        fil = filters.reshape(m, span, cols, taps).transpose(0, 1, 3, 2)
+        filter_plane = np.empty((a1 - a0, taps, cols), dtype=np.uint8)
+        input_plane = np.empty_like(filter_plane)
+        # Chunks hold whole groups: walk them in blocks, each a partial
+        # row of channels or a run of whole rows of one image.
+        per_image = arrays_per_image // span
+        g0, g1 = a0 // span, a1 // span
+        g = g0
+        while g < g1:
+            image, local = divmod(g, per_image)
+            p, m0 = divmod(local, m)
+            if m0 == 0 and g1 - g >= m:
+                p1, m1 = p + min((g1 - g) // m, positions - p), m
+            else:
+                p1, m1 = p + 1, min(m, m0 + g1 - g)
+            shape = (p1 - p, m1 - m0, span, taps, cols)
+            n = (p1 - p) * (m1 - m0)
+            block = slice((g - g0) * span, (g - g0 + n) * span)
+            input_plane[block].reshape(shape)[...] = win[image, p:p1, None]
+            filter_plane[block].reshape(shape)[...] = fil[None, m0:m1]
+            g += n
+        return filter_plane, input_plane
 
     def _run_fleet(self, filter_plane: np.ndarray, input_plane: np.ndarray,
                    img: np.ndarray, ol: np.ndarray, live: np.ndarray,
@@ -667,7 +721,7 @@ class FunctionalConv:
         self.report.passes += n_arrays
 
         # -- read back each group's head column (output move path) --
-        # Only the rows the sequence wrote are live: 24 accumulator bits
+        # Only the rows the sequence wrote are read: 24 accumulator bits
         # plus one growth bit per reduction step (spanning groups: the
         # full widened accumulator). The rest of the 32-row regions hold
         # power-on zeros — reading them would work, but the dataflow
@@ -676,8 +730,16 @@ class FunctionalConv:
             live_bits = 24 + (lanes.bit_length() - 1 if lanes > 1 else 0)
         else:
             live_bits = partial.nbits
-        raw_bits = unit.read_values(Operand(partial.row, live_bits))
-        sum_bits = unit.read_values(Operand(xsum_rows.row, live_bits))
+        # Only arrays holding a live group are read back: on spanning
+        # layers each group's first array (one in ``span``); elsewhere
+        # every array holds one, and the read needs no selection.
+        sel = np.flatnonzero(live.any(axis=1))
+        if len(sel) == n_arrays:
+            sel = None
+        else:
+            img, ol, live = img[sel], ol[sel], live[sel]
+        raw_bits = unit.read_values(Operand(partial.row, live_bits), sel)
+        sum_bits = unit.read_values(Operand(xsum_rows.row, live_bits), sel)
         head = np.arange(groups) * (lanes if span == 1 else 0)
         img_of = np.broadcast_to(img[:, None], ol.shape)
         raw[img_of[live], ol[live]] = raw_bits[:, head][live]

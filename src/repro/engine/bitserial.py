@@ -143,6 +143,16 @@ def sense_rows(fleet: PlaneStore, *rows: int) -> list[np.ndarray]:
     return [fleet.read_plane(row) for row in rows]
 
 
+def _host_ints(values) -> np.ndarray:
+    """Host values for ``load_values``: uint8 arrays (input and filter
+    bytes) stay uint8, which the packed store converts on its one-byte
+    path, and everything else becomes int64."""
+    values = np.asarray(values)
+    if values.dtype == np.uint8:
+        return values
+    return values.astype(np.int64, copy=False)
+
+
 def _reads_before_writes(dst: "Operand", *srcs: "Operand") -> bool:
     """True when a row-by-row sequence that writes bit ``k`` of ``dst``
     in the cycle reading bit ``k`` of every ``src`` never senses a row
@@ -236,7 +246,7 @@ class FleetBitSerialUnit:
         if np.isscalar(values):
             values = np.full((self.n_arrays, self.cols), int(values),
                              dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
+        values = _host_ints(values)
         if values.shape == (self.cols,):
             values = np.broadcast_to(values, (self.n_arrays, self.cols))
         if values.shape != (self.n_arrays, self.cols):
@@ -257,9 +267,7 @@ class FleetBitSerialUnit:
         conversion hot spot when a conv layer loads its tap planes
         (host/TMU path, no compute cycles either way).
         """
-        values = np.asarray(values)
-        if values.dtype != np.uint8:
-            values = values.astype(np.int64, copy=False)
+        values = _host_ints(values)
         if (values.ndim != 3 or values.shape[0] != self.n_arrays
                 or values.shape[2] != self.cols):
             raise ArrayStateError(
@@ -272,9 +280,16 @@ class FleetBitSerialUnit:
                 f"{n_fields * nbits} rows, operand has {base.nbits}")
         self.fleet.load_values(base.row, values, nbits)
 
-    def read_values(self, op: Operand) -> np.ndarray:
-        """Read back ``(n_arrays, cols)`` integers from ``op``."""
-        return self.fleet.dump_values(op.row, op.nbits)
+    def read_values(self, op: Operand,
+                    arrays: np.ndarray | None = None) -> np.ndarray:
+        """Read back ``(n_arrays, cols)`` integers from ``op``.
+
+        ``arrays`` (an index array) reads only those arrays,
+        ``(len(arrays), cols)``: the same rows, converted for fewer
+        arrays, e.g. only the arrays that hold outputs after a
+        reduction.
+        """
+        return self.fleet.dump_values(op.row, op.nbits, arrays)
 
     # ==================================================================
     # Single-cycle primitives

@@ -335,11 +335,20 @@ class PlaneStore:
         self.load_bits(top_row,
                        planes.reshape(n_arrays, n_fields * nbits, cols))
 
-    def dump_values(self, top_row: int, nbits: int) -> np.ndarray:
+    def dump_values(self, top_row: int, nbits: int,
+                    arrays: np.ndarray | None = None) -> np.ndarray:
         """Read ``(n_arrays, cols)`` int64 from the ``nbits`` rows at
         ``top_row``, LSB first (host path; reference form over
-        :meth:`dump_bits`)."""
-        return bitplanes_to_int(self.dump_bits(top_row, nbits))
+        :meth:`dump_bits`).
+
+        ``arrays`` (an index array) converts only those arrays' values,
+        ``(len(arrays), cols)``. This reference form still dumps every
+        array and indexes the bits, so wrappers check each row it reads
+        exactly as the full read does; the packed store selects the
+        arrays' words before converting.
+        """
+        bits = self.dump_bits(top_row, nbits)
+        return bitplanes_to_int(bits if arrays is None else bits[arrays])
 
     def reset_counters(self) -> None:
         """Zero the lockstep access/compute cycle counters."""

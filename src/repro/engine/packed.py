@@ -197,9 +197,15 @@ class PackedArrayFleet(PlaneStore):
         planes = ints_to_packed_planes(values, nbits, self.n_words)
         block[...] = planes.transpose(2, 0, 1, 3).reshape(block.shape)
 
-    def dump_values(self, top_row: int, nbits: int) -> np.ndarray:
-        return packed_planes_to_ints(self.word_block(top_row, nbits),
-                                     self.cols)
+    def dump_values(self, top_row: int, nbits: int,
+                    arrays: np.ndarray | None = None) -> np.ndarray:
+        """Packed words straight to host ints; ``arrays`` selects the
+        arrays' words before the conversion, so unread arrays cost no
+        transpose."""
+        block = self.word_block(top_row, nbits)
+        if arrays is not None:
+            block = block[:, arrays]
+        return packed_planes_to_ints(block, self.cols)
 
     @property
     def nbytes(self) -> int:

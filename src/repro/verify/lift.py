@@ -326,6 +326,8 @@ def op_facts(method: str, index: int, name: str,
                        disposition=SKIPPED, skip_dest=_region(p["dest"]))
 
     if method == "read_values":
+        # An array-selective read (``arrays``) senses the same rows; it
+        # only converts fewer arrays' values on the host.
         return OpFacts(name, index, reads=(_region(p["op"]),))
 
     raise VerifyError(f"no dataflow facts for operation {method!r}",
@@ -341,7 +343,7 @@ def op_facts(method: str, index: int, name: str,
 _PARAMS: dict[str, tuple[str, ...]] = {
     "write_values": ("op", "values"),
     "write_value_block": ("base", "values", "nbits"),
-    "read_values": ("op",),
+    "read_values": ("op", "arrays"),
     "load_tag": ("row", "invert"),
     "set_tag_all": (),
     "zero": ("op", "predicated"),

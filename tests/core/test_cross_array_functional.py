@@ -137,3 +137,57 @@ class TestExecutorIntegration:
         assert np.array_equal(out.data, want.data)
         span_report = executor.reports[SPAN_LAYER]
         assert span_report.reduction > 0
+
+
+class TestSpanningStaging:
+    """Spanning windows stage from views of the gathered windows and the
+    filter table; the planes must equal the per-(array, lane) index
+    gather over every group-aligned range of arrays, including ranges
+    that start or end inside a row of output channels or an image."""
+
+    @staticmethod
+    def reference_planes(engine, windows, a0, a1, arrays_per_image, cols):
+        filters = engine.staging.filters
+        m = filters.shape[0]
+        span = engine.mapping.arrays_per_conv
+        local = np.arange(a0, a1) % arrays_per_image
+        img = np.arange(a0, a1) // arrays_per_image
+        out = local // span
+        lane = (local % span)[:, None] * cols + np.arange(cols)[None, :]
+        ivals = windows[img[:, None], (out // m)[:, None], lane]
+        fvals = filters[(out % m)[:, None], lane]
+        return fvals.transpose(0, 2, 1), ivals.transpose(0, 2, 1)
+
+    @pytest.mark.parametrize("kernel,shape", [((1, 1), (3, 5, 256)),
+                                              ((2, 2), (3, 4, 17))],
+                             ids=["packed-1x1-span4", "2x2-span2"])
+    def test_view_staging_matches_the_index_gather(self, config, kernel,
+                                                   shape):
+        from repro.nn import Network, initialise_weights
+        conv = Conv2D(3, kernel)
+        net = Network(name="span-staging")
+        net.add("c", conv, net.add_input("in", shape))
+        weights = initialise_weights(net, seed=5)
+        engine = FunctionalConv(conv, shape, weights.for_node("c"),
+                                config=config, packed=True)
+        span = engine.mapping.arrays_per_conv
+        assert span > 1
+        cols = config.geometry.array_cols
+        data = RNG.integers(0, 256, (3, *shape), dtype=np.uint8)
+        windows = engine.staging.gather_windows(data, 7)
+        e, f, m = conv.output_shape(shape)
+        arrays_per_image = e * f * m * span
+        groups = 3 * e * f * m
+        bounds = [(0, groups), (0, 1), (1, m + 2), (m, 2 * m),
+                  (2, groups - 1), (e * f * m - 1, e * f * m + m + 1),
+                  (groups - 1, groups)]
+        for g0, g1 in bounds:
+            a0, a1 = g0 * span, g1 * span
+            got = engine._stage_chunk(windows, a0, a1, arrays_per_image,
+                                      cols, engine.mapping.channels_padded,
+                                      1)
+            want = self.reference_planes(engine, windows, a0, a1,
+                                         arrays_per_image, cols)
+            assert got[0].shape == (a1 - a0, engine.plan.taps, cols)
+            assert np.array_equal(got[0], want[0]), (g0, g1)
+            assert np.array_equal(got[1], want[1]), (g0, g1)

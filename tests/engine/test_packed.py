@@ -25,7 +25,7 @@ from repro.common.bits import (
     unpack_bit_plane,
     word_dtype,
 )
-from repro.common.errors import ArrayStateError
+from repro.common.errors import ArrayStateError, VerifyError
 from repro.engine import (
     ArrayFleet,
     FleetBitSerialUnit,
@@ -33,6 +33,7 @@ from repro.engine import (
     PackedArrayFleet,
     make_fleet,
 )
+from repro.faults import HardwareFaultModel
 from repro.verify import record_programs
 
 RNG = np.random.default_rng(23)
@@ -654,6 +655,87 @@ class TestHostValues:
         # Bits past the last column stay zero in every loaded word.
         tail = packed.fleet.word_block(0, 64)[..., -1]
         assert not np.any(tail & ~packed.fleet.const_plane(1)[-1])
+
+    @pytest.mark.parametrize("packed", [False, True],
+                             ids=["unpacked", "packed"])
+    @pytest.mark.parametrize("nbits", [3, 8, 12, 20])
+    @pytest.mark.parametrize("cols", [8, 13, 16, 37, 256])
+    def test_uint8_write_values_store_the_int64_words(self, cols, nbits,
+                                                      packed):
+        # Streamed input bytes stay uint8 (the one-byte conversion); the
+        # stored bits must equal the int64 path's, below, at and above
+        # one byte of field width (the planes past bit 7 are zeros).
+        values = RNG.integers(0, 256, (3, cols)).astype(np.uint8)
+        wide_values = values.astype(np.int64)
+        stores = []
+        for host in (values, wide_values):
+            unit = FleetBitSerialUnit(make_fleet(3, 24, cols, packed=packed,
+                                                 sanitize=False))
+            unit.write_values(Operand(2, nbits), host)
+            stores.append(unit.fleet)
+        narrow, wide = stores
+        if packed:
+            assert narrow.word_block(0, 24).dtype == word_dtype(cols)
+            assert np.array_equal(narrow.word_block(0, 24),
+                                  wide.word_block(0, 24))
+        assert np.array_equal(narrow.dump_bits(0, 24), wide.dump_bits(0, 24))
+        assert np.array_equal(narrow.dump_values(2, nbits),
+                              wide_values & ((1 << nbits) - 1))
+
+
+#: Array selections of a five-array fleet: one, unordered, a strided
+#: subset, every array, none.
+SELECTIONS = [[0], [4, 1], [0, 2, 4], [0, 1, 2, 3, 4], []]
+
+
+class TestSelectiveRead:
+    """``read_values(op, arrays)`` converts only the listed arrays; it
+    must equal the full read indexed by the same arrays on every store,
+    at every word width, and still sense every row the full read does."""
+
+    @staticmethod
+    def loaded_unit(cols, packed, sanitize=False, faults=None):
+        unit = FleetBitSerialUnit(make_fleet(5, 58, cols, packed=packed,
+                                             sanitize=sanitize,
+                                             faults=faults))
+        unit.write_values(Operand(0, 33), RNG.integers(0, 1 << 33, (5, cols)))
+        unit.write_values(Operand(33, 8), RNG.integers(0, 256, (5, cols)))
+        unit.add(Operand(33, 8), Operand(0, 8), Operand(41, 9))
+        return unit  # rows 50 and up stay unwritten
+
+    @pytest.mark.parametrize("cols", [8, 13, 16, 32, 37, 64, 100, 256])
+    @pytest.mark.parametrize("store", ["unpacked", "packed", "sanitized",
+                                       "faulty", "sanitized-faulty"])
+    def test_matches_the_indexed_full_read(self, store, cols):
+        faults = None
+        if "faulty" in store:
+            faults = HardwareFaultModel(seed=3, stuck_rate=0.05,
+                                        dead_wordlines=((2, 35),))
+        unit = self.loaded_unit(cols, packed=store != "unpacked",
+                                sanitize="sanitized" in store, faults=faults)
+        for op in (Operand(0, 33), Operand(33, 8), Operand(41, 9),
+                   Operand(5, 24)):
+            full = unit.read_values(op)
+            assert full.shape == (5, cols)
+            for selection in SELECTIONS:
+                arrays = np.array(selection, dtype=np.intp)
+                got = unit.read_values(op, arrays)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, full[arrays]), (op, selection)
+
+    @pytest.mark.parametrize("packed", [False, True],
+                             ids=["unpacked", "packed"])
+    def test_sanitizer_checks_every_row_of_a_selective_read(self, packed):
+        unit = self.loaded_unit(16, packed=packed, sanitize=True)
+        with pytest.raises(VerifyError) as excinfo:
+            unit.read_values(Operand(46, 8), np.array([0]))
+        assert excinfo.value.check == "uninit-read"
+        assert excinfo.value.row == 50
+
+    def test_selective_read_keeps_the_row_bounds(self):
+        unit = self.loaded_unit(16, packed=True)
+        with pytest.raises(ArrayStateError):
+            unit.read_values(Operand(52, 7), np.array([1]))
 
 
 class TestFunctionalPacked:

@@ -8,6 +8,7 @@ for image ``i`` — serving changes wall-clock, never results.
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -120,21 +121,32 @@ class TestCoalescing:
         assert result.report.mean_batch == 1.0
 
     def test_close_flushes_partial_batch(self, tiny_net, stream):
-        """A partial batch pending at close still gets responses."""
+        """A partial batch pending at close is flushed at once: its
+        requests get bit-exact responses, without waiting out
+        ``max_wait_ms`` and without being failed as undispatched."""
         images, expected = stream
+        max_wait_ms = 10_000.0
 
         async def scenario():
-            async with Server([make_backend()], tiny_net, max_batch=8,
-                              max_wait_ms=10_000.0) as server:
-                # Only 3 of max_batch 8 arrive; the huge wait would hold
-                # them, but close() must drain, not drop.
-                return await asyncio.gather(
-                    *(server.submit(image) for image in images[:3]))
+            server = Server(
+                [make_backend()], tiny_net, max_batch=8, max_wait_ms=max_wait_ms
+            )
+            await server.start()
+            # Only 3 of max_batch 8 arrive, so the batcher holds them for
+            # the huge wait; close() must flush them, not drop them.
+            tasks = [asyncio.create_task(server.submit(image)) for image in images[:3]]
+            await asyncio.sleep(0.05)
+            assert not any(task.done() for task in tasks)
+            start = time.perf_counter()
+            await server.close()
+            responses = await asyncio.gather(*tasks)
+            return responses, time.perf_counter() - start
 
-        responses = asyncio.run(scenario())
+        responses, elapsed = asyncio.run(scenario())
         assert len(responses) == 3
         for got, want in zip(responses, expected):
             assert np.array_equal(got.data, want.data)
+        assert elapsed < max_wait_ms / 1e3 / 10
 
 
 class TestReport:

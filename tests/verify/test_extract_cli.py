@@ -63,6 +63,28 @@ class TestRecorder:
         assert program.rows == ROWS and program.cols == COLS
         assert verify_program(program) == []
 
+    def test_array_selective_read_lifts_as_the_full_read(self):
+        # Reading back only some arrays senses the same rows, so it must
+        # lift to the same region read: def-before-use still sees it.
+        # (Unsanitized: the last read is a deliberate uninit read.)
+        unit = FleetBitSerialUnit(make_fleet(4, ROWS, COLS, sanitize=False))
+        with record_programs() as recorder:
+            unit.write_values(Operand(0, 4), 5)
+            unit.write_values(Operand(4, 4), 9)
+            unit.add(Operand(0, 4), Operand(4, 4), Operand(8, 5))
+            full = unit.read_values(Operand(8, 5))
+            picked = unit.read_values(Operand(8, 5), np.array([3, 1]))
+            named = unit.read_values(Operand(8, 5), arrays=np.array([2]))
+            unit.read_values(Operand(16, 4), np.array([0]))  # never written
+        assert np.array_equal(picked, full[[3, 1]])
+        assert np.array_equal(named, full[[2]])
+        (program,) = recorder.programs()
+        reads = [op.reads for op in program.ops[3:]]
+        assert reads[0] == reads[1] == reads[2]
+        findings = verify_program(program)
+        assert [(f.check, f.index) for f in findings] == \
+            [("uninit-read", 6)]
+
     def test_hook_restored_on_exit(self):
         unit = FleetBitSerialUnit(make_fleet(1, ROWS, COLS))
         with record_programs() as recorder:
