@@ -257,9 +257,10 @@ def compare_shard_drivers(batch_size: int = 16, shards: int = 2,
                           rounds: int = 2) -> dict:
     """The persistent pool driver vs the serial reference driver.
 
-    The pool runs forked workers fed O(1) work units over shared-memory
-    arenas; it is warmed (fork + program broadcast paid) before timing,
-    so its number is the steady-state per-batch cost. Results must be
+    The pool runs forked workers fed one work per shard over their
+    pipes, each carrying its lane's images as one stacked array; it is
+    warmed (fork + program broadcast paid) before timing, so its number
+    is the steady-state per-batch cost. Results must be
     identical either way — outputs bit-exact, aggregate and per-shard
     cycle reports equal.
     """

@@ -26,8 +26,9 @@ store is a test and debug reference with no backend name
 (``FleetExecutor(packed=False)``). ``--shard-driver`` selects how the
 shards execute — ``serial`` (default: one after another in-process, runs
 everywhere) or ``pool`` (real wall-clock parallelism: persistent
-zero-copy workers, forked once, image payloads through shared-memory
-arenas; POSIX-only); both are bit-exact and cycle-report-identical.
+workers, forked once, each shard's images and responses sent over its
+pipe as one stacked array; POSIX-only); both are bit-exact and
+cycle-report-identical.
 
 Functional backends fold the whole batch into the fleet's array axis
 (one fleet pass per layer computes every image); the arrays are parallel
@@ -222,8 +223,8 @@ def main(argv: list[str] | None = None) -> int:
                         default=None,
                         help="how --backend sharded runs its shards: "
                              "serial (default; runs everywhere) or pool "
-                             "(wall-clock parallel persistent zero-copy "
-                             "workers; fork-based, POSIX only); results "
+                             "(wall-clock parallel persistent workers; "
+                             "fork-based, POSIX only); results "
                              "identical")
     parser.add_argument("--sparsity", action="store_true",
                         help="skip all-zero operand bit planes in "

@@ -50,14 +50,7 @@ _SHARDING_NAMES = (
 )
 
 # The persistent pool is lazy for the same reason as the backend: it
-# pulls in repro.core via the executor. Its shared-memory arenas load
-# with it, not with every fleet.
-_SHARED_NAMES = (
-    "SegmentStats",
-    "SharedSegment",
-    "shared_segment_stats",
-)
-
+# pulls in repro.core via the executor.
 _POOL_NAMES = (
     "ShardWorkerPool",
 )
@@ -74,7 +67,6 @@ __all__ = [
     "mux",
     *_BACKEND_NAMES,
     *_SHARDING_NAMES,
-    *_SHARED_NAMES,
     *_POOL_NAMES,
 ]
 
@@ -86,9 +78,6 @@ def __getattr__(name: str):
     if name in _SHARDING_NAMES:
         from repro.engine import sharding
         return getattr(sharding, name)
-    if name in _SHARED_NAMES:
-        from repro.engine import shared
-        return getattr(shared, name)
     if name in _POOL_NAMES:
         from repro.engine import pool
         return getattr(pool, name)

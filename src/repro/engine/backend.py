@@ -91,8 +91,9 @@ class ShardReport:
     #: The shard's aggregate functional compute-cycle report.
     report: CycleReport
     #: Self-healing actions the pool driver took for this shard during
-    #: the batch (stringified RecoveryEvents: respawns, re-dispatches,
-    #: degrades). Empty on healthy runs and on the serial driver.
+    #: the batch, as :class:`~repro.engine.pool.RecoveryEvent` records
+    #: (respawns, re-dispatches, degrades). Empty on healthy runs and on
+    #: the serial driver.
     recoveries: tuple = ()
 
 

@@ -1,11 +1,11 @@
-"""Persistent shard workers: warm executors behind shared-memory arenas.
+"""Persistent shard workers: warm executors fed over their pipes.
 
 :class:`ShardWorkerPool` is the ``pool`` shard driver, the parallel
 counterpart of the in-process ``serial`` reference. A naive process
 driver would pay two costs per batch that have nothing to do with
-computing: re-forking its workers, and pickling every image slice and
-the full weight set (the very bytes the fleets are about to compute
-on). Both would sit on the serving path, recurring per coalesced batch.
+computing: re-forking its workers, and pickling the full weight set
+(the very bytes the fleets are about to compute on). Both would sit on
+the serving path, recurring per coalesced batch.
 
 The pool removes both. Workers are forked **once per
 backend lifetime** and each holds warm program state — the network, the
@@ -13,21 +13,17 @@ resolved weights, the golden executor when verification is on, and a
 :class:`~repro.engine.backend.FleetExecutor` on the same private packed
 plane store as the serial driver — each socket's cache computes on its
 own arrays, and only a batch's inputs and outputs cross between
-processes (Sec. VI-B). Per batch, the parent writes the image payloads
-into a shared **input arena**, sends each worker a
-:class:`PoolShardWork` that names the arena and the worker's
-round-robin lane (``start``/``stride``/``batch`` arithmetic — no index
-lists, no arrays), and reads the responses back out of a shared
-**output arena**. The only bytes that cross the pipes are the O(1) work
-descriptors, the per-shard cycle reports, and (for the one shard that
-owns the globally-last image) the small per-node outputs dict.
-
-Arena layout: one fixed-size slot per image, ``16-byte quantization
-header + payload`` (`~repro.nn.tensor.QuantParams` as ``scale: f8,
-zero: i8``), slots aligned to 16 bytes. Image ``i`` occupies slot ``i``
-in both arenas, so shard ``k`` touches exactly the slots
-``k, k+shards, ...`` — the same round-robin assignment the serial
-driver uses, which is what keeps the pool bit-exact and
+processes (Sec. VI-B): one message each way per shard. Per batch, the
+parent sends each worker a :class:`PoolShardWork` carrying the worker's
+round-robin lane — image ``i`` of the batch goes to shard
+``i % shards``, the assignment the serial driver uses — as one stacked
+``uint8`` array plus per-image ``scale``/``zero_point`` arrays, and the
+worker's ``done`` reply carries the lane's responses in the same form,
+with the per-shard cycle report and (for the one shard that owns the
+globally-last image) the small per-node outputs dict. Three arrays
+pickle about 3x faster than a list of
+:class:`~repro.nn.tensor.QuantizedTensor` objects. The same lanes and
+the same shard-order merge are what keep the pool bit-exact and
 shard-report-identical to the serial reference.
 
 Supervision: every reply wait is bounded by ``reply_timeout_s`` — there
@@ -37,18 +33,18 @@ is reaped (terminated, its pipe closed) and **respawned**; the works
 its death orphaned are re-dispatched, under ``max_retries`` bounded
 rounds with exponential backoff. If a respawn fails, the pool
 **degrades**: the dead slot's lanes route to the surviving workers (a
-lane names its slots by ``shard``/``stride`` arithmetic, so any warm
-worker can run any lane) until no live worker remains. Losing every
-worker, or exhausting the retry budget, tears the pool down loudly: a
+lane carries its own images, so any warm worker can run any lane)
+until no live worker remains. Losing every worker, or exhausting the
+retry budget, tears the pool down loudly: a
 :class:`~repro.common.errors.SimulationError` names the last failed
-worker, its PID and whether it ``died`` or ``hung``, and every segment
-under the pool's scope is swept. ``max_retries=0`` is fail-fast: the
-first dead or hung worker ends the pool. Recovery is observable:
-:meth:`pop_recovery_events` returns the :class:`RecoveryEvent` log,
-which the sharded backend republishes on its ``ShardReport``.
-Re-execution of an orphaned lane is safe by construction: a lane writes
-only its own output slots and every driver is bit-exact, so a re-run
-overwrites identical bytes.
+worker, its PID and whether it ``died`` or ``hung``. ``max_retries=0``
+is fail-fast: the first dead or hung worker ends the pool. Recovery is
+observable: :meth:`pop_recovery_events` returns the
+:class:`RecoveryEvent` log, which the sharded backend republishes on
+its ``ShardReport``. Re-execution of an orphaned lane is safe by
+construction: the re-sent work is the parent's own copy of the lane's
+images, and every driver is bit-exact, so a re-run returns identical
+bytes.
 
 A worker-*reported* error is gentler: the replies of every other
 shard in the round are drained first (keeping the pipes level), the
@@ -65,25 +61,22 @@ workers inject the faults supervision exists to survive — ``kill``
 the lane, never reply — indistinguishable from a hang upstream) — on a
 deterministic schedule driven by the parent's per-slot send counters.
 
-Lifecycle is explicit and owned by the pool: the parent owns both
-arenas — the only shared-memory segments the pool has — created under
-the pool's segment scope, grown by powers of two and unlinked on close.
-Workers only attach to them. ``close()`` drains (or, on the crash path,
-terminates) the workers, unlinks the arenas and then sweeps the scope
-(:func:`~repro.engine.shared.unlink_scope`) anyway; it is idempotent.
+Lifecycle is explicit and owned by the pool: its only OS resources are
+the worker processes and their pipes. ``close()`` drains (or, on the
+crash path, terminates) the workers and closes the pipes; it is
+idempotent.
 
-Platform: workers are forked (they inherit the program objects and the
-arena handles by address), so the pool driver needs the ``fork`` start
-method — POSIX only, and unsafe to construct after the owner process
-has started threads. Construction raises on platforms without fork
-(pointing at ``driver='serial'``, which runs everywhere) and warns if
-extra threads are already running.
+Platform: workers are forked (they inherit the parent's modules, its
+environment and the fault plan by address), so the pool driver needs
+the ``fork`` start method — POSIX only, and unsafe to construct after
+the owner process has started threads. Construction raises on
+platforms without fork (pointing at ``driver='serial'``, which runs
+everywhere) and warns if extra threads are already running.
 """
 
 from __future__ import annotations
 
 import os
-import secrets
 import threading
 import time
 import warnings
@@ -95,78 +88,57 @@ import numpy as np
 from repro.common.errors import SimulationError
 from repro.config import NeuralCacheConfig
 from repro.engine.backend import BatchOutcome, FleetExecutor
-from repro.engine.shared import SharedSegment, unlink_scope
 from repro.faults.plan import FaultPlan
 from repro.nn.graph import Network
 from repro.nn.tensor import QuantParams, QuantizedTensor
 
 __all__ = ["PoolShardWork", "RecoveryEvent", "ShardWorkerPool"]
 
-#: Per-image arena header: the image's quantization parameters. 16 bytes,
-#: so slots stay 16-byte aligned without padding games.
-_PARAM_DTYPE = np.dtype([("scale", "<f8"), ("zero", "<i8")])
-
-#: Slot alignment (and header size) in bytes.
-_ALIGN = 16
-
 #: Sleep before the first re-dispatch round, doubled on each further one.
 _RETRY_BACKOFF_S = 0.05
 
 
-def _slot_size(payload_nbytes: int) -> int:
-    """One arena slot: header + payload, rounded up to the alignment."""
-    raw = _ALIGN + payload_nbytes
-    return (raw + _ALIGN - 1) // _ALIGN * _ALIGN
+def _stack(tensors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Same-shape tensors as one stacked ``uint8`` array plus per-tensor
+    ``scale`` and ``zero_point`` arrays — the form payloads cross the
+    pipes in."""
+    return (np.stack([tensor.data for tensor in tensors]),
+            np.array([tensor.params.scale for tensor in tensors],
+                     dtype=np.float64),
+            np.array([tensor.params.zero_point for tensor in tensors],
+                     dtype=np.int64))
 
 
-def _write_slot(buf: np.ndarray, slot: int, slot_size: int,
-                tensor: QuantizedTensor) -> None:
-    """Serialize one image into its arena slot (header + raw uint8)."""
-    base = slot * slot_size
-    header = buf[base:base + _ALIGN].view(_PARAM_DTYPE)
-    header["scale"] = tensor.params.scale
-    header["zero"] = tensor.params.zero_point
-    payload = tensor.data.reshape(-1)
-    buf[base + _ALIGN:base + _ALIGN + payload.size] = payload
+def _unstack(data: np.ndarray, scales: np.ndarray,
+             zero_points: np.ndarray) -> tuple[QuantizedTensor, ...]:
+    """The tensors of a :func:`_stack` triple."""
+    return tuple(
+        QuantizedTensor(data=image, params=QuantParams(
+            scale=float(scale), zero_point=int(zero)))
+        for image, scale, zero in zip(data, scales, zero_points))
 
 
-def _read_slot(buf: np.ndarray, slot: int, slot_size: int,
-               shape: tuple) -> QuantizedTensor:
-    """Materialize one image from its arena slot (copies out)."""
-    base = slot * slot_size
-    header = buf[base:base + _ALIGN].view(_PARAM_DTYPE)
-    params = QuantParams(scale=float(header["scale"][0]),
-                         zero_point=int(header["zero"][0]))
-    count = int(np.prod(shape, dtype=np.int64))
-    data = buf[base + _ALIGN:base + _ALIGN + count].reshape(shape).copy()
-    return QuantizedTensor(data=data, params=params)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoolShardWork:
-    """One shard's lane through the arenas — O(1) bytes, no arrays.
+    """One shard's lane of a batch, carrying the lane's images.
 
-    Instead of carrying its image slice (and weights) by value, the
-    unit carries only the arena segment names and the round-robin
-    arithmetic ``slots = range(shard, batch, stride)``. Its pickle size is
-    therefore independent of batch size and image resolution — the
-    regression test pins that, because any array sneaking in here
-    silently reintroduces the per-batch serialization the pool exists
-    to remove.
+    The lane is round-robin — ``range(shard, batch, stride)`` of the
+    batch's image indices — and its images travel stacked: ``images``
+    is ``(count, *input_shape)`` ``uint8`` with one ``scales`` and one
+    ``zero_points`` entry per image. Only the lane's own images are
+    carried, never the batch's.
     """
 
-    #: Shard index, which is also the first slot of the shard's lane.
+    #: Shard index, which is also the lane's first image index.
     shard: int
-    #: Total images in the staged batch (slots ``0..batch-1``).
+    #: Total images in the staged batch.
     batch: int
-    #: Slot stride of the lane (= the pool's shard count).
+    #: Index stride of the lane (= the pool's shard count).
     stride: int
-    #: Shared-memory segment names of the staged arenas.
-    input_segment: str
-    output_segment: str
-    #: Per-image payload geometry (fixes the slot size on both sides).
-    input_shape: tuple
-    output_shape: tuple
+    #: The lane's images, stacked, and their quantization parameters.
+    images: np.ndarray
+    scales: np.ndarray
+    zero_points: np.ndarray
     #: Whether this shard must ship the per-node outputs dict back over
     #: the pipe (true only for the shard owning the globally-last image).
     want_outputs: bool
@@ -212,9 +184,6 @@ class _WorkerState:
         self.weights = None
         self.executor = None
         self.golden = None
-        #: Arena attachments cached by role, keyed by segment name —
-        #: re-attach only when the parent grew (renamed) an arena.
-        self.arenas: dict[str, SharedSegment] = {}
 
     def load_program(self, network, weights, config, verify, seed,
                      sparsity=False, precision=None) -> None:
@@ -226,50 +195,16 @@ class _WorkerState:
             sparsity=sparsity, precision=precision)
         self.golden = self.executor.golden_for(network, weights)
 
-    def _arena(self, role: str, name: str) -> SharedSegment:
-        # Pop first, re-cache only on success: a failed attach must not
-        # leave a closed (or stale) segment behind as the cache entry.
-        cached = self.arenas.pop(role, None)
-        if cached is not None:
-            if cached.name == name:
-                self.arenas[role] = cached
-                return cached
-            cached.close()
-        segment = SharedSegment.attach(name)
-        self.arenas[role] = segment
-        return segment
-
-    def run(self, work: PoolShardWork):
-        """Execute one lane: arena in, warm executor, arena out."""
+    def run(self, work: PoolShardWork) -> tuple:
+        """Execute one lane; the ``done`` reply's fields after its tag."""
         if self.executor is None:
             raise SimulationError("pool worker has no program loaded")
-        in_slot = _slot_size(int(np.prod(work.input_shape,
-                                         dtype=np.int64)))
-        out_slot = _slot_size(int(np.prod(work.output_shape,
-                                          dtype=np.int64)))
-        slots = range(work.shard, work.batch, work.stride)
-        in_buf = self._arena("in", work.input_segment).view(
-            np.uint8, (work.batch * in_slot,))
-        images = [_read_slot(in_buf, slot, in_slot, work.input_shape)
-                  for slot in slots]
-        del in_buf
+        images = _unstack(work.images, work.scales, work.zero_points)
         outcome = self.executor.run_requests(self.network, images,
                                              self.weights, self.golden)
-        out_buf = self._arena("out", work.output_segment).view(
-            np.uint8, (work.batch * out_slot,))
-        for slot, response in zip(slots, outcome.responses):
-            _write_slot(out_buf, slot, out_slot, response)
-        del out_buf
         outputs = outcome.outputs if work.want_outputs else None
-        return len(images), outcome.report, outcome.verified, outputs
-
-    def close(self) -> None:
-        for segment in self.arenas.values():
-            try:
-                segment.close()
-            except Exception:  # pragma: no cover - shutdown best-effort
-                pass
-        self.arenas.clear()
+        return (outcome.report, outcome.verified, outputs,
+                *_stack(outcome.responses))
 
 
 def _worker_main(conn, shard: int = 0,
@@ -322,7 +257,6 @@ def _worker_main(conn, shard: int = 0,
                 except Exception:  # pragma: no cover - pipe gone too
                     break
     finally:
-        state.close()
         conn.close()
 
 
@@ -372,18 +306,13 @@ class ShardWorkerPool:
         #: (both scalar/small, O(1) pickle).
         self.sparsity = sparsity
         self.precision = precision
-        #: Both arenas are created under this prefix — the handle
-        #: ``close`` sweeps by, whatever state a crash left them in.
-        self.scope = f"repro-pool-{os.getpid()}-{secrets.token_hex(4)}"
         self._program: tuple | None = None
-        self._input: SharedSegment | None = None
-        self._output: SharedSegment | None = None
         self._closed = False
         # Fork eagerly: workers must exist before the owner's process
         # ever starts threads (the serving executor does), and eager
         # spawn is what "no re-fork per batch" means. Fork is required
-        # — workers inherit the program objects and arena handles — so
-        # the pool driver is POSIX-only (Linux/macOS).
+        # — workers inherit the parent's modules, environment and fault
+        # plan — so the pool driver is POSIX-only (Linux/macOS).
         try:
             self._context = get_context("fork")
         except ValueError:
@@ -535,8 +464,7 @@ class ShardWorkerPool:
     def _unrecoverable(self, why: str) -> None:
         """Supervision gave up: tear down and raise."""
         self.close(drain=False)
-        raise SimulationError(
-            f"pool {why}; pool shut down and its segments were swept")
+        raise SimulationError(f"pool {why}; pool shut down")
 
     def _program_message(self, network: Network, weights) -> tuple:
         """The ``program`` message, fields in the order
@@ -587,54 +515,34 @@ class ShardWorkerPool:
             raise SimulationError("pool " + "; ".join(
                 f"shard {slot} failed: {msg}" for slot, msg in errors))
 
-    def _ensure_arena(self, current: SharedSegment | None,
-                      nbytes: int) -> SharedSegment:
-        """An owned arena of at least ``nbytes`` (power-of-two growth)."""
-        if current is not None and current.nbytes >= nbytes:
-            return current
-        if current is not None:
-            current.close()
-        capacity = 1 << max(0, int(nbytes - 1).bit_length())
-        return SharedSegment.create(capacity, scope=self.scope)
-
     # -- the batch surface -------------------------------------------------
     def stage(self, network: Network, images, weights) -> list[PoolShardWork]:
-        """Write a batch into the input arena; return the O(1) works.
+        """Check a batch and split it into per-shard lane works.
 
-        Split from :meth:`dispatch` so the pickle-payload regression
-        test can stage real batches and measure exactly the bytes a
-        dispatch would push through the pipes.
+        Split from :meth:`dispatch` so tests can inspect exactly the
+        works a dispatch would push through the pipes. Each work holds
+        a strided view of one stacked copy of the batch; pickling it
+        sends only the lane's images.
         """
         self._check_alive()
         self._broadcast_program(network, weights)
         images = list(images)
-        batch = len(images)
+        if not images:
+            raise SimulationError("pool stage needs at least one image")
         input_shape = tuple(network.input_shape)
-        output_shape = tuple(network.node(network.output_name).output_shape)
-        in_slot = _slot_size(int(np.prod(input_shape, dtype=np.int64)))
-        out_slot = _slot_size(int(np.prod(output_shape, dtype=np.int64)))
-        self._input = self._ensure_arena(self._input,
-                                         max(1, batch * in_slot))
-        self._output = self._ensure_arena(self._output,
-                                          max(1, batch * out_slot))
-        in_buf = self._input.view(np.uint8, (self._input.nbytes,))
-        try:
-            for slot, image in enumerate(images):
-                if tuple(image.data.shape) != input_shape:
-                    raise SimulationError(
-                        f"image {slot} has shape {image.data.shape}, "
-                        f"expected the network input {input_shape}")
-                _write_slot(in_buf, slot, in_slot, image)
-        finally:
-            del in_buf
-        last_shard = (batch - 1) % self.shards
+        for index, image in enumerate(images):
+            if tuple(image.data.shape) != input_shape:
+                raise SimulationError(
+                    f"image {index} has shape {image.data.shape}, "
+                    f"expected the network input {input_shape}")
+        data, scales, zero_points = _stack(images)
+        batch = len(images)
+        lanes = [slice(k, None, self.shards) for k in range(self.shards)]
         return [PoolShardWork(shard=k, batch=batch, stride=self.shards,
-                              input_segment=self._input.name,
-                              output_segment=self._output.name,
-                              input_shape=input_shape,
-                              output_shape=output_shape,
-                              want_outputs=(batch > 0 and k == last_shard))
-                for k in range(self.shards)]
+                              images=data[lane], scales=scales[lane],
+                              zero_points=zero_points[lane],
+                              want_outputs=k == (batch - 1) % self.shards)
+                for k, lane in enumerate(lanes)]
 
     def _run_works(self, busy: list[PoolShardWork]) -> dict[int, tuple]:
         """Execute the busy lanes; one ``done`` reply per lane.
@@ -736,9 +644,6 @@ class ShardWorkerPool:
         from repro.engine.sharding import ShardOutcome
 
         self._check_alive()
-        # All replies are collected before the output arena is read, so
-        # no receive (and thus no failure teardown) can fire while an
-        # arena view below is live.
         replies = self._run_works([work for work in works if work.count])
         outcomes = []
         for work in works:
@@ -749,16 +654,10 @@ class ShardWorkerPool:
                                          responses=(), outputs=None,
                                          verified=0)))
                 continue
-            _, count, report, verified, outputs = replies[work.shard]
-            out_buf = self._output.view(np.uint8, (self._output.nbytes,))
-            out_slot = _slot_size(int(np.prod(work.output_shape,
-                                              dtype=np.int64)))
-            responses = tuple(
-                _read_slot(out_buf, slot, out_slot, work.output_shape)
-                for slot in range(work.shard, work.batch, work.stride))
-            del out_buf
+            _, report, verified, outputs, *stacked = replies[work.shard]
+            responses = _unstack(*stacked)
             outcomes.append(ShardOutcome(
-                shard=work.shard, images=count,
+                shard=work.shard, images=len(responses),
                 outcome=BatchOutcome(report=report, responses=responses,
                                      outputs=outputs, verified=verified)))
         return outcomes
@@ -792,9 +691,9 @@ class ShardWorkerPool:
         """Shut the pool down; idempotent.
 
         ``drain`` asks workers to exit cleanly; the crash path passes
-        ``False`` and terminates them. Either way both arenas are
-        unlinked and the pool's whole segment scope is swept, so nothing
-        the pool ever created outlives it.
+        ``False`` and terminates them. Either way every worker is joined
+        and every pipe closed, so no process the pool started outlives
+        it.
         """
         if self._closed:
             return
@@ -815,14 +714,6 @@ class ShardWorkerPool:
             if worker.is_alive():  # pragma: no cover - stuck worker
                 worker.terminate()
                 worker.join(timeout=5)
-        for arena in (self._input, self._output):
-            if arena is not None:
-                try:
-                    arena.close()
-                except Exception:  # pragma: no cover - live views on a
-                    pass           # crash path; the sweep below catches it
-        self._input = self._output = None
-        unlink_scope(self.scope)
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:

@@ -21,8 +21,8 @@ The shards run on one of two **drivers** (``driver=``):
   the parallel driver must match, and the driver that runs everywhere;
 * ``pool`` — a persistent :class:`~repro.engine.pool.ShardWorkerPool`:
   workers forked once per backend lifetime, each holding a warm
-  executor on its own packed plane store, with image payloads moving
-  through shared-memory arenas instead of pickles. The modeled socket
+  executor on its own packed plane store, with each shard's images and
+  responses crossing its pipe as one stacked array. The modeled socket
   parallelism becomes real wall-clock parallelism; POSIX-only (it
   needs the ``fork`` start method).
 
@@ -106,8 +106,8 @@ class ShardedBackend:
     API — each shard is one more independent cache running the full
     network over its slice.
 
-    Pool-driver backends own OS resources (worker processes, shared
-    arenas); :meth:`close` releases them, and the backend is a context
+    Pool-driver backends own OS resources (worker processes and their
+    pipes); :meth:`close` releases them, and the backend is a context
     manager for scoped use. The serial driver holds nothing, so
     ``close`` is a no-op for it.
 
@@ -242,8 +242,8 @@ class ShardedBackend:
     def close(self) -> None:
         """Release the driver's OS resources (idempotent).
 
-        Only the pool driver holds any — its persistent workers and the
-        shared arenas; serial holds nothing.
+        Only the pool driver holds any — its persistent workers and their
+        pipes; serial holds nothing.
         """
         if self._pool is not None:
             self._pool.close()
@@ -292,7 +292,7 @@ class ShardedBackend:
         shard_reports = tuple(
             ShardReport(shard=result.shard, images=result.images,
                         report=result.outcome.report,
-                        recoveries=tuple(str(event) for event in events
+                        recoveries=tuple(event for event in events
                                          if event.shard == result.shard))
             for result in outcomes)
         return BackendResult(

@@ -128,7 +128,7 @@ class Server:
     pool-driver :class:`~repro.engine.sharding.ShardedBackend` nodes —
     which hold one persistent worker pool across *all* ``submit``
     calls, instead of paying driver startup per coalesced batch —
-    releases those workers and their shared-memory arenas exactly once.
+    releases those workers and their pipes exactly once.
 
     Fault tolerance: ``max_retries`` re-dispatches a batch whose
     backend raised, after a short exponential backoff, on the next idle

@@ -186,6 +186,13 @@ class TestPackedFleetPrimitives:
         assert isinstance(make_fleet(2, 8, 64), ArrayFleet)
         assert isinstance(make_fleet(2, 8, 64, packed=True), PackedArrayFleet)
 
+    @pytest.mark.parametrize("packed", ["mmap", "shared"])
+    def test_make_fleet_rejects_unknown_store_string(self, packed):
+        # Plane stores are private to their process: make_fleet knows no
+        # shared or file-backed store.
+        with pytest.raises(ArrayStateError, match="unknown plane store"):
+            make_fleet(1, packed=packed)
+
 
 class TestSequenceEquivalence:
     """Every FleetBitSerialUnit sequence, packed vs unpacked."""

@@ -1,23 +1,25 @@
-"""The persistent pool driver: zero-copy payloads, owned lifecycles.
+"""The persistent pool driver: lane payloads, owned lifecycles.
 
 Three contracts beyond the driver-equivalence suite (which the pool
 driver passes against the serial driver in ``test_shard_driver.py``):
 
-* **O(1) work units** — a staged :class:`PoolShardWork` pickles to a
-  size independent of batch size and image resolution, because image
-  payloads travel through the shared arenas, never through the pipes;
+* **lane payloads** — a staged :class:`PoolShardWork` carries exactly
+  its round-robin lane's images as one stacked ``uint8`` array, so a
+  work's pickle holds that lane's bytes and none of the other lanes';
 * **persistence** — worker PIDs are stable across consecutive
   ``run_requests`` batches (the pool never re-forks), and resolved
   weights keep a stable identity so the program broadcast happens once;
-* **lifecycle** — after normal close, ``Server.close`` with
-  ``close_backends``, a worker crash, or a double close, nothing the
-  pool ever created remains in ``/dev/shm`` (asserted by scope scan and
-  by segment re-attach failure);
+* **lifecycle** — the pool's only OS resources are its workers and
+  their pipes: after normal close, ``Server.close`` with
+  ``close_backends``, a worker crash, or a double close, no worker
+  process remains, and the pool runs, heals and closes with shared
+  memory unavailable;
 * **ambient sanitizer** — workers inherit ``NEURALCACHE_SANITIZE`` when
   forked, so every fleet they build follows the parent's switch.
 """
 
 import asyncio
+import multiprocessing
 import os
 import pickle
 import signal
@@ -32,7 +34,6 @@ from repro.engine.backend import (
     tiny_verification_network,
 )
 from repro.engine.pool import PoolShardWork
-from repro.engine.shared import SHM_DIR, SharedSegment, shared_segment_stats
 from repro.engine.sharding import ShardedBackend
 
 
@@ -41,17 +42,10 @@ def tiny_net():
     return tiny_verification_network()
 
 
-def scope_segments(scope: str) -> list[str]:
-    """Segments under a pool's scope still linked in /dev/shm."""
-    return [entry for entry in os.listdir(SHM_DIR)
-            if entry.startswith(scope)]
-
-
-def assert_no_segment_leaks():
-    """Every close path must leave the global segment ledger clean: no
-    open mappings and no orphaned files under this process's token in
-    /dev/shm."""
-    assert shared_segment_stats().check() == []
+def assert_no_live_workers():
+    """No pool worker process of this test process is still running."""
+    assert [child for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-worker")] == []
 
 
 def staged_works(backend, network, batch: int) -> list[PoolShardWork]:
@@ -60,33 +54,65 @@ def staged_works(backend, network, batch: int) -> list[PoolShardWork]:
     return backend._pool.stage(network, images, weights)
 
 
-class TestZeroCopyPayloads:
-    def test_pickle_size_independent_of_batch(self, tiny_net):
-        with ShardedBackend(shards=2, driver="pool") as backend:
-            sizes = {batch: max(len(pickle.dumps(work))
-                                for work in
-                                staged_works(backend, tiny_net, batch))
-                     for batch in (2, 8, 32)}
-        assert max(sizes.values()) < 2048
-        assert max(sizes.values()) - min(sizes.values()) <= 16
+def mismatched_work(tiny_net, shard: int = 0) -> PoolShardWork:
+    """A hand-built lane whose images do not have the network's input
+    shape — the mismatch ``stage()`` refuses, so only a work built
+    past it reaches (and fails in) a worker."""
+    other = tiny_verification_network(size=16)
+    images = deterministic_images(
+        other, ShardedBackend(shards=2)._weights_for(other), 0, 1)
+    assert images[0].data.shape != tuple(tiny_net.input_shape)
+    return PoolShardWork(
+        shard=shard, batch=1, stride=2,
+        images=np.stack([image.data for image in images]),
+        scales=np.array([image.params.scale for image in images]),
+        zero_points=np.array([image.params.zero_point
+                              for image in images]),
+        want_outputs=False)
 
-    def test_pickle_size_independent_of_resolution(self):
-        small = tiny_verification_network(size=8)
-        large = tiny_verification_network(size=16)
+
+class TestLanePayloads:
+    def test_work_carries_only_its_lanes_images(self, tiny_net):
         with ShardedBackend(shards=2, driver="pool") as backend:
-            small_size = max(len(pickle.dumps(work)) for work in
-                             staged_works(backend, small, 4))
-            large_size = max(len(pickle.dumps(work)) for work in
-                             staged_works(backend, large, 4))
-        # A 4x larger image payload must not show up in the work unit.
-        assert abs(large_size - small_size) <= 16
+            weights = backend._weights_for(tiny_net)
+            images = deterministic_images(tiny_net, weights, 0, 8)
+            works = backend._pool.stage(tiny_net, images, weights)
+        image_bytes = images[0].data.nbytes
+        for work in works:
+            lane = images[work.shard::2]
+            assert work.count == len(lane) == 4
+            assert work.images.dtype == np.uint8
+            assert work.images.shape == (4, *tiny_net.input_shape)
+            for stacked, image in zip(work.images, lane):
+                assert np.array_equal(stacked, image.data)
+            assert list(work.scales) == [im.params.scale for im in lane]
+            assert list(work.zero_points) == [im.params.zero_point
+                                              for im in lane]
+            # The pickle holds this lane's 4 images, not the batch's 8.
+            size = len(pickle.dumps(work))
+            assert 4 * image_bytes < size < 8 * image_bytes
+
+    def test_only_the_last_images_shard_wants_outputs(self, tiny_net):
+        with ShardedBackend(shards=3, driver="pool") as backend:
+            for batch in (1, 3, 4, 8):
+                works = staged_works(backend, tiny_net, batch)
+                assert [work.want_outputs for work in works] == [
+                    k == (batch - 1) % 3 for k in range(3)]
+                assert sum(work.count for work in works) == batch
+
+    def test_stage_rejects_an_empty_batch(self, tiny_net):
+        with ShardedBackend(shards=2, driver="pool") as backend:
+            weights = backend._weights_for(tiny_net)
+            with pytest.raises(SimulationError, match="at least one"):
+                backend._pool.stage(tiny_net, [], weights)
 
     def test_work_lane_arithmetic(self):
         work = PoolShardWork(shard=1, batch=5, stride=3,
-                             input_segment="a", output_segment="b",
-                             input_shape=(2,), output_shape=(2,),
+                             images=np.zeros((2, 2), np.uint8),
+                             scales=np.ones(2),
+                             zero_points=np.zeros(2, np.int64),
                              want_outputs=False)
-        assert work.count == 2      # slots 1 and 4 of 0..4
+        assert work.count == 2      # images 1 and 4 of 0..4
 
 
 class TestPersistence:
@@ -163,29 +189,62 @@ class TestSanitizer:
             else:
                 assert backend.run(tiny_net,
                                    batch_size=4).verified_images == 4
-        assert_no_segment_leaks()
+        assert_no_live_workers()
 
 
 class TestLifecycle:
-    def test_normal_close_sweeps_every_segment(self, tiny_net):
+    def test_normal_close_ends_every_worker(self, tiny_net):
+        """The pool's only OS resources are its workers and pipes: a
+        normal close ends every worker and closes every pipe."""
         backend = ShardedBackend(shards=2, driver="pool")
         backend.run(tiny_net, batch_size=4)
-        scope = backend._pool.scope
-        arena = backend._pool._input.name
-        assert scope_segments(scope)        # arenas exist while open
+        pool = backend._pool
+        workers = list(pool._workers)
+        conns = list(pool._conns)
         backend.close()
-        assert scope_segments(scope) == []
-        assert_no_segment_leaks()
-        with pytest.raises(Exception, match="does not exist"):
-            SharedSegment.attach(arena)
+        assert all(not worker.is_alive() for worker in workers)
+        assert all(conn.closed for conn in conns)
+        assert_no_live_workers()
+
+    def test_no_shared_memory_needed(self, tiny_net, monkeypatch):
+        """Payloads cross the pipes: with shared memory unavailable in
+        the parent and (through the fork) in every worker, the pool
+        runs batches, respawns a killed worker, re-dispatches its lane
+        and closes — bit-exact with the serial driver throughout — and
+        leaves ``/dev/shm`` as it found it."""
+        from multiprocessing import shared_memory
+
+        def no_shared_memory(*args, **kwargs):
+            raise AssertionError("the pool must not use shared memory")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory",
+                            no_shared_memory)
+        shm = "/dev/shm"
+        before = set(os.listdir(shm)) if os.path.isdir(shm) else set()
+        reference = ShardedBackend(shards=2, driver="serial").run(
+            tiny_net, batch_size=4)
+        with ShardedBackend(shards=2, driver="pool") as backend:
+            for _ in range(2):
+                result = backend.run(tiny_net, batch_size=4)
+                assert result.report == reference.report
+                assert result.shard_reports == reference.shard_reports
+            victim = backend.worker_pids()[1]
+            os.kill(victim, signal.SIGKILL)
+            result = backend.run(tiny_net, batch_size=4)
+            assert result.report == reference.report
+            assert result.verified_images == 4
+            kinds = {event.kind for event in backend.recovery_events()}
+            assert {"respawned", "redispatched"} <= kinds
+            assert victim not in backend.worker_pids()
+        assert_no_live_workers()
+        after = set(os.listdir(shm)) if os.path.isdir(shm) else set()
+        assert after <= before
 
     def test_double_close_and_closed_use(self, tiny_net):
         backend = ShardedBackend(shards=2, driver="pool")
-        scope = backend._pool.scope
         backend.close()
         backend.close()
-        assert scope_segments(scope) == []
-        assert_no_segment_leaks()
+        assert_no_live_workers()
         with pytest.raises(SimulationError, match="closed"):
             backend.run(tiny_net, batch_size=2)
         with pytest.raises(SimulationError, match="closed"):
@@ -195,16 +254,15 @@ class TestLifecycle:
         # max_retries=0 is fail-fast; the default budget recovers
         # instead (test_pool_supervision.py).
         backend = ShardedBackend(shards=2, driver="pool", max_retries=0)
-        backend.run(tiny_net, batch_size=4)     # warm, arenas staged
-        scope = backend._pool.scope
+        backend.run(tiny_net, batch_size=4)     # warm
         victim = backend.worker_pids()[1]
         os.kill(victim, signal.SIGKILL)
         with pytest.raises(SimulationError,
                            match=rf"worker 1 \(pid {victim}\) died"):
             backend.run(tiny_net, batch_size=4)
-        assert scope_segments(scope) == []
+        # The crash teardown already ended the surviving worker.
+        assert_no_live_workers()
         backend.close()     # idempotent after the crash teardown
-        assert_no_segment_leaks()
 
     def test_stage_rejects_mismatched_images(self, tiny_net):
         with ShardedBackend(shards=2, driver="pool") as backend:
@@ -222,14 +280,8 @@ class TestLifecycle:
         with ShardedBackend(shards=2, driver="pool") as backend:
             backend.run(tiny_net, batch_size=4)
             pids = backend.worker_pids()
-            bogus = PoolShardWork(
-                shard=0, batch=2, stride=2,
-                input_segment="repro-no-such-segment",
-                output_segment="repro-no-such-segment",
-                input_shape=(8, 8, 8), output_shape=(4, 4, 8),
-                want_outputs=False)
             with pytest.raises(SimulationError, match="failed"):
-                backend._pool.dispatch([bogus])
+                backend._pool.dispatch([mismatched_work(tiny_net)])
             # The worker reported and kept serving: same PIDs, good runs.
             assert backend.worker_pids() == pids
             result = backend.run(tiny_net, batch_size=4)
@@ -241,14 +293,11 @@ class TestLifecycle:
         The successful shards' "done" replies are already in their
         pipes when the error raises; if they were not drained, the next
         dispatch would pair its fresh works with this batch's stale
-        replies and read arena slots while workers are still writing —
-        silently wrong results for every later batch. The post-error
+        replies — silently wrong results for every later batch. The post-error
         batches here *vary in size*, so a stale reply (whose per-shard
         image count belongs to the poisoned batch) cannot masquerade as
         the fresh one.
         """
-        from dataclasses import replace
-
         reference = {n: ShardedBackend(shards=2, driver="serial").run(
                          tiny_net, batch_size=n) for n in (4, 6)}
         with ShardedBackend(shards=2, driver="pool") as backend:
@@ -257,11 +306,10 @@ class TestLifecycle:
             weights = backend._weights_for(tiny_net)
             images = deterministic_images(tiny_net, weights, 0, 4)
             works = backend._pool.stage(tiny_net, images, weights)
-            broken = replace(works[0],
-                             input_segment="repro-no-such-segment")
             with pytest.raises(SimulationError,
                                match="shard 0 failed"):
-                backend._pool.dispatch([broken, works[1]])
+                backend._pool.dispatch([mismatched_work(tiny_net),
+                                        works[1]])
             # Shard 1 ran its lane and replied; that reply must be gone
             # from the pipe, and the pool must still be bit-exact.
             assert backend.worker_pids() == pids
@@ -271,31 +319,6 @@ class TestLifecycle:
                 assert (result.shard_reports
                         == reference[batch].shard_reports)
                 assert result.verified_images == batch
-
-    def test_open_pool_links_only_its_arenas(self, tiny_net):
-        """Workers compute on private plane stores: while a pool is open
-        after a batch, the only segments under its scope are the parent's
-        input and output arenas."""
-        with ShardedBackend(shards=2, driver="pool") as backend:
-            backend.run(tiny_net, batch_size=4)
-            pool = backend._pool
-            assert sorted(scope_segments(pool.scope)) == sorted(
-                [pool._input.name, pool._output.name])
-        assert_no_segment_leaks()
-
-    def test_workers_do_not_unlink_parent_segments(self, tiny_net):
-        """Fork hands every worker the parent's owner handles; a worker
-        starting, serving and exiting must leave the parent's segments
-        linked."""
-        segment = SharedSegment.create(64)
-        try:
-            with ShardedBackend(shards=2, driver="pool") as backend:
-                backend.run(tiny_net, batch_size=2)
-            # The workers exited; the parent's segment survives.
-            SharedSegment.attach(segment.name).close()
-        finally:
-            segment.close()
-        assert_no_segment_leaks()
 
     def test_pool_warns_when_forking_with_threads(self, tiny_net):
         import threading
@@ -327,7 +350,6 @@ class TestLifecycle:
         from repro.serving.server import Server
 
         backend = ShardedBackend(shards=2, verify=False, driver="pool")
-        scope = backend._pool.scope
         weights = backend._weights_for(tiny_net)
         images = deterministic_images(tiny_net, weights, 0, 6)
         expected = ShardedBackend(shards=2, verify=False).run_requests(
@@ -345,8 +367,7 @@ class TestLifecycle:
         for got, want in zip(responses, expected):
             assert np.array_equal(got.data, want.data)
         assert backend._pool._closed
-        assert scope_segments(scope) == []
-        assert_no_segment_leaks()
+        assert_no_live_workers()
 
     def test_server_leaves_backends_open_by_default(self, tiny_net):
         from repro.serving.server import Server

@@ -3,10 +3,11 @@
 The supervised :class:`~repro.engine.pool.ShardWorkerPool` must survive
 workers that die or go silent mid-batch — respawn them, re-dispatch the
 orphaned lanes, and keep the batch bit-exact with the serial reference —
-while ``max_retries=0`` is fail-fast (tear down loudly, sweep every
-segment, name the worker, its PID and whether it died or hung).
+while ``max_retries=0`` is fail-fast (tear down loudly, end every
+worker, name the worker, its PID and whether it died or hung).
 """
 
+import multiprocessing
 import os
 import signal
 
@@ -15,7 +16,6 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.engine.backend import tiny_verification_network
 from repro.engine.pool import ShardWorkerPool
-from repro.engine.shared import SHM_DIR, shared_segment_stats
 from repro.engine.sharding import ShardedBackend
 from repro.faults import FaultPlan, PoolFault
 
@@ -25,13 +25,10 @@ def tiny_net():
     return tiny_verification_network()
 
 
-def scope_segments(scope: str) -> list[str]:
-    return [entry for entry in os.listdir(SHM_DIR)
-            if entry.startswith(scope)]
-
-
-def assert_no_segment_leaks():
-    assert shared_segment_stats().check() == []
+def assert_no_live_workers():
+    """No pool worker process of this test process is still running."""
+    assert [child for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-worker")] == []
 
 
 def serial_reference(tiny_net, batch):
@@ -63,7 +60,7 @@ class TestSupervisedRecovery:
             events = backend.recovery_events()
             kinds = {event.kind for event in events}
             assert "respawned" in kinds and "redispatched" in kinds
-        assert_no_segment_leaks()
+        assert_no_live_workers()
 
     def test_fault_plan_kill_heals_across_batches(self, tiny_net):
         reference = serial_reference(tiny_net, 4)
@@ -76,7 +73,7 @@ class TestSupervisedRecovery:
                 assert_shards_match(result, reference)
             events = backend.recovery_events()
             assert any(event.kind == "respawned" for event in events)
-        assert_no_segment_leaks()
+        assert_no_live_workers()
 
     def test_drop_fault_recovers_via_the_reply_timeout(self, tiny_net):
         # The worker finishes the batch but never answers — the parent
@@ -91,7 +88,7 @@ class TestSupervisedRecovery:
                 assert result.report == reference.report
             events = backend.recovery_events()
             assert any("hung" in event.detail for event in events)
-        assert_no_segment_leaks()
+        assert_no_live_workers()
 
     def test_delay_fault_needs_no_recovery(self, tiny_net):
         reference = serial_reference(tiny_net, 4)
@@ -102,7 +99,7 @@ class TestSupervisedRecovery:
             result = backend.run(tiny_net, batch_size=4)
             assert result.report == reference.report
             assert backend.recovery_events() == ()
-        assert_no_segment_leaks()
+        assert_no_live_workers()
 
     def test_respawn_failure_degrades_to_fewer_shards(self, tiny_net,
                                                       monkeypatch):
@@ -124,13 +121,12 @@ class TestSupervisedRecovery:
             assert pool.live_shards() == (0,)
             events = backend.recovery_events()
             assert any(event.kind == "degraded" for event in events)
-        assert_no_segment_leaks()
+        assert_no_live_workers()
 
     def test_recovery_exhaustion_tears_down_and_sweeps(self, tiny_net):
         with ShardedBackend(shards=2, driver="pool",
                             max_retries=0) as backend:
             backend.run(tiny_net, batch_size=4)
-            scope = backend._pool.scope
             pool = backend._pool
             # Every respawned worker is killed before it can answer.
             original = pool._send_raw
@@ -144,8 +140,7 @@ class TestSupervisedRecovery:
             with pytest.raises(SimulationError,
                                match="recovery exhausted"):
                 backend.run(tiny_net, batch_size=4)
-            assert scope_segments(scope) == []
-        assert_no_segment_leaks()
+            assert_no_live_workers()
 
 
 class TestReporting:
@@ -157,8 +152,8 @@ class TestReporting:
             result = backend.run(tiny_net, batch_size=4)
         recovered = [s for s in result.shard_reports if s.recoveries]
         assert recovered and recovered[0].shard == 1
-        assert any("respawned" in line
-                   for line in recovered[0].recoveries)
+        assert any(event.kind == "respawned"
+                   for event in recovered[0].recoveries)
         assert "recovery:" in result.summary()
 
     def test_healthy_runs_report_no_recoveries(self, tiny_net):
@@ -182,29 +177,25 @@ class TestFailFastMode:
                                          delay_s=30.0),))
         backend = ShardedBackend(shards=2, driver="pool", max_retries=0,
                                  fault_plan=plan, reply_timeout_s=0.5)
-        scope = backend._pool.scope
         pid = backend.worker_pids()[0]
         with pytest.raises(SimulationError,
                            match=rf"worker 0 \(pid {pid}\) hung; pool "
                                  rf"shut down"):
             backend.run(tiny_net, batch_size=4)
-        assert scope_segments(scope) == []
+        assert_no_live_workers()
         backend.close()
-        assert_no_segment_leaks()
 
     def test_killed_worker_fails_loudly(self, tiny_net):
         plan = FaultPlan(pool=(PoolFault(kind="kill", shard=1, every=2),))
         backend = ShardedBackend(shards=2, driver="pool", max_retries=0,
                                  fault_plan=plan)
         backend.run(tiny_net, batch_size=4)
-        scope = backend._pool.scope
         pid = backend.worker_pids()[1]
         with pytest.raises(SimulationError,
                            match=rf"worker 1 \(pid {pid}\) died"):
             backend.run(tiny_net, batch_size=4)
-        assert scope_segments(scope) == []
+        assert_no_live_workers()
         backend.close()
-        assert_no_segment_leaks()
 
 
 class TestValidation:
@@ -215,7 +206,7 @@ class TestValidation:
             ShardedBackend(shards=2, driver="pool", max_retries=-1)
         with pytest.raises(SimulationError, match="FaultPlan"):
             ShardedBackend(shards=2, driver="pool", fault_plan="chaos")
-        assert_no_segment_leaks()
+        assert_no_live_workers()
 
     def test_fault_plan_needs_the_pool_driver(self):
         plan = FaultPlan(pool=(PoolFault(kind="kill", every=2),))
