@@ -26,6 +26,18 @@ conv). Layers without ReLU (the final FC) can have negative accumulators;
 their requantization happens on the host, as the paper also ships final
 outputs to the CPU.
 
+The quantization stage, max and average pooling, element-wise add and
+batch norm all run one output per bitline (Sec. IV-D) on one runner,
+:func:`_run_bitline_program`, as the paper's per-bank FSM sequences
+every layer kind (Sec. IV-F). A layer supplies its staging and its
+program (write the planes, run the sequence, name the operand to read
+back); the runner chunks the batch, builds each chunk's geometry-sized
+fleet, reads the operand back and charges the report: the fleet's
+``cycles * n_arrays`` to the layer's phase (``pooling`` for the pools
+and add, ``quantization`` otherwise), its skipped cycles to
+``skipped``, and its arrays to ``passes``, except for the conv
+quantization stage, whose arrays the compute stage already counted.
+
 Execution is *vectorized*: every serial pass of a layer maps to one
 member of an :class:`~repro.engine.fleet.PlaneStore` fleet, and the
 whole layer executes as one lockstep bit-serial sequence across all
@@ -87,15 +99,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.bits import from_twos_complement, packed_bytes
+from repro.common.bits import (
+    from_twos_complement,
+    packed_bytes,
+    to_twos_complement,
+)
 from repro.common.errors import SimulationError
 from repro.config import NeuralCacheConfig
 from repro.core.mapping import LayerMapping, map_conv, map_pool
 from repro.engine.bitserial import FleetBitSerialUnit
 from repro.engine.packed import make_fleet
-from repro.nn.layers import AvgPool, Conv2D, MaxPool, same_padding_offsets
+from repro.nn.layers import (
+    Add,
+    AvgPool,
+    BatchNorm,
+    Concat,
+    Conv2D,
+    FullyConnected,
+    MaxPool,
+    QuantizedBatchNorm,
+    same_padding_offsets,
+)
 from repro.nn.reference import ConvWeights
-from repro.nn.tensor import QuantizedTensor
+from repro.nn.tensor import QuantParams, QuantizedTensor, round_shift
 from repro.sram.bitserial import Operand
 
 #: Two's complement working width for corrections (covers 24-bit sums).
@@ -468,7 +494,6 @@ class FunctionalConv:
     def _default_output_params(self):
         # Standalone use: derive nominal parameters from the requant ratio.
         # When chaining layers, pass the real activation QuantParams in.
-        from repro.nn.tensor import QuantParams
         requant = self.weights.requant
         acc_scale = requant.multiplier / (1 << requant.shift)
         return QuantParams(scale=max(acc_scale, 1e-12),
@@ -752,10 +777,9 @@ class FunctionalConv:
                         zpx: int) -> np.ndarray:
         """Apply zero-point corrections, ReLU and requantization in cache.
 
-        ``raw``/``xsum`` are ``(batch, n_out)``; the whole batch stages
-        into one fleet (arrays aligned to image boundaries) and the
-        correction/requantization sequence runs once per batch. The true
-        accumulator is recovered from the unsigned in-cache sums:
+        ``raw``/``xsum`` are ``(batch, n_out)``, staged one output per
+        bitline (:func:`_run_bitline_program`). The true accumulator is
+        recovered from the unsigned in-cache sums:
 
             acc = raw - zpw * xsum + (N * zpx * zpw - zpx * sum_w[m])
 
@@ -765,118 +789,63 @@ class FunctionalConv:
         broadcast scalar, and everything runs in 34-bit two's complement
         so ReLU's MSB mask works exactly as Sec. IV-D describes.
         """
-        conv = self.conv
-        weights = self.weights
-        requant = weights.requant
-        zpw = weights.zero_point
-        r, s, c, m = conv.filter_shape(self.input_shape)
-        n_taps = r * s * c
+        requant = self.weights.requant
+        zpw = self.weights.zero_point
+        r, s, c, _ = self.conv.filter_shape(self.input_shape)
         if np.any(xsum >= 1 << 16):
             raise SimulationError(
                 "input sums exceed the 16-bit correction multiply")
-
-        sum_w = self.staging.filter_sums
-        # Net constant per output: N*zpx*zpw - zpx*sum_w[m] (may be < 0).
-        e, f, _ = conv.output_shape(self.input_shape)
-        const = n_taps * zpx * zpw - zpx * sum_w  # per filter m
-        const_per_output = np.tile(const, e * f)  # outputs are (i, j, m)
-
-        in_cache_requant = _in_cache_requant(conv, weights)
-        cols = self.config.geometry.array_cols
-        return self._quantize_fleet(raw, xsum, const_per_output, zpw,
-                                    in_cache_requant, cols)
-
-    def _quantize_fleet(self, raw: np.ndarray, xsum: np.ndarray,
-                        const: np.ndarray, zpw: int,
-                        in_cache_requant: bool, cols: int) -> np.ndarray:
-        """All quantization passes of the whole batch at once: one fleet
-        member per pass of up-to-``cols`` outputs, one output per
-        bitline. Chunked at ``config.max_fleet_arrays`` arrays to bound
-        memory."""
-        from repro.common.bits import to_twos_complement
-
+        # Net constant per output: N*zpx*zpw - zpx*sum_w[m] (may be < 0),
+        # tiled over the (i, j) positions as outputs are (i, j, m).
+        e, f, _ = self.conv.output_shape(self.input_shape)
+        const = to_twos_complement(
+            np.tile(r * s * c * zpx * zpw - zpx * self.staging.filter_sums,
+                    e * f), CORRECTION_BITS)
+        in_cache_requant = _in_cache_requant(self.conv, self.weights)
         n_images, n_out = raw.shape
-        const_tc = to_twos_complement(const, CORRECTION_BITS)
+        cols = self.config.geometry.array_cols
 
         def stage_group(b0: int, b1: int) -> list[np.ndarray]:
-            return [
-                _stage_batch(raw[b0:b1], cols),
-                _stage_batch(xsum[b0:b1], cols),
-                _stage_batch(np.broadcast_to(const_tc, (b1 - b0, n_out)),
-                             cols),
-            ]
+            return [_stage_batch(raw[b0:b1], cols),
+                    _stage_batch(xsum[b0:b1], cols),
+                    _stage_batch(np.broadcast_to(const, (b1 - b0, n_out)),
+                                 cols)]
 
-        return _run_batched_staged(
-            n_images, n_out, cols, self.config, stage_group,
-            lambda planes: self._quantize_fleet_chunk(
-                planes[0], planes[1], planes[2], zpw, in_cache_requant,
-                cols))
+        def program(unit: FleetBitSerialUnit,
+                    planes: list[np.ndarray]) -> Operand:
+            # ``ConvStaging.compile`` checked that the layout fits the array.
+            (acc, xs16, m16, prod, kreg, scr, m24, prod48, half48, zp9,
+             out10, sat8) = _quantize_rows(True)
+            # Host staging (the output-move path already paid for this data).
+            unit.write_values(acc, planes[0])
+            unit.write_values(xs16, planes[1])
+            unit.write_values(kreg, planes[2])
+            # acc += (N*zpx*zpw - zpx*sum_w[m]);  acc -= zpw * xsum
+            unit.write_scalar(m16, zpw)
+            unit.multiply(xs16, m16, Operand(prod.row, 32))
+            unit.zero(Operand(prod.row + 32, 2))
+            unit.add_into(kreg, acc)
+            unit.sub_into(acc, prod, scr)
+            if not in_cache_requant:
+                return acc
+            # ReLU: MSB-enabled zero write (Sec. IV-D).
+            unit.relu(acc, sign_row=acc.bit(CORRECTION_BITS - 1))
+            # Requantize: acc * M0 (24x24 multiply), then the epilogue.
+            unit.write_scalar(m24, requant.multiplier)
+            unit.multiply(Operand(acc.row, 24), m24, prod48)
+            return _requantize(unit, prod48, requant.shift,
+                               requant.zero_point, half48, zp9, out10, sat8)
 
-    def _quantize_fleet_chunk(self, raw_planes: np.ndarray,
-                              xsum_planes: np.ndarray,
-                              const_planes: np.ndarray, zpw: int,
-                              in_cache_requant: bool,
-                              cols: int) -> np.ndarray:
-        """One bounded fleet of staged ``(n_arrays, cols)`` value planes;
-        returns the resulting ``(n_arrays, cols)`` output values (dead
-        lanes hold garbage and are discarded on unstaging)."""
-        requant = self.weights.requant
-        n_arrays = raw_planes.shape[0]
-        unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=self.config.geometry.array_rows,
-                       cols=cols, packed=self.packed),
-            sparsity=self.sparsity)
-        w = CORRECTION_BITS
-        # ``ConvStaging.compile`` checked that the layout fits the array.
-        (acc, xs16, m16, prod, kreg, scr, m24, prod48, half48, zp9, out10,
-         sat8) = _quantize_rows(True)
-
-        # Host staging (the output-move path already paid for this data).
-        unit.write_values(acc, raw_planes)
-        unit.write_values(xs16, xsum_planes)
-        unit.write_values(kreg, const_planes)
-
-        before = unit.cycles
-        # acc += (N*zpx*zpw - zpx*sum_w[m]);  acc -= zpw * xsum
-        unit.write_scalar(m16, zpw)
-        unit.multiply(xs16, m16, Operand(prod.row, 32))
-        unit.zero(Operand(prod.row + 32, 2))
-        unit.add_into(kreg, acc)
-        unit.sub_into(acc, prod, scr)
-
-        if not in_cache_requant:
-            # No-ReLU layers (the final FC) requantize on the host, as the
-            # paper ships final outputs to the CPU anyway.
-            self.report.quantization += (unit.cycles - before) * n_arrays
-            self.report.skipped += unit.skipped_cycles * n_arrays
-            signed = from_twos_complement(unit.read_values(acc), w)
-            if self.conv.relu:
-                signed = np.maximum(signed, 0)
-            return requant.apply(signed).astype(np.int64)
-
-        # ReLU: MSB-enabled zero write (Sec. IV-D).
-        unit.relu(acc, sign_row=acc.bit(w - 1))
-
-        # Requantize: acc * M0 (24x24 multiply), +rounding, shift, +zp.
-        shift = requant.shift
-
-        unit.write_scalar(m24, requant.multiplier)
-        unit.multiply(Operand(acc.row, 24), m24, prod48)
-        if shift > 0:
-            unit.write_scalar(half48, 1 << (shift - 1))
-            unit.add_into(half48, prod48)
-        unit.write_scalar(zp9, requant.zero_point)
-        unit.add(Operand(prod48.row + shift, 9), zp9, out10)
-        # Saturate to 255 when any bit above the result window is set.
-        unit.write_scalar(sat8, 255)
-        for high in range(shift + 9, 48):
-            unit.selective_copy(sat8, Operand(out10.row, 8),
-                                prod48.row + high)
-        for high in (8, 9):
-            unit.selective_copy(sat8, Operand(out10.row, 8), out10.bit(high))
-        self.report.quantization += (unit.cycles - before) * n_arrays
-        self.report.skipped += unit.skipped_cycles * n_arrays
-        return unit.read_values(Operand(out10.row, 8))
+        out = _run_bitline_program(self, n_images, n_out, stage_group,
+                                   program, "quantization", passes=False)
+        if in_cache_requant:
+            return out
+        # No-ReLU layers (the final FC) requantize on the host, as the
+        # paper ships final outputs to the CPU anyway.
+        signed = from_twos_complement(out, CORRECTION_BITS)
+        if self.conv.relu:
+            signed = np.maximum(signed, 0)
+        return requant.apply(signed).astype(np.int64)
 
 
 class FunctionalMaxPool:
@@ -898,54 +867,29 @@ class FunctionalMaxPool:
         return self.run_batch([x])[0]
 
     def run_batch(self, xs: list[QuantizedTensor]) -> list[QuantizedTensor]:
-        """Max-pool a whole batch in one fleet pass per chunk."""
+        """Max-pool a whole batch in one fleet pass per chunk: fold the
+        window taps into a running maximum, one output per bitline."""
         _check_batch(xs, self.input_shape)
-        pool = self.pool
-        e, f, c = pool.output_shape(self.input_shape)
-        padded = _pad_pool_input(np.stack([x.data for x in xs]), pool,
-                                 fill=0)
-        n_out = e * f * c
-        cols = self.config.geometry.array_cols
-        out_i, out_j, out_c = _pool_output_coords(n_out, f, c)
-        window = [(r, s) for r in range(pool.kernel[0])
-                  for s in range(pool.kernel[1])]
+        e, f, c = self.pool.output_shape(self.input_shape)
 
-        def stage_group(b0: int, b1: int) -> list[np.ndarray]:
-            # Every window tap of the group's images, on the fleet axis.
-            return [_stage_batch(
-                        padded[b0:b1, out_i * pool.stride + r,
-                               out_j * pool.stride + s,
-                               out_c].astype(np.int64), cols)
-                    for r, s in window]
+        def program(unit: FleetBitSerialUnit,
+                    taps: list[np.ndarray]) -> Operand:
+            current, candidate = Operand(0, 8), Operand(8, 8)
+            scratch = Operand(16, 17)
+            unit.write_values(current, taps[0])
+            for tap in taps[1:]:
+                unit.write_values(candidate, tap)
+                unit.max_update(current, candidate, scratch)
+            return current
 
-        out = _run_batched_staged(
-            len(xs), n_out, cols, self.config, stage_group,
-            lambda planes: self._run_fleet(planes, cols))
+        out = _run_bitline_program(
+            self, len(xs), e * f * c,
+            _pool_window_stager(self.pool, np.stack([x.data for x in xs]),
+                                self.config.geometry.array_cols),
+            program, "pooling")
         return [QuantizedTensor(o.reshape(e, f, c).astype(np.uint8),
                                 x.params)
                 for o, x in zip(out, xs)]
-
-    def _run_fleet(self, taps: list[np.ndarray], cols: int) -> np.ndarray:
-        """One bounded fleet: fold the staged window taps into a running
-        maximum, all ``(n_arrays, cols)`` slots at once."""
-        n_arrays = taps[0].shape[0]
-        unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=self.config.geometry.array_rows,
-                       cols=cols, packed=self.packed),
-            sparsity=self.sparsity)
-        current = Operand(0, 8)
-        candidate = Operand(8, 8)
-        scratch = Operand(16, 17)
-
-        before = unit.cycles
-        unit.write_values(current, taps[0])
-        for tap in taps[1:]:
-            unit.write_values(candidate, tap)
-            unit.max_update(current, candidate, scratch)
-        self.report.pooling += (unit.cycles - before) * n_arrays
-        self.report.skipped += unit.skipped_cycles * n_arrays
-        self.report.passes += n_arrays
-        return unit.read_values(current)
 
 
 class FunctionalAvgPool:
@@ -967,67 +911,52 @@ class FunctionalAvgPool:
         return self.run_batch([x])[0]
 
     def run_batch(self, xs: list[QuantizedTensor]) -> list[QuantizedTensor]:
-        """Average-pool a whole batch in one fleet pass per chunk."""
+        """Average-pool a whole batch in one fleet pass per chunk: sum the
+        window taps, then divide by the in-bounds tap count, one output
+        per bitline.
+
+        The accumulator holds a full window of 255s: 16 bits up to 257
+        taps, wider beyond (a narrower one would wrap the sum).
+        """
         _check_batch(xs, self.input_shape)
         pool = self.pool
         e, f, c = pool.output_shape(self.input_shape)
-        padded = _pad_pool_input(np.stack([x.data for x in xs]), pool,
-                                 fill=0)
-        counts = _pool_tap_counts(self.input_shape, pool)
         n_out = e * f * c
         cols = self.config.geometry.array_cols
-        out_i, out_j, out_c = _pool_output_coords(n_out, f, c)
-        window = [(r, s) for r in range(pool.kernel[0])
-                  for s in range(pool.kernel[1])]
+        stage_taps = _pool_window_stager(
+            pool, np.stack([x.data for x in xs]), cols)
+        # In-bounds taps per output, layout-only and shared by all
+        # images: the window sums of an all-ones image. Dead columns
+        # divide by 1 so divide() never sees a zero divisor.
+        ones = np.ones((1, *self.input_shape), dtype=np.uint8)
+        taps = _pool_window_stager(pool, ones, cols)(0, 1)
+        counts = np.maximum(np.sum(taps, axis=0), 1)
+        acc_bits = max(16, (255 * pool.kernel[0] * pool.kernel[1])
+                       .bit_length())
 
         def stage_group(b0: int, b1: int) -> list[np.ndarray]:
-            taps = [_stage_batch(
-                        padded[b0:b1, out_i * pool.stride + r,
-                               out_j * pool.stride + s,
-                               out_c].astype(np.int64), cols)
-                    for r, s in window]
-            # Dead columns divide by 1 so divide() never sees a zero
-            # divisor; tap counts are layout-only, shared by all images.
-            taps.append(_stage_batch(
-                np.broadcast_to(counts[out_i, out_j], (b1 - b0, n_out)),
-                cols, fill=1))
-            return taps
+            return stage_taps(b0, b1) + [np.tile(counts, (b1 - b0, 1))]
 
-        out = _run_batched_staged(
-            len(xs), n_out, cols, self.config, stage_group,
-            lambda planes: self._run_fleet(planes[:-1], planes[-1], cols))
+        def program(unit: FleetBitSerialUnit,
+                    planes: list[np.ndarray]) -> Operand:
+            element = Operand(0, 8)
+            acc = Operand(element.end, acc_bits)
+            divisor = Operand(acc.end, acc_bits)
+            quotient = Operand(divisor.end, acc_bits)
+            work = Operand(quotient.end, 3 * acc_bits + 4)
+            unit.zero(acc)
+            for tap in planes[:-1]:
+                unit.write_values(element, tap)
+                unit.add_into(element, acc)
+            unit.write_values(divisor, planes[-1])
+            unit.divide(acc, divisor, quotient, work)
+            return quotient
+
+        out = _run_bitline_program(self, len(xs), n_out, stage_group,
+                                   program, "pooling")
         return [QuantizedTensor(o.reshape(e, f, c).astype(np.uint8),
                                 x.params)
                 for o, x in zip(out, xs)]
-
-    def _run_fleet(self, taps: list[np.ndarray], divisors: np.ndarray,
-                   cols: int) -> np.ndarray:
-        """One bounded fleet: window sum then restoring division on all
-        staged ``(n_arrays, cols)`` slots at once."""
-        n_arrays = taps[0].shape[0]
-        acc_bits = 16
-
-        unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=self.config.geometry.array_rows,
-                       cols=cols, packed=self.packed),
-            sparsity=self.sparsity)
-        element = Operand(0, 8)
-        acc = Operand(8, acc_bits)
-        divisor = Operand(24, acc_bits)
-        quotient = Operand(40, acc_bits)
-        work = Operand(56, 3 * acc_bits + 4)
-
-        before = unit.cycles
-        unit.zero(acc)
-        for tap in taps:
-            unit.write_values(element, tap)
-            unit.add_into(element, acc)
-        unit.write_values(divisor, divisors)
-        unit.divide(acc, divisor, quotient, work)
-        self.report.pooling += (unit.cycles - before) * n_arrays
-        self.report.skipped += unit.skipped_cycles * n_arrays
-        self.report.passes += n_arrays
-        return unit.read_values(quotient)
 
 
 class FunctionalAdd:
@@ -1077,60 +1006,45 @@ class FunctionalAdd:
         cols = self.config.geometry.array_cols
 
         def stage_group(b0: int, b1: int) -> list[np.ndarray]:
-            return [_stage_batch(
-                        np.stack([t.data.reshape(-1)
-                                  for t in ts[b0:b1]]).astype(np.int64),
-                        cols)
+            return [_stage_batch(np.stack([t.data.reshape(-1)
+                                           for t in ts[b0:b1]]), cols)
                     for ts in (a_list, b_list)]
 
-        out = _run_batched_staged(
-            len(a_list), n_out, cols, self.config, stage_group,
-            lambda planes: self._run_fleet(planes[0], planes[1], zp, cols))
+        def program(unit: FleetBitSerialUnit,
+                    planes: list[np.ndarray]) -> Operand:
+            a8, b8 = Operand(0, 8), Operand(8, 8)
+            total9 = Operand(16, 9)
+            zp9 = Operand(25, 9)
+            diff10 = Operand(34, 10)       # 9-bit difference + not-borrow
+            scratch9 = Operand(44, 9)
+            low9 = Operand(53, 9)
+            sat8 = Operand(62, 8)
+            relu_cmp = Operand(70, 10)     # second compare for fused ReLU
+            unit.write_values(a8, planes[0])
+            unit.write_values(b8, planes[1])
+            unit.add(a8, b8, total9)
+            unit.write_scalar(zp9, zp)
+            unit.sub(total9, zp9, diff10, scratch9)
+            # Underflow: total < zp  ->  result clamps to 0.
+            unit.write_scalar(low9, 0)
+            unit.selective_copy(low9, Operand(diff10.row, 9), diff10.bit(9),
+                                invert=True)
+            # Overflow: difference >= 256  ->  saturate to 255.
+            unit.write_scalar(sat8, 255)
+            unit.selective_copy(sat8, Operand(diff10.row, 8), diff10.bit(8))
+            if self.relu:
+                # Fused ReLU clamps below the zero point: out = max(out, zp).
+                unit.sub(Operand(diff10.row, 9), zp9, relu_cmp, scratch9)
+                unit.write_scalar(low9, zp)
+                unit.selective_copy(low9, Operand(diff10.row, 9),
+                                    relu_cmp.bit(9), invert=True)
+            return Operand(diff10.row, 8)
+
+        out = _run_bitline_program(self, len(a_list), n_out, stage_group,
+                                   program, "pooling")
         return [QuantizedTensor(
                     o.reshape(self.input_shape).astype(np.uint8), a.params)
                 for o, a in zip(out, a_list)]
-
-    def _run_fleet(self, av: np.ndarray, bv: np.ndarray, zp: int,
-                   cols: int) -> np.ndarray:
-        """One bounded fleet over staged ``(n_arrays, cols)`` operands."""
-        n_arrays = av.shape[0]
-        unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=self.config.geometry.array_rows,
-                       cols=cols, packed=self.packed),
-            sparsity=self.sparsity)
-        a8, b8 = Operand(0, 8), Operand(8, 8)
-        total9 = Operand(16, 9)
-        zp9 = Operand(25, 9)
-        diff10 = Operand(34, 10)       # 9-bit difference + not-borrow
-        scratch9 = Operand(44, 9)
-        low9 = Operand(53, 9)
-        sat8 = Operand(62, 8)
-        relu_cmp = Operand(70, 10)     # second compare for fused ReLU
-
-        unit.write_values(a8, av)
-        unit.write_values(b8, bv)
-
-        before = unit.cycles
-        unit.add(a8, b8, total9)
-        unit.write_scalar(zp9, zp)
-        unit.sub(total9, zp9, diff10, scratch9)
-        # Underflow: total < zp  ->  result clamps to 0.
-        unit.write_scalar(low9, 0)
-        unit.selective_copy(low9, Operand(diff10.row, 9), diff10.bit(9),
-                            invert=True)
-        # Overflow: difference >= 256  ->  saturate to 255.
-        unit.write_scalar(sat8, 255)
-        unit.selective_copy(sat8, Operand(diff10.row, 8), diff10.bit(8))
-        if self.relu:
-            # Fused ReLU clamps below the zero point: out = max(out, zp).
-            unit.sub(Operand(diff10.row, 9), zp9, relu_cmp, scratch9)
-            unit.write_scalar(low9, zp)
-            unit.selective_copy(low9, Operand(diff10.row, 9),
-                                relu_cmp.bit(9), invert=True)
-        self.report.pooling += (unit.cycles - before) * n_arrays
-        self.report.skipped += unit.skipped_cycles * n_arrays
-        self.report.passes += n_arrays
-        return unit.read_values(Operand(diff10.row, 8))
 
 
 class FunctionalBatchNorm:
@@ -1170,11 +1084,8 @@ class FunctionalBatchNorm:
         return self.run_batch([x])[0]
 
     def run_batch(self, xs: list[QuantizedTensor]) -> list[QuantizedTensor]:
-        """Batch-normalise a whole batch in one fleet pass per chunk."""
-        from repro.nn.tensor import QuantParams, round_shift
-
-        from repro.common.bits import to_twos_complement
-
+        """Batch-normalise a whole batch in one fleet pass per chunk, one
+        output per bitline."""
         _check_batch(xs, self.input_shape)
         h, w, c = self.input_shape
         n_out = h * w * c
@@ -1190,18 +1101,37 @@ class FunctionalBatchNorm:
             group = b1 - b0
             return [
                 _stage_batch(np.stack([x.data.reshape(-1)
-                                       for x in xs[b0:b1]]).astype(np.int64),
-                             cols),
+                                       for x in xs[b0:b1]]), cols),
                 _stage_batch(np.broadcast_to(mult_col, (group, n_out)),
                              cols),
                 _stage_batch(np.broadcast_to(bias_col, (group, n_out)),
                              cols),
             ]
 
-        out = _run_batched_staged(
-            len(xs), n_out, cols, self.config, stage_group,
-            lambda planes: self._run_fleet(planes[0], planes[1],
-                                           planes[2], cols))
+        def program(unit: FleetBitSerialUnit,
+                    planes: list[np.ndarray]) -> Operand:
+            q16 = Operand(0, 16)
+            mult16 = Operand(16, 16)
+            acc = Operand(32, CORRECTION_BITS)  # 32-bit product + 2 growth
+            bias34 = Operand(66, CORRECTION_BITS)
+            half34 = Operand(134, CORRECTION_BITS)  # rows 100-133 spare
+            zp9 = Operand(168, 9)
+            out10 = Operand(177, 10)
+            sat8 = Operand(187, 8)
+            unit.write_values(q16, planes[0])
+            unit.write_values(mult16, planes[1])
+            unit.write_values(bias34, planes[2])
+            unit.multiply(q16, mult16, Operand(acc.row, 32))
+            unit.zero(Operand(acc.row + 32, 2))
+            unit.add_into(bias34, acc)
+            if not self.relu:
+                return acc
+            unit.relu(acc, sign_row=acc.bit(CORRECTION_BITS - 1))
+            return _requantize(unit, acc, self.bn.shift, self.zp_out,
+                               half34, zp9, out10, sat8)
+
+        out = _run_bitline_program(self, len(xs), n_out, stage_group,
+                                   program, "quantization")
         if not self.relu:
             # Host epilogue for no-ReLU layers (as with the final FC).
             signed = from_twos_complement(out, CORRECTION_BITS)
@@ -1212,61 +1142,6 @@ class FunctionalBatchNorm:
                     QuantParams(scale=x.params.scale,
                                 zero_point=self.zp_out))
                 for o, x in zip(out, xs)]
-
-    def _run_fleet(self, q_planes: np.ndarray, mult_planes: np.ndarray,
-                   bias_planes: np.ndarray, cols: int) -> np.ndarray:
-        """One bounded fleet over staged ``(n_arrays, cols)`` values.
-
-        Returns the requantized bytes (ReLU layers) or the raw 34-bit
-        two's complement accumulators (no-ReLU layers, host epilogue)."""
-        n_arrays = q_planes.shape[0]
-        unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=self.config.geometry.array_rows,
-                       cols=cols, packed=self.packed),
-            sparsity=self.sparsity)
-        w = CORRECTION_BITS
-        q16 = Operand(0, 16)
-        mult16 = Operand(16, 16)
-        acc = Operand(32, w)        # 32-bit product + 2 growth rows
-        bias34 = Operand(66, w)
-        scratch = Operand(100, w)
-        half34 = Operand(134, w)
-        zp9 = Operand(168, 9)
-        out10 = Operand(177, 10)
-        sat8 = Operand(187, 8)
-
-        unit.write_values(q16, q_planes)
-        unit.write_values(mult16, mult_planes)
-        unit.write_values(bias34, bias_planes)
-
-        before = unit.cycles
-        unit.multiply(q16, mult16, Operand(acc.row, 32))
-        unit.zero(Operand(acc.row + 32, 2))
-        unit.add_into(bias34, acc)
-
-        if not self.relu:
-            self.report.quantization += (unit.cycles - before) * n_arrays
-            self.report.skipped += unit.skipped_cycles * n_arrays
-            self.report.passes += n_arrays
-            return unit.read_values(acc)
-
-        unit.relu(acc, sign_row=acc.bit(w - 1))
-        shift = self.bn.shift
-        if shift > 0:
-            unit.write_scalar(half34, 1 << (shift - 1))
-            unit.add_into(half34, acc)
-        unit.write_scalar(zp9, self.zp_out)
-        unit.add(Operand(acc.row + shift, 9), zp9, out10)
-        unit.write_scalar(sat8, 255)
-        for high in range(shift + 9, w):
-            unit.selective_copy(sat8, Operand(out10.row, 8),
-                                acc.row + high)
-        for high in (8, 9):
-            unit.selective_copy(sat8, Operand(out10.row, 8), out10.bit(high))
-        self.report.quantization += (unit.cycles - before) * n_arrays
-        self.report.skipped += unit.skipped_cycles * n_arrays
-        self.report.passes += n_arrays
-        return unit.read_values(Operand(out10.row, 8))
 
 
 class FunctionalExecutor:
@@ -1297,13 +1172,6 @@ class FunctionalExecutor:
                  sparsity: bool = False,
                  precision=None,
                  stagings: dict | None = None):
-        from repro.nn.layers import (
-            Add,
-            BatchNorm,
-            Concat,
-            FullyConnected,
-            QuantizedBatchNorm,
-        )
         self.network = network
         self.weights = weights
         self.config = config if config is not None else NeuralCacheConfig()
@@ -1325,11 +1193,6 @@ class FunctionalExecutor:
         #: Node name -> compiled conv staging. Only ever added to, and its
         #: values are immutable, so executors may share it.
         self.stagings = stagings if stagings is not None else {}
-        self._concat_type = Concat
-        self._bn_type = BatchNorm
-        self._fc_type = FullyConnected
-        self._add_type = Add
-        self._qbn_type = QuantizedBatchNorm
 
     def run(self, image: QuantizedTensor) -> dict[str, QuantizedTensor]:
         """Execute every layer; returns all node outputs by name."""
@@ -1379,11 +1242,11 @@ class FunctionalExecutor:
     def _build_engine(self, node, inputs):
         layer = node.layer
         activation = self.weights.activation_params
-        if isinstance(layer, self._add_type):
+        if isinstance(layer, Add):
             return FunctionalAdd(inputs[0].shape, self.config,
                                  relu=layer.relu, name=node.name,
                                  packed=self.packed, sparsity=self.sparsity)
-        if isinstance(layer, self._qbn_type):
+        if isinstance(layer, QuantizedBatchNorm):
             return FunctionalBatchNorm(
                 inputs[0].shape, self.weights.bn_for_node(node.name),
                 self.config, relu=layer.relu,
@@ -1399,7 +1262,7 @@ class FunctionalExecutor:
                                      sparsity=self.sparsity)
         conv = self.network.conv_of(node)
         shape = inputs[0].shape
-        if isinstance(layer, self._fc_type):
+        if isinstance(layer, FullyConnected):
             shape = (1, 1, int(np.prod(shape)))
         element_bits = (self.precision.bits_for(node.name)
                         if self.precision is not None else None)
@@ -1417,19 +1280,19 @@ class FunctionalExecutor:
         """Run one node for the whole batch; ``inputs`` are per-branch
         lists of per-image tensors."""
         layer = node.layer
-        if isinstance(layer, self._concat_type):
+        if isinstance(layer, Concat):
             # Pure data movement, on the host (Sec. IV-E).
             return [QuantizedTensor(
                         np.concatenate([branch[i].data for branch in inputs],
                                        axis=2),
                         inputs[0][i].params)
                     for i in range(len(inputs[0]))]
-        if isinstance(layer, self._bn_type):
+        if isinstance(layer, BatchNorm):
             return inputs[0]
         engine = self._engine_for(node, [branch[0] for branch in inputs])
-        if isinstance(layer, self._add_type):
+        if isinstance(layer, Add):
             out = engine.run_batch(inputs[0], inputs[1])
-        elif isinstance(layer, self._fc_type):
+        elif isinstance(layer, FullyConnected):
             out = engine.run_batch(
                 [QuantizedTensor(x.data.reshape(1, 1, -1), x.params)
                  for x in inputs[0]])
@@ -1509,36 +1372,77 @@ def _skip_runs(filter_plane: np.ndarray, input_plane: np.ndarray,
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _run_batched_staged(n_images: int, n_out: int, cols: int,
-                        config: NeuralCacheConfig, stage_group,
-                        run_chunk) -> np.ndarray:
-    """Drive a staged batched pass with bounded peak memory.
+def _run_bitline_program(engine, n_images: int, n_out: int, stage_group,
+                         program, phase: str,
+                         passes: bool = True) -> np.ndarray:
+    """Run a one-output-per-bitline layer program over a whole batch.
 
-    Images are processed in image-aligned groups sized so one group's
-    staged planes respect ``config.max_fleet_arrays`` (a single image
-    whose own fleet exceeds the cap still forms a group and is chunked on
-    the array axis inside) — staging the whole batch up front would let
-    peak host memory grow with the batch regardless of the chunk knob.
-    ``stage_group(b0, b1)`` returns the group's staged
-    ``(arrays, cols)`` value planes; ``run_chunk(planes)`` executes one
-    bounded fleet over chunk slices of them and returns the output plane.
-    Chunk and group boundaries are unobservable: bit-serial sequences are
-    data-independent and cycles are charged per array, so any partition
-    yields identical outputs and cycle reports (property-tested with
-    ``max_fleet_arrays=2``).
+    ``stage_group(b0, b1)`` stages images ``[b0, b1)`` as
+    ``(arrays, cols)`` value planes (:func:`_stage_batch`). Images run in
+    image-aligned groups sized so one group's planes respect
+    ``config.max_fleet_arrays`` (an image whose own fleet exceeds the cap
+    still forms a group), each group in chunks of at most that many
+    arrays: staging the whole batch up front would let peak host memory
+    grow with the batch regardless of the chunk knob. Per chunk, one
+    geometry-sized fleet on ``engine``'s store runs ``program(unit,
+    planes)``, which writes its planes, runs the layer's sequence and
+    returns the operand to read back. Each fleet charges ``unit.cycles *
+    n_arrays`` to the ``phase`` field of ``engine.report``, its skipped
+    cycles to ``skipped`` and, with ``passes``, its arrays to ``passes``.
+    Outputs never depend on chunk and group boundaries, nor do dense
+    cycle reports: the sequences are data-independent and cycles are
+    charged per array (property-tested with ``max_fleet_arrays=2``).
+    Under sparsity each chunk decides its own skips. Returns the
+    ``(n_images, n_out)`` read-back values.
     """
+    config = engine.config
+    cols = config.geometry.array_cols
+    report = engine.report
     max_arrays = _max_fleet_arrays(config)
-    arrays_per_image = -(-n_out // cols)
-    per_group = max(max_arrays // arrays_per_image, 1)
+    per_group = max(max_arrays // -(-n_out // cols), 1)
     out = np.zeros((n_images, n_out), dtype=np.int64)
     for b0 in range(0, n_images, per_group):
         b1 = min(b0 + per_group, n_images)
         planes = stage_group(b0, b1)
         out_planes = np.zeros_like(planes[0])
         for a0, a1 in _array_chunks(planes[0].shape[0], max_arrays):
-            out_planes[a0:a1] = run_chunk([p[a0:a1] for p in planes])
-        out[b0:b1] = _unstage_batch(out_planes, b1 - b0, n_out)
+            n_arrays = a1 - a0
+            unit = FleetBitSerialUnit(
+                make_fleet(n_arrays, rows=config.geometry.array_rows,
+                           cols=cols, packed=engine.packed),
+                sparsity=engine.sparsity)
+            out_planes[a0:a1] = unit.read_values(
+                program(unit, [p[a0:a1] for p in planes]))
+            setattr(report, phase,
+                    getattr(report, phase) + unit.cycles * n_arrays)
+            report.skipped += unit.skipped_cycles * n_arrays
+            if passes:
+                report.passes += n_arrays
+        # Drop each image's dead tail columns (:func:`_stage_batch`).
+        out[b0:b1] = out_planes.reshape(b1 - b0, -1)[:, :n_out]
     return out
+
+
+def _requantize(unit: FleetBitSerialUnit, value: Operand, shift: int,
+                zero_point: int, half: Operand, zp9: Operand,
+                out10: Operand, sat8: Operand) -> Operand:
+    """The in-cache requantization epilogue (Sec. IV-D): add the rounding
+    half, shift right by ``shift`` (a row offset), add the 9-bit zero
+    point and saturate to 255 when any bit above the result window is
+    set. ``half`` is scratch as wide as ``value``; returns the 8-bit
+    result."""
+    if shift > 0:
+        unit.write_scalar(half, 1 << (shift - 1))
+        unit.add_into(half, value)
+    unit.write_scalar(zp9, zero_point)
+    unit.add(Operand(value.row + shift, 9), zp9, out10)
+    result = Operand(out10.row, 8)
+    unit.write_scalar(sat8, 255)
+    for high in range(shift + 9, value.nbits):
+        unit.selective_copy(sat8, result, value.row + high)
+    for high in (8, 9):
+        unit.selective_copy(sat8, result, out10.bit(high))
+    return result
 
 
 def _check_batch(xs, input_shape, shared_params: bool = False) -> None:
@@ -1577,43 +1481,26 @@ def _stage_batch(values: np.ndarray, cols: int, fill: int = 0) -> np.ndarray:
     return staged.reshape(batch * arrays_per_image, cols)
 
 
-def _unstage_batch(planes: np.ndarray, batch: int, n_out: int) -> np.ndarray:
-    """Inverse of :func:`_stage_batch`: the live ``(batch, n_out)`` values
-    of per-image-aligned ``(batch * arrays, cols)`` planes."""
-    return planes.reshape(batch, -1)[:, :n_out]
+def _pool_window_stager(pool, data: np.ndarray, cols: int):
+    """A pool's ``stage_group`` over a ``(batch, H, W, C)`` stack: images
+    ``[b0, b1)``, zero padded for 'same' pools, as one ``(arrays, cols)``
+    plane per window tap, in row-major window order. Outputs are
+    flattened ``(i, j, channel)``, the channel fastest."""
+    _, h, w, c = data.shape
+    e, f, _ = pool.output_shape((h, w, c))
+    if pool.padding != "valid":
+        top, bottom = same_padding_offsets(h, pool.kernel[0], pool.stride)
+        left, right = same_padding_offsets(w, pool.kernel[1], pool.stride)
+        data = np.pad(data, ((0, 0), (top, bottom), (left, right), (0, 0)))
+    out = np.arange(e * f * c)
+    # Each output's window corner and channel.
+    i = out // (f * c) * pool.stride
+    j = out // c % f * pool.stride
+    channel = out % c
 
+    def stage_group(b0: int, b1: int) -> list[np.ndarray]:
+        return [_stage_batch(data[b0:b1, i + r, j + s, channel], cols)
+                for r in range(pool.kernel[0])
+                for s in range(pool.kernel[1])]
 
-def _pool_output_coords(n_out: int, f: int, c: int
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened output index -> (i, j, channel), C varying fastest."""
-    out_idx = np.arange(n_out)
-    return out_idx // (f * c), (out_idx // c) % f, out_idx % c
-
-
-def _pad_pool_input(data: np.ndarray, pool, fill: int) -> np.ndarray:
-    """'same'-pad a ``(H, W, C)`` image or a ``(batch, H, W, C)`` stack."""
-    if pool.padding == "valid":
-        return data
-    lead = data.ndim - 3
-    top, bottom = same_padding_offsets(data.shape[lead], pool.kernel[0],
-                                       pool.stride)
-    left, right = same_padding_offsets(data.shape[lead + 1], pool.kernel[1],
-                                       pool.stride)
-    return np.pad(data,
-                  ((0, 0),) * lead + ((top, bottom), (left, right), (0, 0)),
-                  constant_values=fill)
-
-
-def _pool_tap_counts(shape: tuple[int, ...], pool) -> np.ndarray:
-    """In-bounds tap counts per output position ('same' average pools)."""
-    ones = np.ones((shape[0], shape[1], 1), dtype=np.int64)
-    padded = _pad_pool_input(ones, pool, fill=0)
-    r, s = pool.kernel
-    e = (padded.shape[0] - r) // pool.stride + 1
-    f = (padded.shape[1] - s) // pool.stride + 1
-    counts = np.zeros((e, f), dtype=np.int64)
-    for i in range(r):
-        for j in range(s):
-            counts += padded[i:i + e * pool.stride:pool.stride,
-                             j:j + f * pool.stride:pool.stride, 0]
-    return counts
+    return stage_group

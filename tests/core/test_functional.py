@@ -225,6 +225,26 @@ class TestPoolEquivalence:
         expected = avgpool_quantized(data, kernel, stride, padding)
         assert np.array_equal(got.data, expected)
 
+    @pytest.mark.parametrize("size", [16, 17])
+    def test_avgpool_window_sum_fits_its_accumulator(self, size):
+        """A 17x17 window of 255s sums to 73,695, past 16 bits: the
+        window-sum accumulator widens with the window instead of
+        wrapping (a 16-bit one returned 28). 16x16 (256 taps) is the
+        last window a 16-bit accumulator holds."""
+        shape = (size, size, 2)
+        pool = AvgPool(kernel=(size, size), padding="valid")
+        net = _pool_net(pool, shape)
+        weights = initialise_weights(net)
+        golden = ReferenceExecutor(net, weights)
+        for data in (np.full(shape, 255, dtype=np.uint8),
+                     RNG.integers(0, 256, shape).astype(np.uint8)):
+            x = QuantizedTensor(data, weights.input_params)
+            got = FunctionalAvgPool(pool, shape).run(x)
+            assert np.array_equal(got.data, golden.run_output(x).data)
+        full = QuantizedTensor(np.full(shape, 255, dtype=np.uint8),
+                               weights.input_params)
+        assert (FunctionalAvgPool(pool, shape).run(full).data == 255).all()
+
 
 def _pool_net(pool, shape):
     net = Network(name="p")

@@ -173,14 +173,15 @@ class TestSanitizer:
         from repro.engine.bitserial import FleetBitSerialUnit, Operand
         from repro.engine.packed import make_fleet
 
-        original = FunctionalMaxPool._run_fleet
+        original = FunctionalMaxPool.run_batch
 
-        def reads_unwritten(self, taps, cols):
-            probe = FleetBitSerialUnit(make_fleet(1, rows=8, cols=cols))
+        def reads_unwritten(self, xs):
+            probe = FleetBitSerialUnit(
+                make_fleet(1, rows=8, cols=self.config.geometry.array_cols))
             probe.read_values(Operand(0, 8))
-            return original(self, taps, cols)
+            return original(self, xs)
 
-        monkeypatch.setattr(FunctionalMaxPool, "_run_fleet", reads_unwritten)
+        monkeypatch.setattr(FunctionalMaxPool, "run_batch", reads_unwritten)
         monkeypatch.setenv("NEURALCACHE_SANITIZE", switch)
         with ShardedBackend(shards=2, driver="pool") as backend:
             if switch == "1":
