@@ -41,7 +41,8 @@ class NeuralCacheConfig:
     #: skip domain; consecutive chunks with equal skip signatures share a
     #: lockstep fleet of at most
     #: :data:`repro.core.functional.FLEET_BYTE_BUDGET` packed bytes per
-    #: wordline (words sized to the array width).
+    #: wordline (words sized to the array width; 8 KB, one default
+    #: chunk of 256-column arrays, or sixteen of 16-column ones).
     #: ``None`` selects the module default
     #: (:data:`repro.core.functional.MAX_FLEET_ARRAYS`).
     max_fleet_arrays: int | None = None

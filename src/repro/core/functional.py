@@ -81,10 +81,15 @@ cache (Sec. IV-E). After the reductions only each group's head bitline
 holds an output, so the compute stage reads back only the arrays that
 hold a live group (on spanning layers each group's first array, one in
 ``arrays_per_conv``) through the array-selective
-``FleetBitSerialUnit.read_values``. Spanning layers stage their planes
-by copying from views of the gathered windows and the filter table,
-not through per-(array, lane) index arrays, and streamed input bytes
-stay uint8 on their way to the packed store.
+``FleetBitSerialUnit.read_values``. Conv operands enter as packed words
+through ``FleetBitSerialUnit.write_words``, converted once and loaded
+by index: filters stay resident as the layer's compiled table of
+distinct per-array planes (:class:`ConvStaging`, weight-stationary,
+Sec. IV-E), spanning layers convert each batch's windows to words once
+(one cell per image, position and slot), and single-array layers
+convert all of a window's taps at once. No per-array uint8 plane and
+no int-to-word conversion is alive while a fleet runs, so stacking more
+chunks per fleet grows little but the fleet.
 
 Scale limits: the compute stage's input-sum must fit 16 bits for the
 in-cache correction multiply, which bounds a layer's reduction size
@@ -101,7 +106,9 @@ import numpy as np
 
 from repro.common.bits import (
     from_twos_complement,
+    ints_to_packed_planes,
     packed_bytes,
+    packed_words,
     to_twos_complement,
 )
 from repro.common.errors import SimulationError
@@ -142,15 +149,16 @@ MAX_FLEET_ARRAYS = 256
 #: also caps the chunk size, so it moves skip domains and is part of the
 #: cycle model, not just a memory knob.
 GATHER_BUDGET_ELEMENTS = 1 << 21
-#: Packed bytes per wordline of one conv compute fleet: half of one
+#: Packed bytes per wordline of one conv compute fleet: one
 #: default-width chunk (``MAX_FLEET_ARRAYS`` arrays of 256 columns,
 #: 8 KB). Consecutive chunks with equal skip signatures run as one
 #: lockstep fleet within it, so narrow arrays stack several chunks into
-#: each plane op (eight 256-array chunks of 16-column uint16 words),
-#: while a 256-column chunk, over the budget on its own, runs alone.
-#: Half rather than a whole chunk because a stacked window's host
-#: staging grows with its array count.
-FLEET_BYTE_BUDGET = MAX_FLEET_ARRAYS * packed_bytes(256) // 2
+#: each plane op (sixteen 256-array chunks of 16-column uint16 words,
+#: 4,096 arrays), while a 256-column chunk runs alone. A stacked fleet's
+#: host staging does not grow with its array count: filters load from
+#: the layer's compiled word table and spanning inputs from the batch's
+#: window words, by index.
+FLEET_BYTE_BUDGET = MAX_FLEET_ARRAYS * packed_bytes(256)
 
 
 @dataclass
@@ -327,6 +335,20 @@ class ConvStaging:
       channel, padding taps already zero.
     * ``filter_sums`` — ``(M,)`` per-filter byte sums for the
       quantization stage's zero-point constant.
+    * ``groups`` and ``arrays_per_image`` — output groups per array and
+      arrays per image: one group of ``lanes`` bitlines per output on
+      single-array layers, ``arrays_per_conv`` arrays per output on
+      spanning ones.
+    * ``filter_words`` — ``(taps * 8, planes, n_words)`` packed words
+      (:func:`_byte_words`) of the layer's *distinct* per-array filter
+      planes, and ``filter_index`` — ``(arrays_per_image,)``, the plane
+      each image-local array loads. A spanning array holds slot ``slot``
+      of filter ``m``, one plane per ``(m, slot)``; a single-array
+      layer's array holds ``groups`` consecutive filters from channel
+      ``a * groups % M``, so it has at most ``M`` planes (one when the
+      groups tile the channels), plus one for a last array with dead
+      groups. Fleets load these words as they are, so no filter is
+      converted after compile.
 
     :meth:`compile` validates the layer (element width, tap bound,
     spanning geometry, the compute and quantization row layouts against
@@ -342,6 +364,10 @@ class ConvStaging:
     windows: np.ndarray
     filters: np.ndarray
     filter_sums: np.ndarray
+    groups: int
+    arrays_per_image: int
+    filter_words: np.ndarray
+    filter_index: np.ndarray
 
     @classmethod
     def compile(cls, conv: Conv2D, input_shape: tuple[int, int, int],
@@ -399,11 +425,39 @@ class ConvStaging:
         filters = np.ascontiguousarray(filters.transpose(2, 0, 1))
         _check_narrowed(name, mapping.element_bits, "filter", filters)
         filter_sums = data.astype(np.int64).sum(axis=(0, 1, 2))
-        for table in (windows, filters, filter_sums):
+        cols = config.geometry.array_cols
+        span = mapping.arrays_per_conv
+        groups = max(cols // plan.lanes, 1)
+        n_out = e * f * m
+        local = np.arange(-(-n_out // groups) if span == 1
+                          else n_out * span)
+        if span > 1:
+            planes = filters.reshape(m * span, cols, plan.taps)
+            filter_index = local % (m * span)
+        else:
+            # An array's plane is fixed by its first channel and its live
+            # group count (dead groups stage zeros).
+            first = local * groups % m
+            live = np.minimum(n_out - local * groups, groups)
+            keys, filter_index = np.unique(first * (groups + 1) + live,
+                                           return_inverse=True)
+            first, live = np.divmod(keys, groups + 1)
+            group = np.arange(groups)
+            vals = filters[(first[:, None] + group) % m]
+            vals[group >= live[:, None]] = 0   # (planes, groups, lanes, taps)
+            planes = np.zeros((len(keys), cols, plan.taps), dtype=np.uint8)
+            planes[:, :groups * plan.lanes] = vals.reshape(len(keys), -1,
+                                                           plan.taps)
+        filter_words = _byte_words(planes.transpose(2, 0, 1))
+        filter_index = filter_index.astype(np.intp).reshape(-1)
+        for table in (windows, filters, filter_sums, filter_words,
+                      filter_index):
             table.flags.writeable = False
         return cls(mapping=mapping, plan=plan, padded_shape=(h, w, c),
                    pad_origin=(top, left), windows=windows,
-                   filters=filters, filter_sums=filter_sums)
+                   filters=filters, filter_sums=filter_sums,
+                   groups=groups, arrays_per_image=len(local),
+                   filter_words=filter_words, filter_index=filter_index)
 
     def gather_windows(self, data: np.ndarray,
                        zero_point: int) -> np.ndarray:
@@ -421,6 +475,17 @@ class ConvStaging:
         image[:, top:top + h, left:left + w] = data
         flat[:, -1] = 0
         return np.take(flat, self.windows, axis=1)
+
+    def window_words(self, windows: np.ndarray) -> np.ndarray:
+        """A spanning layer's gathered ``windows`` as packed words, once
+        per batch: ``(taps * 8, cells, n_words)`` (:func:`_byte_words`),
+        cell ``(image * E*F + position) * span + slot`` holding slot
+        ``slot``'s columns of that window, the input plane of every
+        array of that position and slot, whatever its channel."""
+        lanes, taps = windows.shape[2:]
+        cols = lanes // self.mapping.arrays_per_conv
+        cells = windows.reshape(-1, cols, taps)
+        return _byte_words(cells.transpose(2, 0, 1))
 
 
 class FunctionalConv:
@@ -512,9 +577,8 @@ class FunctionalConv:
         ``config.max_fleet_arrays``, aligned to reduction groups; each
         chunk is one sparsity skip domain. A window of consecutive
         chunks, within ``FLEET_BYTE_BUDGET`` packed bytes per wordline and
-        ``GATHER_BUDGET_ELEMENTS`` staged elements, stages its planes at
-        once by indexing those windows and the staging's filter table
-        with the arrays' output coordinates. Each run of chunks with
+        ``GATHER_BUDGET_ELEMENTS`` staged elements, stages its input
+        words at once (:meth:`_stage_chunk`). Each run of chunks with
         equal skip signatures (:func:`_skip_runs`) then executes as a
         *single* lockstep MAC/reduction sequence — no Python loop over
         arrays or images. Equal signatures make every ``plane_any``
@@ -523,29 +587,20 @@ class FunctionalConv:
         (``sequence_cycles * n_arrays`` per fleet) match the per-image
         loop exactly.
         """
-        e, f, m = self.conv.output_shape(self.input_shape)
-        n_out = e * f * m
+        staging = self.staging
         n_images = windows.shape[0]
         cols = self.config.geometry.array_cols
-        lanes = self.mapping.channels_padded
         taps = self.plan.taps
-        groups = max(cols // lanes, 1)
-
+        groups = staging.groups
+        n_out = windows.shape[1] * staging.filters.shape[0]
         span = self.mapping.arrays_per_conv
-        if span == 1:
-            arrays_per_image = -(-n_out // groups)
-        else:
-            # Spanning layers: ``span`` consecutive arrays per output, so
-            # groups is 1 and every image occupies a whole number of
-            # reduction groups.
-            arrays_per_image = n_out * span
-        total_arrays = n_images * arrays_per_image
+        total_arrays = n_images * staging.arrays_per_image
         raw = np.zeros((n_images, n_out), dtype=np.int64)
         xsum = np.zeros((n_images, n_out), dtype=np.int64)
         # Chunks are whole arrays and respect both the array cap and the
         # staging budget.
         arrays_by_gather = max(
-            GATHER_BUDGET_ELEMENTS // (groups * lanes * taps), 1)
+            GATHER_BUDGET_ELEMENTS // (groups * self.plan.lanes * taps), 1)
         per_chunk = min(_max_fleet_arrays(self.config), arrays_by_gather)
         if span > 1:
             # Chunks must hold whole reduction groups: round the cap down
@@ -553,6 +608,8 @@ class FunctionalConv:
             # multiples of ``span`` on the global axis, so aligned chunk
             # boundaries can never split one.
             per_chunk = max(per_chunk // span * span, span)
+            # Spanning inputs convert to words once per batch.
+            windows = staging.window_words(windows)
         chunks = _array_chunks(total_arrays, per_chunk)
         per_window = max(min(
             FLEET_BYTE_BUDGET // (per_chunk * packed_bytes(cols)),
@@ -560,128 +617,84 @@ class FunctionalConv:
         for w in range(0, len(chunks), per_window):
             window = chunks[w:w + per_window]
             a0, a1 = window[0][0], window[-1][1]
-            filter_plane, input_plane, img, ol, live = self._stage_chunk(
-                windows, a0, a1, arrays_per_image, cols, lanes, groups)
-            starts = np.array([c0 - a0 for c0, _ in window])
-            runs = ([(0, a1 - a0)] if not self.sparsity else
-                    _skip_runs(filter_plane, input_plane, starts))
+            filter_index, inputs, input_index, img, ol, live = (
+                self._stage_chunk(windows, a0, a1))
+            runs = [(0, a1 - a0)]
+            if self.sparsity:
+                # The gathered words are freed before any fleet exists.
+                runs = _skip_runs(
+                    staging.filter_words[:, filter_index],
+                    inputs[:, input_index],
+                    np.array([c0 - a0 for c0, _ in window]))
             for r0, r1 in runs:
-                self._run_fleet(filter_plane[r0:r1], input_plane[r0:r1],
-                                img[r0:r1], ol[r0:r1], live[r0:r1],
-                                cols, lanes, groups, raw, xsum)
+                self._run_fleet(filter_index[r0:r1], inputs,
+                                input_index[r0:r1], img[r0:r1], ol[r0:r1],
+                                live[r0:r1], raw, xsum)
         return raw, xsum
 
-    def _stage_chunk(self, windows: np.ndarray, a0: int, a1: int,
-                     arrays_per_image: int, cols: int, lanes: int,
-                     groups: int) -> tuple[np.ndarray, ...]:
-        """The host staging of arrays ``[a0, a1)``: ``(n_arrays, taps,
-        cols)`` uint8 filter and input planes, plus each array's image
-        ``img`` and each (array, group)'s output ``ol`` and ``live``
-        flag."""
-        e, f, m = self.conv.output_shape(self.input_shape)
-        n_out = e * f * m
-        filters = self.staging.filters
-        taps = self.plan.taps
-        n_arrays = a1 - a0
-        span = self.mapping.arrays_per_conv
+    def _stage_chunk(self, windows: np.ndarray, a0: int, a1: int
+                     ) -> tuple[np.ndarray, ...]:
+        """The host staging of arrays ``[a0, a1)``: each array's
+        ``filter_index`` into ``staging.filter_words``, a table of input
+        words ``(taps * 8, n, n_words)`` (:func:`_byte_words`) with each
+        array's ``input_index`` into it, each array's image ``img``, and
+        each (array, group)'s output ``ol`` and ``live`` flag.
 
-        # Which image and which of its outputs each (array, group) serves.
-        arr = np.arange(a0, a1)
-        img = arr // arrays_per_image
-        local = arr % arrays_per_image
+        ``windows`` is :meth:`ConvStaging.window_words` on spanning
+        layers: image-local array ``(p * M + m) * span + slot`` loads
+        cell ``(image * E*F + p) * span + slot``, the same for every
+        ``m``, so nothing is staged per array but the indices. Single
+        array layers stage their groups' window bytes and convert all
+        taps to words at once; the uint8 staging is freed before any
+        fleet is built.
+        """
+        staging = self.staging
+        m = staging.filters.shape[0]
+        arrays_per_image = staging.arrays_per_image
+        span = self.mapping.arrays_per_conv
+        img, local = np.divmod(np.arange(a0, a1), arrays_per_image)
+        filter_index = staging.filter_index[local]
         if span > 1:
-            # Array ``local`` holds slot ``local % span`` (channel columns
-            # [slot*cols, slot*cols + cols)) of output ``local // span``.
             # Every array computes real data; only slot 0 emits a result.
             slot = local % span
             ol = (local // span)[:, None]     # (n_arrays, 1), groups == 1
             live = np.broadcast_to(slot[:, None] == 0, ol.shape)
-            filter_plane, input_plane = self._stage_spanning(
-                windows, a0, a1, arrays_per_image, cols)
-            return filter_plane, input_plane, img, ol, live
+            positions = arrays_per_image // (m * span)
+            cell = (img * positions + local // (m * span)) * span + slot
+            return filter_index, windows, cell, img, ol, live
 
+        groups = staging.groups
+        n_out = windows.shape[1] * m
         out_local = local[:, None] * groups + np.arange(groups)[None, :]
         live = out_local < n_out              # (n_arrays, groups)
         ol = np.minimum(out_local, n_out - 1)
-        # Window and filter bytes per (array, group, lane, tap): the
-        # window depends on the output position, the filter on the output
-        # channel; dead groups stage zeros.
+        # Window bytes per (array, group, lane, tap); dead groups stage
+        # zeros. Tap-major, as the words are laid out.
         ivals = windows[img[:, None], ol // m]
-        fvals = filters[ol % m]
         ivals[~live] = 0
-        fvals[~live] = 0
-        array_lanes = groups * lanes
+        n_arrays, taps = a1 - a0, self.plan.taps
+        values = np.zeros((taps, n_arrays, self.config.geometry.array_cols),
+                          dtype=np.uint8)
+        values[:, :, :ivals.shape[1] * ivals.shape[2]] = ivals.transpose(
+            3, 0, 1, 2).reshape(taps, n_arrays, -1)
+        del ivals
+        return (filter_index, _byte_words(values), np.arange(n_arrays),
+                img, ol, live)
 
-        def planes(vals: np.ndarray) -> np.ndarray:
-            """(n_arrays, groups, lanes, taps) -> (n_arrays, taps, cols)."""
-            full = vals.transpose(0, 3, 1, 2).reshape(n_arrays, taps,
-                                                      array_lanes)
-            if array_lanes < cols:
-                widened = np.zeros((n_arrays, taps, cols), dtype=vals.dtype)
-                widened[:, :, :array_lanes] = full
-                full = widened
-            return full
-
-        return planes(fvals), planes(ivals), img, ol, live
-
-    def _stage_spanning(self, windows: np.ndarray, a0: int, a1: int,
-                        arrays_per_image: int, cols: int
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Filter and input planes of spanning arrays ``[a0, a1)``,
-        copied straight from views of the gathered windows and the
-        filter table, with no per-(array, lane) index arrays.
-
-        Image-local array ``(p * M + m) * span + slot`` holds channel
-        columns ``[slot * cols, (slot + 1) * cols)`` of output position
-        ``p`` and channel ``m``: its input plane is slot ``slot`` of
-        window ``p`` (the same for every ``m``), its filter plane slot
-        ``slot`` of filter ``m`` (the same for every ``p`` and image).
-        So a run of groups within one image and one row of positions,
-        or over whole rows, is a ``(positions, channels, span)`` block
-        of arrays that two broadcast copies fill.
-        """
-        batch, positions = windows.shape[:2]
-        filters = self.staging.filters
-        m = filters.shape[0]
-        span = self.mapping.arrays_per_conv
-        taps = self.plan.taps
-        # (batch, E*F, span, taps, cols) and (M, span, taps, cols) views.
-        win = windows.reshape(batch, positions, span, cols,
-                              taps).transpose(0, 1, 2, 4, 3)
-        fil = filters.reshape(m, span, cols, taps).transpose(0, 1, 3, 2)
-        filter_plane = np.empty((a1 - a0, taps, cols), dtype=np.uint8)
-        input_plane = np.empty_like(filter_plane)
-        # Chunks hold whole groups: walk them in blocks, each a partial
-        # row of channels or a run of whole rows of one image.
-        per_image = arrays_per_image // span
-        g0, g1 = a0 // span, a1 // span
-        g = g0
-        while g < g1:
-            image, local = divmod(g, per_image)
-            p, m0 = divmod(local, m)
-            if m0 == 0 and g1 - g >= m:
-                p1, m1 = p + min((g1 - g) // m, positions - p), m
-            else:
-                p1, m1 = p + 1, min(m, m0 + g1 - g)
-            shape = (p1 - p, m1 - m0, span, taps, cols)
-            n = (p1 - p) * (m1 - m0)
-            block = slice((g - g0) * span, (g - g0 + n) * span)
-            input_plane[block].reshape(shape)[...] = win[image, p:p1, None]
-            filter_plane[block].reshape(shape)[...] = fil[None, m0:m1]
-            g += n
-        return filter_plane, input_plane
-
-    def _run_fleet(self, filter_plane: np.ndarray, input_plane: np.ndarray,
-                   img: np.ndarray, ol: np.ndarray, live: np.ndarray,
-                   cols: int, lanes: int, groups: int, raw: np.ndarray,
+    def _run_fleet(self, filter_index: np.ndarray, inputs: np.ndarray,
+                   input_index: np.ndarray, img: np.ndarray, ol: np.ndarray,
+                   live: np.ndarray, raw: np.ndarray,
                    xsum: np.ndarray) -> None:
-        """One lockstep fleet over staged planes (:meth:`_stage_chunk`),
+        """One lockstep fleet over staged words (:meth:`_stage_chunk`),
         one array per pass. Results land in the ``(batch, n_out)``
         ``raw``/``xsum`` accumulators."""
         mapping = self.mapping
         taps = self.plan.taps
+        lanes = self.plan.lanes
+        groups = self.staging.groups
+        cols = self.config.geometry.array_cols
         packed = mapping.pack_factor > 1
-        n_arrays = filter_plane.shape[0]
+        n_arrays = len(filter_index)
         span = mapping.arrays_per_conv
         nb = mapping.element_bits
         # ``compile`` checked that the regions fit the array; the fleet
@@ -693,11 +706,11 @@ class FunctionalConv:
             make_fleet(n_arrays, rows=xsum_rows.end, cols=cols,
                        packed=self.packed),
             sparsity=self.sparsity)
-        # One vectorized host pack loads all taps' planes at once (the
-        # per-tap write_values loop was the pack boundary hot spot).
-        unit.write_value_block(filter_rows, filter_plane, 8)
+        # Weight-stationary filters: one host load of the compiled words.
+        unit.write_words(filter_rows, self.staging.filter_words,
+                         filter_index)
         if not packed:
-            unit.write_value_block(input_rows, input_plane, 8)
+            unit.write_words(input_rows, inputs, input_index)
         unit.zero(Operand(partial.row, 24))
         unit.zero(Operand(xsum_rows.row, 24))
         if span > 1:
@@ -717,8 +730,10 @@ class FunctionalConv:
         for t in range(taps):
             f_op = Operand(filter_rows.row + 8 * t, nb)
             if packed:
+                # The streamed byte: one gather of this tap's words.
                 x_op = Operand(input_rows.row, nb)
-                unit.write_values(x_op, input_plane[:, t])  # streamed byte
+                unit.write_words(x_op, inputs[8 * t:8 * t + nb],
+                                 input_index)
             else:
                 x_op = Operand(input_rows.row + 8 * t, nb)
             unit.mac(f_op, x_op, Operand(scratch.row, 2 * nb),
@@ -1345,30 +1360,49 @@ def _array_chunks(total_arrays: int, max_arrays: int
             for a0 in range(0, total_arrays, max_arrays)]
 
 
-def _skip_runs(filter_plane: np.ndarray, input_plane: np.ndarray,
+def _byte_words(values: np.ndarray) -> np.ndarray:
+    """Byte fields ``(fields, n, cols)`` as the packed words of a block of
+    8-bit fields, ``(fields * 8, n, n_words)``: bit ``b`` of field ``t``
+    at row ``8 * t + b``, the layout ``write_words`` loads into an
+    operand (:meth:`~repro.engine.fleet.PlaneStore.load_words`)."""
+    fields, n, cols = values.shape
+    words = ints_to_packed_planes(values, 8, packed_words(cols))
+    return np.ascontiguousarray(words.transpose(1, 0, 2, 3)).reshape(
+        fields * 8, n, -1)
+
+
+def _skip_runs(filter_words: np.ndarray, input_words: np.ndarray,
                starts: np.ndarray) -> list[tuple[int, int]]:
     """Split a staged conv window into maximal runs of chunks with equal
     skip signatures, as ``[r0, r1)`` array offsets into the window.
 
-    ``filter_plane``/``input_plane`` are the window's ``(arrays, taps,
-    cols)`` staged bytes and ``starts`` each chunk's first array. A
-    chunk's signature decides every sparsity probe of its MAC sequence:
-    per tap, the OR of its input bytes (each ``multiply`` plane probe and
-    the input-sum ``add_into`` skip) and whether any lane's product is
-    nonzero (the product ``add_into`` skip). No other step of the
-    sequence probes, so chunks with equal signatures skip exactly the
-    same steps whether they run alone or stacked in one fleet.
+    ``filter_words``/``input_words`` are the window's ``(taps * 8,
+    arrays, n_words)`` packed filter and input words (:func:`_byte_words`)
+    and ``starts`` each chunk's first array. A chunk's signature decides
+    every sparsity probe of its MAC sequence: per tap, which bit planes
+    of its input bytes are anywhere nonzero (each ``multiply`` plane
+    probe and the input-sum ``add_into`` skip) and whether any lane's
+    product is nonzero (the product ``add_into`` skip). No other step of
+    the sequence probes, so chunks with equal signatures skip exactly
+    the same steps whether they run alone or stacked in one fleet.
     """
-    # Fold the arrays of each chunk first: whole (taps, cols) rows per
-    # step, so the narrow column axis is reduced only once per chunk.
-    ors = np.bitwise_or.reduceat(input_plane, starts, axis=0)
-    products = np.logical_or.reduceat(
-        (filter_plane != 0) & (input_plane != 0), starts, axis=0)
-    ors = np.bitwise_or.reduce(ors, axis=2)
-    products = products.any(axis=2)
-    signature = np.concatenate([ors, products], axis=1)
+    rows, n_arrays, n_words = input_words.shape
+    taps = rows // 8
+    # Fold the arrays of each chunk first, so the words are reduced only
+    # once per chunk.
+    ors = np.bitwise_or.reduceat(input_words, starts, axis=1).any(axis=2)
+
+    def nonzero(words: np.ndarray) -> np.ndarray:
+        """Per tap, the columns whose byte is nonzero."""
+        return np.bitwise_or.reduce(
+            words.reshape(taps, 8, n_arrays, n_words), axis=1)
+
+    products = np.bitwise_or.reduceat(
+        nonzero(filter_words) & nonzero(input_words), starts,
+        axis=1).any(axis=2)
+    signature = np.concatenate([ors, products]).T
     change = np.flatnonzero((signature[1:] != signature[:-1]).any(axis=1))
-    bounds = [0, *starts[change + 1].tolist(), filter_plane.shape[0]]
+    bounds = [0, *starts[change + 1].tolist(), n_arrays]
     return list(zip(bounds[:-1], bounds[1:]))
 
 

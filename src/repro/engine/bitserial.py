@@ -280,6 +280,24 @@ class FleetBitSerialUnit:
                 f"{n_fields * nbits} rows, operand has {base.nbits}")
         self.fleet.load_values(base.row, values, nbits)
 
+    def write_words(self, op: Operand, words: np.ndarray,
+                    index: np.ndarray) -> None:
+        """Store packed words into ``op``'s wordlines in one host load.
+
+        ``words`` is a table of planes, ``(op.nbits, n, n_words)`` in the
+        packed store's word layout
+        (:meth:`~repro.engine.fleet.PlaneStore.load_words`), row ``k`` for
+        wordline ``op.row + k``; array ``i`` receives plane ``index[i]``.
+        Conv layers load their compiled filter words and their converted
+        input words this way, so the host converts each distinct plane
+        once, not once per fleet (host/TMU path, no compute cycles).
+        """
+        if words.ndim != 3 or words.shape[0] != op.nbits:
+            raise LayoutError(
+                f"words for {op.nbits} rows must be (rows, n, n_words), "
+                f"got shape {words.shape}")
+        self.fleet.load_words(op.row, words, index)
+
     def read_values(self, op: Operand,
                     arrays: np.ndarray | None = None) -> np.ndarray:
         """Read back ``(n_arrays, cols)`` integers from ``op``.
@@ -436,15 +454,19 @@ class FleetBitSerialUnit:
 
     def _fused_copy(self, src: Operand, dst: Operand, predicated: bool,
                     invert: bool = False, shift: int = 0) -> None:
-        """``copy``/``complement_copy``/``shift_copy`` as one block move."""
+        """``copy``/``complement_copy``/``shift_copy`` as one block move.
+        A shift between disjoint blocks writes straight into ``dst``."""
         plane = self._block(src)
-        if invert:
-            plane = self.fleet.plane_not(plane)
-        if shift:
-            plane = self.fleet.shift_plane(plane, shift)
         block = self._block(dst)
-        block[...] = (mux(self.periphery.tag, plane, block) if predicated
-                      else plane)
+        if shift and not predicated and not dst.overlaps(src):
+            self.fleet.shift_plane(plane, shift, out=block)
+        else:
+            if invert:
+                plane = self.fleet.plane_not(plane)
+            if shift:
+                plane = self.fleet.shift_plane(plane, shift)
+            block[...] = (mux(self.periphery.tag, plane, block)
+                          if predicated else plane)
         self._charge(_costs().copy(src.nbits))
 
     def _fused_add(self, a: Operand, b: Operand, dst: Operand, carry_in: int,
@@ -936,7 +958,14 @@ class FleetBitSerialUnit:
         self._check_width(src, dst)
         if self._fused and _reads_before_writes(dst, src):
             perm = self.fleet._group_perm(stride, group)
-            self._block(dst)[...] = self._block(src)[:, perm]
+            block = self._block(dst)
+            if dst.overlaps(src):
+                block[...] = self._block(src)[:, perm]
+            else:
+                # Disjoint blocks: permute straight into ``dst`` (the
+                # permutation is valid, so ``clip`` skips the buffer).
+                np.take(self._block(src), perm, axis=1, out=block,
+                        mode="clip")
             self._charge(_costs().move(src.nbits))
             return
         for b in range(src.nbits):
@@ -990,7 +1019,7 @@ class FleetBitSerialUnit:
 #: list doubles as the authoritative "what is a program step" registry for
 #: repro.verify.
 _TRACED_METHODS = (
-    "write_values", "write_value_block", "read_values",
+    "write_values", "write_value_block", "write_words", "read_values",
     "load_tag", "set_tag_all",
     "zero", "write_scalar", "copy", "complement_copy", "shift_copy",
     "add", "add_into", "sub", "sub_into", "multiply", "mac", "divide",

@@ -25,11 +25,14 @@ of a word sized to the array width, uint8 to uint64 — 8x smaller,
 several times faster per lockstep op).
 
 Plane currency: host-facing methods (``read_row``, ``write_row``,
-``load_bits``, ``dump_bits``) always speak 0/1 uint8, whatever the store;
-the compute read and write (``read_plane``, ``store_plane``) and the
-plane ops speak the store's *native* planes — uint8 ``(n_arrays, cols)``
-for the unpacked store, ``(n_arrays, n_words)`` words of the store's
-word dtype for the packed one. Every compute cycle goes through that one
+``load_bits``, ``dump_bits``) always speak 0/1 uint8, whatever the store,
+and ``load_words`` speaks the packed store's words whatever the store
+(the reference form unpacks them into ``load_bits``, so conv staging
+converts its filter and window words once and every store checks them
+as it checks bits); the compute read and write (``read_plane``,
+``store_plane``) and the plane ops speak the store's *native* planes —
+uint8 ``(n_arrays, cols)`` for the unpacked store, ``(n_arrays,
+n_words)`` words of the store's word dtype for the packed one. Every compute cycle goes through that one
 read and that one write, so a wrapper that checks or corrupts them sees
 all compute traffic.
 Callers that sequence compute cycles treat native planes as opaque values
@@ -46,7 +49,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.common.bits import bitplanes_to_int, int_to_bitplanes
+from repro.common.bits import (
+    bitplanes_to_int,
+    int_to_bitplanes,
+    packed_words,
+    unpack_bit_plane,
+    word_dtype,
+)
 from repro.common.errors import ArrayStateError
 
 #: Geometry of the 8KB array used throughout the paper.
@@ -335,6 +344,27 @@ class PlaneStore:
         self.load_bits(top_row,
                        planes.reshape(n_arrays, n_fields * nbits, cols))
 
+    def load_words(self, top_row: int, words: np.ndarray,
+                   index: np.ndarray) -> None:
+        """Store packed words as wordlines ``top_row`` onward (host/TMU
+        path).
+
+        ``words`` is a table of ``n`` planes, ``(n_rows, n, n_words)`` in
+        the packed store's layout for this ``cols``
+        (:func:`~repro.common.bits.pack_bit_plane`: words of
+        ``word_dtype(cols)``, column ``c`` at bit ``c % w`` of word
+        ``c // w``); array ``i`` receives plane ``index[i]``, its row
+        ``k`` at wordline ``top_row + k``, so one table of distinct
+        planes loads every array that shares one. Bits past the last
+        column are ignored. This reference form unpacks the words and
+        loads them through :meth:`load_bits`, so wrappers that check or
+        corrupt that call see every host write; the packed store takes
+        the words straight into its rows.
+        """
+        words = self._check_words(words, index)
+        bits = unpack_bit_plane(words[:, index], self.cols)
+        self.load_bits(top_row, bits.transpose(1, 0, 2))
+
     def dump_values(self, top_row: int, nbits: int,
                     arrays: np.ndarray | None = None) -> np.ndarray:
         """Read ``(n_arrays, cols)`` int64 from the ``nbits`` rows at
@@ -381,6 +411,23 @@ class PlaneStore:
             raise ArrayStateError(
                 f"expected ({self.n_arrays}, n_fields, {self.cols}) values, "
                 f"got shape {values.shape}")
+
+    def _check_words(self, words: np.ndarray,
+                     index: np.ndarray) -> np.ndarray:
+        """Validate a :meth:`load_words` table and its array index."""
+        words = np.asarray(words)
+        dtype = word_dtype(self.cols)
+        if (words.ndim != 3 or words.dtype != dtype
+                or words.shape[2] != packed_words(self.cols)):
+            raise ArrayStateError(
+                f"expected (rows, n, {packed_words(self.cols)}) {dtype} "
+                f"words, got {words.dtype} of shape {words.shape}")
+        n = words.shape[1]
+        if (index.shape != (self.n_arrays,) or index.min() < 0
+                or index.max() >= n):
+            raise ArrayStateError(
+                f"expected {self.n_arrays} word indices into {n} planes")
+        return words
 
     def _coerce_bits(self, bits: np.ndarray) -> np.ndarray:
         """Validate host 0/1 bits, broadcasting ``(cols,)`` to every array."""
@@ -533,11 +580,11 @@ class PlaneStoreWrapper:
     that read-modify-write must land on the same counter.
 
     The fused and host-value entry points are declared here rather than
-    forwarded: the inner store's fused kernels and int/word host
-    conversion would reach its storage without passing through the
+    forwarded: the inner store's fused kernels, int/word host conversion
+    and word copies would reach its storage without passing through the
     wrapper. The sequencer therefore runs the per-primitive path, and
-    host values go through the reference conversion over the wrapper's
-    own ``load_bits``/``dump_bits``.
+    host values and words go through the reference conversion over the
+    wrapper's own ``load_bits``/``dump_bits``.
     """
 
     fused = False
@@ -570,6 +617,7 @@ class PlaneStoreWrapper:
             f"run the per-primitive path")
 
     load_values = PlaneStore.load_values
+    load_words = PlaneStore.load_words
     dump_values = PlaneStore.dump_values
 
     def __getattr__(self, name: str) -> Any:

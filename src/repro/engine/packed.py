@@ -28,7 +28,13 @@ this module supplies the packed storage, the native plane ops
   blocks instead of one Python call per modeled cycle;
 * :meth:`PackedArrayFleet.load_values` / :meth:`~PackedArrayFleet.dump_values`:
   host integers convert to and from packed words through byte views and
-  an 8x8 bit-matrix transpose, never through a 0/1 byte-per-bit tensor.
+  an 8x8 bit-matrix transpose, never through a 0/1 byte-per-bit tensor;
+  :meth:`PackedArrayFleet.load_words` takes words already in the store's
+  layout (a conv layer's compiled filter table, a batch's window words)
+  and gathers them into the rows from a table with one ``np.take``,
+  with no conversion at all. The fused ``shift_copy`` and
+  ``move_across`` shift and permute straight into their destination
+  blocks.
 
 Every packed fleet takes both, in the serial driver and in every pool
 worker alike. The unpacked reference keeps the per-primitive path, and
@@ -50,7 +56,8 @@ compute cycle senses or writes, and in the periphery latches. Compute
 planes only ever come from the store's own rows and ops, and the one op
 that could set tail bits, ``plane_not``, masks them (so does the
 all-ones ``const_plane``); host bits enter through ``pack_plane``, which
-packs exactly ``cols`` columns. Every plane a store op returns keeps the
+packs exactly ``cols`` columns, and ``load_words`` masks the words it
+stores on ragged geometries. Every plane a store op returns keeps the
 store's word dtype: shift counts are Python ints and the constant planes
 are dtype-matched, since NumPy's promotion rules would widen a uint16
 plane combined with a ``np.uint64`` scalar back to uint64.
@@ -141,24 +148,28 @@ class PackedArrayFleet(PlaneStore):
     def plane_not(self, plane: np.ndarray) -> np.ndarray:
         return ~plane & self._mask
 
-    def shift_plane(self, plane: np.ndarray, shift: int) -> np.ndarray:
+    def shift_plane(self, plane: np.ndarray, shift: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
         """Funnel-shift whole words: column ``c`` receives column
-        ``c + shift``, zero-filling past the last populated column."""
+        ``c + shift``, zero-filling past the last populated column.
+        With ``out`` (the fused ``shift_copy``'s destination block) the
+        words shift straight into it."""
         if shift <= 0:
             raise ArrayStateError(f"column shift must be positive, got {shift}")
+        if out is None:
+            out = np.empty_like(plane)
         q, r = divmod(shift, self.word_bits)
-        out = np.zeros_like(plane)
         n = self.n_words
-        if q >= n:
-            return out
+        kept = max(n - q, 0)
+        head = out[..., :kept]
         if r == 0:
-            out[..., :n - q] = plane[..., q:]
-        else:
+            head[...] = plane[..., q:]
+        elif kept:
             # Python-int shift counts keep the plane's word dtype.
-            out[..., :n - q] = plane[..., q:] >> r
-            if q + 1 < n:
-                out[..., :n - q - 1] |= (plane[..., q + 1:]
-                                         << (self.word_bits - r))
+            np.right_shift(plane[..., q:], r, out=head)
+            if kept > 1:
+                head[..., :-1] |= plane[..., q + 1:] << (self.word_bits - r)
+        out[..., kept:] = 0
         return out
 
     def pack_plane(self, bits: np.ndarray) -> np.ndarray:
@@ -196,6 +207,19 @@ class PackedArrayFleet(PlaneStore):
         block = self.word_block(top_row, values.shape[1] * nbits)
         planes = ints_to_packed_planes(values, nbits, self.n_words)
         block[...] = planes.transpose(2, 0, 1, 3).reshape(block.shape)
+
+    def load_words(self, top_row: int, words: np.ndarray,
+                   index: np.ndarray) -> None:
+        """Words straight into the rows, one ``take`` from the table with
+        no bits or ints between. Ragged geometries clear the tail bits
+        the words may carry."""
+        words = self._check_words(words, index)
+        block = self.word_block(top_row, words.shape[0])
+        # ``_check_words`` bounded the index, so ``clip`` skips the
+        # buffered copy ``take`` makes to check it.
+        np.take(words, index, axis=1, out=block, mode="clip")
+        if self.cols % self.word_bits:
+            block &= self._mask
 
     def dump_values(self, top_row: int, nbits: int,
                     arrays: np.ndarray | None = None) -> np.ndarray:

@@ -308,8 +308,11 @@ def op_facts(method: str, index: int, name: str,
     if method == "set_tag_all":
         return OpFacts(name, index, tag=TAG_CLEAR)
 
-    if method in ("write_values", "write_value_block"):
-        dst = _region(p["op"] if method == "write_values" else p["base"])
+    if method in ("write_values", "write_value_block", "write_words"):
+        # A host load defines its rows, whether it arrives as ints or as
+        # packed words (``write_words`` rows may come from a table).
+        dst = _region(p["base"] if method == "write_value_block"
+                      else p["op"])
         return OpFacts(name, index, inits=(dst,))
 
     if method == "skip_step":
@@ -343,6 +346,7 @@ def op_facts(method: str, index: int, name: str,
 _PARAMS: dict[str, tuple[str, ...]] = {
     "write_values": ("op", "values"),
     "write_value_block": ("base", "values", "nbits"),
+    "write_words": ("op", "words", "index"),
     "read_values": ("op", "arrays"),
     "load_tag": ("row", "invert"),
     "set_tag_all": (),

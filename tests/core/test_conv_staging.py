@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.bits import packed_planes_to_ints
 from repro.common.errors import SimulationError
 from repro.config import NeuralCacheConfig
 from repro.core.functional import ConvStaging, FunctionalConv
@@ -99,16 +100,32 @@ def case_images(net, weights, batch, seed, high=256):
             for _ in range(batch)]
 
 
+def word_planes(words, index, cols):
+    """The ``(arrays, taps, cols)`` bytes a fleet loads from a
+    ``(taps * 8, n, n_words)`` word table at ``index``."""
+    taps = words.shape[0] // 8
+    picked = words[:, index].reshape(taps, 8, len(index), -1)
+    return packed_planes_to_ints(picked.transpose(1, 0, 2, 3),
+                                 cols).transpose(1, 0, 2)
+
+
 class StagedPlanes:
-    """Records every conv chunk's staged planes while installed."""
+    """Records the filter and input planes every conv chunk's staged
+    words load while installed."""
 
     def __init__(self, mp):
         self.chunks = []
         original = FunctionalConv._stage_chunk
 
-        def spy(engine, windows, a0, a1, *layout):
-            staged = original(engine, windows, a0, a1, *layout)
-            self.chunks.append((engine, a0, staged[0], staged[1]))
+        def spy(engine, windows, a0, a1):
+            staged = original(engine, windows, a0, a1)
+            filter_index, inputs, input_index = staged[:3]
+            cols = engine.config.geometry.array_cols
+            self.chunks.append((
+                engine, a0,
+                word_planes(engine.staging.filter_words, filter_index,
+                            cols),
+                word_planes(inputs, input_index, cols)))
             return staged
 
         mp.setattr(FunctionalConv, "_stage_chunk", spy)
@@ -244,6 +261,7 @@ class TestCompiledOnce:
         backend.run_requests(net, case_images(net, weights, 1, 0), weights)
         staging = backend.stagings_for(net, weights)["c"]
         for table in (staging.windows, staging.filters, staging.filter_sums,
+                      staging.filter_words, staging.filter_index,
                       staging.plan.valid, staging.plan.c):
             assert not table.flags.writeable
         assert staging.windows.dtype == np.int32

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.common.bits import packed_planes_to_ints
 from repro.core.functional import FunctionalConv, FunctionalExecutor
 from repro.core.schedule import reduction_cycles_per_pass
 from repro.engine.backend import FleetExecutor, deterministic_images
@@ -139,11 +140,21 @@ class TestExecutorIntegration:
         assert span_report.reduction > 0
 
 
+def word_planes(words, index, cols):
+    """The ``(arrays, taps, cols)`` bytes a fleet loads from a
+    ``(taps * 8, n, n_words)`` word table at ``index``."""
+    taps = words.shape[0] // 8
+    picked = words[:, index].reshape(taps, 8, len(index), -1)
+    return packed_planes_to_ints(picked.transpose(1, 0, 2, 3),
+                                 cols).transpose(1, 0, 2)
+
+
 class TestSpanningStaging:
-    """Spanning windows stage from views of the gathered windows and the
-    filter table; the planes must equal the per-(array, lane) index
-    gather over every group-aligned range of arrays, including ranges
-    that start or end inside a row of output channels or an image."""
+    """Spanning arrays stage as indices into the batch's window words
+    and the compiled filter words; the planes they load must equal the
+    per-(array, lane) index gather over every group-aligned range of
+    arrays, including ranges that start or end inside a row of output
+    channels or an image."""
 
     @staticmethod
     def reference_planes(engine, windows, a0, a1, arrays_per_image, cols):
@@ -175,6 +186,7 @@ class TestSpanningStaging:
         cols = config.geometry.array_cols
         data = RNG.integers(0, 256, (3, *shape), dtype=np.uint8)
         windows = engine.staging.gather_windows(data, 7)
+        words = engine.staging.window_words(windows)
         e, f, m = conv.output_shape(shape)
         arrays_per_image = e * f * m * span
         groups = 3 * e * f * m
@@ -183,9 +195,12 @@ class TestSpanningStaging:
                   (groups - 1, groups)]
         for g0, g1 in bounds:
             a0, a1 = g0 * span, g1 * span
-            got = engine._stage_chunk(windows, a0, a1, arrays_per_image,
-                                      cols, engine.mapping.channels_padded,
-                                      1)
+            filter_index, inputs, input_index = engine._stage_chunk(
+                words, a0, a1)[:3]
+            assert inputs is words
+            got = (word_planes(engine.staging.filter_words, filter_index,
+                               cols),
+                   word_planes(inputs, input_index, cols))
             want = self.reference_planes(engine, windows, a0, a1,
                                          arrays_per_image, cols)
             assert got[0].shape == (a1 - a0, engine.plan.taps, cols)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bits import packed_bytes
+from repro.common.bits import packed_bytes, packed_planes_to_ints
 from repro.config import NeuralCacheConfig
 from repro.core import functional
 from repro.core.functional import FunctionalConv, FunctionalExecutor
@@ -124,16 +124,31 @@ def signature(filter_plane, input_plane):
     return tuple(ors.tolist()), tuple(products.tolist())
 
 
+def word_planes(words, index, cols):
+    """The ``(arrays, taps, cols)`` bytes a fleet loads from a
+    ``(taps * 8, n, n_words)`` word table at ``index``."""
+    taps = words.shape[0] // 8
+    picked = words[:, index].reshape(taps, 8, len(index), -1)
+    return packed_planes_to_ints(picked.transpose(1, 0, 2, 3),
+                                 cols).transpose(1, 0, 2)
+
+
 class FleetSpy:
-    """Records the staged planes of every conv compute fleet."""
+    """Records the filter and input planes every conv compute fleet
+    loads."""
 
     def __init__(self, mp):
         self.fleets = []
         original = FunctionalConv._run_fleet
 
-        def spy(engine, filter_plane, input_plane, *rest):
-            self.fleets.append((filter_plane.copy(), input_plane.copy()))
-            return original(engine, filter_plane, input_plane, *rest)
+        def spy(engine, filter_index, inputs, input_index, *rest):
+            cols = engine.config.geometry.array_cols
+            self.fleets.append((
+                word_planes(engine.staging.filter_words, filter_index,
+                            cols),
+                word_planes(inputs, input_index, cols)))
+            return original(engine, filter_index, inputs, input_index,
+                            *rest)
 
         mp.setattr(FunctionalConv, "_run_fleet", spy)
 
@@ -164,13 +179,17 @@ def test_skip_runs_split_where_signatures_change():
     inputs[9, 1, 0] = 0x0F
     inputs[12] = inputs[9]               # chunk 4 (ragged): same again
     starts = np.array([0, 3, 6, 9, 12])
-    assert functional._skip_runs(filters, inputs, starts) == [
-        (0, 3), (3, 6), (6, 13)]
+
+    def runs():
+        return functional._skip_runs(
+            functional._byte_words(filters.transpose(1, 0, 2)),
+            functional._byte_words(inputs.transpose(1, 0, 2)), starts)
+
+    assert runs() == [(0, 3), (3, 6), (6, 13)]
     # A zero filter lane changes only the product half of chunk 4's
     # signature; its input ORs are unchanged.
     filters[12, 1, 0] = 0
-    assert functional._skip_runs(filters, inputs, starts) == [
-        (0, 3), (3, 6), (6, 12), (12, 13)]
+    assert runs() == [(0, 3), (3, 6), (6, 12), (12, 13)]
 
 
 def test_fleets_never_mix_signatures():

@@ -10,6 +10,7 @@ from repro.core import functional
 from repro.engine.bitserial import FleetBitSerialUnit, Operand
 from repro.engine.packed import make_fleet
 from repro.verify import (
+    Region,
     extract_model_programs,
     lift_calls,
     record_programs,
@@ -85,6 +86,27 @@ class TestRecorder:
         assert [(f.check, f.index) for f in findings] == \
             [("uninit-read", 6)]
 
+    def test_word_load_lifts_as_a_write_of_the_same_rows(self):
+        # A host load of packed words from a table by index defines
+        # exactly the rows the int write does.
+        # (Unsanitized: the last read is a deliberate uninit read.)
+        unit = FleetBitSerialUnit(make_fleet(4, ROWS, COLS, sanitize=False))
+        table = np.zeros((4, 3, 1), dtype=np.uint16)
+        with record_programs() as recorder:
+            unit.write_values(Operand(0, 4), 5)
+            unit.write_words(Operand(4, 4), table, np.zeros(4, np.intp))
+            unit.write_words(Operand(8, 4), table, np.array([2, 0, 1, 2]))
+            unit.add(Operand(0, 4), Operand(4, 4), Operand(12, 5))
+            unit.add(Operand(8, 4), Operand(12, 4), Operand(17, 5))
+            unit.read_values(Operand(17, 5))
+            unit.read_values(Operand(22, 4))               # never written
+        (program,) = recorder.programs()
+        assert [op.inits for op in program.ops[:3]] == [
+            (Region(0, 4),), (Region(4, 4),), (Region(8, 4),)]
+        findings = verify_program(program)
+        assert [(f.check, f.index) for f in findings] == \
+            [("uninit-read", 6)]
+
     def test_hook_restored_on_exit(self):
         unit = FleetBitSerialUnit(make_fleet(1, ROWS, COLS))
         with record_programs() as recorder:
@@ -152,13 +174,13 @@ class TestExtraction:
 
 
 #: (programs, ops) per functionally extractable model: one program per
-#: (layer, fleet). ``repro verify`` reports their sums, 42 / 1175.
-#: inception-span's conv stacks eight 256-array chunks of 16-column
-#: arrays (uint16 words, 4 KB per wordline) into each fleet.
+#: (layer, fleet). ``repro verify`` reports their sums, 41 / 1152.
+#: inception-span's conv stacks sixteen 256-array chunks of 16-column
+#: arrays (uint16 words, 8 KB per wordline) into each fleet.
 PINNED_COUNTS = {
     "resnet-tiny": (27, 723),
     "mlp": (6, 240),
-    "inception-span": (6, 144),
+    "inception-span": (5, 121),
     "tiny-verification": (3, 68),
 }
 
@@ -175,7 +197,7 @@ class TestPinnedCounts:
         argv = [arg for name in PINNED_COUNTS for arg in ("--model", name)]
         assert verify_main(argv) == 0
         out = capsys.readouterr().out
-        assert "verified 42 programs / 1175 ops: 0 finding(s)" in out
+        assert "verified 41 programs / 1152 ops: 0 finding(s)" in out
 
 
 def _call_stream(program_calls):
@@ -231,7 +253,7 @@ class TestStackedConvPrograms:
 
         stacked_compute, stacked_rest = split(stacked)
         chunk_compute, chunk_rest = split(per_chunk)
-        assert len(stacked_compute) == 2 and len(chunk_compute) == 16
+        assert len(stacked_compute) == 1 and len(chunk_compute) == 16
         # Every stacked compute program is the per-chunk program, call
         # for call; the quantization fleet and the other layers are
         # untouched.
