@@ -12,10 +12,13 @@ the results must match the golden NumPy executor exactly.
 Execution of a convolution follows the paper's two stages:
 
 1. **Compute stage** (per output batch, Fig. 10a -> 10b): filters sit
-   transposed on the bitlines, the window streams in, one fused MAC per
-   filter tap runs on every bitline at once, an input-sum accumulates
-   alongside (for zero-point corrections), and the channel tree reduction
-   (Fig. 5) collapses each output's lanes onto its head bitline.
+   transposed on the bitlines, the window streams in, one MAC per filter
+   tap runs on every bitline at once, an input-sum accumulates alongside
+   (for zero-point corrections), and the channel tree reduction (Fig. 5)
+   collapses each output's lanes onto its head bitline. The taps run in
+   blocks through ``FleetBitSerialUnit.mac_taps``, as many per block as
+   fit :data:`FLEET_BYTE_BUDGET` stacked, which the packed store runs
+   as one kernel.
 2. **Quantization stage** (per layer, Sec. IV-D): raw sums and input sums
    are staged one-output-per-bitline; the zero-point corrections, ReLU
    (MSB-masked zero write) and the CPU's fixed-point requantization
@@ -157,7 +160,9 @@ GATHER_BUDGET_ELEMENTS = 1 << 21
 #: 4,096 arrays), while a 256-column chunk runs alone. A stacked fleet's
 #: host staging does not grow with its array count: filters load from
 #: the layer's compiled word table and spanning inputs from the batch's
-#: window words, by index.
+#: window words, by index. The same budget bounds a block of taps the
+#: MAC kernel stacks (``taps * n_arrays * packed_bytes(cols)``): all of
+#: mlp's 16 taps on its one-array fleets, one tap at 8 KB planes.
 FLEET_BYTE_BUDGET = MAX_FLEET_ARRAYS * packed_bytes(256)
 
 
@@ -723,22 +728,23 @@ class FunctionalConv:
                 unit.zero(Operand(partial.row + in_final, 32 - in_final))
                 unit.zero(Operand(xsum_rows.row + in_final, 32 - in_final))
 
-        # -- MACs: one fused multiply-accumulate per tap, whole fleet --
+        # -- MACs: one multiply-accumulate per tap, whole fleet, in
+        # blocks of taps whose stacked planes fit FLEET_BYTE_BUDGET --
         # Narrowed layers (``element_bits < 8``) run the serial sequence
         # over the low ``nb`` planes only; storage stays byte-aligned.
+        # Packed 1x1 layers stream each tap's byte into one input region.
         before = unit.cycles
-        for t in range(taps):
-            f_op = Operand(filter_rows.row + 8 * t, nb)
-            if packed:
-                # The streamed byte: one gather of this tap's words.
-                x_op = Operand(input_rows.row, nb)
-                unit.write_words(x_op, inputs[8 * t:8 * t + nb],
-                                 input_index)
-            else:
-                x_op = Operand(input_rows.row + 8 * t, nb)
-            unit.mac(f_op, x_op, Operand(scratch.row, 2 * nb),
-                     Operand(partial.row, 24))
-            unit.add_into(x_op, Operand(xsum_rows.row, 24))
+        block = max(FLEET_BYTE_BUDGET // (n_arrays * packed_bytes(cols)), 1)
+        for t0 in range(0, taps, block):
+            t1 = min(t0 + block, taps)
+            f_op = Operand(filter_rows.row + 8 * t0, nb)
+            x_op = Operand(input_rows.row + (0 if packed else 8 * t0), nb)
+            unit.mac_taps(f_op, x_op, t1 - t0, 8,
+                          Operand(scratch.row, 2 * nb),
+                          Operand(partial.row, 24),
+                          Operand(xsum_rows.row, 24),
+                          words=inputs[8 * t0:8 * t1] if packed else None,
+                          index=input_index if packed else None)
         self.report.mac += (unit.cycles - before) * n_arrays
 
         # -- reductions: raw sums, then input sums (Fig. 5 / Fig. 10b) --

@@ -18,14 +18,17 @@ periphery; it is the reference, and it is what the unpacked
 wrappers run, because their checks and defects act on each primitive
 access. The packed store takes the *fused* path for the hot
 composites (``zero``, ``write_scalar``, the copies, ``add``,
-``add_into``, ``sub``, ``sub_into``, each ``multiply`` iteration and so
-``mac``, ``move_across`` and so both reduction trees): one word-level
-kernel per composite over whole operand blocks, with the carry in a
-local word plane and the cycles charged from the closed forms of
-:class:`repro.sram.cost.CycleCosts`. Sparsity probes, ``skip_step``
-reports, both latches and both counters end exactly as on the
-per-primitive path, which the property tests check composite by
-composite.
+``add_into``, ``sub``, ``sub_into``, ``multiply`` and so ``mac``,
+``mac_taps``, ``move_across`` and so both reduction trees): one
+word-level kernel per composite over whole operand blocks, with the
+carry in a local word plane and the cycles charged from the closed
+forms of :class:`repro.sram.cost.CycleCosts`. ``multiply`` folds its
+partial products with 3:2 compressors and resolves them with one
+ripple add; ``mac_taps`` runs a block of a conv's taps as one such
+multiply over the stacked taps and one carry-save sum over the tap
+axis. Sparsity probes, ``skip_step`` reports, both latches and both
+counters end exactly as on the per-primitive path, which the property
+tests check composite by composite.
 
 :class:`repro.sram.bitserial.BitSerialUnit` is the ``n_arrays=1`` view of
 this unit over one :class:`~repro.sram.array.SRAMArray`'s store, so the
@@ -122,6 +125,115 @@ def _ripple_add(a, b, carry: np.ndarray, out) -> np.ndarray:
         g = ak & bk
         out[k] = x ^ carry
         carry = g | (x & carry)
+    return carry
+
+
+def _carry_out(a, b, carry_in: int = 0) -> np.ndarray:
+    """Carry-out plane of the add ``a + b + carry_in`` over the stacked
+    planes of ``a`` and ``b`` (row 0 least significant), without the
+    ripple: each level merges adjacent row groups' generate and
+    propagate planes, ``G = G_hi | (P_hi & G_lo)``, so the depth is
+    ``log2`` of the width."""
+    g = a & b
+    p = a ^ b
+    if carry_in:
+        g[0] |= p[0]
+    while len(g) > 1:
+        if len(g) % 2:
+            # Fold the lowest row into the next: the lowest group has no
+            # carry-in left to propagate, so its propagate plane is dead.
+            g[1] |= p[1] & g[0]
+            g, p = g[1:], p[1:]
+        g = g[1::2] | (p[1::2] & g[0::2])
+        p = p[1::2] & p[0::2]
+    return g[0]
+
+
+def _carry_into(total, addend) -> np.ndarray:
+    """The carry-out of the add ``prev + addend`` that left ``total``
+    (``total`` as wide as ``prev``, ``addend`` at most as wide): the add
+    wrapped exactly when ``total < addend``, i.e. when ``total``'s rows
+    above ``addend`` are zero and its low rows borrow from ``addend``.
+    Tail bits are not masked."""
+    n = len(addend)
+    not_below = _carry_out(total[:n], ~addend, 1)
+    if n < len(total):
+        not_below |= np.bitwise_or.reduce(total[n:], axis=0)
+    return ~not_below
+
+
+def _carry_save_multiply(a, b, steps, out) -> None:
+    """Stacked products ``out[t] = a[t] * b[t]`` by carry-save shift-adds.
+
+    ``a`` and ``b`` are ``(taps, n, ...)`` plane blocks and ``out`` a
+    zeroed ``(taps, 2n, ...)`` block; ``steps[j]`` is False only where
+    multiplier plane ``j`` is all-zero in every tap (such a plane adds
+    nothing). Multiplier plane ``j``'s partial product ``a & b[j]``
+    enters rows ``[j, j + n)`` through one 3:2 compressor over the
+    whole block: sums stay in ``out``, carries go one row up in a carry
+    block, and row ``j`` is final afterwards. One ripple add then
+    resolves the rows above the last live plane.
+    """
+    n = a.shape[1]
+    live = np.flatnonzero(steps)
+    if not len(live):
+        return
+    first, last = int(live[0]), int(live[-1])
+    np.bitwise_and(a, b[:, first, None], out=out[:, first:first + n])
+    if last == first:
+        return
+    carries = np.zeros_like(out)
+    for j in range(first + 1, last + 1):
+        s = out[:, j:j + n]
+        c = carries[:, j:j + n]
+        t = s ^ c
+        g = s & c
+        if steps[j]:
+            p = a & b[:, j, None]
+            np.bitwise_xor(t, p, out=s)
+            t &= p
+            g |= t
+        else:
+            s[...] = t
+        carries[:, j + 1:j + n + 1] = g
+    # Row ``last + n`` of ``out`` is still zero, so the add cannot carry
+    # past it: the product fits ``2n`` rows.
+    top = slice(last + 1, last + n + 1)
+    rows = out[:, top].swapaxes(0, 1)
+    _ripple_add(rows, carries[:, top].swapaxes(0, 1), out.dtype.type(0),
+                rows)
+
+
+def _carry_save_fold(stack) -> tuple[np.ndarray, np.ndarray]:
+    """Fold a stack of operand blocks ``(k, rows, ...)`` with 3:2
+    compressors until two remain; their sum equals the stack's modulo
+    ``2**rows`` (carries out of the top row are dropped)."""
+    while len(stack) > 2:
+        m = len(stack) // 3
+        x, y, z = stack[:m], stack[m:2 * m], stack[2 * m:3 * m]
+        folded = np.empty((len(stack) - m, *stack.shape[1:]), stack.dtype)
+        t = x ^ y
+        np.bitwise_xor(t, z, out=folded[:m])
+        carry = folded[m:2 * m]
+        carry[:, 0] = 0
+        np.bitwise_or(x[:, :-1] & y[:, :-1], t[:, :-1] & z[:, :-1],
+                      out=carry[:, 1:])
+        folded[2 * m:] = stack[3 * m:]
+        stack = folded
+    return stack[0], stack[1]
+
+
+def _add_into_block(src, acc) -> np.ndarray:
+    """``acc += src`` over word blocks (``acc`` at least as tall):
+    full adds over ``src``, then the carry ripple through the rest of
+    ``acc``, stopped once the carry plane is all-zero (every later step
+    would rewrite ``acc`` unchanged). Returns the carry-out plane."""
+    carry = _ripple_add(src, acc, acc.dtype.type(0), acc)
+    for k in range(len(src), len(acc)):
+        if not carry.any():
+            break
+        plane = acc[k]
+        carry, acc[k] = plane & carry, plane ^ carry
     return carry
 
 
@@ -433,10 +545,22 @@ class FleetBitSerialUnit:
         if hook is not None:
             hook(self, "skip_step", (kind, source, dest, cycles), {})
 
+    def _report_plane_skip(self, n: int, b: Operand, product: Operand,
+                           j: int) -> None:
+        """Report ``multiply``'s skipped iteration ``j`` (multiplier plane
+        ``b.bit(j)`` all-zero): the predicated copy into ``product[0:n]``
+        for ``j == 0``, else the shift-add into ``product[j:j + n + 1]``."""
+        if j == 0:
+            self._report_skip("multiply-plane", Operand(b.bit(j), 1),
+                              Operand(product.bit(0), n), n + 1)
+        else:
+            self._report_skip("multiply-plane", Operand(b.bit(j), 1),
+                              Operand(product.bit(j), n + 1), n + 2)
+
     # ==================================================================
     # Fused word-level kernels (stores with ``fused`` set: the packed
-    # store). Each runs one composite, or one multiply
-    # iteration, over whole ``(nbits, n_arrays, n_words)`` operand blocks
+    # store). Each runs one composite over whole
+    # ``(nbits, n_arrays, n_words)`` operand blocks
     # from ``fleet.word_block``: the carry lives in a local word plane,
     # results are written back per block, and the cycles charged are the
     # closed forms of ``CycleCosts.derived``. Latches, counters and skip
@@ -483,47 +607,149 @@ class FleetBitSerialUnit:
         self._charge(cycles)
 
     def _fused_add_into(self, src: Operand, acc: Operand) -> None:
-        """Fused ``add_into``: full adds over ``src``, then the carry
-        ripple through the rest of ``acc``, stopped once the carry plane
-        is all-zero (every later step would rewrite ``acc`` unchanged)."""
-        block = self._block(acc)
-        carry = _ripple_add(self._block(src), block,
-                            self.fleet.const_plane(0), block)
-        for k in range(src.nbits, acc.nbits):
-            if not carry.any():
-                break
-            plane = block[k]
-            carry, block[k] = plane & carry, plane ^ carry
-        self.periphery.carry[...] = carry
+        """Fused ``add_into`` (:func:`_add_into_block`)."""
+        self.periphery.carry[...] = _add_into_block(self._block(src),
+                                                    self._block(acc))
         self._charge(_costs().add_into(acc.nbits))
 
-    def _fused_multiply_step(self, a: Operand, b: Operand, product: Operand,
-                             j: int) -> None:
-        """Iteration ``j`` of Fig. 6 (tag load, then predicated copy or
-        shift-add): the carry chain runs on every lane, only the
-        write-back is tag-gated — as in the per-primitive sequence."""
+    def _live_planes(self, planes: np.ndarray) -> np.ndarray:
+        """The sparsity probe of every plane of a ``(..., n, n_arrays,
+        n_words)`` block at once: whether each plane has a bit set in any
+        array (``plane_any`` per plane, in one reduction)."""
+        return planes.reshape(*planes.shape[:-2], -1).any(axis=-1)
+
+    def _fused_multiply(self, a: Operand, b: Operand,
+                        product: Operand) -> None:
+        """``multiply`` after the product zeroing, as one carry-save
+        kernel (:func:`_carry_save_multiply`). It probes and reports the
+        skipped multiplier planes in order and charges each live
+        iteration's closed form, as the per-primitive loop does. The
+        carry latch ends as the carry-out of the last live iteration
+        ``j`` >= 1, whose add runs on every lane: product bit ``j + n``
+        where the tag was set, elsewhere the carry-out of
+        ``a + product[j:j + n]``, as no later plane adds anything there."""
         n = a.nbits
-        tag = self._block(b)[j]
         addend = self._block(a)
-        if j == 0:
-            window = self._block(Operand(product.row, n))
-            window[...] = mux(tag, addend, window)
-            self._charge(_costs().tag_load() + _costs().copy(n))
+        mult = self._block(b)
+        block = self._block(product)
+        live = (self._live_planes(mult) if self.sparsity
+                else np.ones(n, dtype=bool))
+        for j in np.flatnonzero(~live):
+            self._report_plane_skip(n, b, product, int(j))
+        _carry_save_multiply(addend[None], mult[None], live, block[None])
+        later = np.flatnonzero(live[1:])
+        if len(later):
+            j = int(later[-1]) + 1
+            self.periphery.carry[...] = mux(
+                mult[j], block[j + n], _carry_out(addend, block[j:j + n]))
+        costs = _costs()
+        self._charge(int(live[0]) * (costs.tag_load() + costs.copy(n))
+                     + len(later) * (costs.tag_load() + costs.add(n)))
+
+    def _tap_planes(self, op: Operand, taps: int,
+                    stride: int) -> np.ndarray:
+        """``(taps, op.nbits, n_arrays, n_words)`` planes of ``op`` and
+        its copies ``stride``, ``2 * stride``, ... rows down: a view when
+        the taps are contiguous, else a gathered copy."""
+        n = op.nbits
+        block = self.fleet.word_block(op.row, (taps - 1) * stride + n)
+        if stride != n and taps > 1:
+            block = block[(np.arange(taps)[:, None] * stride
+                           + np.arange(n)).ravel()]
+        return block.reshape(taps, n, *block.shape[1:])
+
+    def _fused_mac_taps(self, a: Operand, b: Operand, taps: int,
+                        stride: int, product: Operand, acc: Operand,
+                        b_acc: Operand, words: np.ndarray | None,
+                        index: np.ndarray | None) -> None:
+        """``mac_taps`` as one kernel: every tap's product at once
+        (:func:`_carry_save_multiply` over the stacked taps), then
+        ``acc`` and ``b_acc`` with all the products and inputs as one
+        carry-save sum over the tap axis (:func:`_carry_save_fold`) and
+        one ripple add. Skip reports and charges follow the per-tap
+        loop's order and closed forms. The loop's last carry is its last
+        input add that ran, so the carry latch is that add's carry-out,
+        recovered from the final ``b_acc`` (:func:`_carry_into`); one tap
+        alone adds in place (:func:`_add_into_block`)."""
+        n = a.nbits
+        fleet = self.fleet
+        a_planes = self._tap_planes(a, taps, stride)
+        if words is None:
+            b_planes = self._tap_planes(b, taps, stride)
+            b_last = Operand(b.row + (taps - 1) * stride, n)
+        else:
+            # The input rows end holding the last tap's input; the other
+            # taps' planes are gathered from the table alone.
+            rows = (np.arange(taps)[:, None] * stride
+                    + np.arange(n)).ravel()
+            self.write_words(b, words[rows[-n:]], index)
+            b_last = b
+            if taps == 1:
+                b_planes = self._block(b)[None]
+            else:
+                b_planes = np.take(words[rows], index, axis=1).reshape(
+                    taps, n, *a_planes.shape[2:])
+                b_planes &= fleet.const_plane(1)
+        live = (self._live_planes(b_planes) if self.sparsity
+                else np.ones((taps, n), dtype=bool))
+        scratch = self._block(product)
+        if taps == 1:
+            products = scratch[None]
+            products[...] = 0
+        else:
+            products = np.zeros((taps, *scratch.shape), dtype=scratch.dtype)
+        _carry_save_multiply(a_planes, b_planes, live.any(axis=0), products)
+        if taps > 1:
+            scratch[...] = products[-1]
+        multiplied = live.any(axis=1)
+        summed = (self._live_planes(products).any(axis=1) if self.sparsity
+                  else np.ones(taps, dtype=bool))
+
+        costs = _costs()
+        self._charge(
+            taps * costs.const_write(2 * n)
+            + int(live[:, 0].sum()) * (costs.tag_load() + costs.copy(n))
+            + int(live[:, 1:].sum()) * (costs.tag_load() + costs.add(n))
+            + int(summed.sum()) * costs.add_into(acc.nbits)
+            + int(multiplied.sum()) * costs.add_into(b_acc.nbits))
+        if self.sparsity:
+            for t in range(taps):
+                b_t = b if words is not None else Operand(
+                    b.row + t * stride, n)
+                for j in np.flatnonzero(~live[t]):
+                    self._report_plane_skip(n, b_t, product, int(j))
+                if not summed[t]:
+                    self._report_skip("add-into", product, acc, acc.nbits)
+                if not multiplied[t]:
+                    self._report_skip("add-into", b_t, b_acc, b_acc.nbits)
+        self.periphery.set_tag_all()
+
+        acc_block, b_acc_block = self._block(acc), self._block(b_acc)
+        if taps == 1:
+            carry = None
+            if summed[0]:
+                carry = _add_into_block(scratch, acc_block)
+            if multiplied[0]:
+                carry = _add_into_block(self._block(b_last), b_acc_block)
+            if carry is not None:
+                self.periphery.carry[...] = carry
             return
-        window = self._block(Operand(product.bit(j), n + 1))
-        carry = self.fleet.const_plane(0)
-        for k in range(n):
-            # sum = a ^ p ^ carry, so mux(tag, sum, p) = p ^ ((a ^ carry)
-            # & tag); the carry-out is a where a == p, else the carry-in.
-            ak = addend[k]
-            pk = window[k]
-            differ = ak ^ pk
-            a_or_carry = ak ^ carry
-            window[k] = pk ^ (a_or_carry & tag)
-            carry = ak ^ (a_or_carry & differ)
-        window[n] = mux(tag, carry, window[n])
-        self.periphery.carry[...] = carry
-        self._charge(_costs().tag_load() + _costs().add(n))
+        # One operand stack per accumulator, side by side, zero-extended
+        # to the wider one: row k of both sums folds in one block op.
+        stack = np.zeros((taps + 1, max(acc.nbits, b_acc.nbits), 2,
+                          *scratch.shape[1:]), dtype=scratch.dtype)
+        stack[0, :acc.nbits, 0] = acc_block
+        stack[0, :b_acc.nbits, 1] = b_acc_block
+        stack[1:, :2 * n, 0] = products
+        stack[1:, :n, 1] = b_planes
+        total, carries = _carry_save_fold(stack)
+        _ripple_add(total, carries, total.dtype.type(0), total)
+        acc_block[...] = total[:acc.nbits, 0]
+        b_acc_block[...] = total[:b_acc.nbits, 1]
+        ran = np.flatnonzero(multiplied)
+        if len(ran):
+            self.periphery.carry[...] = _carry_into(
+                b_acc_block, b_planes[ran[-1]]) & fleet.const_plane(1)
 
     # ==================================================================
     # Composite operations (costs mirror CycleCosts.derived)
@@ -707,17 +933,13 @@ class FleetBitSerialUnit:
             if operand.overlaps(product):
                 raise LayoutError("product region overlaps an input operand")
         self.zero(product)
+        if self._fused:
+            self._fused_multiply(a, b, product)
+            self.set_tag_all()
+            return
         for j in range(n):
             if self.sparsity and not self.fleet.plane_any(b.bit(j)):
-                if j == 0:
-                    self._report_skip("multiply-plane", Operand(b.bit(j), 1),
-                                      Operand(product.bit(0), n), n + 1)
-                else:
-                    self._report_skip("multiply-plane", Operand(b.bit(j), 1),
-                                      Operand(product.bit(j), n + 1), n + 2)
-                continue
-            if self._fused:
-                self._fused_multiply_step(a, b, product, j)
+                self._report_plane_skip(n, b, product, j)
                 continue
             self.load_tag(b.bit(j))
             if j == 0:
@@ -741,6 +963,66 @@ class FleetBitSerialUnit:
         """
         self.multiply(a, b, product_scratch)
         self.add_into(product_scratch, acc)
+
+    def mac_taps(self, a: Operand, b: Operand, taps: int, stride: int,
+                 product: Operand, acc: Operand, b_acc: Operand,
+                 words: np.ndarray | None = None,
+                 index: np.ndarray | None = None) -> None:
+        """A conv's MAC loop over ``taps`` filter taps, with its input sum.
+
+        Tap ``t`` runs ``mac(a_t, b_t, product, acc)`` then
+        ``add_into(b_t, b_acc)``, where ``a_t`` is ``a`` moved
+        ``t * stride`` rows down. ``b_t`` is ``b`` moved likewise
+        (resident inputs) or, with ``words`` (streamed inputs), ``b``
+        itself after ``write_words(b, words[t * stride:][:b.nbits],
+        index)``.
+
+        Packed stores run the whole block as one kernel
+        (:meth:`_fused_mac_taps`) when the operands allow it: equal
+        widths, and every region written (``product``, ``acc``,
+        ``b_acc``, a streamed ``b``) disjoint from every other. The
+        rows, cycles, skipped cycles, latches, counters and ``skip_step``
+        stream end as the loop leaves them. Otherwise, and while a trace
+        hook is installed, the loop runs as written, so a recorded
+        program is the per-tap ``write_words``/``mac``/``add_into``
+        sequence with each skip after the op it belongs to.
+        """
+        if self._taps_fuse(a, b, taps, stride, product, acc, b_acc, words):
+            self._fused_mac_taps(a, b, taps, stride, product, acc, b_acc,
+                                 words, index)
+            return
+        for t in range(taps):
+            a_t = Operand(a.row + t * stride, a.nbits)
+            if words is None:
+                b_t = Operand(b.row + t * stride, b.nbits)
+            else:
+                b_t = b
+                self.write_words(b, words[t * stride:t * stride + b.nbits],
+                                 index)
+            self.mac(a_t, b_t, product, acc)
+            self.add_into(b_t, b_acc)
+
+    def _taps_fuse(self, a: Operand, b: Operand, taps: int, stride: int,
+                   product: Operand, acc: Operand, b_acc: Operand,
+                   words: np.ndarray | None) -> bool:
+        """Whether ``mac_taps`` may run as one kernel."""
+        n = a.nbits
+        if (not self._fused or _TRACE_HOOK is not None or taps < 1
+                or stride < 0 or b.nbits != n or product.nbits != 2 * n
+                or acc.nbits < 2 * n or b_acc.nbits < n):
+            return False
+        span = (taps - 1) * stride + n
+        if words is None:
+            read = [Operand(a.row, span), Operand(b.row, span)]
+            written = [product, acc, b_acc]
+        else:
+            if words.ndim != 3 or len(words) < span:
+                return False
+            read = [Operand(a.row, span)]
+            written = [product, acc, b_acc, b]
+        regions = written + read
+        return not any(w.overlaps(r) for i, w in enumerate(written)
+                       for k, r in enumerate(regions) if k != i)
 
     def divide(self, a: Operand, b: Operand, quotient: Operand,
                work: Operand) -> None:
@@ -1017,19 +1299,27 @@ class FleetBitSerialUnit:
 #: plus the two standalone tag primitives. Applied after the class body so
 #: the methods above stay readable (no decorator on every def) and the
 #: list doubles as the authoritative "what is a program step" registry for
-#: repro.verify.
+#: repro.verify, less the expanded composites below.
 _TRACED_METHODS = (
     "write_values", "write_value_block", "write_words", "read_values",
     "load_tag", "set_tag_all",
     "zero", "write_scalar", "copy", "complement_copy", "shift_copy",
-    "add", "add_into", "sub", "sub_into", "multiply", "mac", "divide",
+    "add", "add_into", "sub", "sub_into", "multiply", "mac", "mac_taps",
+    "divide",
     "compare_ge", "max_update", "min_update", "relu", "selective_copy",
     "logical_and", "logical_nor", "logical_or", "logical_xor",
     "equality_compare", "search", "reduce_tree",
     "move_across", "reduce_across_arrays",
 )
 
+#: Composites the trace hook never sees: while a hook is installed they
+#: run as the registered calls they stand for, and those are the program
+#: steps. They stay in the registry above, so a profiler that wraps the
+#: registry times them whole.
+_EXPANDED_METHODS = ("mac_taps",)
+
 for _name in _TRACED_METHODS:
-    setattr(FleetBitSerialUnit, _name,
-            _traced(getattr(FleetBitSerialUnit, _name)))
+    if _name not in _EXPANDED_METHODS:
+        setattr(FleetBitSerialUnit, _name,
+                _traced(getattr(FleetBitSerialUnit, _name)))
 del _name

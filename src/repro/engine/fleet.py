@@ -45,6 +45,7 @@ from :mod:`repro.core` here would create a cycle.
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 import numpy as np
@@ -71,6 +72,17 @@ def mux(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     tag-gated write drivers of Figure 7.
     """
     return b ^ ((a ^ b) & mask)
+
+
+@functools.lru_cache(maxsize=64)
+def _hop_perm(n_arrays: int, stride: int, group: int) -> np.ndarray:
+    """The (read-only) permutation of a valid cross-array hop, built once
+    per fleet size and hop: every fleet of a layer repeats the same few
+    hops on every reduction level and operand."""
+    idx = np.arange(n_arrays)
+    perm = idx - idx % group + (idx % group + stride) % group
+    perm.flags.writeable = False
+    return perm
 
 
 class PlaneStore:
@@ -291,8 +303,7 @@ class PlaneStore:
         if not 1 <= stride < group:
             raise ArrayStateError(
                 f"cross-array stride must be in 1..{group - 1}, got {stride}")
-        idx = np.arange(self.n_arrays)
-        return idx - idx % group + (idx % group + stride) % group
+        return _hop_perm(self.n_arrays, stride, group)
 
     # ------------------------------------------------------------------
     # Test/host-side helpers (no cycle accounting; data arrives via TMU)

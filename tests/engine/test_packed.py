@@ -450,6 +450,54 @@ class TestFusedKernels:
                               ref.read_values(Operand(base.row, n)))
 
     @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_property_wide_multiply(self, data):
+        """The quantize stage's wide composites: 9- to 24-bit multiplies
+        (its 16-bit correction and 24x24 requantization products), a
+        ``mac`` into a wider accumulator and the 34/48-bit-class adds
+        and subtractions around them, each against the reference."""
+        n_arrays, cols = data.draw(st.sampled_from(GEOMETRY_VALUES),
+                                   label="geometry")
+        sparsity = data.draw(st.booleans(), label="sparsity")
+        n = data.draw(st.integers(9, 24), label="nbits")
+        rng = draw_rng(data)
+        shape = (n_arrays, cols)
+        w = 2 * n + 2
+        av = sparse_values(data, rng, shape, n)
+        bv = sparse_values(data, rng, shape, n)
+        # Near the top of the range too, so the wide adds carry out.
+        accv = rng.integers(0, 1 << w, shape) | (
+            data.draw(st.booleans(), label="high acc") << (w - 1))
+        subv = rng.integers(0, 1 << w, shape)
+        a, b, prod = Operand(0, n), Operand(n, n), Operand(2 * n, 2 * n)
+        acc, sub = Operand(4 * n, w), Operand(4 * n + w, w)
+        scratch = Operand(sub.end, w)
+        steps = [
+            lambda u: u.write_values(a, av),
+            lambda u: u.write_values(b, bv),
+            lambda u: u.write_values(acc, accv),
+            lambda u: u.write_values(sub, subv),
+            lambda u: u.multiply(a, b, prod),
+            lambda u: u.add_into(prod, acc),
+            lambda u: u.mac(b, a, prod, acc),
+            lambda u: u.sub_into(acc, sub, scratch),
+            lambda u: u.add(prod, Operand(sub.row, 2 * n),
+                            Operand(scratch.row, 2 * n + 1)),
+            lambda u: u.multiply(Operand(acc.row, n), b, prod),
+        ]
+        ref, packed = make_pair(n_arrays, cols, rows=256, sparsity=sparsity)
+        with record_programs() as recorder:
+            for step in steps:
+                lockstep(ref, packed, step)
+        ref_calls, packed_calls = (t.calls
+                                   for t in recorder.traces.values())
+        assert ([(c.method, c.args) for c in ref_calls]
+                == [(c.method, c.args) for c in packed_calls])
+        assert np.array_equal(packed.read_values(prod),
+                              (ref.read_values(Operand(acc.row, n))
+                               * bv))
+
+    @given(st.data())
     @settings(max_examples=20, deadline=None)
     def test_property_cross_array_composites(self, data):
         n_arrays, cols = data.draw(st.sampled_from(GEOMETRY_VALUES),
@@ -485,8 +533,8 @@ class TestFusedKernels:
         n_arrays, cols = data.draw(st.sampled_from(GEOMETRY_VALUES),
                                    label="geometry")
         rows = 24
-        ref, packed = make_pair(2 * n_arrays, cols, rows=rows)
-        bits = draw_rng(data).integers(0, 2, (2 * n_arrays, rows, cols),
+        ref, packed = make_pair(4 * n_arrays, cols, rows=rows)
+        bits = draw_rng(data).integers(0, 2, (4 * n_arrays, rows, cols),
                                        dtype=np.uint8)
         lockstep(ref, packed, lambda u: u.fleet.load_bits(0, bits))
         n = data.draw(st.integers(1, 6), label="nbits")
@@ -505,7 +553,8 @@ class TestFusedKernels:
             args = (src, dst, data.draw(st.integers(1, cols)))
         elif kind == "move_across":
             src, dst = at(n), at(n)
-            args = (src, dst, 1, 2)
+            group = data.draw(st.sampled_from([2, 4]), label="group")
+            args = (src, dst, data.draw(st.integers(1, group - 1)), group)
         elif kind == "add":
             args = (at(n), at(n), at(n + 1))
         elif kind == "sub":
