@@ -17,8 +17,8 @@ Execution of a convolution follows the paper's two stages:
    (for zero-point corrections), and the channel tree reduction (Fig. 5)
    collapses each output's lanes onto its head bitline. The taps run in
    blocks through ``FleetBitSerialUnit.mac_taps``, as many per block as
-   fit :data:`FLEET_BYTE_BUDGET` stacked, which the packed store runs
-   as one kernel.
+   :data:`FLEET_BYTE_BUDGET` allows, which the packed store runs as one
+   kernel when a block has two taps or more.
 2. **Quantization stage** (per layer, Sec. IV-D): raw sums and input sums
    are staged one-output-per-bitline; the zero-point corrections, ReLU
    (MSB-masked zero write) and the CPU's fixed-point requantization
@@ -160,9 +160,14 @@ GATHER_BUDGET_ELEMENTS = 1 << 21
 #: 4,096 arrays), while a 256-column chunk runs alone. A stacked fleet's
 #: host staging does not grow with its array count: filters load from
 #: the layer's compiled word table and spanning inputs from the batch's
-#: window words, by index. The same budget bounds a block of taps the
-#: MAC kernel stacks (``taps * n_arrays * packed_bytes(cols)``): all of
-#: mlp's 16 taps on its one-array fleets, one tap at 8 KB planes.
+#: window words, by index. The same budget sets how many taps the MAC
+#: kernel stacks per block, as many as ``taps * n_arrays *
+#: packed_bytes(cols)`` allows: all of mlp's 16 taps on its one-array
+#: fleets, 8 on resnet's 32-array projection, one tap (the per-tap loop)
+#: at 8 KB planes. It counts one plane per tap, not the kernel's memory:
+#: the products, their carries and the two sums' fold stack peak near
+#: 165 planes per 8-bit tap into 24-bit sums (tracemalloc), about 1.3 MB
+#: for the projection's 8-tap block.
 FLEET_BYTE_BUDGET = MAX_FLEET_ARRAYS * packed_bytes(256)
 
 

@@ -128,27 +128,6 @@ def _ripple_add(a, b, carry: np.ndarray, out) -> np.ndarray:
     return carry
 
 
-def _carry_out(a, b, carry_in: int = 0) -> np.ndarray:
-    """Carry-out plane of the add ``a + b + carry_in`` over the stacked
-    planes of ``a`` and ``b`` (row 0 least significant), without the
-    ripple: each level merges adjacent row groups' generate and
-    propagate planes, ``G = G_hi | (P_hi & G_lo)``, so the depth is
-    ``log2`` of the width."""
-    g = a & b
-    p = a ^ b
-    if carry_in:
-        g[0] |= p[0]
-    while len(g) > 1:
-        if len(g) % 2:
-            # Fold the lowest row into the next: the lowest group has no
-            # carry-in left to propagate, so its propagate plane is dead.
-            g[1] |= p[1] & g[0]
-            g, p = g[1:], p[1:]
-        g = g[1::2] | (p[1::2] & g[0::2])
-        p = p[1::2] & p[0::2]
-    return g[0]
-
-
 def _carry_into(total, addend) -> np.ndarray:
     """The carry-out of the add ``prev + addend`` that left ``total``
     (``total`` as wide as ``prev``, ``addend`` at most as wide): the add
@@ -156,7 +135,9 @@ def _carry_into(total, addend) -> np.ndarray:
     above ``addend`` are zero and its low rows borrow from ``addend``.
     Tail bits are not masked."""
     n = len(addend)
-    not_below = _carry_out(total[:n], ~addend, 1)
+    flipped = ~addend
+    not_below = _ripple_add(total[:n], flipped, ~total.dtype.type(0),
+                            flipped)
     if n < len(total):
         not_below |= np.bitwise_or.reduce(total[n:], axis=0)
     return ~not_below
@@ -640,8 +621,9 @@ class FleetBitSerialUnit:
         later = np.flatnonzero(live[1:])
         if len(later):
             j = int(later[-1]) + 1
-            self.periphery.carry[...] = mux(
-                mult[j], block[j + n], _carry_out(addend, block[j:j + n]))
+            carry = _ripple_add(addend, block[j:j + n],
+                                addend.dtype.type(0), np.empty_like(addend))
+            self.periphery.carry[...] = mux(mult[j], block[j + n], carry)
         costs = _costs()
         self._charge(int(live[0]) * (costs.tag_load() + costs.copy(n))
                      + len(later) * (costs.tag_load() + costs.add(n)))
@@ -653,7 +635,7 @@ class FleetBitSerialUnit:
         the taps are contiguous, else a gathered copy."""
         n = op.nbits
         block = self.fleet.word_block(op.row, (taps - 1) * stride + n)
-        if stride != n and taps > 1:
+        if stride != n:
             block = block[(np.arange(taps)[:, None] * stride
                            + np.arange(n)).ravel()]
         return block.reshape(taps, n, *block.shape[1:])
@@ -669,38 +651,27 @@ class FleetBitSerialUnit:
         one ripple add. Skip reports and charges follow the per-tap
         loop's order and closed forms. The loop's last carry is its last
         input add that ran, so the carry latch is that add's carry-out,
-        recovered from the final ``b_acc`` (:func:`_carry_into`); one tap
-        alone adds in place (:func:`_add_into_block`)."""
+        recovered from the final ``b_acc`` (:func:`_carry_into`)."""
         n = a.nbits
         fleet = self.fleet
         a_planes = self._tap_planes(a, taps, stride)
         if words is None:
             b_planes = self._tap_planes(b, taps, stride)
-            b_last = Operand(b.row + (taps - 1) * stride, n)
         else:
             # The input rows end holding the last tap's input; the other
             # taps' planes are gathered from the table alone.
             rows = (np.arange(taps)[:, None] * stride
                     + np.arange(n)).ravel()
             self.write_words(b, words[rows[-n:]], index)
-            b_last = b
-            if taps == 1:
-                b_planes = self._block(b)[None]
-            else:
-                b_planes = np.take(words[rows], index, axis=1).reshape(
-                    taps, n, *a_planes.shape[2:])
-                b_planes &= fleet.const_plane(1)
+            b_planes = np.take(words[rows], index, axis=1).reshape(
+                taps, n, *a_planes.shape[2:])
+            b_planes &= fleet.const_plane(1)
         live = (self._live_planes(b_planes) if self.sparsity
                 else np.ones((taps, n), dtype=bool))
         scratch = self._block(product)
-        if taps == 1:
-            products = scratch[None]
-            products[...] = 0
-        else:
-            products = np.zeros((taps, *scratch.shape), dtype=scratch.dtype)
+        products = np.zeros((taps, *scratch.shape), dtype=scratch.dtype)
         _carry_save_multiply(a_planes, b_planes, live.any(axis=0), products)
-        if taps > 1:
-            scratch[...] = products[-1]
+        scratch[...] = products[-1]
         multiplied = live.any(axis=1)
         summed = (self._live_planes(products).any(axis=1) if self.sparsity
                   else np.ones(taps, dtype=bool))
@@ -725,15 +696,6 @@ class FleetBitSerialUnit:
         self.periphery.set_tag_all()
 
         acc_block, b_acc_block = self._block(acc), self._block(b_acc)
-        if taps == 1:
-            carry = None
-            if summed[0]:
-                carry = _add_into_block(scratch, acc_block)
-            if multiplied[0]:
-                carry = _add_into_block(self._block(b_last), b_acc_block)
-            if carry is not None:
-                self.periphery.carry[...] = carry
-            return
         # One operand stack per accumulator, side by side, zero-extended
         # to the wider one: row k of both sums folds in one block op.
         stack = np.zeros((taps + 1, max(acc.nbits, b_acc.nbits), 2,
@@ -978,8 +940,8 @@ class FleetBitSerialUnit:
         index)``.
 
         Packed stores run the whole block as one kernel
-        (:meth:`_fused_mac_taps`) when the operands allow it: equal
-        widths, and every region written (``product``, ``acc``,
+        (:meth:`_fused_mac_taps`) when the operands allow it: two taps or
+        more, equal widths, and every region written (``product``, ``acc``,
         ``b_acc``, a streamed ``b``) disjoint from every other. The
         rows, cycles, skipped cycles, latches, counters and ``skip_step``
         stream end as the loop leaves them. Otherwise, and while a trace
@@ -1007,7 +969,7 @@ class FleetBitSerialUnit:
                    words: np.ndarray | None) -> bool:
         """Whether ``mac_taps`` may run as one kernel."""
         n = a.nbits
-        if (not self._fused or _TRACE_HOOK is not None or taps < 1
+        if (not self._fused or _TRACE_HOOK is not None or taps < 2
                 or stride < 0 or b.nbits != n or product.nbits != 2 * n
                 or acc.nbits < 2 * n or b_acc.nbits < n):
             return False

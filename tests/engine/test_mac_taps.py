@@ -3,13 +3,13 @@
 ``FleetBitSerialUnit.mac_taps`` stands for the loop a conv compute fleet
 runs over its filter taps: per tap, a streamed input's ``write_words``,
 then ``mac`` and the input-sum ``add_into``. Packed stores run a block
-of taps as one kernel (every product at once, then both sums as one
-carry-save sum over the tap axis); everything else runs the loop. The
-kernel must leave exactly what the loop leaves: every row, ``cycles``,
-``skipped_cycles``, both fleet counters, both periphery latches and the
-``skip_step`` stream in per-tap order. The stores here come from
-``make_fleet``, so under ``NEURALCACHE_SANITIZE=1`` both sides run the
-sanitized per-tap loop and must still agree.
+of two taps or more as one kernel (every product at once, then both
+sums as one carry-save sum over the tap axis); everything else runs the
+loop. The kernel must leave exactly what the loop leaves: every row,
+``cycles``, ``skipped_cycles``, both fleet counters, both periphery
+latches and the ``skip_step`` stream in per-tap order. The stores here
+come from ``make_fleet``, so under ``NEURALCACHE_SANITIZE=1`` both sides
+run the sanitized per-tap loop and must still agree.
 """
 
 import numpy as np
@@ -211,9 +211,11 @@ def run_problem(data, problem):
             t1 - t0, stride, *args,
             words=None if words is None else words[t0 * stride:t1 * stride],
             index=index)
-    # Packed stores ran every block as the kernel, not the loop.
-    blocks = -(-taps // p["block"])
-    assert len(kernels) == (blocks if units[2]._fused else 0)
+    # Packed stores ran every block of two taps or more as the kernel;
+    # a one-tap block runs the loop.
+    stacked = sum(min(p["block"], taps - t0) > 1
+                  for t0 in range(0, taps, p["block"]))
+    assert len(kernels) == (stacked if units[2]._fused else 0)
     return units, skips
 
 
