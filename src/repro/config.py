@@ -8,7 +8,7 @@ for batching spills). Defaults reproduce the paper's primary configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cache.dram import DramModel
 from repro.cache.geometry import CacheGeometry, xeon_e5_2697_v3
@@ -36,16 +36,6 @@ class NeuralCacheConfig:
     #: Fraction of the reserved I/O way usable for buffering outputs when
     #: batching (the rest buffers inputs).
     output_buffer_fraction: float = 0.5
-    #: Cap on arrays per chunk of a functional fleet pass (batched passes
-    #: hold batch x arrays-per-image arrays). A conv chunk is one sparsity
-    #: skip domain; consecutive chunks with equal skip signatures share a
-    #: lockstep fleet of at most
-    #: :data:`repro.core.functional.FLEET_BYTE_BUDGET` packed bytes per
-    #: wordline (words sized to the array width; 8 KB, one default
-    #: chunk of 256-column arrays, or sixteen of 16-column ones).
-    #: ``None`` selects the module default
-    #: (:data:`repro.core.functional.MAX_FLEET_ARRAYS`).
-    max_fleet_arrays: int | None = None
     #: Filter-splitting threshold in bytes per bitline (Sec. IV-A).
     split_threshold_bytes: int = 9
     #: Channels a 1x1 filter packs per bitline (Sec. IV-A).
@@ -82,10 +72,6 @@ class NeuralCacheConfig:
         if not 0 < self.output_buffer_fraction <= 1:
             raise SimulationError(
                 "output buffer fraction must be in (0, 1]")
-        if self.max_fleet_arrays is not None and self.max_fleet_arrays <= 0:
-            raise SimulationError(
-                "max fleet arrays must be positive (or None for the "
-                "module default)")
         if self.split_threshold_bytes <= 0 or self.pack_limit <= 0:
             raise SimulationError("mapping thresholds must be positive")
         if self.element_bits <= 0:
@@ -104,19 +90,7 @@ class NeuralCacheConfig:
 
     def with_geometry(self, geometry: CacheGeometry) -> "NeuralCacheConfig":
         """The same configuration on a different cache (Table IV sweeps)."""
-        return NeuralCacheConfig(
-            geometry=geometry, costs=self.costs, dram=self.dram,
-            energy=self.energy, frequency_hz=self.frequency_hz,
-            sockets=self.sockets,
-            output_buffer_fraction=self.output_buffer_fraction,
-            max_fleet_arrays=self.max_fleet_arrays,
-            split_threshold_bytes=self.split_threshold_bytes,
-            pack_limit=self.pack_limit, element_bits=self.element_bits,
-            input_gather_calibration=self.input_gather_calibration,
-            output_gather_calibration=self.output_gather_calibration,
-            input_reuse_floor=self.input_reuse_floor,
-            partial_sum_bits=self.partial_sum_bits,
-            reduction_bits=self.reduction_bits)
+        return replace(self, geometry=geometry)
 
     @property
     def io_way_slots(self) -> int:

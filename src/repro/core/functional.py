@@ -29,17 +29,16 @@ conv). Layers without ReLU (the final FC) can have negative accumulators;
 their requantization happens on the host, as the paper also ships final
 outputs to the CPU.
 
-The quantization stage, max and average pooling, element-wise add and
-batch norm all run one output per bitline (Sec. IV-D) on one runner,
-:func:`_run_bitline_program`, as the paper's per-bank FSM sequences
-every layer kind (Sec. IV-F). A layer supplies its staging and its
-program (write the planes, run the sequence, name the operand to read
-back); the runner chunks the batch, builds each chunk's geometry-sized
-fleet, reads the operand back and charges the report: the fleet's
-``cycles * n_arrays`` to the layer's phase (``pooling`` for the pools
-and add, ``quantization`` otherwise), its skipped cycles to
-``skipped``, and its arrays to ``passes``, except for the conv
-quantization stage, whose arrays the compute stage already counted.
+One runner, :func:`_run_fleet`, builds and charges every fleet, as the
+paper's per-bank FSM sequences every layer kind (Sec. IV-F). Each stage
+declares its row layout, which its engine checks against the geometry's
+``array_rows`` when built, and hands the runner ordered ``(phase,
+step)`` pairs; the fleet is only as tall as the layout, and each step's
+``cycles * n_arrays`` goes to its phase. The one-output-per-bitline
+stages (the conv quantization stage, max and average pooling, add and
+batch norm, Sec. IV-D) chunk the batch at image boundaries
+(:func:`_run_bitline_program`); the conv compute stage chunks it
+aligned to reduction groups.
 
 Execution is *vectorized*: every serial pass of a layer maps to one
 member of an :class:`~repro.engine.fleet.PlaneStore` fleet, and the
@@ -60,15 +59,13 @@ bit-serial sequence once per *batch* instead of once per image. Arrays
 stay aligned to image boundaries, so a batched pass executes exactly the
 arrays the per-image loop would and reports identical per-image cycles
 (the arrays are parallel hardware — batching changes wall-clock, not
-modeled cycles). Passes are chunked at ``config.max_fleet_arrays``
-(default :data:`MAX_FLEET_ARRAYS`) arrays. A conv compute chunk is a
-sparsity skip domain; consecutive chunks whose skip signatures agree run
-as one lockstep fleet of up to :data:`FLEET_BYTE_BUDGET` packed bytes
-per wordline, as one broadcast instruction steps every array (Sec. IV-F),
-so narrow arrays stack several chunks into each host plane op with
-identical outputs and cycle reports. Conv compute fleets allocate only
-the rows their layout uses; every other fleet is one array height of the
-geometry.
+modeled cycles). Passes are chunked at :data:`MAX_FLEET_ARRAYS` arrays.
+A conv compute chunk is a sparsity skip domain; consecutive chunks whose
+skip signatures agree run as one lockstep fleet of up to
+:data:`FLEET_BYTE_BUDGET` packed bytes per wordline, as one broadcast
+instruction steps every array (Sec. IV-F), so narrow arrays stack
+several chunks into each host plane op with identical outputs and cycle
+reports.
 
 Layers whose padded channel count exceeds the array width span
 ``arrays_per_conv`` consecutive fleet members per output: each spanning
@@ -138,15 +135,14 @@ from repro.sram.bitserial import Operand
 CORRECTION_BITS = 34
 #: Maximum taps per output so the input-sum fits the 16-bit multiply.
 MAX_FUNCTIONAL_TAPS = 257
-#: Arrays per chunk of a vectorized stage. Overridable per run via
-#: ``NeuralCacheConfig.max_fleet_arrays`` (batched passes multiply the
+#: Arrays per chunk of a vectorized stage (batched passes multiply the
 #: array count by the batch size, so serving-scale batches chunk). A conv
 #: compute chunk is the sparsity skip domain: its ``plane_any`` probes
 #: decide skips for its arrays alone, so this value is part of the cycle
 #: model. The conv compute stage bounds its host memory with
 #: ``FLEET_BYTE_BUDGET`` and ``GATHER_BUDGET_ELEMENTS``, the other stages
 #: with this cap; verification-scale layers still run in a single
-#: all-arrays pass.
+#: all-arrays pass. Tests monkeypatch it to exercise ragged chunking.
 MAX_FLEET_ARRAYS = 256
 #: Elements per staged (array, lane, tap) plane in a conv window. It
 #: also caps the chunk size, so it moves skip domains and is part of the
@@ -498,7 +494,29 @@ class ConvStaging:
         return _byte_words(cells.transpose(2, 0, 1))
 
 
-class FunctionalConv:
+class _LayerEngine:
+    """What every layer engine holds: config, name, plane store
+    (``packed`` words or the unpacked reference), sparsity switch (skip
+    all-zero bit planes; outputs stay bit-exact), cycle report, and the
+    row ``layout`` of its fleets, refused if it outgrows the arrays."""
+
+    def __init__(self, config: NeuralCacheConfig | None, name: str,
+                 packed: bool, sparsity: bool,
+                 layout: tuple[Operand, ...]):
+        self.config = config if config is not None else NeuralCacheConfig()
+        self.name = name
+        self.packed = packed
+        self.sparsity = sparsity
+        self.report = CycleReport()
+        _check_rows(name, "functional", layout, self.config)
+        self.layout = layout
+
+    def run(self, *xs: QuantizedTensor) -> QuantizedTensor:
+        """Execute one image (one tensor per operand)."""
+        return self.run_batch(*([x] for x in xs))[0]
+
+
+class FunctionalConv(_LayerEngine):
     """Executes one quantized convolution on bit-serial arrays.
 
     ``staging`` is the layer's compiled :class:`ConvStaging`; engines of
@@ -518,28 +536,18 @@ class FunctionalConv:
         self.conv = conv
         self.input_shape = input_shape
         self.weights = weights
-        self.config = config if config is not None else NeuralCacheConfig()
-        self.name = name
         self.output_params = output_params
-        #: Back the fleet with the packed word plane store instead of
-        #: the unpacked byte-per-bit reference.
-        self.packed = packed
-        #: Skip all-zero operand bit planes fleet-wide (data-dependent
-        #: ``CycleReport``; outputs stay bit-exact vs the dense path).
-        self.sparsity = sparsity
+        config = config if config is not None else NeuralCacheConfig()
         if staging is None:
-            staging = ConvStaging.compile(conv, input_shape, weights,
-                                          self.config, name, element_bits)
+            staging = ConvStaging.compile(conv, input_shape, weights, config,
+                                          name, element_bits)
         self.staging = staging
         self.mapping = staging.mapping
         self.plan = staging.plan
-        self.report = CycleReport()
+        super().__init__(config, name, packed, sparsity,
+                         _conv_rows(self.mapping, self.plan.taps))
 
     # ------------------------------------------------------------------
-    def run(self, x: QuantizedTensor) -> QuantizedTensor:
-        """Execute and return the quantized output tensor."""
-        return self.run_batch([x])[0]
-
     def run_batch(self, xs: list[QuantizedTensor]) -> list[QuantizedTensor]:
         """Execute a whole batch as one fleet pass per stage.
 
@@ -584,18 +592,18 @@ class FunctionalConv:
         ``windows`` is the batch's ``(batch, E*F, lanes, taps)`` input
         windows (:meth:`ConvStaging.gather_windows`). The
         ``batch * arrays_per_image`` arrays split into chunks of at most
-        ``config.max_fleet_arrays``, aligned to reduction groups; each
+        :data:`MAX_FLEET_ARRAYS`, aligned to reduction groups; each
         chunk is one sparsity skip domain. A window of consecutive
         chunks, within ``FLEET_BYTE_BUDGET`` packed bytes per wordline and
         ``GATHER_BUDGET_ELEMENTS`` staged elements, stages its input
         words at once (:meth:`_stage_chunk`). Each run of chunks with
         equal skip signatures (:func:`_skip_runs`) then executes as a
-        *single* lockstep MAC/reduction sequence — no Python loop over
-        arrays or images. Equal signatures make every ``plane_any``
-        probe answer each chunk as it would alone, and arrays never
-        straddle image boundaries, so cycle reports
-        (``sequence_cycles * n_arrays`` per fleet) match the per-image
-        loop exactly.
+        *single* lockstep MAC/reduction program on one :func:`_run_fleet`
+        fleet (:meth:`_compute_program`) — no Python loop over arrays or
+        images. Equal signatures make every ``plane_any`` probe answer
+        each chunk as it would alone, and arrays never straddle image
+        boundaries, so cycle reports (``sequence_cycles * n_arrays`` per
+        fleet) match the per-image loop exactly.
         """
         staging = self.staging
         n_images = windows.shape[0]
@@ -611,7 +619,7 @@ class FunctionalConv:
         # staging budget.
         arrays_by_gather = max(
             GATHER_BUDGET_ELEMENTS // (groups * self.plan.lanes * taps), 1)
-        per_chunk = min(_max_fleet_arrays(self.config), arrays_by_gather)
+        per_chunk = min(MAX_FLEET_ARRAYS, arrays_by_gather)
         if span > 1:
             # Chunks must hold whole reduction groups: round the cap down
             # to a group multiple (never below one group). Groups start at
@@ -637,9 +645,9 @@ class FunctionalConv:
                     inputs[:, input_index],
                     np.array([c0 - a0 for c0, _ in window]))
             for r0, r1 in runs:
-                self._run_fleet(filter_index[r0:r1], inputs,
-                                input_index[r0:r1], img[r0:r1], ol[r0:r1],
-                                live[r0:r1], raw, xsum)
+                _run_fleet(self, r1 - r0, self.layout, self._compute_program(
+                    filter_index[r0:r1], inputs, input_index[r0:r1],
+                    img[r0:r1], ol[r0:r1], live[r0:r1], raw, xsum))
         return raw, xsum
 
     def _stage_chunk(self, windows: np.ndarray, a0: int, a1: int
@@ -691,13 +699,15 @@ class FunctionalConv:
         return (filter_index, _byte_words(values), np.arange(n_arrays),
                 img, ol, live)
 
-    def _run_fleet(self, filter_index: np.ndarray, inputs: np.ndarray,
-                   input_index: np.ndarray, img: np.ndarray, ol: np.ndarray,
-                   live: np.ndarray, raw: np.ndarray,
-                   xsum: np.ndarray) -> None:
-        """One lockstep fleet over staged words (:meth:`_stage_chunk`),
-        one array per pass. Results land in the ``(batch, n_out)``
-        ``raw``/``xsum`` accumulators."""
+    def _compute_program(self, filter_index: np.ndarray, inputs: np.ndarray,
+                         input_index: np.ndarray, img: np.ndarray,
+                         ol: np.ndarray, live: np.ndarray, raw: np.ndarray,
+                         xsum: np.ndarray) -> list:
+        """One lockstep fleet's program over staged words
+        (:meth:`_stage_chunk`), one array per pass, as :func:`_run_fleet`
+        steps: the uncharged load, the MAC blocks, the reductions, and the
+        read-back into the ``(batch, n_out)`` ``raw``/``xsum``
+        accumulators."""
         mapping = self.mapping
         taps = self.plan.taps
         lanes = self.plan.lanes
@@ -707,94 +717,90 @@ class FunctionalConv:
         n_arrays = len(filter_index)
         span = mapping.arrays_per_conv
         nb = mapping.element_bits
-        # ``compile`` checked that the regions fit the array; the fleet
-        # allocates only the rows they use.
         (filter_rows, input_rows, scratch, partial, segment,
-         xsum_rows) = _conv_rows(mapping, taps)
-
-        unit = FleetBitSerialUnit(
-            make_fleet(n_arrays, rows=xsum_rows.end, cols=cols,
-                       packed=self.packed),
-            sparsity=self.sparsity)
-        # Weight-stationary filters: one host load of the compiled words.
-        unit.write_words(filter_rows, self.staging.filter_words,
-                         filter_index)
-        if not packed:
-            unit.write_words(input_rows, inputs, input_index)
-        unit.zero(Operand(partial.row, 24))
-        unit.zero(Operand(xsum_rows.row, 24))
-        if span > 1:
-            # The cross-array adds read the full 32-bit reduction width;
-            # the in-array tree only writes growth bits up to
-            # ``24 + log2(cols)``, so the rows above that need explicit
-            # zeros (zeroing lower growth bits would be dead writes).
-            in_final = 24 + (cols.bit_length() - 1)
-            if in_final < 32:
-                unit.zero(Operand(partial.row + in_final, 32 - in_final))
-                unit.zero(Operand(xsum_rows.row + in_final, 32 - in_final))
-
-        # -- MACs: one multiply-accumulate per tap, whole fleet, in
-        # blocks of taps whose stacked planes fit FLEET_BYTE_BUDGET --
-        # Narrowed layers (``element_bits < 8``) run the serial sequence
-        # over the low ``nb`` planes only; storage stays byte-aligned.
-        # Packed 1x1 layers stream each tap's byte into one input region.
-        before = unit.cycles
+         xsum_rows) = self.layout
         block = max(FLEET_BYTE_BUDGET // (n_arrays * packed_bytes(cols)), 1)
-        for t0 in range(0, taps, block):
-            t1 = min(t0 + block, taps)
-            f_op = Operand(filter_rows.row + 8 * t0, nb)
-            x_op = Operand(input_rows.row + (0 if packed else 8 * t0), nb)
-            unit.mac_taps(f_op, x_op, t1 - t0, 8,
-                          Operand(scratch.row, 2 * nb),
-                          Operand(partial.row, 24),
-                          Operand(xsum_rows.row, 24),
-                          words=inputs[8 * t0:8 * t1] if packed else None,
-                          index=input_index if packed else None)
-        self.report.mac += (unit.cycles - before) * n_arrays
 
-        # -- reductions: raw sums, then input sums (Fig. 5 / Fig. 10b) --
-        before = unit.cycles
-        in_lanes = lanes if span == 1 else cols
-        if in_lanes > 1:
-            unit.reduce_tree(partial, segment, in_lanes, 24)
-            unit.reduce_tree(xsum_rows, segment, in_lanes, 24)
-        if span > 1:
-            # Fold the spanning arrays' per-array sums into each group's
-            # first array, over the mapper's hop schedule (sense-amp
-            # pair, then bus/ring), at the full reduction width.
-            width = self.config.reduction_bits
-            unit.reduce_across_arrays(partial, Operand(segment.row, width),
-                                      span, width)
-            unit.reduce_across_arrays(xsum_rows, Operand(segment.row, width),
-                                      span, width)
-        self.report.reduction += (unit.cycles - before) * n_arrays
-        self.report.skipped += unit.skipped_cycles * n_arrays
-        self.report.passes += n_arrays
+        def load(unit: FleetBitSerialUnit) -> None:
+            # Weight-stationary filters: one host load of the compiled words.
+            unit.write_words(filter_rows, self.staging.filter_words,
+                             filter_index)
+            if not packed:
+                unit.write_words(input_rows, inputs, input_index)
+            unit.zero(Operand(partial.row, 24))
+            unit.zero(Operand(xsum_rows.row, 24))
+            if span > 1:
+                # The cross-array adds read the full 32-bit reduction
+                # width; the in-array tree only writes growth bits up to
+                # ``24 + log2(cols)``, so only the rows above need zeros
+                # (zeroing lower growth bits would be dead writes).
+                in_final = 24 + (cols.bit_length() - 1)
+                if in_final < 32:
+                    unit.zero(Operand(partial.row + in_final, 32 - in_final))
+                    unit.zero(Operand(xsum_rows.row + in_final, 32 - in_final))
 
-        # -- read back each group's head column (output move path) --
-        # Only the rows the sequence wrote are read: 24 accumulator bits
-        # plus one growth bit per reduction step (spanning groups: the
-        # full widened accumulator). The rest of the 32-row regions hold
-        # power-on zeros — reading them would work, but the dataflow
-        # verifier rightly flags reads of never-written rows.
-        if span == 1:
-            live_bits = 24 + (lanes.bit_length() - 1 if lanes > 1 else 0)
-        else:
-            live_bits = partial.nbits
-        # Only arrays holding a live group are read back: on spanning
-        # layers each group's first array (one in ``span``); elsewhere
-        # every array holds one, and the read needs no selection.
-        sel = np.flatnonzero(live.any(axis=1))
-        if len(sel) == n_arrays:
-            sel = None
-        else:
-            img, ol, live = img[sel], ol[sel], live[sel]
-        raw_bits = unit.read_values(Operand(partial.row, live_bits), sel)
-        sum_bits = unit.read_values(Operand(xsum_rows.row, live_bits), sel)
-        head = np.arange(groups) * (lanes if span == 1 else 0)
-        img_of = np.broadcast_to(img[:, None], ol.shape)
-        raw[img_of[live], ol[live]] = raw_bits[:, head][live]
-        xsum[img_of[live], ol[live]] = sum_bits[:, head][live]
+        def macs(unit: FleetBitSerialUnit) -> None:
+            # One multiply-accumulate per tap, whole fleet, in blocks of
+            # taps whose stacked planes fit FLEET_BYTE_BUDGET. Narrowed
+            # layers (``element_bits < 8``) run the serial sequence over
+            # the low ``nb`` planes only; storage stays byte-aligned.
+            # Packed 1x1 layers stream each tap's byte into one region.
+            for t0 in range(0, taps, block):
+                t1 = min(t0 + block, taps)
+                f_op = Operand(filter_rows.row + 8 * t0, nb)
+                x_op = Operand(input_rows.row + (0 if packed else 8 * t0), nb)
+                unit.mac_taps(f_op, x_op, t1 - t0, 8,
+                              Operand(scratch.row, 2 * nb),
+                              Operand(partial.row, 24),
+                              Operand(xsum_rows.row, 24),
+                              words=inputs[8 * t0:8 * t1] if packed else None,
+                              index=input_index if packed else None)
+
+        def reduce(unit: FleetBitSerialUnit) -> None:
+            # Raw sums, then input sums (Fig. 5 / Fig. 10b).
+            in_lanes = lanes if span == 1 else cols
+            if in_lanes > 1:
+                unit.reduce_tree(partial, segment, in_lanes, 24)
+                unit.reduce_tree(xsum_rows, segment, in_lanes, 24)
+            if span > 1:
+                # Fold the spanning arrays' sums into each group's first
+                # array over the mapper's hop schedule (sense-amp pair,
+                # then bus/ring), at the full reduction width.
+                width = self.config.reduction_bits
+                unit.reduce_across_arrays(
+                    partial, Operand(segment.row, width), span, width)
+                unit.reduce_across_arrays(
+                    xsum_rows, Operand(segment.row, width), span, width)
+
+        def read_back(unit: FleetBitSerialUnit) -> None:
+            # Each group's head column (output move path). Only the rows
+            # the sequence wrote are read: 24 accumulator bits plus one
+            # growth bit per reduction step (spanning groups: the full
+            # widened accumulator). The rest of the 32-row regions hold
+            # power-on zeros — reading them would work, but the dataflow
+            # verifier rightly flags reads of never-written rows.
+            if span == 1:
+                live_bits = 24 + (lanes.bit_length() - 1 if lanes > 1 else 0)
+            else:
+                live_bits = partial.nbits
+            # Only arrays holding a live group are read back: on spanning
+            # layers each group's first array (one in ``span``);
+            # elsewhere every array holds one, and the read needs no
+            # selection.
+            sel = np.flatnonzero(live.any(axis=1))
+            arrays = None if len(sel) == n_arrays else sel
+            raw_bits, sum_bits = (
+                unit.read_values(Operand(op.row, live_bits), arrays)
+                for op in (partial, xsum_rows))
+            head = np.arange(groups) * (lanes if span == 1 else 0)
+            hit = live[sel]
+            out = (np.broadcast_to(img[sel, None], hit.shape)[hit],
+                   ol[sel][hit])
+            raw[out] = raw_bits[:, head][hit]
+            xsum[out] = sum_bits[:, head][hit]
+
+        return [(None, load), ("mac", macs), ("reduction", reduce),
+                (None, read_back)]
 
     # ------------------------------------------------------------------
     # Stage 2: corrections + ReLU + requantization (Sec. IV-D)
@@ -837,11 +843,12 @@ class FunctionalConv:
                     _stage_batch(np.broadcast_to(const, (b1 - b0, n_out)),
                                  cols)]
 
+        layout = _quantize_rows(in_cache_requant)
+
         def program(unit: FleetBitSerialUnit,
                     planes: list[np.ndarray]) -> Operand:
             # ``ConvStaging.compile`` checked that the layout fits the array.
-            (acc, xs16, m16, prod, kreg, scr, m24, prod48, half48, zp9,
-             out10, sat8) = _quantize_rows(True)
+            acc, xs16, m16, prod, kreg, scr, *requant_rows = layout
             # Host staging (the output-move path already paid for this data).
             unit.write_values(acc, planes[0])
             unit.write_values(xs16, planes[1])
@@ -857,13 +864,15 @@ class FunctionalConv:
             # ReLU: MSB-enabled zero write (Sec. IV-D).
             unit.relu(acc, sign_row=acc.bit(CORRECTION_BITS - 1))
             # Requantize: acc * M0 (24x24 multiply), then the epilogue.
+            m24, prod48, half48, zp9, out10, sat8 = requant_rows
             unit.write_scalar(m24, requant.multiplier)
             unit.multiply(Operand(acc.row, 24), m24, prod48)
             return _requantize(unit, prod48, requant.shift,
                                requant.zero_point, half48, zp9, out10, sat8)
 
-        out = _run_bitline_program(self, n_images, n_out, stage_group,
-                                   program, "quantization", passes=False)
+        out = _run_bitline_program(self, layout, n_images, n_out,
+                                   stage_group, program, "quantization",
+                                   passes=False)
         if in_cache_requant:
             return out
         # No-ReLU layers (the final FC) requantize on the host, as the
@@ -874,7 +883,7 @@ class FunctionalConv:
         return requant.apply(signed).astype(np.int64)
 
 
-class FunctionalMaxPool:
+class FunctionalMaxPool(_LayerEngine):
     """Max pooling on bit-serial arrays (Sec. IV-D)."""
 
     def __init__(self, pool: MaxPool, input_shape: tuple[int, int, int],
@@ -883,14 +892,10 @@ class FunctionalMaxPool:
                  sparsity: bool = False):
         self.pool = pool
         self.input_shape = input_shape
-        self.config = config if config is not None else NeuralCacheConfig()
+        # The running maximum, a candidate tap and the fold's scratch.
+        super().__init__(config, name, packed, sparsity, (
+            Operand(0, 8), Operand(8, 8), Operand(16, 17)))
         self.mapping = map_pool(self.config, name, pool, input_shape)
-        self.packed = packed
-        self.sparsity = sparsity
-        self.report = CycleReport()
-
-    def run(self, x: QuantizedTensor) -> QuantizedTensor:
-        return self.run_batch([x])[0]
 
     def run_batch(self, xs: list[QuantizedTensor]) -> list[QuantizedTensor]:
         """Max-pool a whole batch in one fleet pass per chunk: fold the
@@ -900,8 +905,7 @@ class FunctionalMaxPool:
 
         def program(unit: FleetBitSerialUnit,
                     taps: list[np.ndarray]) -> Operand:
-            current, candidate = Operand(0, 8), Operand(8, 8)
-            scratch = Operand(16, 17)
+            current, candidate, scratch = self.layout
             unit.write_values(current, taps[0])
             for tap in taps[1:]:
                 unit.write_values(candidate, tap)
@@ -909,7 +913,7 @@ class FunctionalMaxPool:
             return current
 
         out = _run_bitline_program(
-            self, len(xs), e * f * c,
+            self, self.layout, len(xs), e * f * c,
             _pool_window_stager(self.pool, np.stack([x.data for x in xs]),
                                 self.config.geometry.array_cols),
             program, "pooling")
@@ -918,8 +922,12 @@ class FunctionalMaxPool:
                 for o, x in zip(out, xs)]
 
 
-class FunctionalAvgPool:
-    """Average pooling: in-array window sum, then restoring division."""
+class FunctionalAvgPool(_LayerEngine):
+    """Average pooling: in-array window sum, then restoring division.
+
+    The accumulator holds a full window of 255s: 16 bits up to 257 taps,
+    wider beyond (a narrower one would wrap the sum).
+    """
 
     def __init__(self, pool: AvgPool, input_shape: tuple[int, int, int],
                  config: NeuralCacheConfig | None = None,
@@ -927,23 +935,17 @@ class FunctionalAvgPool:
                  sparsity: bool = False):
         self.pool = pool
         self.input_shape = input_shape
-        self.config = config if config is not None else NeuralCacheConfig()
+        n = max(16, (255 * pool.kernel[0] * pool.kernel[1]).bit_length())
+        # Element, accumulator, divisor, quotient, division scratch.
+        super().__init__(config, name, packed, sparsity, (
+            Operand(0, 8), Operand(8, n), Operand(8 + n, n),
+            Operand(8 + 2 * n, n), Operand(8 + 3 * n, 3 * n + 4)))
         self.mapping = map_pool(self.config, name, pool, input_shape)
-        self.packed = packed
-        self.sparsity = sparsity
-        self.report = CycleReport()
-
-    def run(self, x: QuantizedTensor) -> QuantizedTensor:
-        return self.run_batch([x])[0]
 
     def run_batch(self, xs: list[QuantizedTensor]) -> list[QuantizedTensor]:
         """Average-pool a whole batch in one fleet pass per chunk: sum the
         window taps, then divide by the in-bounds tap count, one output
-        per bitline.
-
-        The accumulator holds a full window of 255s: 16 bits up to 257
-        taps, wider beyond (a narrower one would wrap the sum).
-        """
+        per bitline."""
         _check_batch(xs, self.input_shape)
         pool = self.pool
         e, f, c = pool.output_shape(self.input_shape)
@@ -957,19 +959,13 @@ class FunctionalAvgPool:
         ones = np.ones((1, *self.input_shape), dtype=np.uint8)
         taps = _pool_window_stager(pool, ones, cols)(0, 1)
         counts = np.maximum(np.sum(taps, axis=0), 1)
-        acc_bits = max(16, (255 * pool.kernel[0] * pool.kernel[1])
-                       .bit_length())
 
         def stage_group(b0: int, b1: int) -> list[np.ndarray]:
             return stage_taps(b0, b1) + [np.tile(counts, (b1 - b0, 1))]
 
         def program(unit: FleetBitSerialUnit,
                     planes: list[np.ndarray]) -> Operand:
-            element = Operand(0, 8)
-            acc = Operand(element.end, acc_bits)
-            divisor = Operand(acc.end, acc_bits)
-            quotient = Operand(divisor.end, acc_bits)
-            work = Operand(quotient.end, 3 * acc_bits + 4)
+            element, acc, divisor, quotient, work = self.layout
             unit.zero(acc)
             for tap in planes[:-1]:
                 unit.write_values(element, tap)
@@ -978,14 +974,14 @@ class FunctionalAvgPool:
             unit.divide(acc, divisor, quotient, work)
             return quotient
 
-        out = _run_bitline_program(self, len(xs), n_out, stage_group,
-                                   program, "pooling")
+        out = _run_bitline_program(self, self.layout, len(xs), n_out,
+                                   stage_group, program, "pooling")
         return [QuantizedTensor(o.reshape(e, f, c).astype(np.uint8),
                                 x.params)
                 for o, x in zip(out, xs)]
 
 
-class FunctionalAdd:
+class FunctionalAdd(_LayerEngine):
     """Element-wise quantized addition in cache (residual connections).
 
     One output per bitline: add the operands (Fig. 4), subtract the
@@ -999,15 +995,14 @@ class FunctionalAdd:
                  relu: bool = False, name: str = "add",
                  packed: bool = False, sparsity: bool = False):
         self.input_shape = input_shape
-        self.config = config if config is not None else NeuralCacheConfig()
         self.relu = relu
-        self.name = name
-        self.packed = packed
-        self.sparsity = sparsity
-        self.report = CycleReport()
-
-    def run(self, a: QuantizedTensor, b: QuantizedTensor) -> QuantizedTensor:
-        return self.run_batch([a], [b])[0]
+        # a8, b8, total9, zp9, diff10 (9-bit difference + not-borrow),
+        # scratch9, low9, sat8, then a fused ReLU's second compare.
+        layout = (Operand(0, 8), Operand(8, 8), Operand(16, 9),
+                  Operand(25, 9), Operand(34, 10), Operand(44, 9),
+                  Operand(53, 9), Operand(62, 8), Operand(70, 10))
+        super().__init__(config, name, packed, sparsity,
+                         layout if relu else layout[:-1])
 
     def run_batch(self, a_list: list[QuantizedTensor],
                   b_list: list[QuantizedTensor]) -> list[QuantizedTensor]:
@@ -1038,14 +1033,8 @@ class FunctionalAdd:
 
         def program(unit: FleetBitSerialUnit,
                     planes: list[np.ndarray]) -> Operand:
-            a8, b8 = Operand(0, 8), Operand(8, 8)
-            total9 = Operand(16, 9)
-            zp9 = Operand(25, 9)
-            diff10 = Operand(34, 10)       # 9-bit difference + not-borrow
-            scratch9 = Operand(44, 9)
-            low9 = Operand(53, 9)
-            sat8 = Operand(62, 8)
-            relu_cmp = Operand(70, 10)     # second compare for fused ReLU
+            (a8, b8, total9, zp9, diff10, scratch9, low9, sat8,
+             *relu_cmp) = self.layout
             unit.write_values(a8, planes[0])
             unit.write_values(b8, planes[1])
             unit.add(a8, b8, total9)
@@ -1060,20 +1049,20 @@ class FunctionalAdd:
             unit.selective_copy(sat8, Operand(diff10.row, 8), diff10.bit(8))
             if self.relu:
                 # Fused ReLU clamps below the zero point: out = max(out, zp).
-                unit.sub(Operand(diff10.row, 9), zp9, relu_cmp, scratch9)
+                unit.sub(Operand(diff10.row, 9), zp9, relu_cmp[0], scratch9)
                 unit.write_scalar(low9, zp)
                 unit.selective_copy(low9, Operand(diff10.row, 9),
-                                    relu_cmp.bit(9), invert=True)
+                                    relu_cmp[0].bit(9), invert=True)
             return Operand(diff10.row, 8)
 
-        out = _run_bitline_program(self, len(a_list), n_out, stage_group,
-                                   program, "pooling")
+        out = _run_bitline_program(self, self.layout, len(a_list), n_out,
+                                   stage_group, program, "pooling")
         return [QuantizedTensor(
                     o.reshape(self.input_shape).astype(np.uint8), a.params)
                 for o, a in zip(out, a_list)]
 
 
-class FunctionalBatchNorm:
+class FunctionalBatchNorm(_LayerEngine):
     """Explicit in-cache batch normalisation (Sec. IV-D).
 
     Per output: a 16-bit multiply by the channel's scalar, a two's
@@ -1090,13 +1079,16 @@ class FunctionalBatchNorm:
                  packed: bool = False, sparsity: bool = False):
         self.input_shape = input_shape
         self.bn = bn_weights
-        self.config = config if config is not None else NeuralCacheConfig()
         self.relu = relu
         self.zp_out = zp_out
-        self.name = name
-        self.packed = packed
-        self.sparsity = sparsity
-        self.report = CycleReport()
+        # q16, mult16, acc (32-bit product + 2 growth), bias34, then the
+        # ReLU epilogue's half34 (rows 100-133 spare), zp9, out10, sat8.
+        layout = (Operand(0, 16), Operand(16, 16),
+                  Operand(32, CORRECTION_BITS), Operand(66, CORRECTION_BITS),
+                  Operand(134, CORRECTION_BITS), Operand(168, 9),
+                  Operand(177, 10), Operand(187, 8))
+        super().__init__(config, name, packed, sparsity,
+                         layout if relu else layout[:4])
         if input_shape[2] != bn_weights.channels:
             raise SimulationError(
                 f"BN has {bn_weights.channels} channels, input has "
@@ -1105,9 +1097,6 @@ class FunctionalBatchNorm:
             raise SimulationError(
                 f"BN shift {bn_weights.shift} too large for the in-cache "
                 f"epilogue window")
-
-    def run(self, x: QuantizedTensor) -> QuantizedTensor:
-        return self.run_batch([x])[0]
 
     def run_batch(self, xs: list[QuantizedTensor]) -> list[QuantizedTensor]:
         """Batch-normalise a whole batch in one fleet pass per chunk, one
@@ -1136,14 +1125,7 @@ class FunctionalBatchNorm:
 
         def program(unit: FleetBitSerialUnit,
                     planes: list[np.ndarray]) -> Operand:
-            q16 = Operand(0, 16)
-            mult16 = Operand(16, 16)
-            acc = Operand(32, CORRECTION_BITS)  # 32-bit product + 2 growth
-            bias34 = Operand(66, CORRECTION_BITS)
-            half34 = Operand(134, CORRECTION_BITS)  # rows 100-133 spare
-            zp9 = Operand(168, 9)
-            out10 = Operand(177, 10)
-            sat8 = Operand(187, 8)
+            q16, mult16, acc, bias34, *epilogue = self.layout
             unit.write_values(q16, planes[0])
             unit.write_values(mult16, planes[1])
             unit.write_values(bias34, planes[2])
@@ -1154,10 +1136,10 @@ class FunctionalBatchNorm:
                 return acc
             unit.relu(acc, sign_row=acc.bit(CORRECTION_BITS - 1))
             return _requantize(unit, acc, self.bn.shift, self.zp_out,
-                               half34, zp9, out10, sat8)
+                               *epilogue)
 
-        out = _run_bitline_program(self, len(xs), n_out, stage_group,
-                                   program, "quantization")
+        out = _run_bitline_program(self, self.layout, len(xs), n_out,
+                                   stage_group, program, "quantization")
         if not self.relu:
             # Host epilogue for no-ReLU layers (as with the final FC).
             signed = from_twos_complement(out, CORRECTION_BITS)
@@ -1356,13 +1338,6 @@ def _check_narrowed(name: str, nb: int, what: str,
             f"execution would truncate them")
 
 
-def _max_fleet_arrays(config: NeuralCacheConfig) -> int:
-    """The configured per-chunk array cap (module default when unset)."""
-    if config.max_fleet_arrays is not None:
-        return config.max_fleet_arrays
-    return MAX_FLEET_ARRAYS
-
-
 def _array_chunks(total_arrays: int, max_arrays: int
                   ) -> list[tuple[int, int]]:
     """Slices of the global batch-by-arrays axis, at most ``max_arrays``
@@ -1417,52 +1392,70 @@ def _skip_runs(filter_words: np.ndarray, input_words: np.ndarray,
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _run_bitline_program(engine, n_images: int, n_out: int, stage_group,
-                         program, phase: str,
+def _run_fleet(engine, n_arrays: int, layout: tuple[Operand, ...], steps,
+               passes: bool = True):
+    """Build one lockstep fleet of ``n_arrays`` arrays on ``engine``'s
+    store, only as tall as ``layout``, and run one stage program on it.
+
+    ``steps`` are the program's ordered ``(phase, step)`` pairs: each
+    ``step(unit)`` runs on the fleet, and the cycles it spends, times
+    ``n_arrays``, go to the ``phase`` field of ``engine.report`` (a
+    ``None`` phase charges nothing). The fleet's skipped cycles then go
+    to ``skipped`` and, with ``passes``, its arrays to ``passes``.
+    Returns the last step's result.
+    """
+    unit = FleetBitSerialUnit(
+        make_fleet(n_arrays, rows=max(region.end for region in layout),
+                   cols=engine.config.geometry.array_cols,
+                   packed=engine.packed),
+        sparsity=engine.sparsity)
+    report = engine.report
+    for phase, step in steps:
+        before = unit.cycles
+        result = step(unit)
+        if phase is not None:
+            setattr(report, phase, getattr(report, phase)
+                    + (unit.cycles - before) * n_arrays)
+    report.skipped += unit.skipped_cycles * n_arrays
+    if passes:
+        report.passes += n_arrays
+    return result
+
+
+def _run_bitline_program(engine, layout: tuple[Operand, ...], n_images: int,
+                         n_out: int, stage_group, program, phase: str,
                          passes: bool = True) -> np.ndarray:
     """Run a one-output-per-bitline layer program over a whole batch.
 
     ``stage_group(b0, b1)`` stages images ``[b0, b1)`` as
     ``(arrays, cols)`` value planes (:func:`_stage_batch`). Images run in
     image-aligned groups sized so one group's planes respect
-    ``config.max_fleet_arrays`` (an image whose own fleet exceeds the cap
+    :data:`MAX_FLEET_ARRAYS` (an image whose own fleet exceeds the cap
     still forms a group), each group in chunks of at most that many
     arrays: staging the whole batch up front would let peak host memory
-    grow with the batch regardless of the chunk knob. Per chunk, one
-    geometry-sized fleet on ``engine``'s store runs ``program(unit,
-    planes)``, which writes its planes, runs the layer's sequence and
-    returns the operand to read back. Each fleet charges ``unit.cycles *
-    n_arrays`` to the ``phase`` field of ``engine.report``, its skipped
-    cycles to ``skipped`` and, with ``passes``, its arrays to ``passes``.
-    Outputs never depend on chunk and group boundaries, nor do dense
-    cycle reports: the sequences are data-independent and cycles are
-    charged per array (property-tested with ``max_fleet_arrays=2``).
-    Under sparsity each chunk decides its own skips. Returns the
-    ``(n_images, n_out)`` read-back values.
+    grow with the batch regardless of the cap. Each chunk is one
+    :func:`_run_fleet` fleet, ``layout`` tall, whose one step, charged
+    to ``phase``, runs ``program(unit, planes)`` (write the planes, run
+    the layer's sequence, return the operand to read back) and reads
+    that operand back. Outputs never depend on chunk and group
+    boundaries, nor do dense cycle reports: the sequences are
+    data-independent and cycles are charged per array (property-tested
+    with ``MAX_FLEET_ARRAYS`` at 2). Under sparsity each chunk decides
+    its own skips. Returns the ``(n_images, n_out)`` read-back values.
     """
-    config = engine.config
-    cols = config.geometry.array_cols
-    report = engine.report
-    max_arrays = _max_fleet_arrays(config)
-    per_group = max(max_arrays // -(-n_out // cols), 1)
+    cols = engine.config.geometry.array_cols
+    per_group = max(MAX_FLEET_ARRAYS // -(-n_out // cols), 1)
     out = np.zeros((n_images, n_out), dtype=np.int64)
     for b0 in range(0, n_images, per_group):
         b1 = min(b0 + per_group, n_images)
         planes = stage_group(b0, b1)
         out_planes = np.zeros_like(planes[0])
-        for a0, a1 in _array_chunks(planes[0].shape[0], max_arrays):
-            n_arrays = a1 - a0
-            unit = FleetBitSerialUnit(
-                make_fleet(n_arrays, rows=config.geometry.array_rows,
-                           cols=cols, packed=engine.packed),
-                sparsity=engine.sparsity)
-            out_planes[a0:a1] = unit.read_values(
-                program(unit, [p[a0:a1] for p in planes]))
-            setattr(report, phase,
-                    getattr(report, phase) + unit.cycles * n_arrays)
-            report.skipped += unit.skipped_cycles * n_arrays
-            if passes:
-                report.passes += n_arrays
+        for a0, a1 in _array_chunks(planes[0].shape[0], MAX_FLEET_ARRAYS):
+            chunk = [p[a0:a1] for p in planes]
+            steps = [(phase, lambda unit, chunk=chunk:
+                      unit.read_values(program(unit, chunk)))]
+            out_planes[a0:a1] = _run_fleet(engine, a1 - a0, layout, steps,
+                                           passes)
         # Drop each image's dead tail columns (:func:`_stage_batch`).
         out[b0:b1] = out_planes.reshape(b1 - b0, -1)[:, :n_out]
     return out

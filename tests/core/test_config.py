@@ -1,11 +1,15 @@
 """Tests for the top-level configuration bundle."""
 
+import dataclasses
+
 import pytest
 
+from repro.cache.dram import DramModel
 from repro.cache.geometry import xeon_45mb
 from repro.common.errors import SimulationError
 from repro.config import NeuralCacheConfig
 from repro.sram.cost import CycleCosts
+from repro.sram.energy import ArrayEnergyModel
 
 
 class TestDefaults:
@@ -23,11 +27,26 @@ class TestDefaults:
         assert config.interconnect.frequency_hz == config.frequency_hz
 
     def test_with_geometry_preserves_other_fields(self):
-        config = NeuralCacheConfig(sockets=4)
+        """Every field but the geometry survives, each set away from its
+        default so that a dropped one shows."""
+        config = NeuralCacheConfig(
+            costs=CycleCosts.derived(),
+            dram=DramModel(effective_bandwidth_gbps=12.5),
+            energy=ArrayEnergyModel.at_28nm(), frequency_hz=3e9, sockets=4,
+            output_buffer_fraction=0.25, split_threshold_bytes=5,
+            pack_limit=8, element_bits=4, input_gather_calibration=2.0,
+            output_gather_calibration=3.0, input_reuse_floor=0.75,
+            partial_sum_bits=20, reduction_bits=28)
+        default = NeuralCacheConfig()
         scaled = config.with_geometry(xeon_45mb())
         assert scaled.geometry.slices == 18
-        assert scaled.sockets == 4
         assert scaled.costs is config.costs
+        for field in dataclasses.fields(NeuralCacheConfig):
+            if field.name == "geometry":
+                continue
+            value = getattr(config, field.name)
+            assert value != getattr(default, field.name), field.name
+            assert getattr(scaled, field.name) == value, field.name
 
     def test_io_way_slots(self):
         config = NeuralCacheConfig()

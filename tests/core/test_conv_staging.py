@@ -22,15 +22,24 @@ from hypothesis import strategies as st
 from repro.common.bits import packed_planes_to_ints
 from repro.common.errors import SimulationError
 from repro.config import NeuralCacheConfig
-from repro.core.functional import ConvStaging, FunctionalConv
+from repro.core import functional
+from repro.core.functional import (
+    ConvStaging,
+    FunctionalConv,
+    FunctionalExecutor,
+)
 from repro.core.precision import LayerPrecision
 from repro.engine.backend import BackendOptions, FleetExecutor, get_backend
 from repro.nn import (
+    Add,
+    AvgPool,
     Conv2D,
     FullyConnected,
     MaxPool,
     Network,
+    QuantizedBatchNorm,
     QuantizedTensor,
+    ReferenceExecutor,
     initialise_weights,
 )
 from repro.nn.layers import same_padding_offsets
@@ -206,14 +215,14 @@ def test_warm_backend_matches_fresh_backends(case, sparsity, max_arrays,
     net = build()
     if precision is not None:
         low = 0.0           # the input zero point must fit the width too
-    config = dataclasses.replace(config or NeuralCacheConfig(),
-                                 max_fleet_arrays=max_arrays)
     options = BackendOptions(sparsity=sparsity, precision=precision)
     weights = case_weights(net, precision, seed, low)
     high = (1 << NARROW_BITS) if precision is not None else 256
     warm = get_backend("fleet-packed", config, options)
     golden = warm.golden_for(net, weights)
     with pytest.MonkeyPatch.context() as mp:
+        if max_arrays is not None:
+            mp.setattr(functional, "MAX_FLEET_ARRAYS", max_arrays)
         planes = StagedPlanes(mp)
         for k, batch in enumerate(batches):
             images = case_images(net, weights, batch, seed + k, high)
@@ -465,3 +474,52 @@ def test_row_layouts_checked_against_the_geometry():
                              r"181 rows, but an array has 170"):
         ConvStaging.compile(net.conv_of(net.node("c")), net.input_shape,
                             weights.for_node("c"), config, "c")
+
+
+#: Layer -> the rows its one-output-per-bitline program touches. (Max
+#: pool's 33 rows sit below the 88 the mapper needs for any pool.)
+BITLINE_LAYOUTS = {
+    "avgpool": (AvgPool((2, 2), stride=2, padding="valid"), 108),
+    "add": (Add(), 70),
+    "add-relu": (Add(relu=True), 80),
+    "bn": (QuantizedBatchNorm(relu=False), 100),
+    "bn-relu": (QuantizedBatchNorm(relu=True), 195),
+}
+
+
+def bitline_engine(net, weights, config, image):
+    """Node ``'l'``'s engine, built as the functional executor builds it."""
+    executor = FunctionalExecutor(net, weights, config)
+    return executor._build_engine(net.node("l"), [image])
+
+
+@pytest.mark.parametrize("case", sorted(BITLINE_LAYOUTS))
+def test_bitline_layouts_checked_against_the_geometry(case, monkeypatch):
+    """Pools, add and batch norm declare their row layouts too: built one
+    row short, each engine is refused by name, and at exactly its layout
+    it runs bit-exact on fleets that tall."""
+    layer, rows = BITLINE_LAYOUTS[case]
+    net = Network(name="layout-case")
+    x = net.add_input("in", (6, 6, 3))
+    net.add("l", layer, (x, x) if isinstance(layer, Add) else x)
+    weights = initialise_weights(net, seed=2)
+    images = case_images(net, weights, 2, 0)
+    with pytest.raises(SimulationError,
+                       match=rf"layer 'l': the functional layout needs "
+                             rf"{rows} rows, but an array has {rows - 1}$"):
+        bitline_engine(net, weights, rows_config(rows - 1), images[0])
+
+    heights = []
+    make_fleet = functional.make_fleet
+
+    def spy(*args, **kwargs):
+        heights.append(kwargs["rows"])
+        return make_fleet(*args, **kwargs)
+
+    monkeypatch.setattr(functional, "make_fleet", spy)
+    engine = bitline_engine(net, weights, rows_config(rows), images[0])
+    operands = (images, images) if isinstance(layer, Add) else (images,)
+    golden = ReferenceExecutor(net, weights)
+    for image, got in zip(images, engine.run_batch(*operands)):
+        assert np.array_equal(got.data, golden.run(image)["l"].data)
+    assert heights and set(heights) == {rows}

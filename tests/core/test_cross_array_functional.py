@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.common.bits import packed_planes_to_ints
+from repro.core import functional
 from repro.core.functional import FunctionalConv, FunctionalExecutor
 from repro.core.schedule import reduction_cycles_per_pass
 from repro.engine.backend import FleetExecutor, deterministic_images
@@ -77,21 +78,22 @@ class TestBitExactOnTheFleet:
 
 class TestGroupAlignedChunking:
     @pytest.mark.parametrize("max_arrays", [2, 4, 6, 7])
-    def test_chunk_limits_keep_groups_whole(self, net, config, max_arrays):
-        # max_fleet_arrays values below or not a multiple of the span
+    def test_chunk_limits_keep_groups_whole(self, net, config, max_arrays,
+                                            monkeypatch):
+        # MAX_FLEET_ARRAYS values below or not a multiple of the span
         # must round to whole reduction groups (and at least one): any
         # split group would mix garbage into the tree and fail the
         # bit-exactness gate.
-        chunked = dataclasses.replace(config, max_fleet_arrays=max_arrays)
-        result = FleetExecutor(config=chunked, packed=True,
+        monkeypatch.setattr(functional, "MAX_FLEET_ARRAYS", max_arrays)
+        result = FleetExecutor(config=config, packed=True,
                                verify=True).run(net, batch_size=2)
         assert result.verified_images == 2
 
-    def test_chunked_outputs_match_unchunked(self, net, config):
+    def test_chunked_outputs_match_unchunked(self, net, config, monkeypatch):
         full = FleetExecutor(config=config, packed=True,
                              verify=False).run(net, batch_size=2)
-        chunked_config = dataclasses.replace(config, max_fleet_arrays=4)
-        chunked = FleetExecutor(config=chunked_config, packed=True,
+        monkeypatch.setattr(functional, "MAX_FLEET_ARRAYS", 4)
+        chunked = FleetExecutor(config=config, packed=True,
                                 verify=False).run(net, batch_size=2)
         got = chunked.outputs[net.output_name]
         want = full.outputs[net.output_name]

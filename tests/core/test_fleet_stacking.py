@@ -1,6 +1,6 @@
 """Stacked conv fleets: consecutive skip-equivalent chunks run as one.
 
-A conv layer's arrays split into chunks of at most ``max_fleet_arrays``;
+A conv layer's arrays split into chunks of at most ``MAX_FLEET_ARRAYS``;
 each chunk is one sparsity skip domain. Consecutive chunks whose skip
 signatures agree run as one lockstep fleet of up to
 ``FLEET_BYTE_BUDGET`` packed bytes per wordline. These tests pin that
@@ -9,8 +9,6 @@ and dense-equivalent cycles included, equal one fleet per chunk
 (``FLEET_BYTE_BUDGET = 0``) — and that a fleet never mixes signatures
 or outgrows its budgets.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -92,13 +90,15 @@ def test_stacked_fleets_match_one_fleet_per_chunk(network, kinds, sparsity,
                                                   max_arrays, seed):
     build, make_config = NETWORKS[network]
     net = build()
-    config = dataclasses.replace(make_config(), max_fleet_arrays=max_arrays)
+    config = make_config()
     weights = initialise_weights(net, seed=seed % 7)
     images = stream(net, weights, kinds, seed)
 
-    stacked_out, stacked_reports = run(net, weights, config, images,
-                                       sparsity)
     with pytest.MonkeyPatch.context() as mp:
+        if max_arrays is not None:
+            mp.setattr(functional, "MAX_FLEET_ARRAYS", max_arrays)
+        stacked_out, stacked_reports = run(net, weights, config, images,
+                                           sparsity)
         mp.setattr(functional, "FLEET_BYTE_BUDGET", 0)
         chunk_out, chunk_reports = run(net, weights, config, images,
                                        sparsity)
@@ -135,22 +135,53 @@ def word_planes(words, index, cols):
 
 class FleetSpy:
     """Records the filter and input planes every conv compute fleet
-    loads."""
+    loads: on each shared-runner fleet whose program has a ``mac`` step,
+    the word tables handed to ``write_words`` (filters, resident inputs)
+    and to ``mac_taps`` (streamed inputs), by first row."""
 
     def __init__(self, mp):
         self.fleets = []
-        original = FunctionalConv._run_fleet
+        self.loads = None            # first row -> tables, inside a fleet
+        run_fleet = functional._run_fleet
+        unit = functional.FleetBitSerialUnit
+        write_words, mac_taps = unit.write_words, unit.mac_taps
 
-        def spy(engine, filter_index, inputs, input_index, *rest):
-            cols = engine.config.geometry.array_cols
-            self.fleets.append((
-                word_planes(engine.staging.filter_words, filter_index,
-                            cols),
-                word_planes(inputs, input_index, cols)))
-            return original(engine, filter_index, inputs, input_index,
-                            *rest)
+        def spy(engine, n_arrays, layout, steps, passes=True):
+            if "mac" in dict(steps):
+                self.loads = {}
+            try:
+                return run_fleet(engine, n_arrays, layout, steps, passes)
+            finally:
+                if self.loads is not None:
+                    cols = engine.config.geometry.array_cols
+                    self.fleets.append(tuple(
+                        word_planes(np.concatenate(self.loads[row]),
+                                    np.arange(n_arrays), cols)
+                        for row in sorted(self.loads)))
+                    self.loads = None
 
-        mp.setattr(FunctionalConv, "_run_fleet", spy)
+        def load(row, words, index):
+            if self.loads is not None:
+                self.loads.setdefault(row, []).append(words[:, index])
+
+        def spy_write(unit, op, words, index):
+            load(op.row, words, index)
+            return write_words(unit, op, words, index)
+
+        def spy_mac(unit, a, b, taps, stride, *rest, words=None,
+                    index=None):
+            if words is not None:
+                load(b.row, words[:taps * stride], index)
+            loads, self.loads = self.loads, None   # not its per-tap loads
+            try:
+                return mac_taps(unit, a, b, taps, stride, *rest,
+                                words=words, index=index)
+            finally:
+                self.loads = loads
+
+        mp.setattr(functional, "_run_fleet", spy)
+        mp.setattr(unit, "write_words", spy_write)
+        mp.setattr(unit, "mac_taps", spy_mac)
 
 
 def single_conv(config):
@@ -195,14 +226,14 @@ def test_skip_runs_split_where_signatures_change():
 def test_fleets_never_mix_signatures():
     """One chunk per image: images of different sparsity never share a
     fleet, and consecutive images with equal signatures do."""
-    config = dataclasses.replace(spanning_config(), max_fleet_arrays=64)
-    net, weights, engine = single_conv(config)
+    net, weights, engine = single_conv(spanning_config())
     caps = [0, 15, 255, 255, 0, 0, 3]
     rng = np.random.default_rng(1)
     images = [QuantizedTensor(rng.integers(0, cap + 1, net.input_shape,
                                            dtype=np.uint8),
                               weights.input_params) for cap in caps]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functional, "MAX_FLEET_ARRAYS", 64)
         spy = FleetSpy(mp)
         engine.run_batch(images)
     per_image = 64               # 2 * 2 * 4 outputs, 4 arrays each
@@ -220,10 +251,11 @@ def test_fleets_stay_within_the_budgets(budget):
     """Dense chunks all share one signature, so only the budgets bound a
     fleet: packed bytes per wordline (two per 16-column array), whole
     chunks, and the staged elements."""
-    config = dataclasses.replace(spanning_config(), max_fleet_arrays=8)
+    config = spanning_config()
     net, weights, engine = single_conv(config)
     images = stream(net, weights, [("random", 255)] * 8, 2)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functional, "MAX_FLEET_ARRAYS", 8)
         mp.setattr(functional, "FLEET_BYTE_BUDGET", budget)
         spy = FleetSpy(mp)
         engine.run_batch(images)

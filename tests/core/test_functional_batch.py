@@ -7,7 +7,7 @@ boundaries), so for every layer type, every batch size and both plane
 stores, ``run_batch`` must produce bit-exact outputs AND an identical
 cycle report to looping ``run`` — batching changes wall-clock, not
 modeled cycles. Chunked cases (the batched fleet exceeding
-``max_fleet_arrays``) are covered explicitly.
+``MAX_FLEET_ARRAYS``) are covered explicitly.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
-from repro.config import NeuralCacheConfig
+from repro.core import functional
 from repro.core.functional import (
     CycleReport,
     FunctionalAdd,
@@ -39,18 +39,19 @@ from repro.nn.tensor import QuantParams
 RNG = np.random.default_rng(77)
 
 BATCH_SIZES = [1, 3, 8]
-#: A config whose fleets chunk after 2 arrays: any batch > 1 straddles
-#: chunk boundaries, so ragged chunking is exercised on every stage.
-TINY_CHUNKS = NeuralCacheConfig(max_fleet_arrays=2)
+#: A ``MAX_FLEET_ARRAYS`` that chunks fleets after 2 arrays: any batch > 1
+#: straddles chunk boundaries, so ragged chunking is exercised on every
+#: stage.
+TINY_CHUNKS = 2
 
 
-def conv_case(conv, shape, seed=0, config=None):
+def conv_case(conv, shape, seed=0):
     net = Network(name="batch-case")
     x = net.add_input("in", shape)
     net.add("c", conv, x)
     weights = initialise_weights(net, seed=seed)
     return (lambda packed: FunctionalConv(
-                conv, shape, weights.for_node("c"), config=config,
+                conv, shape, weights.for_node("c"),
                 output_params=weights.activation_params, packed=packed),
             weights.input_params)
 
@@ -118,16 +119,16 @@ class TestConvBatched:
         assert _repeated(single.report, batch) == report
 
     @pytest.mark.parametrize("packed", [False, True])
-    def test_chunked_batch_matches_unchunked(self, packed):
-        """batch * arrays_per_image > max_fleet_arrays: the batched fleet
+    def test_chunked_batch_matches_unchunked(self, packed, monkeypatch):
+        """batch * arrays_per_image > MAX_FLEET_ARRAYS: the batched fleet
         splits into many ragged chunks, observably changing nothing."""
         conv, shape = CONV_VARIANTS[0]
-        make_full, params = conv_case(conv, shape)
-        make_tiny, _ = conv_case(conv, shape, config=TINY_CHUNKS)
+        make, params = conv_case(conv, shape)
         images = images_for(shape, params, batch=3)
-        full = make_full(packed)
+        full = make(packed)
         full_out = full.run_batch(images)
-        tiny = make_tiny(packed)
+        monkeypatch.setattr(functional, "MAX_FLEET_ARRAYS", TINY_CHUNKS)
+        tiny = make(packed)
         tiny_out = tiny.run_batch(images)
         for got, want in zip(tiny_out, full_out):
             assert np.array_equal(got.data, want.data)
@@ -177,7 +178,7 @@ class TestPoolBatched:
             lambda e, xs: e.run_batch(xs), lambda e, x: e.run(x))
 
     @pytest.mark.parametrize("packed", [False, True])
-    def test_maxpool_chunked(self, packed):
+    def test_maxpool_chunked(self, packed, monkeypatch):
         shape = (7, 7, 3)
         pool = MaxPool(kernel=(2, 2), stride=2, padding="valid")
         params = QuantParams(scale=0.05, zero_point=9)
@@ -185,9 +186,9 @@ class TestPoolBatched:
                       RNG.integers(0, 256, shape).astype(np.uint8), params)
                   for _ in range(4)]
         full = FunctionalMaxPool(pool, shape, packed=packed)
-        tiny = FunctionalMaxPool(pool, shape, config=TINY_CHUNKS,
-                                 packed=packed)
         full_out = full.run_batch(images)
+        monkeypatch.setattr(functional, "MAX_FLEET_ARRAYS", TINY_CHUNKS)
+        tiny = FunctionalMaxPool(pool, shape, packed=packed)
         tiny_out = tiny.run_batch(images)
         for got, want in zip(tiny_out, full_out):
             assert np.array_equal(got.data, want.data)
@@ -287,14 +288,15 @@ class TestExecutorBatched:
                     name
         assert batched_total == total
 
-    def test_chunked_executor_matches(self):
+    def test_chunked_executor_matches(self, monkeypatch):
         net = self._mini_net()
         weights = initialise_weights(net, seed=11)
         images = images_for((8, 8, 4), weights.input_params, 3, seed=5)
         full = FunctionalExecutor(net, weights)
-        tiny = FunctionalExecutor(net, weights, TINY_CHUNKS)
         out = net.output_name
         full_out = full.run_batch(images)[out]
+        monkeypatch.setattr(functional, "MAX_FLEET_ARRAYS", TINY_CHUNKS)
+        tiny = FunctionalExecutor(net, weights)
         tiny_out = tiny.run_batch(images)[out]
         for got, want in zip(tiny_out, full_out):
             assert np.array_equal(got.data, want.data)
