@@ -329,7 +329,7 @@ def compare_serving(n_requests: int = 24, sockets: int = 2,
 
     return run_serving_benchmark(n_requests=n_requests, sockets=sockets,
                                  pool_size=pool_size, max_batch=max_batch,
-                                 max_wait_ms=2.0, driver=driver)
+                                 driver=driver)
 
 
 def _serving_gates_pass(stats: dict) -> bool:

@@ -7,8 +7,9 @@ arrived. This example runs that serving stack end to end:
 * a pool of :class:`~repro.engine.sharding.ShardedBackend` nodes, each
   splitting its batches across socket shards (serial driver here;
   ``driver="pool"`` runs the shards in persistent worker processes);
-* a :class:`~repro.serving.Server` coalescing ``submit()`` arrivals
-  into batched fleet passes under ``max_batch`` / ``max_wait_ms``;
+* a :class:`~repro.serving.Server` dispatching ``submit()`` arrivals to
+  idle nodes at once, coalescing whatever queued behind busy nodes into
+  batched fleet passes of up to ``max_batch``;
 * per-request responses that are bit-exact the direct ``run_requests``
   path, plus the serving numbers — p50/p95/p99 tail latency and
   throughput.
@@ -46,7 +47,7 @@ async def main() -> None:
         for _ in range(2)
     ]
 
-    async with Server(pool, network, max_batch=6, max_wait_ms=2.0) as server:
+    async with Server(pool, network, max_batch=6) as server:
         responses = await asyncio.gather(
             *(server.submit(image) for image in images)
         )

@@ -108,10 +108,6 @@ def serve_bench_main(argv: list[str]) -> int:
                         help="backends in the serving pool (default 2)")
     parser.add_argument("--max-batch", type=int, default=8, metavar="N",
                         help="largest coalesced batch (default 8)")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        metavar="MS",
-                        help="longest wait for a partial batch to fill "
-                             "(default 2.0)")
     parser.add_argument("--shard-driver", choices=SHARD_DRIVERS,
                         default="serial",
                         help="shard driver of each pool node "
@@ -127,15 +123,15 @@ def serve_bench_main(argv: list[str]) -> int:
     for name in ("requests", "sockets", "pool", "max_batch"):
         if getattr(args, name) <= 0:
             parser.error(f"--{name.replace('_', '-')} must be positive")
-    if args.max_wait_ms < 0 or args.arrival_gap_ms < 0:
-        parser.error("waits and gaps must be non-negative")
+    if args.arrival_gap_ms < 0:
+        parser.error("--arrival-gap-ms must be non-negative")
     if args.quick:
         args.requests = min(args.requests, 12)
         args.max_batch = min(args.max_batch, 4)
     stats = run_serving_benchmark(
         n_requests=args.requests, sockets=args.sockets,
         pool_size=args.pool, max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms, driver=args.shard_driver,
+        driver=args.shard_driver,
         arrival_gap_ms=args.arrival_gap_ms)
     print(render_serving_report(stats))
     if not stats["ok"]:

@@ -226,9 +226,9 @@ def _mapping_for_window(config: NeuralCacheConfig, *, name: str, kind: str,
     budget = max_conv_filter_bytes(geometry.array_rows)
     if budget < 1:
         raise MappingError(
-            f"arrays of {geometry.array_rows} rows leave no word lines "
-            f"for filter data (Fig. 10 needs {2 * 8} bytes of fixed "
-            f"regions plus the filter/input columns)")
+            f"layer {name!r}: arrays of {geometry.array_rows} rows leave "
+            f"no word lines for filter data (Fig. 10 needs {2 * 8} bytes "
+            f"of fixed regions plus the filter/input columns)")
     threshold = min(config.split_threshold_bytes, budget)
 
     pack_factor = 1

@@ -6,8 +6,9 @@ is that serving subsystem:
 
 * :class:`~repro.serving.server.Server` — an asyncio request queue.
   ``await server.submit(image)`` resolves to the image's network output;
-  arrivals coalesce into batches under ``max_batch`` / ``max_wait_ms``
-  and execute on a pool of backends (any object with
+  an idle backend takes whatever is queued at once, so arrivals
+  coalesce (up to ``max_batch``) only while every backend is busy; the
+  batches execute on a pool of backends (any object with
   ``run_requests(network, images)``, typically one
   :class:`~repro.engine.sharding.ShardedBackend` per node).
 * :func:`~repro.serving.loadgen.run_load` /

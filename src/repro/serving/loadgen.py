@@ -84,7 +84,6 @@ def run_load(
     images,
     expected=None,
     max_batch: int = 8,
-    max_wait_ms: float = 2.0,
     arrival_gap_ms: float = 0.0,
     max_retries: int = 0,
     request_timeout_s: float | None = None,
@@ -105,7 +104,6 @@ def run_load(
         backends,
         network,
         max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
         max_retries=max_retries,
         request_timeout_s=request_timeout_s,
     )
@@ -130,7 +128,6 @@ def run_serving_benchmark(
     sockets: int = 2,
     pool_size: int = 2,
     max_batch: int = 8,
-    max_wait_ms: float = 2.0,
     driver: str = "serial",
     arrival_gap_ms: float = 0.0,
     seed: int = 0,
@@ -214,7 +211,6 @@ def run_serving_benchmark(
             images,
             expected=expected,
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             arrival_gap_ms=arrival_gap_ms,
             max_retries=max_retries,
         )
@@ -230,7 +226,6 @@ def run_serving_benchmark(
         "sockets": sockets,
         "pool_size": pool_size,
         "max_batch": max_batch,
-        "max_wait_ms": max_wait_ms,
         "driver": driver,
         "responded": report.responded,
         "lost": result.lost,
@@ -256,7 +251,7 @@ def render_serving_report(stats: dict) -> str:
         f"Serving benchmark: {stats['n_requests']} requests over "
         f"{stats['pool_size']} node(s) x {stats['sockets']} socket "
         f"shard(s) ({stats['driver']} driver, max_batch "
-        f"{stats['max_batch']}, max_wait {stats['max_wait_ms']:.1f} ms) "
+        f"{stats['max_batch']}) "
         f"-> {stats['throughput_rps']:.1f} req/s in {stats['batches']} "
         f"batch(es) (mean {stats['mean_batch']:.1f}), latency p50 "
         f"{stats['p50_ms']:.1f} / p95 {stats['p95_ms']:.1f} / p99 "

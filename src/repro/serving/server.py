@@ -2,16 +2,19 @@
 
 The paper's data-center claim (Sec. VI-B, Fig. 16) is about a *request
 stream*, not one-off batch runs: a node keeps its sockets busy by
-batching whatever arrived, trading a bounded queueing delay for the
-batch-in-fleet throughput win. :class:`Server` is that frontend:
+batching whatever is already waiting, spreading filter loading over
+those images, while its headline latency is one image's (Sec. VI).
+:class:`Server` is that frontend:
 
 * :meth:`Server.submit` enqueues one image and returns an awaitable
   response — the request's network output tensor, bit-exact with the
   direct ``run_requests`` path;
-* a batcher task coalesces queued arrivals into batches of at most
-  ``max_batch`` images, waiting at most ``max_wait_ms`` after the first
-  arrival before flushing a partial batch (the classic
-  size-or-deadline policy of serving stacks like BrainWave's);
+* a batcher task is work-conserving: as soon as a backend is idle it
+  takes the oldest queued requests, up to ``max_batch``, and never
+  holds a request back to wait for company. Batches form only while
+  every backend is busy and arrivals queue behind them, so under load
+  the fleet passes fill up and at low load a request runs alone at
+  once;
 * each batch is dispatched to an idle backend from a **pool** (any
   objects with ``run_requests(network, images)``, e.g. one
   :class:`~repro.engine.sharding.ShardedBackend` per node) on a worker
@@ -117,10 +120,12 @@ class Server:
             )
 
     ``max_batch`` caps how many queued requests one fleet pass computes
-    (the fold into the fleet's array axis); ``max_wait_ms`` bounds how
-    long the first request of a batch waits for company before a
-    partial batch is flushed. ``max_wait_ms=0`` disables coalescing
-    beyond what is already queued at dispatch time.
+    (the fold into the fleet's array axis). Dispatch is work-conserving:
+    a backend that is idle takes whatever is queued at once, so requests
+    coalesce only while every backend is busy. ``max_wait_ms`` is
+    accepted and validated but delays nothing; it is kept only for
+    callers that still pass it (the ``perfbench`` serving workload)
+    and is due to be deleted once they stop.
 
     ``close_backends`` hands the pool's lifecycle to the server: after
     the drain, :meth:`close` also calls each backend's own ``close()``
@@ -182,7 +187,6 @@ class Server:
             )
         self.network = network
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.close_backends = close_backends
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
@@ -284,7 +288,8 @@ class Server:
         """Enqueue one image; awaits and returns its network output.
 
         Submissions coalesce: whatever is queued when a backend becomes
-        available executes as one fleet pass (up to ``max_batch``).
+        available executes as one fleet pass (up to ``max_batch``). With
+        a backend idle, the request is dispatched at once, alone.
 
         With ``request_timeout_s`` set, a response that misses the
         deadline raises :class:`~repro.common.errors.SimulationError`
@@ -313,17 +318,19 @@ class Server:
 
     # -- batching ---------------------------------------------------------
     async def _run_batches(self) -> None:
-        while True:
-            batch = await self._collect()
-            if batch is None:
-                return
-            backend = await self._idle.get()
-            task = asyncio.create_task(self._execute(backend, batch))
+        while (work := await self._collect()) is not None:
+            task = asyncio.create_task(self._execute(*work))
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
 
-    async def _collect(self) -> list[_Request] | None:
-        """Wait for requests; return up to ``max_batch`` of them.
+    async def _collect(self) -> tuple[ServingBackend, list[_Request]] | None:
+        """Wait for a request, then for an idle backend; return that
+        backend and the oldest queued requests (up to ``max_batch``).
+
+        Requests are awaited before a backend is taken: a batcher
+        holding an idle backend over an empty queue would starve
+        :meth:`_execute`'s retry, which waits on the same idle pool.
+        Whatever queued while every backend was busy leaves together.
 
         Returns ``None`` when the server is closing and the queue is
         drained — the batcher's exit signal.
@@ -333,20 +340,10 @@ class Server:
                 return None
             self._wake.clear()
             await self._wake.wait()
-        deadline = self._queue[0].submitted_at + self.max_wait_ms / 1e3
-        while len(self._queue) < self.max_batch and not self._closing:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), remaining)
-            except (TimeoutError, asyncio.TimeoutError):
-                break
-        batch = []
-        while self._queue and len(batch) < self.max_batch:
-            batch.append(self._queue.popleft())
-        return batch
+        backend = await self._idle.get()
+        # Only the batcher pops the queue, so it is still non-empty.
+        take = min(len(self._queue), self.max_batch)
+        return backend, [self._queue.popleft() for _ in range(take)]
 
     async def _execute(self, backend: ServingBackend, batch) -> None:
         """Run one batch on a worker thread; resolve its futures.

@@ -172,6 +172,14 @@ class TestNetworkMapping:
             map_conv(config, "bad", Conv2D(1, (3, 3), padding="same"),
                      (8, 8, 2))
 
+    def test_array_too_small_names_the_layer(self):
+        from repro.cache.geometry import CacheGeometry
+        tiny = CacheGeometry(name="tiny", array_rows=40)
+        config = NeuralCacheConfig().with_geometry(tiny)
+        with pytest.raises(MappingError,
+                           match=r"layer 'pool1': arrays of 40 rows"):
+            map_pool(config, "pool1", MaxPool((2, 2), stride=2), (8, 8, 4))
+
 
 @given(st.integers(min_value=1, max_value=11),
        st.integers(min_value=1, max_value=11),

@@ -139,8 +139,7 @@ class TestRequestDeadlines:
         slow = FakeBackend(delay_s=0.5)
 
         async def scenario():
-            async with Server([slow], tiny_net, max_wait_ms=0,
-                              request_timeout_s=0.05) as server:
+            async with Server([slow], tiny_net, request_timeout_s=0.05) as server:
                 with pytest.raises(SimulationError, match="deadline"):
                     await server.submit(np.zeros((2, 2), dtype=np.uint8))
                 return server

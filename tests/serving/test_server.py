@@ -8,7 +8,9 @@ for image ``i`` — serving changes wall-clock, never results.
 """
 
 import asyncio
-import time
+import contextlib
+import math
+import threading
 
 import numpy as np
 import pytest
@@ -97,56 +99,149 @@ class TestServerResponses:
         images, expected = stream
         result = run_load([make_backend()], tiny_net, images,
                           expected=expected, max_batch=4,
-                          max_wait_ms=1.0, arrival_gap_ms=2.0)
+                          arrival_gap_ms=2.0)
         assert result.ok
+
+
+class GatedBackend:
+    """Runs ``inner`` only once ``gate`` is set, so the test decides how
+    long the backend stays busy; ``entered`` is set when a call arrives
+    and ``batches`` records each call's images in arrival order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.batches = []
+
+    def run_requests(self, network, images):
+        self.batches.append(list(images))
+        self.entered.set()
+        if not self.gate.wait(timeout=30):
+            raise SimulationError("the test never opened the gate")
+        return self.inner.run_requests(network, images)
+
+
+@contextlib.asynccontextmanager
+async def occupied(server, backend, image):
+    """Hold ``backend`` busy on ``image``'s request (the yielded task)
+    for the block; its gate opens when the block exits, however."""
+    head = asyncio.ensure_future(server.submit(image))
+    try:
+        assert await asyncio.to_thread(backend.entered.wait, 2.0)
+        yield head
+    finally:
+        backend.gate.set()
+
+
+def assert_bit_exact(responses, expected):
+    assert len(responses) == len(expected)
+    for got, want in zip(responses, expected):
+        assert np.array_equal(got.data, want.data)
 
 
 class TestCoalescing:
     def test_burst_coalesces_to_max_batch(self, tiny_net, stream):
+        """A burst queued behind a busy backend leaves, once it frees,
+        as ceil(N / max_batch) FIFO batches of at most max_batch."""
         images, expected = stream
-        result = run_load([make_backend()], tiny_net, images,
-                          expected=expected, max_batch=4,
-                          max_wait_ms=50.0)
-        assert result.ok
-        assert result.report.batches == 2
-        assert result.report.mean_batch == 4.0
+        backend = GatedBackend(make_backend())
+        max_batch = 3
+        burst = images[1:]
 
-    def test_single_request_flushes_on_deadline(self, tiny_net, stream):
+        async def scenario():
+            async with Server([backend], tiny_net, max_batch=max_batch) as server:
+                async with occupied(server, backend, images[0]) as head:
+                    tasks = [
+                        asyncio.ensure_future(server.submit(image)) for image in burst
+                    ]
+                    await asyncio.sleep(0)
+                    assert len(backend.batches) == 1
+                responses = await asyncio.gather(head, *tasks)
+            return responses, server.report()
+
+        responses, report = asyncio.run(scenario())
+        assert_bit_exact(responses, expected)
+        queued = backend.batches[1:]
+        assert len(queued) == math.ceil(len(burst) / max_batch)
+        assert all(len(batch) <= max_batch for batch in queued)
+        flat = [image for batch in queued for image in batch]
+        assert len(flat) == len(burst)
+        assert all(got is want for got, want in zip(flat, burst))
+        assert report.batches == 1 + len(queued)
+
+    def test_single_request_dispatches_alone(self, tiny_net, stream):
         images, expected = stream
         result = run_load([make_backend()], tiny_net, images[:1],
-                          expected=expected[:1], max_batch=8,
-                          max_wait_ms=5.0)
+                          expected=expected[:1], max_batch=8)
         assert result.ok
         assert result.report.batches == 1
         assert result.report.mean_batch == 1.0
 
     def test_close_flushes_partial_batch(self, tiny_net, stream):
-        """A partial batch pending at close is flushed at once: its
-        requests get bit-exact responses, without waiting out
-        ``max_wait_ms`` and without being failed as undispatched."""
+        """Requests still queued behind a busy backend when close()
+        begins are drained, not dropped: once the backend frees they
+        leave in batches and every one gets its bit-exact response."""
         images, expected = stream
-        max_wait_ms = 10_000.0
+        backend = GatedBackend(make_backend())
 
         async def scenario():
-            server = Server(
-                [make_backend()], tiny_net, max_batch=8, max_wait_ms=max_wait_ms
-            )
+            server = Server([backend], tiny_net, max_batch=2)
             await server.start()
-            # Only 3 of max_batch 8 arrive, so the batcher holds them for
-            # the huge wait; close() must flush them, not drop them.
-            tasks = [asyncio.create_task(server.submit(image)) for image in images[:3]]
-            await asyncio.sleep(0.05)
-            assert not any(task.done() for task in tasks)
-            start = time.perf_counter()
-            await server.close()
-            responses = await asyncio.gather(*tasks)
-            return responses, time.perf_counter() - start
+            async with occupied(server, backend, images[0]) as head:
+                # Three queue behind the busy backend, more than one
+                # batch: the batcher must come back for the last one
+                # after close began.
+                tasks = [
+                    asyncio.ensure_future(server.submit(image))
+                    for image in images[1:4]
+                ]
+                await asyncio.sleep(0)
+                closing = asyncio.ensure_future(server.close())
+                await asyncio.sleep(0)
+                assert not closing.done()
+                assert not any(task.done() for task in tasks)
+            await asyncio.wait_for(closing, 10.0)
+            return await asyncio.gather(head, *tasks)
 
-        responses, elapsed = asyncio.run(scenario())
-        assert len(responses) == 3
-        for got, want in zip(responses, expected):
-            assert np.array_equal(got.data, want.data)
-        assert elapsed < max_wait_ms / 1e3 / 10
+        responses = asyncio.run(scenario())
+        assert_bit_exact(responses, expected[:4])
+        assert [len(batch) for batch in backend.batches] == [1, 2, 1]
+
+
+class TestWorkConservation:
+    """An idle backend takes a queued request at once: max_wait_ms no
+    longer holds a request back to wait for company."""
+
+    def test_lone_request_on_an_idle_backend_runs_at_once(self, tiny_net, stream):
+        images, expected = stream
+        backend = make_backend()
+        backend.run_requests(tiny_net, images[:1])  # warm the stagings
+
+        async def scenario():
+            async with Server(
+                [backend], tiny_net, max_batch=8, max_wait_ms=5_000
+            ) as server:
+                return await asyncio.wait_for(server.submit(images[0]), 0.5)
+
+        assert_bit_exact([asyncio.run(scenario())], expected[:1])
+
+    def test_idle_backend_runs_a_request_while_another_is_busy(self, tiny_net, stream):
+        images, expected = stream
+        busy = GatedBackend(make_backend())
+        idle = make_backend()
+        idle.run_requests(tiny_net, images[:1])  # warm the stagings
+
+        async def scenario():
+            async with Server(
+                [busy, idle], tiny_net, max_batch=8, max_wait_ms=5_000
+            ) as server:
+                async with occupied(server, busy, images[0]) as head:
+                    second = await asyncio.wait_for(server.submit(images[1]), 0.5)
+                return [await head, second]
+
+        assert_bit_exact(asyncio.run(scenario()), expected[:2])
+        assert len(busy.batches) == 1
 
 
 class TestReport:
