@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -379,6 +379,9 @@ class ServerMachine(RuleBasedStateMachine):
         try:
             if self.server is not None:
                 self.run(asyncio.wait_for(self.server.close(), SETTLE_S))
+                for task in self.tasks:
+                    if task.done():
+                        task.exception()  # a failing run reports once, not per task
         finally:
             self.run(self.loop.shutdown_default_executor())
             self.loop.close()
@@ -389,5 +392,8 @@ ServerMachine.TestCase.settings = settings(
     stateful_step_count=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    # The explain phase replays failing examples under a line tracer,
+    # each stuck settle costing SETTLE_S: minutes, for notes only.
+    phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 TestServerMachine = ServerMachine.TestCase
