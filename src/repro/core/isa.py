@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Any, NamedTuple
 
 from repro.common.errors import IsaError
 from repro.sram.bitserial import BitSerialUnit, Operand
@@ -44,22 +45,36 @@ class Opcode(Enum):
     CSELCOPY = "cselcopy"    # tag-predicated copy
 
 
-#: operand-count and immediate expectations per opcode.
-_SIGNATURES: dict[Opcode, tuple[int, bool]] = {
-    Opcode.CZERO: (1, False),
-    Opcode.CIMM: (1, True),
-    Opcode.CCOPY: (2, False),
-    Opcode.CMOVE: (2, True),
-    Opcode.CADD: (3, False),
-    Opcode.CSUB: (4, False),
-    Opcode.CMULT: (3, False),
-    Opcode.CDIV: (4, False),
-    Opcode.CMAC: (4, False),
-    Opcode.CREDUCE: (2, True),
-    Opcode.CMAX: (3, False),
-    Opcode.CMIN: (3, False),
-    Opcode.CRELU: (1, True),
-    Opcode.CSELCOPY: (2, True),
+class Binding(NamedTuple):
+    """The composite call an opcode stands for."""
+
+    #: :class:`~repro.engine.bitserial.FleetBitSerialUnit` method name.
+    method: str
+    #: The method parameters the instruction's operands bind to, in order.
+    operands: tuple[str, ...]
+    #: The method parameter the immediate binds to (``None``: no immediate).
+    immediate: str | None = None
+
+
+#: The one binding from instruction to composite: :class:`Instruction`
+#: validates its operand count and immediate against it,
+#: :class:`ControlFSM` dispatches through it, and
+#: :func:`repro.verify.lift_isa_program` lifts through it.
+OPCODES: dict[Opcode, Binding] = {
+    Opcode.CZERO: Binding("zero", ("op",)),
+    Opcode.CIMM: Binding("write_scalar", ("op",), "value"),
+    Opcode.CCOPY: Binding("copy", ("src", "dst")),
+    Opcode.CMOVE: Binding("shift_copy", ("src", "dst"), "column_shift"),
+    Opcode.CADD: Binding("add", ("a", "b", "dst")),
+    Opcode.CSUB: Binding("sub", ("a", "b", "dst", "scratch")),
+    Opcode.CMULT: Binding("multiply", ("a", "b", "product")),
+    Opcode.CDIV: Binding("divide", ("a", "b", "quotient", "work")),
+    Opcode.CMAC: Binding("mac", ("a", "b", "product_scratch", "acc")),
+    Opcode.CREDUCE: Binding("reduce_tree", ("base", "segment"), "elements"),
+    Opcode.CMAX: Binding("max_update", ("current", "candidate", "scratch")),
+    Opcode.CMIN: Binding("min_update", ("current", "candidate", "scratch")),
+    Opcode.CRELU: Binding("relu", ("op",), "sign_row"),
+    Opcode.CSELCOPY: Binding("selective_copy", ("src", "dst"), "tag_row"),
 }
 
 
@@ -73,17 +88,35 @@ class Instruction:
 
     def __post_init__(self) -> None:
         try:
-            n_operands, takes_imm = _SIGNATURES[self.opcode]
+            binding = OPCODES[self.opcode]
         except KeyError:
             raise IsaError(f"unknown opcode {self.opcode!r}") from None
-        if len(self.operands) != n_operands:
+        if len(self.operands) != len(binding.operands):
             raise IsaError(
-                f"{self.opcode.value} takes {n_operands} operands, got "
-                f"{len(self.operands)}")
+                f"{self.opcode.value} takes {len(binding.operands)} "
+                f"operands, got {len(self.operands)}")
+        takes_imm = binding.immediate is not None
         if takes_imm and self.immediate is None:
             raise IsaError(f"{self.opcode.value} requires an immediate")
         if not takes_imm and self.immediate is not None:
             raise IsaError(f"{self.opcode.value} takes no immediate")
+
+    def call(self) -> tuple[str, dict[str, Any]]:
+        """The composite call this instruction stands for: the method
+        name and its keyword arguments, bound through :data:`OPCODES`.
+
+        CREDUCE also passes the reduction's input ``width``, derived from
+        the base: its rows minus the ``log2(elements)`` growth bits.
+        """
+        binding = OPCODES[self.opcode]
+        params: dict[str, Any] = dict(zip(binding.operands, self.operands))
+        if binding.immediate is not None:
+            params[binding.immediate] = self.immediate
+        if self.opcode is Opcode.CREDUCE:
+            assert self.immediate is not None  # __post_init__ guarantees it
+            params["width"] = (self.operands[0].nbits
+                               - (self.immediate.bit_length() - 1))
+        return binding.method, params
 
     def __str__(self) -> str:
         ops = ", ".join(f"r{op.row}:{op.nbits}" for op in self.operands)
@@ -121,7 +154,10 @@ class ControlFSM:
         through execution with every array's state already mutated.
         Checks every operand region and every row-valued immediate (the
         CRELU sign row, the CSELCOPY tag row) against the smallest
-        attached geometry, and cross-bitline shifts against the columns.
+        attached geometry, cross-bitline shifts against the columns, and
+        a CREDUCE's element count (a power of two, at most the columns),
+        derived input width (at least one bit) and segment (as wide as
+        the base).
         """
         rows = min(unit.rows for unit in self.units)
         cols = min(unit.cols for unit in self.units)
@@ -147,55 +183,37 @@ class ControlFSM:
                     raise IsaError(
                         f"instruction {index} `{instr}`: column shift "
                         f"{imm} outside the array's {cols} bitlines")
+            elif instr.opcode is Opcode.CREDUCE:
+                assert imm is not None
+                base, segment = instr.operands
+                if not 0 < imm <= cols or imm & (imm - 1):
+                    raise IsaError(
+                        f"instruction {index} `{instr}`: element count "
+                        f"{imm} is not a power of two within the array's "
+                        f"{cols} bitlines")
+                if instr.call()[1]["width"] < 1:
+                    raise IsaError(
+                        f"instruction {index} `{instr}`: a {base.nbits}-row "
+                        f"base leaves no input bits below the growth of a "
+                        f"{imm}-element sum")
+                if segment.nbits < base.nbits:
+                    raise IsaError(
+                        f"instruction {index} `{instr}`: segment of "
+                        f"{segment.nbits} rows narrower than the "
+                        f"{base.nbits}-row base")
 
     def execute(self, program: list[Instruction]) -> int:
         """Run a validated program on every array; returns cycles consumed."""
         self.validate(program)
         start = self.cycles
         for instruction in program:
-            self._dispatch(instruction)
+            method, params = instruction.call()
+            for unit in self.units:
+                getattr(unit, method)(**params)
             self.instructions_executed += 1
         cycles = self.cycles - start
         self._check_lockstep()
         return cycles
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, instr: Instruction) -> None:
-        op = instr.opcode
-        args = instr.operands
-        for unit in self.units:
-            if op is Opcode.CZERO:
-                unit.zero(args[0])
-            elif op is Opcode.CIMM:
-                unit.write_scalar(args[0], instr.immediate)
-            elif op is Opcode.CCOPY:
-                unit.copy(args[0], args[1])
-            elif op is Opcode.CMOVE:
-                unit.shift_copy(args[0], args[1], instr.immediate)
-            elif op is Opcode.CADD:
-                unit.add(args[0], args[1], args[2])
-            elif op is Opcode.CSUB:
-                unit.sub(args[0], args[1], args[2], args[3])
-            elif op is Opcode.CMULT:
-                unit.multiply(args[0], args[1], args[2])
-            elif op is Opcode.CDIV:
-                unit.divide(args[0], args[1], args[2], args[3])
-            elif op is Opcode.CMAC:
-                unit.mac(args[0], args[1], args[2], args[3])
-            elif op is Opcode.CREDUCE:
-                unit.reduce_tree(args[0], args[1], instr.immediate,
-                                 args[0].nbits - (instr.immediate
-                                                  .bit_length() - 1))
-            elif op is Opcode.CMAX:
-                unit.max_update(args[0], args[1], args[2])
-            elif op is Opcode.CMIN:
-                unit.min_update(args[0], args[1], args[2])
-            elif op is Opcode.CRELU:
-                unit.relu(args[0], instr.immediate)
-            elif op is Opcode.CSELCOPY:
-                unit.selective_copy(args[0], args[1], instr.immediate)
-            else:  # pragma: no cover - enum is exhaustive
-                raise IsaError(f"unhandled opcode {op!r}")
 
     def _check_lockstep(self) -> None:
         cycles = {unit.cycles for unit in self.units}

@@ -944,10 +944,10 @@ class FleetBitSerialUnit:
         more, equal widths, and every region written (``product``, ``acc``,
         ``b_acc``, a streamed ``b``) disjoint from every other. The
         rows, cycles, skipped cycles, latches, counters and ``skip_step``
-        stream end as the loop leaves them. Otherwise, and while a trace
-        hook is installed, the loop runs as written, so a recorded
-        program is the per-tap ``write_words``/``mac``/``add_into``
-        sequence with each skip after the op it belongs to.
+        stream end as the loop leaves them. Otherwise the loop runs as
+        written. Either way a trace hook sees one ``mac_taps`` call
+        followed by the block's skips, in per-tap order, and a recorded
+        run executes the same code as an unrecorded one.
         """
         if self._taps_fuse(a, b, taps, stride, product, acc, b_acc, words):
             self._fused_mac_taps(a, b, taps, stride, product, acc, b_acc,
@@ -969,9 +969,9 @@ class FleetBitSerialUnit:
                    words: np.ndarray | None) -> bool:
         """Whether ``mac_taps`` may run as one kernel."""
         n = a.nbits
-        if (not self._fused or _TRACE_HOOK is not None or taps < 2
-                or stride < 0 or b.nbits != n or product.nbits != 2 * n
-                or acc.nbits < 2 * n or b_acc.nbits < n):
+        if (not self._fused or taps < 2 or stride < 0 or b.nbits != n
+                or product.nbits != 2 * n or acc.nbits < 2 * n
+                or b_acc.nbits < n):
             return False
         span = (taps - 1) * stride + n
         if words is None:
@@ -1261,7 +1261,7 @@ class FleetBitSerialUnit:
 #: plus the two standalone tag primitives. Applied after the class body so
 #: the methods above stay readable (no decorator on every def) and the
 #: list doubles as the authoritative "what is a program step" registry for
-#: repro.verify, less the expanded composites below.
+#: repro.verify: a recorded call binds against its method's signature.
 _TRACED_METHODS = (
     "write_values", "write_value_block", "write_words", "read_values",
     "load_tag", "set_tag_all",
@@ -1274,14 +1274,7 @@ _TRACED_METHODS = (
     "move_across", "reduce_across_arrays",
 )
 
-#: Composites the trace hook never sees: while a hook is installed they
-#: run as the registered calls they stand for, and those are the program
-#: steps. They stay in the registry above, so a profiler that wraps the
-#: registry times them whole.
-_EXPANDED_METHODS = ("mac_taps",)
-
 for _name in _TRACED_METHODS:
-    if _name not in _EXPANDED_METHODS:
-        setattr(FleetBitSerialUnit, _name,
-                _traced(getattr(FleetBitSerialUnit, _name)))
+    setattr(FleetBitSerialUnit, _name,
+            _traced(getattr(FleetBitSerialUnit, _name)))
 del _name

@@ -143,7 +143,9 @@ class Server:
     retry, not the stream's responses. ``request_timeout_s`` is the
     per-request deadline: a ``submit`` whose response takes longer
     fails with a structured :class:`~repro.common.errors.SimulationError`
-    (counted as ``expired``, never as a duplicate).
+    (counted as ``expired``, never as a duplicate). A request that
+    expires while still queued is dropped, never dispatched, so under
+    overload it costs no fleet pass.
     """
 
     def __init__(
@@ -325,25 +327,36 @@ class Server:
 
     async def _collect(self) -> tuple[ServingBackend, list[_Request]] | None:
         """Wait for a request, then for an idle backend; return that
-        backend and the oldest queued requests (up to ``max_batch``).
+        backend and the oldest live queued requests (up to
+        ``max_batch``).
 
         Requests are awaited before a backend is taken: a batcher
         holding an idle backend over an empty queue would starve
         :meth:`_execute`'s retry, which waits on the same idle pool.
         Whatever queued while every backend was busy leaves together.
+        A request whose deadline passed while it queued has a done
+        (cancelled) future: it is dropped here, never computed, and a
+        backend that finds only such requests goes back to the pool.
 
         Returns ``None`` when the server is closing and the queue is
         drained — the batcher's exit signal.
         """
-        while not self._queue:
-            if self._closing:
-                return None
-            self._wake.clear()
-            await self._wake.wait()
-        backend = await self._idle.get()
-        # Only the batcher pops the queue, so it is still non-empty.
-        take = min(len(self._queue), self.max_batch)
-        return backend, [self._queue.popleft() for _ in range(take)]
+        while True:
+            while not self._queue:
+                if self._closing:
+                    return None
+                self._wake.clear()
+                await self._wake.wait()
+            backend = await self._idle.get()
+            # Only the batcher pops the queue, so it is still non-empty.
+            batch = []
+            while self._queue and len(batch) < self.max_batch:
+                request = self._queue.popleft()
+                if not request.future.done():
+                    batch.append(request)
+            if batch:
+                return backend, batch
+            self._idle.put_nowait(backend)
 
     async def _execute(self, backend: ServingBackend, batch) -> None:
         """Run one batch on a worker thread; resolve its futures.

@@ -29,7 +29,10 @@ bounds, tag/carry discipline and dead-write detection each need one walk.
 
 All per-op semantics live in the lifters (:mod:`repro.verify.lift`); the
 passes (:mod:`repro.verify.passes`) are generic interpreters over the
-records. A future transformation — e.g. BitWave-style zero-plane skipping
+records. An instruction lifts as the composite call the ISA's opcode
+table binds it to (:data:`repro.core.isa.OPCODES`, the table
+``ControlFSM`` dispatches through), and a recorded call binds against
+the composite's own signature, so the two frontends cannot drift apart. A future transformation — e.g. BitWave-style zero-plane skipping
 or the ROADMAP's cross-array reduction — hangs its legality analysis
 here: transform the op list, re-run the passes, and diff the facts
 against the original program's to prove dataflow equivalence.

@@ -3,12 +3,13 @@
 All per-operation dataflow knowledge lives here, in :func:`op_facts` —
 one entry per :class:`~repro.engine.bitserial.FleetBitSerialUnit`
 composite (the ``_TRACED_METHODS`` registry). Both program sources route
-through it: :func:`lift_isa_program` maps each opcode to the composite
-call :class:`~repro.core.isa.ControlFSM` would dispatch (mirroring
-``ControlFSM._dispatch`` exactly), and :func:`lift_calls` binds recorded
-call arguments to parameter names. Keeping one table means a ``cadd``
-instruction and a recorded ``add`` call can never disagree about what
-addition reads and writes.
+through it: :func:`lift_isa_program` binds each instruction through the
+ISA's opcode table (:data:`repro.core.isa.OPCODES`, the table
+:class:`~repro.core.isa.ControlFSM` dispatches through), and
+:func:`lift_calls` binds recorded call arguments against the composite's
+own signature. Keeping one table means a ``cadd`` instruction and a
+recorded ``add`` call can never disagree about what addition reads and
+writes.
 
 The facts encode what the *implementations* in ``engine/bitserial.py``
 do, not what an idealised op would: e.g. ``sub`` writes its scratch
@@ -20,11 +21,17 @@ either input (LSB-first in-place accumulation, Fig. 6 of the paper).
 
 from __future__ import annotations
 
+import functools
+import inspect
 from typing import Any, Iterable, Sequence
 
 from repro.common.errors import VerifyError
-from repro.core.isa import Instruction, Opcode
-from repro.engine.bitserial import Operand
+from repro.core.isa import Instruction
+from repro.engine.bitserial import (
+    _TRACED_METHODS,
+    FleetBitSerialUnit,
+    Operand,
+)
 from repro.verify.facts import (
     ALIGNED_OR_DISJOINT,
     CARRY_CYCLE,
@@ -171,6 +178,37 @@ def op_facts(method: str, index: int, name: str,
                             "mac accumulates the product in place"),)
         return OpFacts(name, index, reads=(a, b, acc),
                        writes=(acc,), scratch_writes=(prod,), tag=TAG_SELF,
+                       carry=_ripple() + (CARRY_INIT, CARRY_CYCLE),
+                       constraints=cons)
+
+    if method == "mac_taps":
+        # The whole tap block as one op, as ``mac`` is one: every tap's
+        # product passes through ``product``, then lands in ``acc`` while
+        # each tap's input lands in ``b_acc``. Streamed inputs arrive tap
+        # by tap in ``b``'s rows (scratch, as ``product`` is); resident
+        # inputs are read from a span as tall as the filters'. Not a
+        # per-tap expansion: streamed taps report their skips on the same
+        # ``b`` rows, so a skip does not say which tap it belongs to.
+        span = (int(p["taps"]) - 1) * int(p["stride"]) + p["a"].nbits
+        a = Region(p["a"].row, span)
+        prod, acc = _region(p["product"]), _region(p["acc"])
+        b_acc = _region(p["b_acc"])
+        if p.get("words") is None:
+            b = Region(p["b"].row, span)
+            reads, scratch = (a, b, acc, b_acc), (prod,)
+        else:
+            b = _region(p["b"])
+            reads, scratch = (a, acc, b_acc), (prod, b)
+        cons = tuple(
+            Constraint(prod, reg, DISJOINT,
+                       "mac_taps' product scratch must not alias an input")
+            for reg in (a, b))
+        cons += (Constraint(prod, acc, ALIGNED_OR_DISJOINT,
+                            "mac_taps accumulates each product in place"),
+                 Constraint(b, b_acc, ALIGNED_OR_DISJOINT,
+                            "mac_taps accumulates each input in place"))
+        return OpFacts(name, index, reads=reads, writes=(acc, b_acc),
+                       scratch_writes=scratch, tag=TAG_SELF,
                        carry=_ripple() + (CARRY_INIT, CARRY_CYCLE),
                        constraints=cons)
 
@@ -341,43 +379,17 @@ def op_facts(method: str, index: int, name: str,
 # Recorded call sequences
 # ----------------------------------------------------------------------
 
-#: Positional parameter names per traced composite (host values the IR
-#: does not inspect — numpy arrays — are bound but unused).
-_PARAMS: dict[str, tuple[str, ...]] = {
-    "write_values": ("op", "values"),
-    "write_value_block": ("base", "values", "nbits"),
-    "write_words": ("op", "words", "index"),
-    "read_values": ("op", "arrays"),
-    "load_tag": ("row", "invert"),
-    "set_tag_all": (),
-    "zero": ("op", "predicated"),
-    "write_scalar": ("op", "value"),
-    "copy": ("src", "dst", "predicated"),
-    "complement_copy": ("src", "dst", "predicated"),
-    "shift_copy": ("src", "dst", "column_shift"),
-    "add": ("a", "b", "dst", "predicated"),
-    "add_into": ("src", "acc", "predicated"),
-    "sub": ("a", "b", "dst", "scratch"),
-    "sub_into": ("acc", "b", "scratch"),
-    "multiply": ("a", "b", "product"),
-    "mac": ("a", "b", "product_scratch", "acc"),
-    "divide": ("a", "b", "quotient", "work"),
-    "compare_ge": ("a", "b", "dst", "scratch"),
-    "max_update": ("current", "candidate", "scratch"),
-    "min_update": ("current", "candidate", "scratch"),
-    "relu": ("op", "sign_row"),
-    "selective_copy": ("src", "dst", "tag_row", "invert"),
-    "logical_and": ("a", "b", "dst"),
-    "logical_nor": ("a", "b", "dst"),
-    "logical_or": ("a", "b", "dst"),
-    "logical_xor": ("a", "b", "dst"),
-    "equality_compare": ("a", "b", "dst_row"),
-    "search": ("haystack", "key", "dst_row"),
-    "reduce_tree": ("base", "segment", "elements", "width"),
-    "move_across": ("src", "dst", "stride", "group"),
-    "reduce_across_arrays": ("base", "segment", "group", "width"),
-    "skip_step": ("kind", "source", "dest", "cycles"),
-}
+@functools.cache
+def _signature(method: str) -> inspect.Signature:
+    """The signature a recorded ``method`` call binds against: the
+    composite's own, or ``_report_skip``'s for the ``skip_step``
+    pseudo-op."""
+    if method == "skip_step":
+        return inspect.signature(FleetBitSerialUnit._report_skip)
+    if method not in _TRACED_METHODS:
+        raise VerifyError(f"recorded unknown operation {method!r}",
+                          check="lift", op=method)
+    return inspect.signature(getattr(FleetBitSerialUnit, method))
 
 
 def _call_name(method: str, params: dict[str, Any]) -> str:
@@ -401,17 +413,13 @@ def lift_calls(calls: Iterable[tuple[str, tuple[Any, ...], dict[str, Any]]],
     """
     ops = []
     for index, (method, args, kwargs) in enumerate(calls):
-        names = _PARAMS.get(method)
-        if names is None:
-            raise VerifyError(f"recorded unknown operation {method!r}",
-                              check="lift", op=method)
-        if len(args) > len(names):
-            raise VerifyError(
-                f"recorded call {method!r} has {len(args)} positional "
-                f"arguments, expected at most {len(names)}",
-                check="lift", op=method)
-        params: dict[str, Any] = dict(zip(names, args))
-        params.update(kwargs)
+        try:
+            bound = _signature(method).bind(None, *args, **kwargs)
+        except TypeError as exc:
+            raise VerifyError(f"recorded call {method!r} does not bind: "
+                              f"{exc}", check="lift", op=method) from None
+        params = dict(bound.arguments)
+        del params["self"]
         ops.append(op_facts(method, index, _call_name(method, params),
                             params))
     return ProgramFacts(label=label, rows=rows, cols=cols, ops=tuple(ops),
@@ -421,50 +429,6 @@ def lift_calls(calls: Iterable[tuple[str, tuple[Any, ...], dict[str, Any]]],
 # ----------------------------------------------------------------------
 # ISA programs
 # ----------------------------------------------------------------------
-
-def _isa_call(instr: Instruction) -> tuple[str, dict[str, Any]]:
-    """The composite call ``ControlFSM._dispatch`` makes for ``instr``."""
-    op = instr.opcode
-    a = instr.operands
-    imm = instr.immediate
-    if op is Opcode.CZERO:
-        return "zero", {"op": a[0]}
-    if op is Opcode.CIMM:
-        return "write_scalar", {"op": a[0], "value": imm}
-    if op is Opcode.CCOPY:
-        return "copy", {"src": a[0], "dst": a[1]}
-    if op is Opcode.CMOVE:
-        return "shift_copy", {"src": a[0], "dst": a[1], "column_shift": imm}
-    if op is Opcode.CADD:
-        return "add", {"a": a[0], "b": a[1], "dst": a[2]}
-    if op is Opcode.CSUB:
-        return "sub", {"a": a[0], "b": a[1], "dst": a[2], "scratch": a[3]}
-    if op is Opcode.CMULT:
-        return "multiply", {"a": a[0], "b": a[1], "product": a[2]}
-    if op is Opcode.CDIV:
-        return "divide", {"a": a[0], "b": a[1], "quotient": a[2],
-                          "work": a[3]}
-    if op is Opcode.CMAC:
-        return "mac", {"a": a[0], "b": a[1], "product_scratch": a[2],
-                       "acc": a[3]}
-    if op is Opcode.CREDUCE:
-        assert imm is not None
-        width = a[0].nbits - (imm.bit_length() - 1)
-        return "reduce_tree", {"base": a[0], "segment": a[1],
-                               "elements": imm, "width": width}
-    if op is Opcode.CMAX:
-        return "max_update", {"current": a[0], "candidate": a[1],
-                              "scratch": a[2]}
-    if op is Opcode.CMIN:
-        return "min_update", {"current": a[0], "candidate": a[1],
-                              "scratch": a[2]}
-    if op is Opcode.CRELU:
-        return "relu", {"op": a[0], "sign_row": imm}
-    if op is Opcode.CSELCOPY:
-        return "selective_copy", {"src": a[0], "dst": a[1], "tag_row": imm}
-    raise VerifyError(f"no dataflow facts for opcode {op!r}",
-                      check="lift", op=str(instr))
-
 
 def lift_isa_program(program: Sequence[Instruction], rows: int, cols: int,
                      label: str = "isa",
@@ -476,7 +440,7 @@ def lift_isa_program(program: Sequence[Instruction], rows: int, cols: int,
     """
     ops = []
     for index, instr in enumerate(program):
-        method, params = _isa_call(instr)
+        method, params = instr.call()
         ops.append(op_facts(method, index, str(instr), params))
     return ProgramFacts(label=label, rows=rows, cols=cols, ops=tuple(ops),
                         preloaded=tuple(preloaded))

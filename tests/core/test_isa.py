@@ -1,5 +1,7 @@
 """Tests for the in-cache ISA and bank control FSM (Sec. IV-F)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.isa import (
     Instruction,
     Opcode,
     fsm_total_area_mm2,
+    parse_program,
 )
 from repro.sram import BitSerialUnit, Operand, SRAMArray
 
@@ -90,6 +93,32 @@ class TestProgramValidation:
             fsm.execute([Instruction(
                 Opcode.CMOVE, (Operand(0, 8), Operand(8, 8)),
                 immediate=32)])
+
+    @pytest.mark.parametrize("reduce, cols, reason", [
+        ("creduce r0:8, r8:8, #3", 32, "element count 3 is not a power"),
+        ("creduce r0:8, r8:8, #0", 32, "element count 0 is not a power"),
+        ("creduce r0:8, r8:8, #-4", 32, "element count -4 is not a power"),
+        ("creduce r0:8, r8:8, #64", 16, "within the array's 16 bitlines"),
+        ("creduce r0:4, r8:4, #16", 32, "a 4-row base leaves no input"),
+        ("creduce r0:8, r8:4, #4", 32, "segment of 4 rows narrower"),
+    ])
+    def test_bad_reductions_rejected_before_any_state_moves(
+            self, reduce, cols, reason):
+        """Each of these would otherwise fail inside ``reduce_tree`` (or
+        run off the columns) after the ``cimm`` spent its cycles."""
+        fsm = ControlFSM([unit(cols=cols)])
+        program = parse_program(f"cimm r0:8, #5\n{reduce}")
+        with pytest.raises(IsaError, match=re.escape(
+                f"instruction 1 `{reduce}`: ") + ".*" + re.escape(reason)):
+            fsm.execute(program)
+        assert fsm.instructions_executed == 0
+        assert fsm.cycles == 0
+
+    @pytest.mark.parametrize("elements", [1, 2, 16, 32])
+    def test_reductions_up_to_the_columns_pass(self, elements):
+        fsm = ControlFSM([unit(cols=32)])
+        fsm.execute(parse_program(f"creduce r0:8, r8:8, #{elements}"))
+        assert fsm.instructions_executed == 1
 
     def test_in_bounds_program_passes(self):
         fsm = ControlFSM([unit()])

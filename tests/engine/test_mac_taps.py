@@ -7,9 +7,12 @@ of two taps or more as one kernel (every product at once, then both
 sums as one carry-save sum over the tap axis); everything else runs the
 loop. The kernel must leave exactly what the loop leaves: every row,
 ``cycles``, ``skipped_cycles``, both fleet counters, both periphery
-latches and the ``skip_step`` stream in per-tap order. The stores here
-come from ``make_fleet``, so under ``NEURALCACHE_SANITIZE=1`` both sides
-run the sanitized per-tap loop and must still agree.
+latches and the ``skip_step`` stream in per-tap order. The streams are
+recorded with ``record_programs``: a recorded block runs the same code as
+an unrecorded one and records as one ``mac_taps`` call plus its skips.
+The stores here come from ``make_fleet``, so under
+``NEURALCACHE_SANITIZE=1`` both sides run the sanitized per-tap loop and
+must still agree.
 """
 
 import numpy as np
@@ -24,10 +27,13 @@ from repro.common.bits import (
     word_dtype,
 )
 from repro.common.errors import LayoutError
+from repro.core.functional import FunctionalExecutor
 from repro.engine import FleetBitSerialUnit, Operand, make_fleet
+from repro.engine.backend import FleetExecutor, deterministic_images
 from repro.engine.packed import PackedFleetPeriphery
+from repro.nn.models import model_zoo, model_zoo_configs
 from repro.verify import record_programs
-from repro.verify.passes import check_skips
+from repro.verify.passes import check_skips, verify_program
 
 ROWS = 256
 
@@ -41,18 +47,10 @@ def unit_on(n_arrays, cols, packed, sparsity, sanitize=None):
     return FleetBitSerialUnit(fleet, sparsity)
 
 
-def record_skips(unit):
-    """Capture ``unit``'s skip reports (the ``skip_step`` stream) without
-    a trace hook, which would send ``mac_taps`` down its loop."""
-    skips = []
-    report = unit._report_skip
-
-    def spy(*args):
-        skips.append(args)
-        report(*args)
-
-    unit._report_skip = spy
-    return skips
+def skips_of(recorder):
+    """The ``skip_step`` stream of a recording."""
+    return [call.args for trace in recorder.traces.values()
+            for call in trace.calls if call.method == "skip_step"]
 
 
 def latch_bits(unit, plane):
@@ -195,22 +193,27 @@ def run_problem(data, problem):
         seed = Operand(ROWS - 3, 1)
         unit.write_values(seed, carry_seed)
         unit.add(seed, seed, Operand(ROWS - 2, 2))
-    skips = [record_skips(unit) for unit in units]
     kernel = units[2]._fused_mac_taps
     kernels = []
     units[2]._fused_mac_taps = lambda *args: (kernels.append(args),
                                               kernel(*args))
     args = (product, acc, b_acc)
-    per_tap_loop(units[0], a, b, taps, stride, *args, words, index)
-    per_tap_loop(units[1], a, b, taps, stride, *args, words, index)
-    for t0 in range(0, taps, p["block"]):
-        t1 = min(t0 + p["block"], taps)
-        units[2].mac_taps(
-            Operand(a.row + t0 * stride, n),
-            b if p["streamed"] else Operand(b.row + t0 * stride, n),
-            t1 - t0, stride, *args,
-            words=None if words is None else words[t0 * stride:t1 * stride],
-            index=index)
+    skips = []
+    for unit in units[:2]:
+        with record_programs() as recorder:
+            per_tap_loop(unit, a, b, taps, stride, *args, words, index)
+        skips.append(skips_of(recorder))
+    with record_programs() as recorder:
+        for t0 in range(0, taps, p["block"]):
+            t1 = min(t0 + p["block"], taps)
+            units[2].mac_taps(
+                Operand(a.row + t0 * stride, n),
+                b if p["streamed"] else Operand(b.row + t0 * stride, n),
+                t1 - t0, stride, *args,
+                words=(None if words is None
+                       else words[t0 * stride:t1 * stride]),
+                index=index)
+    skips.append(skips_of(recorder))
     # Packed stores ran every block of two taps or more as the kernel;
     # a one-tap block runs the loop.
     stacked = sum(min(p["block"], taps - t0) > 1
@@ -252,21 +255,24 @@ class TestTapBatchedMac:
             unit.write_values(b_acc, 5)
             unit.write_values(Operand(150, 1), 1)
             unit.add(Operand(150, 1), Operand(150, 1), Operand(151, 2))
-            skips.append(record_skips(unit))
-        per_tap_loop(units[0], a, b, taps, 8, product, acc, b_acc,
-                     *((words, index) if streamed else ()))
-        units[1].mac_taps(a, b, taps, 8, product, acc, b_acc,
-                          **(dict(words=words, index=index) if streamed
-                             else {}))
+        with record_programs() as recorder:
+            per_tap_loop(units[0], a, b, taps, 8, product, acc, b_acc,
+                         *((words, index) if streamed else ()))
+        skips.append(skips_of(recorder))
+        with record_programs() as recorder:
+            units[1].mac_taps(a, b, taps, 8, product, acc, b_acc,
+                              **(dict(words=words, index=index) if streamed
+                                 else {}))
+        skips.append(skips_of(recorder))
         assert_same_state(*units)
         assert skips[0] == skips[1]
         assert len(skips[1]) == (taps * (n + 2) if sparsity else 0)
         assert np.all(units[1].read_values(product) == 0)
 
-    def test_records_the_per_tap_program(self):
-        """Under a trace hook the block runs, and records, as the per-tap
-        sequence: ``write_words``, ``mac``, ``add_into`` per tap, each
-        skip after the op it belongs to."""
+    def test_records_one_call_and_its_skips(self):
+        """Under a trace hook the block still runs the kernel on a packed
+        store, and records as one ``mac_taps`` call followed by the
+        block's skips in per-tap order; they lift clean."""
         n, taps, cols = 8, 3, 16
         rng = np.random.default_rng(5)
         table = rng.integers(0, 256, (1, taps, cols))
@@ -278,22 +284,29 @@ class TestTapBatchedMac:
         a, b = Operand(0, n), Operand(24, n)
         product, acc, b_acc = Operand(32, 16), Operand(48, 24), \
             Operand(72, 24)
-        unit.write_values(Operand(0, 24), 0x010101)   # nonzero filters
-        unit.zero(acc)
-        unit.zero(b_acc)
+        kernel = unit._fused_mac_taps
+        kernels = []
+        unit._fused_mac_taps = lambda *args: (kernels.append(args),
+                                              kernel(*args))
         with record_programs() as recorder:
+            unit.write_values(Operand(0, 24), 0x010101)  # nonzero filters
+            unit.zero(acc)
+            unit.zero(b_acc)
             unit.mac_taps(a, b, taps, 8, product, acc, b_acc, words=words,
                           index=index)
+        assert len(kernels) == (1 if unit._fused else 0)
         (trace,) = recorder.traces.values()
         methods = [call.method for call in trace.calls]
-        tap = ["write_words", "mac", "add_into"]
-        zero_tap = (["write_words", "mac"] + ["skip_step"] * (n + 1)
-                    + ["add_into", "skip_step"])
-        assert methods == tap + zero_tap + tap
-        assert "mac_taps" not in methods
+        # Tap 1's multiplier planes are all zero, so its n multiply
+        # planes, its product sum and its input sum are skipped.
+        assert methods == (["write_values", "zero", "zero", "mac_taps"]
+                           + ["skip_step"] * (n + 2))
+        kinds = [call.args[0] for call in trace.calls[4:]]
+        assert kinds == ["multiply-plane"] * n + ["add-into"] * 2
         (program,) = recorder.programs()
         assert len(program) == len(methods)
         assert check_skips(program) == []
+        assert verify_program(program) == []
 
     def test_wrapped_stores_run_the_loop(self):
         """The sanitizer declares ``fused = False``: ``mac_taps`` runs the
@@ -334,3 +347,39 @@ class TestTapBatchedMac:
         unit.mac_taps(Operand(0, 8), Operand(16, 8), 2, 8,
                       Operand(32, 16), Operand(48, 24), Operand(60, 12))
         assert len(calls) == 2
+
+
+class TestRecordedInference:
+    """A recorded sparse inference runs the same tap-block kernel as an
+    unrecorded one, so the kernel's own skip stream reaches the
+    verifier."""
+
+    @pytest.mark.parametrize("name", ["mlp", "resnet-tiny"])
+    def test_kernel_runs_and_lifts_clean(self, name, monkeypatch):
+        network = model_zoo()[name]
+        config = model_zoo_configs().get(name)
+        backend = FleetExecutor(config=config, verify=False)
+        weights = backend.weights_for(network)
+        image = deterministic_images(network, weights, backend.seed, 1)[0]
+        kernels = []
+        kernel = FleetBitSerialUnit._fused_mac_taps
+
+        def spy(unit, *args):
+            kernels.append(args)
+            return kernel(unit, *args)
+
+        monkeypatch.setattr(FleetBitSerialUnit, "_fused_mac_taps", spy)
+        executor = FunctionalExecutor(network, weights, config=config,
+                                      packed=True, sparsity=True)
+        with record_programs() as recorder:
+            executor.run(image)
+        # Sanitized stores run the per-tap loop, recorded or not.
+        fused = make_fleet(1, 8, 8, packed=True).fused
+        assert (len(kernels) > 0) == fused
+        streams = [[call.method for call in trace.calls]
+                   for trace in recorder.traces.values()]
+        assert any(methods[i:i + 2] == ["mac_taps", "skip_step"]
+                   for methods in streams for i in range(len(methods)))
+        programs = recorder.programs()
+        for program in programs:
+            assert verify_program(program) == [], program.label

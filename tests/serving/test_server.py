@@ -244,6 +244,42 @@ class TestWorkConservation:
         assert len(busy.batches) == 1
 
 
+class TestDeadlines:
+    def test_request_expired_in_the_queue_is_never_computed(self, tiny_net, stream):
+        """Requests whose deadline passes while they queue behind a busy
+        backend are dropped, not handed to it once it frees; the next
+        live request still runs."""
+        images, expected = stream
+        backend = GatedBackend(make_backend())
+        backend.inner.run_requests(tiny_net, images[:1])  # warm the stagings
+
+        async def scenario():
+            async with Server(
+                [backend], tiny_net, max_batch=4, request_timeout_s=0.25
+            ) as server:
+                async with occupied(server, backend, images[0]) as head:
+                    queued = [
+                        asyncio.ensure_future(server.submit(image))
+                        for image in images[1:3]
+                    ]
+                    expired = await asyncio.gather(
+                        head, *queued, return_exceptions=True
+                    )
+                live = await server.submit(images[3])
+            return expired, live, server.report()
+
+        expired, live, report = asyncio.run(scenario())
+        for error in expired:
+            assert isinstance(error, SimulationError)
+            assert "deadline" in str(error)
+        assert_bit_exact([live], expected[3:4])
+        assert [len(batch) for batch in backend.batches] == [1, 1]
+        assert backend.batches[0][0] is images[0]
+        assert backend.batches[1][0] is images[3]
+        assert report.expired == 3
+        assert report.batches == 2
+
+
 class TestReport:
     def test_report_counts_and_tails(self, tiny_net, stream):
         images, expected = stream

@@ -15,6 +15,10 @@ checks:
 * nothing resolves twice;
 * everything submitted before close resolves, with its response or a
   structured error whose cause the model allows;
+* a request whose deadline passed while it was still queued never
+  enters a backend: at close, the dispatched requests and those expired
+  before dispatch are everything submitted, and together they are
+  always a prefix of the submissions;
 * a submit after close is refused;
 * every batch is FIFO and at most ``max_batch``; a batch re-enters a
   backend only as the retry of a failure;
@@ -168,6 +172,8 @@ class ServerMachine(RuleBasedStateMachine):
         self.index: dict[int, int] = {}
         #: Requests whose batch has entered a backend.
         self.dispatched: set[int] = set()
+        #: Requests whose deadline passed while they were still queued.
+        self.expired_queued: set[int] = set()
         #: Per batch (its submission indices): attempts and failures.
         self.attempts: dict[tuple, int] = {}
         self.failures: dict[tuple, int] = {}
@@ -301,6 +307,13 @@ class ServerMachine(RuleBasedStateMachine):
             # Their responses are set; let the awaiting tasks take them.
             self.run(asyncio.wait(answered))
         waiting = self.unanswered()
+        # The loop is settled, so no backend is idle while these queue:
+        # nothing dispatches before their deadlines pass.
+        self.expired_queued.update(
+            i
+            for i, task in enumerate(self.tasks)
+            if not task.done() and i not in self.dispatched
+        )
         self.loop.wound += TIMEOUT_S
         self.run(asyncio.wait(waiting))
         for task in waiting:
@@ -314,7 +327,7 @@ class ServerMachine(RuleBasedStateMachine):
         submitted resolved, then carry on with a fresh server."""
         self.run(self.drain_and_close())
         assert all(task.done() for task in self.tasks)
-        assert len(self.dispatched) == len(self.images)
+        assert self.dispatched | self.expired_queued == set(range(len(self.images)))
         self.outcomes_match_the_model()
         self.closed.append(self.server)
         self.open_server()
@@ -363,10 +376,21 @@ class ServerMachine(RuleBasedStateMachine):
     @invariant()
     def batches_leave_in_submission_order(self):
         # Concurrent batches may enter their backends in any order, but
-        # once settled, the dispatched requests are the oldest ones.
-        assert self.dispatched == set(range(len(self.dispatched))), (
-            f"dispatched {sorted(self.dispatched)}: a newer request left "
-            f"before an older one"
+        # once settled, the dispatched requests and those that expired
+        # while queued are the oldest ones.
+        left = self.dispatched | self.expired_queued
+        assert left == set(range(len(left))), (
+            f"dispatched {sorted(self.dispatched)}, expired while queued "
+            f"{sorted(self.expired_queued)}: a newer request left before "
+            f"an older one"
+        )
+
+    @invariant()
+    def expired_requests_never_enter_a_backend(self):
+        computed = self.dispatched & self.expired_queued
+        assert not computed, (
+            f"requests {sorted(computed)} entered a backend after their "
+            f"deadline passed in the queue"
         )
 
     @invariant()

@@ -174,14 +174,15 @@ class TestExtraction:
 
 
 #: (programs, ops) per functionally extractable model: one program per
-#: (layer, fleet). ``repro verify`` reports their sums, 41 / 1152.
+#: (layer, fleet). ``repro verify`` reports their sums, 41 / 768. A conv
+#: tap block records as one ``mac_taps`` op plus its skips.
 #: inception-span's conv stacks sixteen 256-array chunks of 16-column
 #: arrays (uint16 words, 8 KB per wordline) into each fleet.
 PINNED_COUNTS = {
-    "resnet-tiny": (27, 723),
-    "mlp": (6, 240),
-    "inception-span": (5, 121),
-    "tiny-verification": (3, 68),
+    "resnet-tiny": (27, 516),
+    "mlp": (6, 99),
+    "inception-span": (5, 102),
+    "tiny-verification": (3, 51),
 }
 
 
@@ -197,16 +198,35 @@ class TestPinnedCounts:
         argv = [arg for name in PINNED_COUNTS for arg in ("--model", name)]
         assert verify_main(argv) == 0
         out = capsys.readouterr().out
-        assert "verified 41 programs / 1152 ops: 0 finding(s)" in out
+        assert "verified 41 programs / 768 ops: 0 finding(s)" in out
 
 
 def _call_stream(program_calls):
-    """A recorded call stream with each host array reduced to its shape
-    past the fleet axis, which is all that a stacked fleet changes."""
+    """A recorded call stream, keyword arguments after the positional
+    ones, with each host array reduced to its shape past the fleet axis,
+    which is all that a stacked fleet changes."""
     return [(call.method,
              tuple(arg.shape[1:] if isinstance(arg, np.ndarray) else arg
-                   for arg in call.args))
+                   for arg in (*call.args, *call.kwargs.values())))
             for call in program_calls]
+
+
+def _one_tap_blocks(stream):
+    """``stream`` with each ``mac_taps`` block split into the one-tap
+    blocks it stands for (the block size follows ``FLEET_BYTE_BUDGET``).
+    A streamed block (``words`` passed) loads every tap into ``b``."""
+    split = []
+    for method, args in stream:
+        if method != "mac_taps":
+            split.append((method, args))
+            continue
+        a, b, taps, stride, *rest = args
+        streamed = len(rest) > 3 and rest[3] is not None
+        for t in range(taps):
+            b_t = b if streamed else Operand(b.row + t * stride, b.nbits)
+            split.append((method, (Operand(a.row + t * stride, a.nbits),
+                                   b_t, 1, stride, *rest)))
+    return split
 
 
 def _recorded_streams(name, monkeypatch):
@@ -240,14 +260,17 @@ class TestStackedConvPrograms:
         monkeypatch.setattr(functional, "FLEET_BYTE_BUDGET", 0)
         per_chunk, counts = _recorded_streams("inception-span",
                                               monkeypatch)
-        assert counts == (20, 466)
+        assert counts == (20, 330)
         conv = "Mixed_5c/Branch_0/Conv2d_0a_1x1"
 
         def split(streams):
-            """The conv's compute programs, and every other program."""
+            """The conv's compute programs, and every other program with
+            its tap blocks split into single taps (at a zero budget every
+            block is one tap)."""
             compute = [s for s in streams[conv]
-                       if any(method == "mac" for method, _ in s)]
-            rest = {label: [s for s in programs if s not in compute]
+                       if any(method == "mac_taps" for method, _ in s)]
+            rest = {label: [_one_tap_blocks(s) for s in programs
+                            if s not in compute]
                     for label, programs in streams.items()}
             return compute, rest
 
